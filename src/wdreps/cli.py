@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "of rationals (default -25..25)")
         if eps:
             p.add_argument("--eps", default=None,
-                           help="certification width as a rational (default 1/10^30)")
+                           help=f"certification width as a rational (default {DEFAULT_EPS})")
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         return p
@@ -326,10 +326,10 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(_merge_negative_values(argv))
-    req = CommandRequest(
+def parse_request(argv) -> CommandRequest:
+    """The request a command line asks for."""
+    args = build_parser().parse_args(_merge_negative_values(list(argv)))
+    return CommandRequest(
         command=args.command,
         input_path=args.input,
         partition=getattr(args, "partition", None),
@@ -340,11 +340,19 @@ def main(argv=None) -> int:
         output=args.output,
         format=args.format,
     )
-    code, envelope = run_command(req)
+
+
+def render(req: CommandRequest, envelope: dict) -> bytes:
+    """The report bytes in the requested format."""
     if req.format == "table":
-        payload = render_table(envelope).encode("utf-8")
-    else:
-        payload = canonical_json_bytes(envelope)
+        return render_table(envelope).encode("utf-8")
+    return canonical_json_bytes(envelope)
+
+
+def main(argv=None) -> int:
+    req = parse_request(sys.argv[1:] if argv is None else argv)
+    code, envelope = run_command(req)
+    payload = render(req, envelope)
     if req.output:
         with open(req.output, "wb") as handle:
             handle.write(payload)

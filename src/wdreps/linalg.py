@@ -5,11 +5,16 @@ Jordan-Chevalley decomposition.
 Echelon conventions are deterministic (first nonzero pivot, columns
 ordered by pivot row, pivots normalized to 1, reduced) so every basis
 this module emits is the unique canonical basis of its subspace.
+
+Over Q, products and row reduction run on Python integers (rows and
+columns scaled to common denominators, fraction-free elimination); their
+results are the same reduced Fractions that field arithmetic gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import Field, NumberField, Poly, QQ, squarefree_part
 
@@ -32,17 +37,26 @@ class Matrix:
             if any(len(r) != width for r in self.rows):
                 raise ValueError("ragged matrix rows")
 
+    @classmethod
+    def _trusted(cls, field: Field, rows) -> "Matrix":
+        """Wrap a tuple of equal-length tuples of `field` scalars without
+        coercing or checking them: for results this module computed."""
+        M = object.__new__(cls)
+        M.field = field
+        M.rows = rows
+        return M
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._trusted(field, tuple(tuple(one if i == j else zero for j in range(n))
+                                         for i in range(n)))
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * ncols for _ in range(nrows)])
+        return cls._trusted(field, ((field.zero,) * ncols,) * nrows)
 
     @classmethod
     def diagonal(cls, field: Field, entries) -> "Matrix":
@@ -98,23 +112,25 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix(self.field, [[a + b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
+        return Matrix._trusted(self.field, tuple(tuple(a + b for a, b in zip(ra, rb))
+                                                 for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch in matrix subtraction")
-        return Matrix(self.field, [[a - b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
+        return Matrix._trusted(self.field, tuple(tuple(a - b for a, b in zip(ra, rb))
+                                                 for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in row] for row in self.rows])
+        return Matrix._trusted(self.field, tuple(tuple(-a for a in row) for row in self.rows))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in matrix product")
-            cols = [other.column(j) for j in range(other.ncols)]
+            if self.field == QQ:
+                return Matrix._trusted(QQ, _mul_q(self.rows, other.rows))
+            cols = other.columns()
             zero = self.field.zero
             out = []
             for row in self.rows:
@@ -125,14 +141,15 @@ class Matrix:
                         if a and b:
                             acc = acc + a * b
                     out_row.append(acc)
-                out.append(out_row)
-            return Matrix(self.field, out)
-        s = self.field.coerce(other)
-        return Matrix(self.field, [[a * s for a in row] for row in self.rows])
+                out.append(tuple(out_row))
+            return Matrix._trusted(self.field, tuple(out))
+        return self._scale(self.field.coerce(other))
 
     def __rmul__(self, other):
-        s = self.field.coerce(other)
-        return Matrix(self.field, [[s * a for a in row] for row in self.rows])
+        return self._scale(self.field.coerce(other))
+
+    def _scale(self, s) -> "Matrix":
+        return Matrix._trusted(self.field, tuple(tuple(a * s for a in row) for row in self.rows))
 
     def __pow__(self, n: int) -> "Matrix":
         if not self.is_square():
@@ -149,7 +166,7 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.rows)] if self.rows else [])
+        return Matrix._trusted(self.field, tuple(zip(*self.rows)))
 
     def trace(self):
         if not self.is_square():
@@ -165,20 +182,21 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix(self.field, [ra + rb for ra, rb in zip(self.rows, other.rows)])
+        return Matrix._trusted(self.field, tuple(ra + rb for ra, rb in zip(self.rows, other.rows)))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, first factor most significant."""
-        out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append([a * b for a in ra for b in rb])
-        return Matrix(self.field, out)
+        return Matrix._trusted(self.field, tuple(tuple(a * b for a in ra for b in rb)
+                                                 for ra in self.rows for rb in other.rows))
 
     # -- elimination ----------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form; returns (Matrix, pivot_columns)."""
+        """Reduced row echelon form; returns (Matrix, pivot_columns).
+        Over Q the elimination runs on integers (`_rref_q`)."""
+        if self.field == QQ:
+            rows, pivots = _rref_q(self.rows, self.ncols)
+            return Matrix._trusted(QQ, rows), pivots
         rows = [list(r) for r in self.rows]
         nr, nc = self.nrows, self.ncols
         one = self.field.one
@@ -205,7 +223,7 @@ class Matrix:
             r += 1
             if r == nr:
                 break
-        return Matrix(self.field, rows), tuple(pivots)
+        return Matrix._trusted(self.field, tuple(map(tuple, rows))), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -244,7 +262,81 @@ class Matrix:
         red, pivots = aug.rref()
         if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) != n:
             raise SingularMatrixError("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in red.rows])
+        return Matrix._trusted(self.field, tuple(row[n:] for row in red.rows))
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel over Q: each row or column of Fractions becomes Python
+# ints over the lcm of its denominators; only results become Fractions again
+# ---------------------------------------------------------------------------
+
+_ZERO = Fraction(0)
+
+
+def _scaled(vec):
+    """(den, ints) with vec[k] = ints[k] / den."""
+    pairs = [x.as_integer_ratio() for x in vec]
+    den = lcm(*[d for _, d in pairs])
+    if den == 1:
+        return 1, [n for n, _ in pairs]
+    return den, [n * (den // d) for n, d in pairs]
+
+
+def _mul_q(a_rows, b_rows):
+    """Rows of the product of two matrices over Q."""
+    cols = [_scaled(col) for col in zip(*b_rows)]
+    zero_row = (_ZERO,) * len(cols)
+    out = []
+    for row in a_rows:
+        da, ints = _scaled(row)
+        nonzero = [(k, v) for k, v in enumerate(ints) if v]
+        if not nonzero:
+            out.append(zero_row)
+            continue
+        entries = []
+        for db, col in cols:
+            s = sum([v * col[k] for k, v in nonzero])
+            entries.append(Fraction(s, da * db) if s else _ZERO)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def _rref_q(rows, ncols: int):
+    """Rows and pivot columns of the reduced row echelon form over Q, by
+    fraction-free Gauss-Jordan elimination on primitive integer rows.
+    The reduced form is unique, so it equals the one field arithmetic
+    gives."""
+    work = [_scaled(row)[1] for row in rows]
+    nr = len(work)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if work[i][c]), None)
+        if pr is None:
+            continue
+        prow = work[pr]
+        g = gcd(*prow)
+        if g > 1:
+            prow = [x // g for x in prow]
+        work[pr], work[r] = work[r], prow
+        p = prow[c]
+        for i in range(nr):
+            f = work[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(work[i], prow)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                work[i] = row
+        pivots.append(c)
+    out = [tuple(Fraction(x, work[i][c]) if x else _ZERO for x in work[i])
+           for i, c in enumerate(pivots)]
+    out.extend([(_ZERO,) * ncols] * (nr - len(pivots)))
+    return tuple(out), tuple(pivots)
 
 
 def block_diagonal(field: Field, blocks) -> Matrix:
@@ -261,12 +353,15 @@ def block_diagonal(field: Field, blocks) -> Matrix:
     return Matrix(field, rows)
 
 
+def _from_columns(field: Field, cols, nrows: int) -> Matrix:
+    return Matrix._trusted(field, tuple(zip(*cols)) if cols else ((),) * nrows)
+
+
 def column_echelon(M: Matrix) -> Matrix:
     """Canonical basis of the column space: reduced column echelon form,
     columns ordered by pivot row, pivot entries 1."""
     red, _ = M.transpose().rref()
-    cols = [row for row in red.rows if any(row)]
-    return Matrix.from_columns(M.field, cols, M.nrows)
+    return _from_columns(M.field, [row for row in red.rows if any(row)], M.nrows)
 
 
 def mat_subspaces(M: Matrix):
@@ -286,8 +381,8 @@ def mat_subspaces(M: Matrix):
         for r, p in enumerate(pivots):
             col[p] = -red[r, f]
         kernel_cols.append(col)
-    kernel = Matrix.from_columns(M.field, kernel_cols, M.ncols)
-    kernel = column_echelon(kernel) if kernel_cols else Matrix.zeros(M.field, M.ncols, 0)
+    kernel = column_echelon(_from_columns(M.field, kernel_cols, M.ncols)) if kernel_cols \
+        else Matrix.zeros(M.field, M.ncols, 0)
     image = column_echelon(M) if rank else Matrix.zeros(M.field, M.nrows, 0)
     return rank, kernel, image
 
@@ -302,7 +397,7 @@ def solve_in_span(A: Matrix, Y: Matrix) -> Matrix:
     red, pivots = A.hstack(Y).rref()
     if len(pivots) != A.ncols or any(p >= A.ncols for p in pivots):
         raise ValueError("columns dependent or right-hand side outside the span")
-    return Matrix(A.field, [row[A.ncols:] for row in red.rows[:A.ncols]])
+    return Matrix._trusted(A.field, tuple(row[A.ncols:] for row in red.rows[:A.ncols]))
 
 
 def intersect_columns(U: Matrix, V: Matrix) -> Matrix:
@@ -310,44 +405,80 @@ def intersect_columns(U: Matrix, V: Matrix) -> Matrix:
     space of V)."""
     if U.ncols == 0 or V.ncols == 0:
         return Matrix.zeros(U.field, U.nrows, 0)
-    stacked = U.hstack(Matrix(U.field, [[-x for x in row] for row in V.rows]))
-    _, kernel, _ = mat_subspaces(stacked)
-    cols = []
-    for j in range(kernel.ncols):
-        coefy = [kernel[i, j] for i in range(U.ncols)]
-        cols.append([sum_scalars(U.field, (U[i, k] * coefy[k] for k in range(U.ncols)))
-                     for i in range(U.nrows)])
-    if not cols:
+    _, kernel, _ = mat_subspaces(U.hstack(-V))
+    if kernel.ncols == 0:
         return Matrix.zeros(U.field, U.nrows, 0)
-    return column_echelon(Matrix.from_columns(U.field, cols, U.nrows))
-
-
-def sum_scalars(field: Field, items):
-    acc = field.zero
-    for x in items:
-        acc = acc + x
-    return acc
+    # the U-coordinates of each kernel vector give a spanning vector
+    return column_echelon(U * Matrix._trusted(U.field, kernel.rows[:U.ncols]))
 
 
 def charpoly(M: Matrix) -> Poly:
-    """Characteristic polynomial det(xI - M), monic, by the
-    Faddeev-LeVerrier recursion (exact in characteristic zero)."""
+    """Characteristic polynomial det(xI - M), monic, by Hessenberg
+    reduction [Cohen, GTM 138, Alg. 2.2.9]: elementary similarity
+    transformations make M upper Hessenberg, then the characteristic
+    polynomials of its leading principal blocks follow by a recurrence.
+    O(n^3) field operations over any field."""
     if not M.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = M.nrows
     field = M.field
-    coeffs = [field.zero] * (n + 1)
-    coeffs[n] = field.one
-    if n == 0:
-        return Poly(field, coeffs)
-    Mk = M
-    c = -Mk.trace()
-    coeffs[n - 1] = c
-    for k in range(2, n + 1):
-        Mk = M * (Mk + Matrix.identity(field, n) * c)
-        c = -(Mk.trace() / k)
-        coeffs[n - k] = c
-    return Poly(field, coeffs)
+    zero, one = field.zero, field.one
+    H = [list(row) for row in M.rows]
+    for m in range(1, n - 1):
+        pr, inv = _invertible_pivot(H, m, one)
+        if pr is None:
+            continue
+        if pr != m:
+            H[pr], H[m] = H[m], H[pr]
+            for row in H:
+                row[pr], row[m] = row[m], row[pr]
+        pivot_row = H[m]
+        for i in range(m + 1, n):
+            if not H[i][m - 1]:
+                continue
+            u = H[i][m - 1] * inv
+            # row i -= u * row m, then column m += u * column i
+            H[i] = [x - u * y if y else x for x, y in zip(H[i], pivot_row)]
+            for row in H:
+                if row[i]:
+                    row[m] = row[m] + u * row[i]
+    # polys[m] = charpoly of the leading m x m block, low degree first
+    polys = [[one]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        h = H[m - 1][m - 1]
+        new = [zero] + prev
+        for k, c in enumerate(prev):
+            new[k] = new[k] - h * c
+        t = one
+        for i in range(m - 1, 0, -1):
+            t = t * H[i][i - 1]
+            if not t:
+                break
+            coef = H[i - 1][m - 1] * t
+            if coef:
+                for k, c in enumerate(polys[i - 1]):
+                    new[k] = new[k] - coef * c
+        polys.append(new)
+    return Poly(field, polys[n])
+
+
+def _invertible_pivot(H, m: int, one):
+    """First row i >= m whose entry in column m-1 is invertible, and that
+    entry's inverse; (None, None) when the entries are all zero.  Over a
+    field any nonzero entry will do; over an etale algebra a zero divisor
+    is passed over, and raises only when no other pivot is left."""
+    blocked = None
+    for i in range(m, len(H)):
+        x = H[i][m - 1]
+        if x:
+            try:
+                return i, one / x
+            except ZeroDivisionError as exc:
+                blocked = exc
+    if blocked is not None:
+        raise blocked
+    return None, None
 
 
 def poly_eval_matrix(p: Poly, M: Matrix) -> Matrix:
@@ -355,10 +486,14 @@ def poly_eval_matrix(p: Poly, M: Matrix) -> Matrix:
     if not M.is_square():
         raise ValueError("polynomial evaluation needs a square matrix")
     n = M.nrows
-    acc = Matrix.zeros(M.field, n, n)
-    eye = Matrix.identity(M.field, n)
-    for c in reversed(p.coeffs):
-        acc = acc * M + eye * c
+    if p.is_zero():
+        return Matrix.zeros(M.field, n, n)
+    acc = Matrix.identity(M.field, n) * p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc * M
+        if c:
+            acc = Matrix._trusted(M.field, tuple(
+                row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(acc.rows)))
     return acc
 
 
@@ -396,9 +531,15 @@ def mult_jordan_chevalley(M: Matrix):
 
 
 def is_nilpotent(M: Matrix) -> bool:
+    """M^n = 0 for n x n M, tested as M^(2^k) = 0 with 2^k >= n by
+    repeated squaring that stops at the first zero power."""
     if not M.is_square():
         return False
-    return (M ** M.nrows).is_zero() if M.nrows else True
+    for _ in range(max(M.nrows - 1, 0).bit_length()):
+        if M.is_zero():
+            return True
+        M = M * M
+    return M.is_zero()
 
 
 def scalar_restriction(M: Matrix) -> Matrix:

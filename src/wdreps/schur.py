@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -296,7 +295,6 @@ class SchurBasis:
     pivot_rows: tuple[int, ...]
 
 
-_basis_lock = threading.Lock()
 _rational_basis_cache: dict = {}
 _field_basis_cache: dict = {}
 
@@ -375,23 +373,19 @@ def schur_basis(mu: Partition, n: int, field: Field = QQ) -> SchurBasis:
             f"tensor space {n}^{d} exceeds the cap {cap}; "
             "set WDREPS_TENSOR_CAP to override")
     key = (mu.parts, n)
-    with _basis_lock:
-        cached = _rational_basis_cache.get(key)
+    cached = _rational_basis_cache.get(key)
     if cached is None:
         cached = _build_rational_basis(mu, n)
-        with _basis_lock:
-            _rational_basis_cache[key] = cached
+        _rational_basis_cache[key] = cached
     pivot_rows, rational_matrix = cached
     fkey = (mu.parts, n, field)
-    with _basis_lock:
-        basis = _field_basis_cache.get(fkey)
+    basis = _field_basis_cache.get(fkey)
     if basis is None:
         matrix = rational_matrix if field == QQ else \
             rational_matrix.map_entries(field.coerce, field)
         basis = SchurBasis(mu=mu, n=n, field=field, dim=len(pivot_rows),
                            basis_matrix=matrix, pivot_rows=pivot_rows)
-        with _basis_lock:
-            _field_basis_cache[fkey] = basis
+        _field_basis_cache[fkey] = basis
     return basis
 
 

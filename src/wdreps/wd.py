@@ -103,9 +103,24 @@ def inertia_closure(generators, field: Field, dim: int, cap: int = INERTIA_CLOSU
     return order
 
 
+_UNCHECKED = object()
+
+
 def wd_validate(rho: WDRep):
     """Check every invariant; returns None when valid, otherwise a
-    description of the first violated invariant."""
+    description of the first violated invariant.
+
+    A WDRep is immutable, so the verdict is computed once and kept on the
+    object itself (outside its dataclass fields: equality, hash and repr
+    do not see it)."""
+    verdict = rho.__dict__.get("_verdict", _UNCHECKED)
+    if verdict is _UNCHECKED:
+        verdict = _check_invariants(rho)
+        object.__setattr__(rho, "_verdict", verdict)
+    return verdict
+
+
+def _check_invariants(rho: WDRep):
     n = rho.dim
     try:
         phi_inv = rho.phi.inverse()

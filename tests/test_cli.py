@@ -82,6 +82,13 @@ class TestCommands:
         code, env = run_command(CommandRequest("purity", SP2, weight="-1"))
         assert code == 0 and env["result"]["purity"]["verdict"] == "pure"
 
+    def test_eps_default_as_documented_parses(self, capsys):
+        spelling = "1/1000000000000000000000000000000"
+        with pytest.raises(SystemExit):
+            main(["purity", "--help"])
+        assert f"(default {spelling})" in " ".join(capsys.readouterr().out.split())
+        assert main(["purity", "--eps", spelling, SP2]) == 0
+
     def test_purity_certification_failure_exit_3(self, tmp_path):
         # irrational Frobenius moduli force real certification work; an
         # unreachable eps must fail loudly with exit code 3

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from wdreps import (Matrix, Poly, QQ, QT, SingularMatrixError, charpoly,
-                    column_echelon, mat_subspaces, mult_jordan_chevalley,
-                    poly_eval_matrix, scalar_restriction, squarefree_part)
+from wdreps import (Matrix, Poly, QQ, QT, SingularMatrixError, WDRep, charpoly,
+                    column_echelon, frobenius_semisimplify, frss_signature,
+                    mat_subspaces, mult_jordan_chevalley, poly_eval_matrix,
+                    scalar_restriction, sp_construct, squarefree_part,
+                    wd_direct_sum)
 from wdreps.fields import NumberField
 from wdreps.linalg import intersect_columns, solve_in_span
 
-from support import random_matrix, random_unimodular
+from support import random_fraction, random_matrix, random_unimodular
 
 
 class TestSubspaces:
@@ -161,3 +163,164 @@ class TestHelpers:
         # over Q the restriction is the identity operation
         M2 = Matrix(QQ, [[1, 2], [3, 4]])
         assert scalar_restriction(M2) is M2
+
+
+# ---------------------------------------------------------------------------
+# independent oracles for the integer Q kernel and the Hessenberg charpoly
+# ---------------------------------------------------------------------------
+
+BIG = 10 ** 40
+
+
+def _oracle_cases():
+    """Q matrices of every shape the kernel special-cases: empty shapes,
+    zero rows and columns, rank deficiency, sparse and 40-digit entries.
+    (A matrix without rows carries no column count, so 0 x n is 0 x 0.)"""
+    rng = random.Random(1512)
+    cases = [[], [[]], [[], [], []], [[0, 0], [0, 0]],
+             [[Fraction(BIG + 7, BIG - 3), Fraction(-3, BIG + 1)],
+              [Fraction(BIG ** 2 - 1, 17), Fraction(5 * BIG + 1, BIG)]]]
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        kind = rng.choice(["dense", "sparse", "low-rank", "huge"])
+        if kind == "low-rank":
+            k = rng.randint(1, min(nrows, ncols))
+            A = [[random_fraction(rng) for _ in range(k)] for _ in range(nrows)]
+            B = [[random_fraction(rng) for _ in range(ncols)] for _ in range(k)]
+            rows = [[sum((A[i][j] * B[j][c] for j in range(k)), Fraction(0))
+                     for c in range(ncols)] for i in range(nrows)]
+        elif kind == "huge":
+            rows = [[Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+                     for _ in range(ncols)] for _ in range(nrows)]
+        else:
+            density = 1.0 if kind == "dense" else 0.3
+            rows = [[random_fraction(rng) if rng.random() < density else Fraction(0)
+                     for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+        if rng.random() < 0.3:
+            c = rng.randrange(ncols)
+            for row in rows:
+                row[c] = Fraction(0)
+        cases.append(rows)
+    return cases
+
+
+def _to_sympy(sp, M):
+    return sp.Matrix(M.nrows, M.ncols,
+                     [sp.Rational(x.numerator, x.denominator) for row in M.rows for x in row])
+
+
+def _from_sympy(S):
+    return [[Fraction(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)]
+
+
+def _canonical_span_sympy(sp, vectors, nrows):
+    """Reduced column echelon basis of the span of sympy column vectors."""
+    if not vectors:
+        return Matrix.zeros(QQ, nrows, 0)
+    red, pivots = sp.Matrix.hstack(*vectors).T.rref()
+    return Matrix.from_columns(QQ, _from_sympy(red[:len(pivots), :]), nrows)
+
+
+class TestQKernelOracle:
+    def test_against_sympy(self):
+        sp = pytest.importorskip("sympy")
+        x = sp.Symbol("x")
+        for rows in _oracle_cases():
+            M = Matrix(QQ, rows)
+            S = _to_sympy(sp, M)
+            red, pivots = M.rref()
+            s_red, s_pivots = S.rref()
+            assert pivots == tuple(s_pivots)
+            assert red == Matrix(QQ, _from_sympy(s_red))
+            assert M.rank() == S.rank()
+            rank, kernel, image = mat_subspaces(M)
+            assert rank == S.rank()
+            assert kernel == _canonical_span_sympy(sp, S.nullspace(), M.ncols)
+            assert image == _canonical_span_sympy(sp, S.columnspace(), M.nrows)
+            if M.is_square():
+                expected = [Fraction(int(c.p), int(c.q))
+                            for c in reversed(S.charpoly(x).all_coeffs())]
+                assert charpoly(M) == Poly(QQ, expected)
+                if S.rank() == M.nrows:
+                    assert M.inverse() == Matrix(QQ, _from_sympy(S.inv()))
+                else:
+                    with pytest.raises(SingularMatrixError):
+                        M.inverse()
+
+    def test_products_against_sympy(self):
+        sp = pytest.importorskip("sympy")
+        for rows in _oracle_cases():
+            M = Matrix(QQ, rows)
+            if not M.ncols:
+                continue  # its transpose has no rows, hence no column count
+            for P, Q in ((M, M.transpose()), (M.transpose(), M)):
+                expected = _to_sympy(sp, P) * _to_sympy(sp, Q)
+                assert P * Q == Matrix(QQ, _from_sympy(expected))
+
+
+def _check_charpoly_identities(M):
+    n = M.nrows
+    p = charpoly(M)
+    assert p.degree == n and p.is_monic()
+    assert poly_eval_matrix(p, M).is_zero()  # Cayley-Hamilton
+    assert p[n - 1] == -M.trace()
+    assert p[0] == (M.det() if n % 2 == 0 else -M.det())
+
+
+class TestHessenbergCharpoly:
+    def test_function_field(self):
+        rng = random.Random(7)
+        t = QT.gen()
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            rows = []
+            for _ in range(n):
+                row = []
+                for _ in range(n):
+                    choice = rng.random()
+                    if choice < 0.3:
+                        row.append(QT.zero)
+                    elif choice < 0.7:
+                        row.append(QT.coerce(rng.randint(-3, 3)) + t * rng.randint(-2, 2))
+                    else:
+                        row.append((t * t - rng.randint(1, 3)) / (t + rng.randint(1, 4)))
+                rows.append(row)
+            _check_charpoly_identities(Matrix(QT, rows))
+
+    def test_number_field(self):
+        rng = random.Random(11)
+        for K in (NumberField([-2, 0, 1]), NumberField([-2, 0, 0, 1])):
+            a = K.gen()
+            for _ in range(12):
+                n = rng.randint(1, 5)
+                rows = [[K.zero if rng.random() < 0.3 else
+                         a * random_fraction(rng) + random_fraction(rng)
+                         for _ in range(n)] for _ in range(n)]
+                _check_charpoly_identities(Matrix(K, rows))
+
+    def test_needs_row_exchange(self):
+        # the subdiagonal entry below the first column is zero, so the
+        # reduction has to swap in a lower row
+        M = Matrix(QQ, [[1, 2, 3, 4], [0, 5, 6, 7], [8, 9, 1, 2], [3, 4, 5, 6]])
+        _check_charpoly_identities(M)
+        _check_charpoly_identities(Matrix(QT, [["t", "0", "1"], ["0", "1", "0"], ["1", "t", "0"]]))
+
+    def test_etale_algebra_passes_over_zero_divisor_pivot(self):
+        # a+1 divides zero in Q[a]/(a^2-1); the reduction pivots on the 1
+        K = NumberField([-1, 0, 1])
+        M = Matrix(K, [["0", "0", "0"], ["a+1", "0", "0"], ["1", "0", "0"]])
+        assert charpoly(M) == Poly(K, [0, 0, 0, 1])
+
+
+def test_frss_signature_ignores_frobenius_unipotent_part():
+    """The signature sees only the semisimple part of Frobenius, even when
+    Frobenius is not semisimple and the monodromy is nonzero."""
+    r = WDRep(5, QQ, Matrix(QQ, [[2, 1], [0, 2]]), Matrix.zeros(QQ, 2, 2))
+    ramified = WDRep(5, QQ, Matrix(QQ, [[3]]), Matrix.zeros(QQ, 1, 1),
+                     (("g", Matrix(QQ, [[-1]])),))
+    rho = wd_direct_sum(sp_construct(2, r), ramified)
+    ss = frobenius_semisimplify(rho)
+    assert ss.phi != rho.phi and not rho.nilp.is_zero()
+    assert frss_signature(rho) == frss_signature(ss)

@@ -30,6 +30,38 @@ class TestValidate:
                     Matrix(QQ, [[0, 0], [1, 0]]))
         assert wd_validate(rho) is None
 
+    def test_each_object_validated_once(self, monkeypatch):
+        import wdreps.wd as wd
+        calls = []
+        closure = wd.inertia_closure
+
+        def counting_closure(*args, **kwargs):
+            calls.append(args)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(wd, "inertia_closure", counting_closure)
+
+        def sp2():
+            return WDRep(5, QQ, Matrix.diagonal(QQ, [1, Fraction(1, 5)]),
+                         Matrix(QQ, [[0, 0], [1, 0]]))
+
+        rho = sp2()
+        assert wd_validate(rho) is None
+        frss_signature(rho)
+        assert purity_check(rho).verdict == "pure"
+        assert len(calls) == 1
+        # the cached verdict is invisible to equality, hashing and repr
+        fresh = sp2()
+        assert rho == fresh and hash(rho) == hash(fresh) and repr(rho) == repr(fresh)
+
+        bad = WDRep(5, QQ, Matrix.identity(QQ, 2), Matrix(QQ, [[0, 0], [1, 0]]))
+        messages = set()
+        for check in (frss_signature, frss_signature, purity_check, purity_check):
+            with pytest.raises(ValueError) as info:
+                check(bad)
+            messages.add(str(info.value))
+        assert messages == {"invalid representation: " + wd_validate(bad)}
+
     def test_relation_violation(self):
         rho = WDRep(5, QQ, Matrix.identity(QQ, 2), Matrix(QQ, [[0, 0], [1, 0]]))
         assert "relation" in wd_validate(rho)
