@@ -313,6 +313,39 @@ class TestHessenbergCharpoly:
         M = Matrix(K, [["0", "0", "0"], ["a+1", "0", "0"], ["1", "0", "0"]])
         assert charpoly(M) == Poly(K, [0, 0, 0, 1])
 
+    def test_etale_algebra_lone_zero_divisor_needs_no_inverse(self):
+        # a+1 is the only nonzero entry below the diagonal of column 0, so
+        # the column is already reduced and a+1 is never inverted
+        K = NumberField([-1, 0, 1])
+        M = Matrix(K, [["1", "0", "0"], ["a+1", "1", "0"], ["0", "0", "1"]])
+        assert charpoly(M) == Poly(K, [-1, 3, -3, 1])
+        rho = WDRep(5, K, M, Matrix.zeros(K, 3, 3))
+        (entry,) = frss_signature(rho).entries
+        assert entry.charpoly == Poly(K, [-1, 3, -3, 1])
+
+    def test_etale_algebra_without_invertible_pivot(self):
+        # a+1 and a-1 both divide zero: no pivot exists in column 0
+        K = NumberField([-1, 0, 1])
+        M = Matrix(K, [["1", "0", "0"], ["a+1", "1", "0"], ["a-1", "0", "1"]])
+        assert charpoly(M) == Poly(K, [-1, 3, -3, 1])
+
+    def test_etale_algebra_matches_both_factors(self):
+        # Q[a]/(a^2-1) = Q x Q by a -> 1 and a -> -1; the charpoly over the
+        # algebra maps to the charpoly over Q of each image
+        K = NumberField([-1, 0, 1])
+        a = K.gen()
+        entries = [K.zero, K.one, a, a + 1, a - 1, 2 * a - 3]
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            M = Matrix(K, [[rng.choice(entries) for _ in range(n)] for _ in range(n)])
+            p = charpoly(M)
+            assert poly_eval_matrix(p, M).is_zero()  # Cayley-Hamilton
+            for root in (1, -1):
+                image = M.map_entries(lambda x: x.coeffs[0] + root * x.coeffs[1], QQ)
+                assert [c.coeffs[0] + root * c.coeffs[1] for c in p.coeffs] == \
+                    list(charpoly(image).coeffs)
+
 
 def test_frss_signature_ignores_frobenius_unipotent_part():
     """The signature sees only the semisimple part of Frobenius, even when
@@ -324,3 +357,14 @@ def test_frss_signature_ignores_frobenius_unipotent_part():
     ss = frobenius_semisimplify(rho)
     assert ss.phi != rho.phi and not rho.nilp.is_zero()
     assert frss_signature(rho) == frss_signature(ss)
+
+
+def test_poly_eval_matrix_horner():
+    M = Matrix(QQ, [[1, 2], [Fraction(1, 3), 4]])
+    eye = Matrix.identity(QQ, 2)
+    assert poly_eval_matrix(Poly(QQ, [2, -3, 1]), M) == M * M - M * 3 + eye * 2
+    assert poly_eval_matrix(Poly(QQ, [5]), M) == eye * 5
+    assert poly_eval_matrix(Poly(QQ, []), M) == Matrix.zeros(QQ, 2, 2)
+    t = QT.gen()
+    N = Matrix(QT, [["t", "1"], ["0", "1/t"]])
+    assert poly_eval_matrix(Poly(QT, [t, 0, 1]), N) == N * N + Matrix.identity(QT, 2) * t
