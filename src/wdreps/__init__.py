@@ -12,8 +12,8 @@ from .families import (DenominatorVanishes, PointResult, RigidityReport,
 from .fields import (Field, NFElem, NumberField, ParseError, Poly, QQ, QT,
                      RatFunc, RationalField, RationalFunctionField,
                      field_from_json, squarefree_decomposition, squarefree_part)
-from .linalg import (Matrix, SingularMatrixError, block_diagonal, charpoly,
-                     column_echelon, mat_subspaces, mult_jordan_chevalley,
+from .linalg import (Matrix, SingularMatrixError, ZeroDivisorPivotError, block_diagonal,
+                     charpoly, column_echelon, mat_subspaces, mult_jordan_chevalley,
                      poly_eval_matrix, scalar_restriction)
 from .roots import (DEFAULT_EPS, CertificationFailed, ModulusInterval,
                     root_moduli_certified, sqrt_bounds)

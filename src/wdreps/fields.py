@@ -9,6 +9,7 @@ as the (de)serialization authority for their scalars.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -84,6 +85,19 @@ class RationalField(Field):
 
 
 QQ = RationalField()
+
+
+def binary_power(x, n: int, one):
+    """x^n for an integer n >= 0 by repeated squaring; `one` is the
+    identity of x's multiplication."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +221,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, Poly.one(self.field))
 
     def _promote(self, other):
         if isinstance(other, Poly):
@@ -610,14 +617,7 @@ class NFElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, self.field.one)
 
     def regular_matrix(self):
         """Multiplication-by-self matrix on the Q-basis 1, a, ..., a^(m-1),
@@ -719,9 +719,13 @@ def field_from_json(obj) -> Field:
 # scalar formatting / parsing
 # ---------------------------------------------------------------------------
 
-def format_qpoly(p: Poly, var: str) -> str:
-    """Compact canonical string of a Q-polynomial, highest degree first:
-    "t^2-1", "1/2*t+3", "-t", "0"."""
+_SIMPLE_COEFF = re.compile(r"^-?\d+(/\d+)?$")
+
+
+def format_poly(p: Poly, var: str = "x") -> str:
+    """Compact canonical string of a polynomial, highest degree first:
+    "t^2-1", "1/2*t+3", "-t", "0"; coefficients that are not rational
+    numbers are parenthesized, as in "x+(t+1)"."""
     if p.is_zero():
         return "0"
     pieces = []
@@ -729,18 +733,21 @@ def format_qpoly(p: Poly, var: str) -> str:
         c = p[i]
         if not c:
             continue
-        neg = c < 0
-        mag = -c if neg else c
-        if i == 0:
-            body = str(mag)
+        s = p.field.format_scalar(c)
+        xpow = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
+        if _SIMPLE_COEFF.match(s):
+            neg = s.startswith("-")
+            mag = s[1:] if neg else s
+            body = mag if not xpow else xpow if mag == "1" else f"{mag}*{xpow}"
+            sign = "-" if neg else "+"
         else:
-            xpow = var if i == 1 else f"{var}^{i}"
-            body = xpow if mag == 1 else f"{mag}*{xpow}"
-        if not pieces:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append(("-" if neg else "+") + body)
+            body = f"({s})*{xpow}" if xpow else f"({s})"
+            sign = "+"
+        pieces.append(sign + body if pieces or sign == "-" else body)
     return "".join(pieces)
+
+
+format_qpoly = format_poly
 
 
 _TOKEN_CHARS = set("0123456789")
@@ -773,14 +780,21 @@ def _tokenize(text: str):
     return tokens
 
 
+# Bounds of the scalar parser: nesting counts parentheses and unary signs; the
+# exponent bound caps the product of stacked exponents, as in (t^k)^m or t^k^m.
+MAX_SCALAR_NESTING = 100
+MAX_SCALAR_EXPONENT = 1000
+
+
 def parse_scalar_expression(text: str, field: Field):
     """Parse expressions like "-3/5", "(t^2-1)/(t+2)" or "a^2-1/2*a"
     into a scalar of `field`.  The only admissible variable is the
-    field's own generator symbol."""
+    field's own generator symbol.  Input beyond the bounds above raises."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty scalar")
-    pos = 0
+    pos = depth = 0
+    groups = [1]  # per open parenthesis: the largest power stacked inside
     var = field.variable_name() if hasattr(field, "variable_name") else None
 
     def peek():
@@ -815,31 +829,39 @@ def parse_scalar_expression(text: str, field: Field):
         return node
 
     def parse_factor():
-        if peek() == "-":
+        nonlocal depth
+        depth += 1
+        if depth > MAX_SCALAR_NESTING:
+            raise ParseError(f"scalar nested deeper than {MAX_SCALAR_NESTING} levels")
+        power = 1
+        if peek() in ("-", "+"):
+            node = -parse_factor() if take() == "-" else parse_factor()
+        elif peek() == "(":
             take()
-            return -parse_factor()
-        if peek() == "+":
+            groups.append(1)
+            node = parse_expr()
+            power = groups.pop()
+            if peek() != ")":
+                raise ParseError(f"unbalanced parentheses in {text!r}")
             take()
-            return parse_factor()
-        node = parse_atom()
+        else:
+            node = parse_atom()
         while peek() == "^":
             take()
             expo = peek()
             if not isinstance(expo, int):
                 raise ParseError(f"exponent must be an integer in {text!r}")
             take()
+            power *= expo
+            if power > MAX_SCALAR_EXPONENT:
+                raise ParseError(f"power beyond x^{MAX_SCALAR_EXPONENT} in {text!r}")
             node = node ** expo
+        groups[-1] = max(groups[-1], power)
+        depth -= 1
         return node
 
     def parse_atom():
         tok = peek()
-        if tok == "(":
-            take()
-            node = parse_expr()
-            if peek() != ")":
-                raise ParseError(f"unbalanced parentheses in {text!r}")
-            take()
-            return node
         if isinstance(tok, int):
             take()
             return field.coerce(tok)

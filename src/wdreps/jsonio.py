@@ -10,12 +10,11 @@ documents.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 from .families import PointResult, RigidityReport
 from .fields import (Field, NFElem, NumberField, ParseError, Poly, QQ, QT,
-                     RatFunc, field_from_json)
+                     RatFunc, field_from_json, format_poly)
 from .linalg import Matrix
 from .roots import ModulusInterval
 from .wd import Filtration, PurityReport, Signature, WDRep, wd_validate
@@ -159,40 +158,6 @@ def load_wdrep(path: str) -> WDRep:
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
-
-_SIMPLE_COEFF = re.compile(r"^-?\d+(/\d+)?$")
-
-
-def format_poly(p: Poly, var: str = "x") -> str:
-    """Human rendering, highest degree first; non-rational coefficients
-    are parenthesized."""
-    if p.is_zero():
-        return "0"
-    field = p.field
-    pieces = []
-    for i in range(p.degree, -1, -1):
-        c = p[i]
-        if not c:
-            continue
-        s = field.format_scalar(c)
-        xpow = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-        if _SIMPLE_COEFF.match(s):
-            neg = s.startswith("-")
-            mag = s[1:] if neg else s
-            if xpow:
-                body = xpow if mag == "1" else f"{mag}*{xpow}"
-            else:
-                body = mag
-            sign = "-" if neg else "+"
-        else:
-            body = f"({s})*{xpow}" if xpow else f"({s})"
-            sign = "+"
-        if not pieces:
-            pieces.append(body if sign == "+" else "-" + body)
-        else:
-            pieces.append(sign + body)
-    return "".join(pieces)
-
 
 def poly_to_json(p: Poly):
     return [scalar_to_str(c, p.field) for c in p.coeffs]

@@ -2,7 +2,7 @@
 kernel/image bases, characteristic polynomials and the multiplicative
 Jordan-Chevalley decomposition.
 
-Echelon conventions are deterministic (first nonzero pivot, columns
+Echelon conventions are deterministic (first invertible pivot, columns
 ordered by pivot row, pivots normalized to 1, reduced) so every basis
 this module emits is the unique canonical basis of its subspace.
 
@@ -16,12 +16,17 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import Field, NumberField, Poly, QQ, squarefree_part
+from .fields import Field, NumberField, Poly, QQ, binary_power, squarefree_part
 
 
 class SingularMatrixError(ArithmeticError):
     """Inversion or a decomposition that requires invertibility met a
     singular matrix."""
+
+
+class ZeroDivisorPivotError(ValueError):
+    """Elimination over an etale algebra (a reducible squarefree minpoly)
+    met a column whose nonzero entries all divide zero."""
 
 
 class Matrix:
@@ -156,14 +161,7 @@ class Matrix:
             raise ValueError("power of a non-square matrix")
         if n < 0:
             return self.inverse() ** (-n)
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, Matrix.identity(self.field, self.nrows))
 
     def transpose(self) -> "Matrix":
         return Matrix._trusted(self.field, tuple(zip(*self.rows)))
@@ -203,17 +201,11 @@ class Matrix:
         pivots = []
         r = 0
         for c in range(nc):
-            pr = None
-            for i in range(r, nr):
-                if rows[i][c]:
-                    pr = i
-                    break
+            pr, inv = _pivot(rows, r, c, one)
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            pv = rows[r][c]
-            if pv != one:
-                inv = one / pv
+            if inv != one:
                 rows[r] = [x * inv for x in rows[r]]
             for i in range(nr):
                 if i != r and rows[i][c]:
@@ -235,19 +227,13 @@ class Matrix:
         n = self.nrows
         acc = self.field.one
         for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if rows[i][c]:
-                    pr = i
-                    break
+            pr, inv = _pivot(rows, c, c, self.field.one)
             if pr is None:
                 return self.field.zero
             if pr != c:
                 rows[c], rows[pr] = rows[pr], rows[c]
                 acc = -acc
-            pv = rows[c][c]
-            acc = acc * pv
-            inv = self.field.one / pv
+            acc = acc * rows[c][c]
             for i in range(c + 1, n):
                 if rows[i][c]:
                     f = rows[i][c] * inv
@@ -433,8 +419,9 @@ def charpoly(M: Matrix) -> Poly:
             continue
         pr, inv = nonzero[0], None
         if len(nonzero) > 1:
-            pr, inv = _invertible_entry(H, nonzero, m - 1, one)
-            if pr is None:
+            try:
+                pr, inv = _pivot(H, m, m - 1, one)
+            except ZeroDivisorPivotError:
                 # every candidate pivot divides zero: finish division-free
                 return Poly(field, _berkowitz(H, zero, one))
         if pr != m:
@@ -474,14 +461,24 @@ def charpoly(M: Matrix) -> Poly:
     return Poly(field, polys[n])
 
 
-def _invertible_entry(H, rows, j: int, one):
-    """First row among `rows` whose entry in column j is invertible, and
-    that entry's inverse; (None, None) when each is a zero divisor."""
-    for i in rows:
-        try:
-            return i, one / H[i][j]
-        except ZeroDivisionError:
-            pass
+def _pivot(rows, start: int, c: int, one):
+    """Row, at or below `start`, of the first invertible entry of column c,
+    and that entry's inverse; (None, None) when the column is zero there.
+    Over an etale algebra, a nonzero column of zero divisors raises."""
+    nonzero = False
+    for i in range(start, len(rows)):
+        x = rows[i][c]
+        if x == one:
+            return i, one
+        if x:
+            nonzero = True
+            try:
+                return i, one / x
+            except ZeroDivisionError:
+                pass
+    if nonzero:
+        raise ZeroDivisorPivotError(f"column {c + 1} has no invertible pivot: each of "
+                                    "its nonzero entries divides zero")
     return None, None
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import factorial
 
@@ -282,17 +283,48 @@ def young_symmetrizer(mu: Partition) -> tuple[GroupAlgebraElement, int]:
 class SchurBasis:
     """Canonical basis of the symmetrizer image inside (F^n)^(tensor d).
 
-    basis_matrix has n^d rows; its columns are in reduced column echelon
-    form, so the coefficient of basis vector i in any vector of the image
-    can be read off at pivot_rows[i].
-    """
+    Each column is sparse: the (word, coefficient) pairs of its support, a
+    word being the tuple of its d digits.  The columns are in reduced column
+    echelon form, so the coefficient of basis vector i in any vector of the
+    image is read off at pivot_words[i] (big-endian row pivot_rows[i])."""
 
     mu: Partition
     n: int
     field: Field
     dim: int
-    basis_matrix: Matrix
+    columns: tuple
+    pivot_words: tuple[tuple[int, ...], ...]
     pivot_rows: tuple[int, ...]
+
+    @cached_property
+    def basis_matrix(self) -> Matrix:
+        """The dense n^d x dim matrix of the columns."""
+        cols = [dict(col) for col in self.columns]
+        words = itertools.product(range(self.n), repeat=self.mu.d)  # big-endian order
+        return Matrix._trusted(self.field, tuple(tuple(c.get(w, self.field.zero) for c in cols)
+                                                 for w in words))
+
+    @cached_property
+    def support_trie(self) -> dict:
+        """The support words of all columns as nested dicts keyed by digit;
+        the leaf reached by word u lists the pairs (j, b_j[u])."""
+        trie: dict = {}
+        for j, col in enumerate(self.columns):
+            for word, coeff in col:
+                node = trie
+                for x in word[:-1]:
+                    node = node.setdefault(x, {})
+                node.setdefault(word[-1], []).append((j, coeff))
+        return trie
+
+    @cached_property
+    def slot_index(self) -> dict:
+        """(slot k, pivot word without slot k) -> positions of such words."""
+        index: dict = {}
+        for i, w in enumerate(self.pivot_words):
+            for k in range(len(w)):
+                index.setdefault((k, w[:k] + w[k + 1:]), []).append(i)
+        return index
 
 
 _rational_basis_cache: dict = {}
@@ -307,22 +339,23 @@ def _word_index(word, n: int) -> int:
 
 
 def _build_rational_basis(mu: Partition, n: int):
+    """Pivot words and sparse columns of the canonical basis over Q."""
     d = mu.d
     c, _ = young_symmetrizer(mu)
     expected = hook_content_dim(mu, n)
     terms = sorted(c.terms.items())
-    # pivot row -> sparse column, kept mutually reduced at all times
-    pivot_cols: dict[int, dict[int, Fraction]] = {}
+    # pivot word -> sparse column, mutually reduced; words sort as their indices do
+    pivot_cols: dict[tuple, dict[tuple, Fraction]] = {}
     if expected:
         for word in itertools.product(range(n), repeat=d):
-            vec: dict[int, Fraction] = {}
+            vec: dict[tuple, Fraction] = {}
             for perm, coeff in terms:
-                idx = _word_index(tuple(word[perm[i]] for i in range(d)), n)
-                val = vec.get(idx, Fraction(0)) + coeff
+                key = tuple(word[perm[i]] for i in range(d))
+                val = vec.get(key, Fraction(0)) + coeff
                 if val:
-                    vec[idx] = val
-                elif idx in vec:
-                    del vec[idx]
+                    vec[key] = val
+                elif key in vec:
+                    del vec[key]
             for prow in [r for r in vec if r in pivot_cols]:
                 coeff = vec.get(prow)
                 if not coeff:
@@ -353,15 +386,8 @@ def _build_rational_basis(mu: Partition, n: int):
     if len(pivot_cols) != expected:
         raise AssertionError(
             f"symmetrizer image dimension {len(pivot_cols)} != hook content {expected}")
-    pivot_rows = tuple(sorted(pivot_cols))
-    size = n ** d
-    cols = []
-    for prow in pivot_rows:
-        col = [Fraction(0)] * size
-        for r, v in pivot_cols[prow].items():
-            col[r] = v
-        cols.append(col)
-    return pivot_rows, Matrix.from_columns(QQ, cols, size)
+    pivot_words = tuple(sorted(pivot_cols))
+    return pivot_words, tuple(tuple(sorted(pivot_cols[w].items())) for w in pivot_words)
 
 
 def schur_basis(mu: Partition, n: int, field: Field = QQ) -> SchurBasis:
@@ -377,83 +403,72 @@ def schur_basis(mu: Partition, n: int, field: Field = QQ) -> SchurBasis:
     if cached is None:
         cached = _build_rational_basis(mu, n)
         _rational_basis_cache[key] = cached
-    pivot_rows, rational_matrix = cached
+    pivot_words, columns = cached
     fkey = (mu.parts, n, field)
     basis = _field_basis_cache.get(fkey)
     if basis is None:
-        matrix = rational_matrix if field == QQ else \
-            rational_matrix.map_entries(field.coerce, field)
-        basis = SchurBasis(mu=mu, n=n, field=field, dim=len(pivot_rows),
-                           basis_matrix=matrix, pivot_rows=pivot_rows)
+        if field != QQ:
+            columns = tuple(tuple((w, field.coerce(v)) for w, v in col) for col in columns)
+        basis = SchurBasis(mu=mu, n=n, field=field, dim=len(pivot_words), columns=columns,
+                           pivot_words=pivot_words,
+                           pivot_rows=tuple(_word_index(w, n) for w in pivot_words))
         _field_basis_cache[fkey] = basis
     return basis
 
 
-def _apply_axis(vec, rows, axis: int, n: int, d: int, zero):
-    """Apply a matrix to one tensor slot of a dense length-n^d vector."""
-    stride = n ** (d - 1 - axis)
-    block = stride * n
-    out = [zero] * len(vec)
-    for base in range(0, len(vec), block):
-        for off in range(stride):
-            idx = base + off
-            vals = [vec[idx + s * stride] for s in range(n)]
-            for r in range(n):
-                acc = zero
-                row = rows[r]
-                for s in range(n):
-                    v = vals[s]
-                    if v and row[s]:
-                        acc = acc + row[s] * v
-                out[idx + r * stride] = acc
-    return out
-
-
-def _dense_basis_columns(basis: SchurBasis):
-    return [basis.basis_matrix.column(j) for j in range(basis.dim)]
-
-
 def schur_of_matrix(A: Matrix, mu: Partition) -> Matrix:
     """Matrix of the d-th tensor power of A restricted to the symmetrizer
-    image, in the canonical basis.  Functorial in A."""
+    image, in the canonical basis.  Functorial in A.  Entry (i, j) sums
+    b_j[u] * prod_k A[w_i[k]][u[k]] over the support words u of column j,
+    taking each prefix product once down the support trie; a zero factor
+    prunes its subtree."""
     if not A.is_square():
         raise ValueError("schur_of_matrix needs a square matrix")
-    n = A.nrows
-    d = mu.d
-    basis = schur_basis(mu, n, A.field)
-    if basis.dim == 0:
-        return Matrix.zeros(A.field, 0, 0)
-    rows = [list(r) for r in A.rows]
-    zero = A.field.zero
-    out_cols = []
-    for col in _dense_basis_columns(basis):
-        vec = list(col)
-        for axis in range(d):
-            vec = _apply_axis(vec, rows, axis, n, d, zero)
-        out_cols.append([vec[r] for r in basis.pivot_rows])
-    return Matrix.from_columns(A.field, out_cols, basis.dim)
+    basis = schur_basis(mu, A.nrows, A.field)
+    last = mu.d - 1
+    out = []
+    for w in basis.pivot_words:
+        rows = [A.rows[k] for k in w]
+        acc = [A.field.zero] * basis.dim
+        stack = [(basis.support_trie, 0, None)]
+        while stack:
+            node, level, prod = stack.pop()
+            row = rows[level]
+            for x, child in node.items():
+                f = row[x]
+                if not f:
+                    continue
+                f = prod * f if level else f
+                if level < last:
+                    stack.append((child, level + 1, f))
+                    continue
+                for j, coeff in child:
+                    acc[j] = acc[j] + coeff * f
+        out.append(tuple(acc))
+    return Matrix._trusted(A.field, tuple(out))
 
 
 def schur_derivation(N: Matrix, mu: Partition) -> Matrix:
-    """Matrix of sum_i 1 x ... x N x ... x 1 restricted to the
-    symmetrizer image; the image of a nilpotent is nilpotent."""
+    """Matrix of sum_k 1 x ... x N x ... x 1 restricted to the
+    symmetrizer image; the image of a nilpotent is nilpotent.
+
+    Slot k sends a word u only to the words that differ from u at most in
+    slot k, so each support word meets only the pivot words of its shape
+    with slot k removed."""
     if not N.is_square():
         raise ValueError("schur_derivation needs a square matrix")
-    n = N.nrows
-    d = mu.d
-    basis = schur_basis(mu, n, N.field)
-    if basis.dim == 0:
-        return Matrix.zeros(N.field, 0, 0)
-    rows = [list(r) for r in N.rows]
-    zero = N.field.zero
-    out_cols = []
-    for col in _dense_basis_columns(basis):
-        acc = [zero] * len(col)
-        for axis in range(d):
-            term = _apply_axis(list(col), rows, axis, n, d, zero)
-            acc = [a + b for a, b in zip(acc, term)]
-        out_cols.append([acc[r] for r in basis.pivot_rows])
-    return Matrix.from_columns(N.field, out_cols, basis.dim)
+    basis = schur_basis(mu, N.nrows, N.field)
+    index = basis.slot_index
+    words = basis.pivot_words
+    out = [[N.field.zero] * basis.dim for _ in range(basis.dim)]
+    for j, col in enumerate(basis.columns):
+        for u, coeff in col:
+            for k in range(len(u)):
+                for i in index.get((k, u[:k] + u[k + 1:]), ()):
+                    f = N.rows[words[i][k]][u[k]]
+                    if f:
+                        out[i][j] = out[i][j] + coeff * f
+    return Matrix._trusted(N.field, tuple(map(tuple, out)))
 
 
 def schur_trace_oracle(power_sums, mu: Partition, field: Field = QQ):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -8,7 +12,8 @@ from wdreps.cli import (CommandRequest, main, parse_points, parse_rational,
                         render_table, run_command)
 from wdreps.fields import ParseError
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 FLAGSHIP = str(CORPUS / "flagship.json")
 SP2 = str(CORPUS / "sp2.json")
 
@@ -234,3 +239,48 @@ class TestTableFormat:
             assert f"point {point['a']}:" in table
             if point["purity"] is not None:
                 assert point["purity"]["verdict"] in table
+
+
+def _run_cli(*argv):
+    """Run the CLI in a fresh interpreter: (exit code, stderr, seconds)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "wdreps.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stderr, time.perf_counter() - start
+
+
+def _one_dim_rep(tmp_path, field, phi):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"q": 5, "field": field, "phi": [[phi]],
+                                "nilp": [["0"]], "inertia": []}))
+    return str(path)
+
+
+class TestHostileInput:
+    """Oversized or degenerate input exits 2 quickly, without a traceback."""
+
+    def test_deeply_nested_scalar(self, tmp_path):
+        path = _one_dim_rep(tmp_path, {"type": "Q"}, "(" * 5000 + "1" + ")" * 5000)
+        code, err, seconds = _run_cli("validate", path)
+        assert code == 2
+        assert "Traceback" not in err and "nested deeper" in err
+        assert seconds < 10
+
+    def test_huge_exponent(self, tmp_path):
+        path = _one_dim_rep(tmp_path, {"type": "Qt"}, "t^200000")
+        code, err, seconds = _run_cli("validate", path)
+        assert code == 2
+        assert "Traceback" not in err and "power beyond" in err
+        assert seconds < 10
+
+    def test_zero_divisor_column_in_etale_algebra(self, tmp_path):
+        path = tmp_path / "etale.json"
+        path.write_text(json.dumps({
+            "q": 5, "field": {"type": "NumberField", "minpoly": [-1, 0, 1]},
+            "phi": [["a+1", "1"], ["a-1", "1"]], "nilp": [["0", "0"], ["0", "0"]],
+            "inertia": []}))
+        for argv in (["validate", str(path)], ["frss", str(path)]):
+            code, err, _ = _run_cli(*argv)
+            assert code == 2
+            assert "Traceback" not in err and "ZeroDivisorPivotError" in err

@@ -1,7 +1,7 @@
 """Byte-for-byte check of the checked-in golden envelopes: the README's
-CLI examples and the flagship, flagship_constant and
-conjugated_irrational rigidity cases, run in-process.  The goldens under
-bench/golden/corpus are only read here, never written."""
+CLI examples, the rigidity cases of the corpus workload and the inertia21
+case, run in-process.  The goldens under bench/golden are only read
+here, never written."""
 
 from pathlib import Path
 
@@ -10,7 +10,7 @@ import pytest
 from wdreps.cli import parse_request, render, run_command
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "bench" / "golden" / "corpus"
+GOLDEN = ROOT / "bench" / "golden"
 
 
 def rigidity(partition, path):
@@ -33,13 +33,26 @@ INVOCATIONS = [
     rigidity("4", "corpus/flagship.json"),
     rigidity("2", "corpus/flagship_constant.json"),
     rigidity("2", "corpus/conjugated_irrational.json"),
+    rigidity("2", "corpus/inertia_pair.json"),
+    rigidity("2", "corpus/sp3_chain.json"),
+    rigidity("3", "corpus/sp3_chain.json"),
+    rigidity("2,1", "corpus/sp3_chain.json"),
 ]
+
+
+def check(argv, golden, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    req = parse_request(argv)
+    code, envelope = run_command(req)
+    assert code == 0
+    assert render(req, envelope) == golden.read_bytes()
 
 
 @pytest.mark.parametrize("index", range(len(INVOCATIONS)))
 def test_envelope_matches_golden(index, monkeypatch):
-    monkeypatch.chdir(ROOT)
-    req = parse_request(INVOCATIONS[index])
-    code, envelope = run_command(req)
-    assert code == 0
-    assert render(req, envelope) == (GOLDEN / f"{index:02d}.out").read_bytes()
+    check(INVOCATIONS[index], GOLDEN / "corpus" / f"{index:02d}.out", monkeypatch)
+
+
+def test_inertia21_matches_golden(monkeypatch):
+    check(rigidity("2,1", "corpus/inertia_pair.json"), GOLDEN / "inertia21" / "00.out",
+          monkeypatch)

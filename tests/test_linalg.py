@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from wdreps import (Matrix, Poly, QQ, QT, SingularMatrixError, WDRep, charpoly,
+from wdreps import (Matrix, Poly, QQ, QT, SingularMatrixError, WDRep,
+                    ZeroDivisorPivotError, charpoly,
                     column_echelon, frobenius_semisimplify, frss_signature,
                     mat_subspaces, mult_jordan_chevalley, poly_eval_matrix,
                     scalar_restriction, sp_construct, squarefree_part,
@@ -328,6 +329,23 @@ class TestHessenbergCharpoly:
         K = NumberField([-1, 0, 1])
         M = Matrix(K, [["1", "0", "0"], ["a+1", "1", "0"], ["a-1", "0", "1"]])
         assert charpoly(M) == Poly(K, [-1, 3, -3, 1])
+
+    def test_etale_algebra_rref_pivots_on_invertible_entry(self):
+        # the first entry a+1 divides zero, the 1 below it is invertible
+        K = NumberField([-1, 0, 1])
+        M = Matrix(K, [["a+1", "1"], ["1", "0"]])
+        assert M * M.inverse() == Matrix.identity(K, 2)
+        assert M.det() == K.coerce(-1)
+        assert M.rank() == 2
+
+    def test_etale_algebra_column_of_zero_divisors_is_an_input_error(self):
+        # phi has det 2, but a+1 and a-1 both divide zero
+        K = NumberField([-1, 0, 1])
+        M = Matrix(K, [["a+1", "1"], ["a-1", "1"]])
+        for op in (M.inverse, M.rref, M.det):
+            with pytest.raises(ZeroDivisorPivotError, match="no invertible pivot"):
+                op()
+        assert issubclass(ZeroDivisorPivotError, ValueError)
 
     def test_etale_algebra_matches_both_factors(self):
         # Q[a]/(a^2-1) = Q x Q by a -> 1 and a -> -1; the charpoly over the

@@ -8,6 +8,7 @@ from wdreps import (GroupAlgebraElement, Matrix, Poly, QQ, QT,
                     ResourceCapExceeded, hook_content_dim, partitions_of,
                     schur_basis, schur_derivation, schur_of_matrix,
                     schur_trace_oracle, specht_dim, young_symmetrizer)
+from wdreps.fields import NumberField
 from wdreps.schur import Partition, perm_identity, perm_mul, perm_sign
 
 from support import random_matrix
@@ -180,6 +181,86 @@ class TestDerivation:
             N = random_nilpotent(rng, rng.randint(1, 3))
             D = schur_derivation(N, Partition.of(2))
             assert (D ** D.nrows).is_zero() if D.nrows else True
+
+
+class TestSparseFunctorOracle:
+    """The sparse functor against the dense tensor power: the rows of
+    A x ... x A (d factors) and of sum_k I x ... x N x ... x I at
+    pivot_rows, times the dense basis_matrix.  Row w of a Kronecker
+    product is the Kronecker product of the factors' rows w_1, ..., w_d."""
+
+    FIELDS = {
+        "Q": (QQ, ["0", "1", "-1", "2", "1/3", "-5/2"]),
+        "Qt": (QT, ["0", "1", "t", "-t", "t+1", "1/(t-2)", "t^2/3"]),
+        "NF": (NumberField([-2, 0, 1]), ["0", "1", "a", "-a", "a+1", "1/2*a-3"]),
+    }
+
+    @staticmethod
+    def _kron_row(rows, field):
+        out = Matrix(field, [rows[0]])
+        for row in rows[1:]:
+            out = out.kron(Matrix(field, [row]))
+        return out.rows[0]
+
+    def _oracles(self, A, mu):
+        field, n = A.field, A.nrows
+        basis = schur_basis(mu, n, field)
+        if not basis.dim:
+            return Matrix(field, []), Matrix(field, [])
+        eye = Matrix.identity(field, n)
+        power, derivation = [], []
+        for w in basis.pivot_words:
+            power.append(self._kron_row([A.rows[k] for k in w], field))
+            terms = [self._kron_row([(A if j == k else eye).rows[x] for j, x in enumerate(w)],
+                                    field) for k in range(len(w))]
+            derivation.append([sum(col, field.zero) for col in zip(*terms)])
+        B = basis.basis_matrix
+        return Matrix(field, power) * B, Matrix(field, derivation) * B
+
+    @staticmethod
+    def _matrices(rng, field, scalars, n):
+        # a dense, a sparse and a zero matrix
+        dense = Matrix(field, [[rng.choice(scalars[1:]) for _ in range(n)] for _ in range(n)])
+        sparse = Matrix(field, [[rng.choice(scalars[1:]) if rng.random() < 0.3 else "0"
+                                 for _ in range(n)] for _ in range(n)])
+        return [dense, sparse, Matrix.zeros(field, n, n)]
+
+    @pytest.mark.parametrize("name", ["Q", "Qt", "NF"])
+    def test_every_partition_up_to_d4_n4(self, name):
+        field, scalars = self.FIELDS[name]
+        rng = random.Random(71)
+        for n in range(1, 5):
+            matrices = self._matrices(rng, field, scalars, n)
+            for kind, A in zip(("dense", "sparse", "zero"), matrices):
+                for d in range(1, 5):
+                    # the oracle's Q(t) and number-field arithmetic is slow at
+                    # n = 4: there only the sparse matrix, and only up to d = 3
+                    if field != QQ and n == 4 and (d == 4 or kind != "sparse"):
+                        continue
+                    for mu in partitions_of(d):
+                        power, derivation = self._oracles(A, mu)
+                        assert schur_of_matrix(A, mu) == power
+                        assert schur_derivation(A, mu) == derivation
+
+    def test_zero_dimensional_images(self):
+        for field, _ in self.FIELDS.values():
+            # three antisymmetric slots in a plane, and the empty space
+            for mu, n in ((Partition.of(1, 1, 1), 2), (Partition.of(2), 0)):
+                M = Matrix.identity(field, n)
+                for S in (schur_of_matrix(M, mu), schur_derivation(M, mu)):
+                    assert (S.nrows, S.ncols) == (0, 0)
+                    assert (S, S) == self._oracles(M, mu)
+
+    def test_basis_matrix_is_the_sparse_columns(self):
+        b = schur_basis(Partition.of(2, 1), 3, QT)
+        assert b.basis_matrix.field == QT
+        assert (b.basis_matrix.nrows, b.basis_matrix.ncols) == (27, b.dim)
+        for j, col in enumerate(b.columns):
+            dense = b.basis_matrix.column(j)
+            assert sum(1 for x in dense if x) == len(col)
+            assert dense[b.pivot_rows[j]] == QT.one
+        assert list(b.pivot_rows) == \
+            [sum(x * 3 ** (2 - k) for k, x in enumerate(w)) for w in b.pivot_words]
 
 
 def _linear_coeff(x) -> Fraction:
