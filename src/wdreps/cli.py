@@ -3,20 +3,26 @@
 One command per invocation; every run emits a deterministic report
 envelope (tool version, command echo, input digest, result payload,
 diagnostics).  Exit codes: 0 success or rigidity pass, 1 rigidity fail
-verdict, 2 input or validation error, 3 certification failure.
+verdict, 2 input or validation error (including a specialization point
+where a denominator vanishes or Frobenius turns singular, and an
+unwritable --output path), 3 certification failure, 4 internal error (any
+other exception, such as a broken internal invariant; reported as a
+diagnostic naming where it was raised, never as a traceback).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .families import (default_scan_points, purity_scan, rigidity_check,
-                       specialize)
+from .families import (DenominatorVanishes, SingularFrobenius, default_scan_points,
+                       purity_scan, rigidity_check, specialize)
 from .fields import ParseError, Poly, QQ
 from .jsonio import (ValidationError, canonical_json_bytes, filtration_to_json,
                      format_poly, load_wdrep, purity_report_to_json,
@@ -30,6 +36,7 @@ EXIT_OK = 0
 EXIT_RIGIDITY_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CERTIFICATION = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -156,15 +163,20 @@ def run_command(req: CommandRequest):
             envelope["result"] = {"report": rigidity_report_to_json(report)}
         else:
             raise ParseError(f"unknown command {req.command!r}")
-    except (ParseError, ValidationError, ValueError, OSError) as exc:
+    except (ParseError, ValidationError, ValueError, OSError, NonIntegralWeight,
+            ResourceCapExceeded, DenominatorVanishes, SingularFrobenius) as exc:
         diagnostics.append(f"{type(exc).__name__}: {exc}")
         code = EXIT_INPUT_ERROR
     except CertificationFailed as exc:
         diagnostics.append(f"CertificationFailed: {exc}")
         code = EXIT_CERTIFICATION
-    except (NonIntegralWeight, ResourceCapExceeded) as exc:
-        diagnostics.append(f"{type(exc).__name__}: {exc}")
-        code = EXIT_INPUT_ERROR
+    except Exception as exc:
+        # anything else is a fault of the program: name where it was raised,
+        # so that it reads neither as a verdict nor as a traceback
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        diagnostics.append(f"internal error: {type(exc).__name__}: {exc} (raised in "
+                           f"{where.name}, {os.path.basename(where.filename)}:{where.lineno})")
+        code = EXIT_INTERNAL
     return code, envelope
 
 
@@ -354,8 +366,12 @@ def main(argv=None) -> int:
     code, envelope = run_command(req)
     payload = render(req, envelope)
     if req.output:
-        with open(req.output, "wb") as handle:
-            handle.write(payload)
+        try:
+            with open(req.output, "wb") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"OSError: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

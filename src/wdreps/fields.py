@@ -22,8 +22,9 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Field:
-    """Base descriptor.  Concrete fields say how to coerce, format and
-    parse their scalars; scalars themselves carry the arithmetic."""
+    """Base descriptor.  Concrete fields say how to coerce their scalars
+    and which generator symbol, if any, the parser admits; scalars carry
+    the arithmetic and format themselves with `str`."""
 
     kind = "?"
 
@@ -39,10 +40,14 @@ class Field:
         return self.coerce(1)
 
     def format_scalar(self, x) -> str:
-        raise NotImplementedError
+        return str(x)
 
     def parse_scalar(self, text: str):
-        raise NotImplementedError
+        return parse_scalar_expression(text, self)
+
+    def variable_name(self):
+        """The generator symbol the scalar parser admits, if any."""
+        return None
 
     def to_json(self):
         raise NotImplementedError
@@ -64,15 +69,6 @@ class RationalField(Field):
         if isinstance(value, str):
             return self.parse_scalar(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
-
-    def format_scalar(self, x) -> str:
-        return str(x)
-
-    def parse_scalar(self, text: str):
-        return parse_scalar_expression(text, self)
-
-    def variable_name(self):
-        return None
 
     def to_json(self):
         return {"type": "Q"}
@@ -503,12 +499,6 @@ class RationalFunctionField(Field):
     def variable_name(self):
         return "t"
 
-    def format_scalar(self, x) -> str:
-        return str(x)
-
-    def parse_scalar(self, text: str):
-        return parse_scalar_expression(text, self)
-
     def to_json(self):
         return {"type": "Qt"}
 
@@ -677,12 +667,6 @@ class NumberField(Field):
     def variable_name(self):
         return "a"
 
-    def format_scalar(self, x) -> str:
-        return str(x)
-
-    def parse_scalar(self, text: str):
-        return parse_scalar_expression(text, self)
-
     def to_json(self):
         return {"type": "NumberField",
                 "minpoly": [int(c) for c in self.minpoly.coeffs]}
@@ -795,7 +779,7 @@ def parse_scalar_expression(text: str, field: Field):
         raise ParseError("empty scalar")
     pos = depth = 0
     groups = [1]  # per open parenthesis: the largest power stacked inside
-    var = field.variable_name() if hasattr(field, "variable_name") else None
+    var = field.variable_name()
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None

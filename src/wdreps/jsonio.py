@@ -71,10 +71,6 @@ def _nf_from_array(values, field: NumberField, what: str):
     return NFElem(field, poly.coeffs)
 
 
-def scalar_to_str(x, field: Field) -> str:
-    return field.format_scalar(x)
-
-
 def matrix_from_json(rows, field: Field, what: str) -> Matrix:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ParseError(f"{what}: matrix must be an array of row arrays")
@@ -88,7 +84,7 @@ def matrix_from_json(rows, field: Field, what: str) -> Matrix:
 
 
 def matrix_to_json(M: Matrix):
-    return [[scalar_to_str(x, M.field) for x in row] for row in M.rows]
+    return [[M.field.format_scalar(x) for x in row] for row in M.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +156,7 @@ def load_wdrep(path: str) -> WDRep:
 # ---------------------------------------------------------------------------
 
 def poly_to_json(p: Poly):
-    return [scalar_to_str(c, p.field) for c in p.coeffs]
+    return [p.field.format_scalar(c) for c in p.coeffs]
 
 
 def signature_to_json(sig: Signature):
@@ -168,7 +164,7 @@ def signature_to_json(sig: Signature):
     for entry in sig.entries:
         item = {"t": entry.t, "charpoly": poly_to_json(entry.charpoly)}
         if entry.inertia_traces:
-            item["inertia_traces"] = {label: scalar_to_str(v, entry.charpoly.field)
+            item["inertia_traces"] = {label: entry.charpoly.field.format_scalar(v)
                                       for label, v in entry.inertia_traces}
         out.append(item)
     return out

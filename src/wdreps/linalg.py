@@ -350,14 +350,9 @@ def column_echelon(M: Matrix) -> Matrix:
     return _from_columns(M.field, [row for row in red.rows if any(row)], M.nrows)
 
 
-def mat_subspaces(M: Matrix):
-    """Rank, canonical kernel basis and canonical image basis of M.
-
-    rank + kernel columns = ncols; M * kernel column = 0; image columns
-    span the column space.  Both bases are in reduced column echelon form.
-    """
+def kernel_basis(M: Matrix) -> Matrix:
+    """Canonical basis of the kernel of M, in reduced column echelon form."""
     red, pivots = M.rref()
-    rank = len(pivots)
     pivot_set = set(pivots)
     free = [c for c in range(M.ncols) if c not in pivot_set]
     kernel_cols = []
@@ -367,8 +362,19 @@ def mat_subspaces(M: Matrix):
         for r, p in enumerate(pivots):
             col[p] = -red[r, f]
         kernel_cols.append(col)
-    kernel = column_echelon(_from_columns(M.field, kernel_cols, M.ncols)) if kernel_cols \
-        else Matrix.zeros(M.field, M.ncols, 0)
+    if not kernel_cols:
+        return Matrix.zeros(M.field, M.ncols, 0)
+    return column_echelon(_from_columns(M.field, kernel_cols, M.ncols))
+
+
+def mat_subspaces(M: Matrix):
+    """Rank, canonical kernel basis and canonical image basis of M.
+
+    rank + kernel columns = ncols; M * kernel column = 0; image columns
+    span the column space.  Both bases are in reduced column echelon form.
+    """
+    kernel = kernel_basis(M)
+    rank = M.ncols - kernel.ncols
     image = column_echelon(M) if rank else Matrix.zeros(M.field, M.nrows, 0)
     return rank, kernel, image
 
@@ -391,7 +397,7 @@ def intersect_columns(U: Matrix, V: Matrix) -> Matrix:
     space of V)."""
     if U.ncols == 0 or V.ncols == 0:
         return Matrix.zeros(U.field, U.nrows, 0)
-    _, kernel, _ = mat_subspaces(U.hstack(-V))
+    kernel = kernel_basis(U.hstack(-V))
     if kernel.ncols == 0:
         return Matrix.zeros(U.field, U.nrows, 0)
     # the U-coordinates of each kernel vector give a spanning vector

@@ -16,9 +16,8 @@ from fractions import Fraction
 
 from .fields import Field, NumberField, Poly, QQ, QT
 from .linalg import (Matrix, SingularMatrixError, block_diagonal, charpoly,
-                     column_echelon, intersect_columns, is_nilpotent,
-                     mat_subspaces, mult_jordan_chevalley, scalar_restriction,
-                     solve_in_span)
+                     column_echelon, is_nilpotent, kernel_basis, mult_jordan_chevalley,
+                     scalar_restriction, solve_in_span)
 from .roots import DEFAULT_EPS, CertificationFailed, ModulusInterval, root_moduli_certified
 from .schur import Partition, schur_derivation, schur_of_matrix
 
@@ -276,76 +275,54 @@ def _complement_columns(sub: Matrix, big: Matrix) -> Matrix:
     return Matrix.from_columns(big.field, cols, big.nrows)
 
 
+def _powers_and_kernels(N: Matrix):
+    """N^0, ..., N^e and the canonical bases of ker N^0, ..., ker N^e,
+    where e is the nilpotency index (N^e = 0 != N^(e-1)).  Both the
+    monodromy filtration and the signature layers are built from these.
+    Raises ValueError when N is not square or N^n != 0 (n = size)."""
+    if not N.is_square():
+        raise ValueError("a nilpotent flag needs a square matrix")
+    powers = [Matrix.identity(N.field, N.nrows)]
+    while not powers[-1].is_zero():
+        if len(powers) > N.nrows:
+            raise ValueError(f"matrix is not nilpotent (N^{N.nrows} != 0)")
+        powers.append(powers[-1] * N)
+    return powers, [kernel_basis(P) for P in powers]
+
+
 def monodromy_filtration(N: Matrix) -> Filtration:
     """The unique increasing filtration with N*M_k inside M_(k-2) and
-    N^k inducing isomorphisms gr_k = gr_(-k); built from Jordan chains
-    (a chain of length s contributes weights s-1, s-3, ..., -(s-1))."""
-    if not N.is_square():
-        raise ValueError("monodromy filtration needs a square matrix")
-    if not is_nilpotent(N):
-        raise ValueError("monodromy filtration needs a nilpotent matrix")
-    field = N.field
-    n = N.nrows
-    if n == 0:
-        empty = Matrix.zeros(field, 0, 0)
+    N^k inducing isomorphisms gr_k = gr_(-k) [Deligne, Weil II, 1.6].
+
+    It is M_k = sum_j N^j * ker N^(k+1+2j), built downward from
+    M_(e-1) = V (e the nilpotency index) as
+    M_k = ker N^(k+1) + N * M_(k+2); keys run from -e (the zero subspace)
+    to e-1."""
+    powers, kernels = _powers_and_kernels(N)
+    e = len(powers) - 1
+    if e == 0:
+        empty = Matrix.zeros(N.field, 0, 0)
         return Filtration({-1: empty, 0: empty})
-    powers = [Matrix.identity(field, n)]
-    while not powers[-1].is_zero():
-        powers.append(powers[-1] * N)
-    e = len(powers) - 1  # nilpotency index: N^e = 0, N^(e-1) != 0
-    kernels = []
-    for j in range(e + 1):
-        _, ker, _ = mat_subspaces(powers[j])
-        kernels.append(ker)
-    weighted: list[tuple[int, list]] = []  # (weight, vector)
-    chains: list[tuple[int, list]] = []    # (length, head)
-    for s in range(e, 0, -1):
-        inherited = []
-        for length, head in chains:
-            v = head
-            for _ in range(length - s):
-                v = [_dot_row(N, v, i) for i in range(n)]
-            inherited.append(v)
-        base = kernels[s - 1]
-        if inherited:
-            base = base.hstack(Matrix.from_columns(field, inherited, n))
-        heads = _complement_columns(base, kernels[s])
-        for j in range(heads.ncols):
-            h = heads.column(j)
-            chains.append((s, h))
-            v = h
-            for i in range(s):
-                weighted.append((s - 1 - 2 * i, v))
-                if i < s - 1:
-                    v = [_dot_row(N, v, r) for r in range(n)]
-    steps = {}
-    for k in range(-e, e):
-        vecs = [v for w, v in weighted if w <= k]
-        if vecs:
-            steps[k] = column_echelon(Matrix.from_columns(field, vecs, n))
-        else:
-            steps[k] = Matrix.zeros(field, n, 0)
+    full = kernels[e]
+    steps = {e - 1: full}
+    for k in range(e - 2, -e - 1, -1):
+        pushed = N * steps.get(k + 2, full)
+        steps[k] = column_echelon(kernels[max(k + 1, 0)].hstack(pushed))
     return Filtration(steps)
 
 
-def _dot_row(M: Matrix, vec, i: int):
-    acc = M.field.zero
-    row = M.rows[i]
-    for a, b in zip(row, vec):
-        if a and b:
-            acc = acc + a * b
-    return acc
-
-
-def _quotient_action(sub: Matrix, reps: Matrix, operator: Matrix) -> Matrix:
-    """Matrix of `operator` on span(sub + reps)/span(sub) in the basis
-    given by the columns of reps."""
-    if reps.ncols == 0:
-        return Matrix.zeros(sub.field, 0, 0)
-    base = sub.hstack(reps)
-    solved = solve_in_span(base, operator * reps)
-    rows = solved.rows[sub.ncols:]
-    return Matrix(sub.field, rows)
+def _quotient_actions(flag, operators):
+    """For each (key, sub, big) of `flag` with span(sub) inside span(big)
+    and a nonzero quotient: key and the matrices of `operators` on
+    span(big)/span(sub), in the basis of the columns of `big` that extend
+    `sub`."""
+    for key, sub, big in flag:
+        reps = _complement_columns(sub, big)
+        if reps.ncols == 0:
+            continue
+        base = sub.hstack(reps)
+        yield key, [Matrix(sub.field, solve_in_span(base, op * reps).rows[sub.ncols:])
+                    for op in operators]
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +393,9 @@ class Signature:
 
 def frss_signature(rho: WDRep) -> Signature:
     """Signature of the Frobenius-semisimplification: for each k >= 0 the
-    space P_k = (ker N & im N^k)/(ker N & im N^(k+1)) with its induced
-    Frobenius gives an entry (t = k+1, charpoly on P_k); inertia traces
-    on P_k are appended when inertia is nontrivial."""
+    space P_k = L_k/L_(k+1), with L_k = ker N & im N^k = N^k * ker N^(k+1),
+    with its induced Frobenius gives an entry (t = k+1, charpoly on P_k);
+    inertia traces on P_k are appended when inertia is nontrivial."""
     message = wd_validate(rho)
     if message is not None:
         raise ValueError(f"invalid representation: {message}")
@@ -427,22 +404,15 @@ def frss_signature(rho: WDRep) -> Signature:
     if n == 0:
         return Signature(())
     S, _ = mult_jordan_chevalley(rho.phi)
-    _, ker, _ = mat_subspaces(rho.nilp)
-    layers = [ker]  # layers[k] = ker N & im N^k
-    power = Matrix.identity(field, n)
-    while layers[-1].ncols > 0:
-        power = power * rho.nilp
-        _, _, image = mat_subspaces(power)
-        layers.append(intersect_columns(ker, image))
+    powers, kernels = _powers_and_kernels(rho.nilp)
+    e = len(powers) - 1
+    # layers[k] = ker N & im N^k = N^k * ker N^(k+1); layers[e] = 0
+    layers = [column_echelon(powers[k] * kernels[k + 1]) for k in range(e)]
+    layers.append(Matrix.zeros(field, n, 0))
     entries = []
-    for k in range(len(layers) - 1):
-        sub = layers[k + 1]
-        reps = _complement_columns(sub, layers[k])
-        if reps.ncols == 0:
-            continue
-        action = _quotient_action(sub, reps, S)
-        traces = tuple((label, _quotient_action(sub, reps, g).trace())
-                       for label, g in rho.inertia)
+    flag = ((k, layers[k + 1], layers[k]) for k in range(e))
+    for k, (action, *inertia) in _quotient_actions(flag, [S] + [g for _, g in rho.inertia]):
+        traces = tuple((label, g.trace()) for (label, _), g in zip(rho.inertia, inertia))
         entries.append(SignatureEntry(t=k + 1, charpoly=charpoly(action),
                                       inertia_traces=traces))
     sig = Signature(tuple(entries))
@@ -548,24 +518,20 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
         raise ValueError(f"invalid representation: {message}")
     eps = Fraction(eps)
     filt = monodromy_filtration(rho.nilp)
-    keys = filt.indices()
+    flag = ((k, filt.step(k - 1), filt.step(k)) for k in filt.indices())
     pieces = []
-    for k in keys:
-        sub = filt.step(k - 1)
-        reps = _complement_columns(sub, filt.step(k))
-        if reps.ncols == 0:
-            continue
-        action = _quotient_action(sub, reps, rho.phi)
-        pieces.append((k, scalar_restriction(action)))
+    for k, (action,) in _quotient_actions(flag, [rho.phi]):
+        mat = scalar_restriction(action)
+        pieces.append((k, mat, charpoly(mat)))
     if not pieces:
         w = weight if isinstance(weight, int) else None
         return PurityReport(weight=w, verdict="pure", per_graded=())
 
     if weight == "infer":
         candidates = []
-        for k, mat in pieces:
-            det_sq = mat.det() ** 2
-            j = _q_power_exponent(Fraction(det_sq), rho.q)
+        for k, mat, p in pieces:
+            # det^2 = p(0)^2: the charpoly's constant term is (-1)^dim * det
+            j = _q_power_exponent(p[0] ** 2, rho.q)
             if j is None:
                 raise NonIntegralWeight(
                     f"|det|^2 on graded piece {k} is not a power of q = {rho.q}")
@@ -584,8 +550,7 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
 
     graded = []
     verdict = "pure"
-    for k, mat in pieces:
-        p = charpoly(mat)
+    for k, mat, p in pieces:
         j = w + k
         current = eps
         for attempt in range(5):

@@ -28,9 +28,19 @@ def random_unimodular(rng, n, field=QQ) -> Matrix:
     return Matrix(field, lower) * Matrix(field, upper)
 
 
-def random_nilpotent(rng, n) -> Matrix:
+def generator_shear(rng, n, field) -> Matrix:
+    """Unit lower triangular matrix with entries in {-g, 0, g}, where g is
+    the generator of Q(t) or of a number field: always invertible."""
+    g = field.gen()
+    return Matrix(field, [[field.one if i == j else
+                           (field.coerce(rng.randint(-1, 1)) * g if i > j else field.zero)
+                           for j in range(n)] for i in range(n)])
+
+
+def random_nilpotent(rng, n, field=QQ) -> Matrix:
     """Random Jordan-type nilpotent conjugated by a random unimodular
-    matrix: every Jordan profile of dimension n can occur."""
+    matrix: every Jordan profile of dimension n can occur.  Over Q(t) or a
+    number field the conjugator also mixes in the field's generator."""
     sizes = []
     left = n
     while left:
@@ -43,8 +53,10 @@ def random_nilpotent(rng, n) -> Matrix:
         for i in range(s - 1):
             rows[off + i + 1][off + i] = Fraction(1)
         off += s
-    J = Matrix(QQ, rows)
-    P = random_unimodular(rng, n)
+    J = Matrix(field, rows)
+    P = random_unimodular(rng, n, field)
+    if field != QQ:
+        P = P * generator_shear(rng, n, field)
     return P * J * P.inverse()
 
 

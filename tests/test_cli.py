@@ -151,6 +151,21 @@ class TestCommands:
         assert code == 2
         assert any("ResourceCapExceeded" in d for d in env["diagnostics"])
 
+    def test_internal_error_maps_to_exit_4(self, monkeypatch, capsys):
+        def broken(rho):
+            raise AssertionError("signature dimensions do not add up")
+
+        monkeypatch.setattr(cli, "frss_signature", broken)
+        code, env = run_command(CommandRequest("frss", SP2))
+        assert code == cli.EXIT_INTERNAL == 4
+        assert env["result"] is None
+        [diagnostic] = env["diagnostics"]
+        assert diagnostic.startswith("internal error: AssertionError: signature "
+                                     "dimensions do not add up (raised in broken, test_cli.py:")
+        assert main(["frss", SP2]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "AssertionError" in err
+
 
 class TestEnvelope:
     def test_deterministic_bytes(self):
@@ -273,6 +288,24 @@ class TestHostileInput:
         assert code == 2
         assert "Traceback" not in err and "power beyond" in err
         assert seconds < 10
+
+    @pytest.mark.parametrize("phi, point, error", [
+        ([["1/(t-1)", "0"], ["0", "1/5"]], "1", "DenominatorVanishes"),
+        ([["t", "0"], ["0", "1/5"]], "0", "SingularFrobenius"),
+    ])
+    def test_specialize_at_pole_or_singular_point(self, tmp_path, phi, point, error):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"q": 5, "field": {"type": "Qt"}, "phi": phi,
+                                    "nilp": [["0", "0"], ["0", "0"]], "inertia": []}))
+        code, err, _ = _run_cli("specialize", "--point", point, str(path))
+        assert code == 2
+        assert "Traceback" not in err and error in err
+
+    def test_unwritable_output_path(self, tmp_path):
+        target = tmp_path / "missing-dir" / "report.json"
+        code, err, _ = _run_cli("validate", SP2, "--output", str(target))
+        assert code == 2
+        assert "Traceback" not in err and "cannot write the report" in err
 
     def test_zero_divisor_column_in_etale_algebra(self, tmp_path):
         path = tmp_path / "etale.json"

@@ -1,8 +1,10 @@
 """Byte-for-byte check of the checked-in golden envelopes: the README's
-CLI examples, the rigidity cases of the corpus workload and the inertia21
-case, run in-process.  The goldens under bench/golden are only read
-here, never written."""
+CLI examples, the rigidity cases of the corpus workload, the inertia21
+case and the two generated Q(t) families, run in-process.  The goldens
+under bench/golden and the generator bench/gen.py are only read here,
+never written."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,27 @@ def test_envelope_matches_golden(index, monkeypatch):
 def test_inertia21_matches_golden(monkeypatch):
     check(rigidity("2,1", "corpus/inertia_pair.json"), GOLDEN / "inertia21" / "00.out",
           monkeypatch)
+
+
+def _load_generator():
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the golden of each generated workload is the envelope for its seed-1 document
+GENERATED = {
+    "dense-qt": ("dense_qt", ["--partition", "2", "--points", "-3..3"]),
+    "wedge-tight": ("wedge_tight", ["--partition", "1,1,1,1", "--points", "-2..2",
+                                    "--eps", "1/1" + "0" * 2000]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_family_matches_golden(name, tmp_path, monkeypatch):
+    gen = _load_generator()
+    generator, options = GENERATED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(gen.document_bytes(getattr(gen, generator)(1)))
+    check(["rigidity", *options, str(path)], GOLDEN / name / "00.out", monkeypatch)

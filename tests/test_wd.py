@@ -5,10 +5,11 @@ import pytest
 
 from wdreps import (DEFAULT_EPS, Matrix, NonIntegralWeight, NonSplitSpectrum,
                     NumberField, Poly, QQ, QT, Signature, SignatureEntry, WDRep,
-                    charpoly, frobenius_semisimplify, frss_signature,
-                    monodromy_filtration, purity_check, signature_reconstruct,
-                    sp_construct, wd_direct_sum, wd_schur, wd_tensor,
-                    wd_validate)
+                    charpoly, column_echelon, frobenius_semisimplify, frss_signature,
+                    mat_subspaces, monodromy_filtration, purity_check,
+                    signature_reconstruct, sp_construct, wd_direct_sum, wd_schur,
+                    wd_tensor, wd_validate)
+from wdreps.linalg import intersect_columns
 from wdreps.schur import Partition
 
 from support import (flagship_family, kernel_sum_filtration_step,
@@ -285,6 +286,37 @@ class TestMonodromyFiltration:
     def test_non_nilpotent_rejected(self):
         with pytest.raises(ValueError):
             monodromy_filtration(Matrix.identity(QQ, 2))
+
+    @pytest.mark.parametrize("N", [
+        Matrix(QQ, [[1, 0], [0, 0]]),        # idempotent: its powers never vanish
+        Matrix(QQ, [[0, 1], [1, 0]]),        # an involution
+        Matrix(QQ, [[0, 0, 0], [1, 0, 0], [0, 1, 1]]),
+        Matrix(QQ, [[0, 1, 0], [0, 0, 1]]),  # not square
+    ])
+    def test_non_nilpotent_or_non_square_raises(self, N):
+        with pytest.raises(ValueError):
+            monodromy_filtration(N)
+
+    @pytest.mark.parametrize("field", [QT, NumberField([-2, 0, 1])], ids=["Qt", "Q(a^2=2)"])
+    def test_oracle_over_function_and_number_fields(self, field):
+        rng = random.Random(29)
+        for _ in range(8):
+            N = random_nilpotent(rng, rng.randint(1, 4), field)
+            filt = monodromy_filtration(N)
+            for k in filt.indices():
+                assert subspaces_equal(filt.step(k), kernel_sum_filtration_step(N, k))
+
+    def test_signature_layers_are_images_of_kernels(self):
+        # ker N & im N^k = N^k * ker N^(k+1)
+        rng = random.Random(31)
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            N = random_nilpotent(rng, n)
+            _, ker, _ = mat_subspaces(N)
+            for k in range(n + 1):
+                _, ker_next, _ = mat_subspaces(N ** (k + 1))
+                _, _, image = mat_subspaces(N ** k)
+                assert column_echelon(N ** k * ker_next) == intersect_columns(ker, image)
 
     def test_axioms_and_oracle_random(self):
         rng = random.Random(13)
