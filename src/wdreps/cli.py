@@ -38,6 +38,11 @@ EXIT_INPUT_ERROR = 2
 EXIT_CERTIFICATION = 3
 EXIT_INTERNAL = 4
 
+# Largest point grid a scan accepts, about 200 times the default grid of 51
+# points; a larger --points range or list is an input error (exit 2),
+# checked before any point is built.
+MAX_SCAN_POINTS = 10_000
+
 
 @dataclass
 class CommandRequest:
@@ -71,11 +76,19 @@ def parse_points(text: str | None) -> list[Fraction]:
             raise ParseError(f"bad point range {text!r}") from exc
         if lo > hi:
             raise ParseError(f"empty point range {text!r}")
+        _check_point_count(hi - lo + 1)
         return [Fraction(a) for a in range(lo, hi + 1)]
-    points = [parse_rational(tok) for tok in text.split(",") if tok.strip()]
-    if not points:
+    tokens = [tok for tok in text.split(",") if tok.strip()]
+    if not tokens:
         raise ParseError("empty point list")
-    return sorted(set(points))
+    _check_point_count(len(tokens))
+    return sorted({parse_rational(tok) for tok in tokens})
+
+
+def _check_point_count(count: int) -> None:
+    if count > MAX_SCAN_POINTS:
+        raise ParseError(f"{count} scan points requested; at most {MAX_SCAN_POINTS} "
+                         "are allowed")
 
 
 def parse_weight(text: str):

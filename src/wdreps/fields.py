@@ -262,9 +262,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def map_coeffs(self, fn, field: Field) -> "Poly":
-        return Poly(field, [fn(c) for c in self.coeffs])
-
     def __repr__(self):
         return f"Poly({self.field!r}, {list(self.coeffs)!r})"
 
@@ -379,9 +376,6 @@ class RatFunc:
     def __bool__(self):
         return not self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
     def _promote(self, other):
         if isinstance(other, RatFunc):
             return other
@@ -459,11 +453,6 @@ class RatFunc:
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at t = {a}")
         return self.num.eval(a) / d
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self!r} is not constant")
-        return self.num[0] if self.num.coeffs else Fraction(0)
 
     def __str__(self):
         if self.is_zero():

@@ -170,24 +170,19 @@ def signature_to_json(sig: Signature):
     return out
 
 
-def _decimal_floor(x: Fraction, digits: int) -> str:
-    scale = 10 ** digits
-    n = (x.numerator * scale) // x.denominator
+def _decimal(n: int, digits: int) -> str:
+    """n / 10^digits written with exactly `digits` decimals."""
     sign = "-" if n < 0 else ""
-    n = abs(n)
-    return f"{sign}{n // scale}.{n % scale:0{digits}d}"
-
-
-def _decimal_ceil(x: Fraction, digits: int) -> str:
-    scale = 10 ** digits
-    n = -((-x.numerator * scale) // x.denominator)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    return f"{sign}{n // scale}.{n % scale:0{digits}d}"
+    whole, frac = divmod(abs(n), 10 ** digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"
 
 
 def interval_to_json(iv: ModulusInterval, digits: int = 15):
-    return {"lo": _decimal_floor(iv.lo, digits), "hi": _decimal_ceil(iv.hi, digits)}
+    """The interval widened outward to `digits` decimals."""
+    scale = 10 ** digits
+    lo = iv.lo.numerator * scale // iv.lo.denominator
+    hi = -(-iv.hi.numerator * scale // iv.hi.denominator)
+    return {"lo": _decimal(lo, digits), "hi": _decimal(hi, digits)}
 
 
 def purity_report_to_json(report: PurityReport):

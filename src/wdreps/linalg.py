@@ -30,9 +30,10 @@ class ZeroDivisorPivotError(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix over a `Field`."""
+    """Immutable dense matrix over a `Field`.  The `_flag` slot holds the
+    powers and kernels of a nilpotent matrix once `wd` has computed them."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "_flag")
 
     def __init__(self, field: Field, rows):
         self.field = field

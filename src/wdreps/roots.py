@@ -69,10 +69,6 @@ def sqrt_bounds(a: Fraction, tol: Fraction):
 
 # Gaussian rationals as (re, im) pairs of Fractions.
 
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def _csub(a, b):
     return (a[0] - b[0], a[1] - b[1])
 

@@ -102,9 +102,6 @@ def inertia_closure(generators, field: Field, dim: int, cap: int = INERTIA_CLOSU
     return order
 
 
-_UNCHECKED = object()
-
-
 def wd_validate(rho: WDRep):
     """Check every invariant; returns None when valid, otherwise a
     description of the first violated invariant.
@@ -112,11 +109,9 @@ def wd_validate(rho: WDRep):
     A WDRep is immutable, so the verdict is computed once and kept on the
     object itself (outside its dataclass fields: equality, hash and repr
     do not see it)."""
-    verdict = rho.__dict__.get("_verdict", _UNCHECKED)
-    if verdict is _UNCHECKED:
-        verdict = _check_invariants(rho)
-        object.__setattr__(rho, "_verdict", verdict)
-    return verdict
+    if "_verdict" not in rho.__dict__:
+        object.__setattr__(rho, "_verdict", _check_invariants(rho))
+    return rho._verdict
 
 
 def _check_invariants(rho: WDRep):
@@ -146,10 +141,13 @@ def _check_invariants(rho: WDRep):
     return None
 
 
-def _require_valid(rho: WDRep, context: str) -> WDRep:
+def _require_valid(rho: WDRep, context: str | None = None) -> WDRep:
+    """rho itself when valid; otherwise a ValueError naming the violated
+    invariant and, for a constructed object, the constructor."""
     message = wd_validate(rho)
     if message is not None:
-        raise ValueError(f"{context} produced an invalid representation: {message}")
+        prefix = f"{context} produced an " if context else ""
+        raise ValueError(f"{prefix}invalid representation: {message}")
     return rho
 
 
@@ -222,11 +220,29 @@ def wd_direct_sum(a: WDRep, b: WDRep) -> WDRep:
 def wd_schur(rho: WDRep, mu: Partition) -> WDRep:
     """Apply the partition functor: Frobenius and inertia through the
     matrix functor, monodromy through the derivation.  A zero-dimensional
-    result (too many rows for the dimension) is legal."""
+    result (too many rows for the dimension) is legal.
+
+    The input is validated (once per object; an invalid one raises
+    ValueError) and the image inherits its verdict without a check of its
+    own, because S_mu is a functor and N acts through its derivation dN,
+    which is linear in N and satisfies S_mu(g) dN S_mu(g)^-1 = d(g N g^-1):
+    - S_mu(phi) is invertible, with inverse S_mu(phi^-1);
+    - dN is nilpotent (on the d-th tensor power it is a sum of d commuting
+      nilpotents);
+    - S_mu(phi) dN S_mu(phi)^-1 = d(q^-1 N) = q^-1 dN;
+    - each S_mu(g) commutes with dN, since g N g^-1 = N;
+    - the order of S_mu(g) divides the order of g, so it stays under the
+      order bound;
+    - the image inertia group is a quotient of the input group, so its
+      closure stays under the cap, and S_mu(phi) S_mu(g) S_mu(phi)^-1 =
+      S_mu(phi g phi^-1) keeps Frobenius normalizing it."""
+    _require_valid(rho)
     phi = schur_of_matrix(rho.phi, mu)
     nilp = schur_derivation(rho.nilp, mu)
     inertia = tuple((label, schur_of_matrix(g, mu)) for label, g in rho.inertia)
-    return _require_valid(WDRep(rho.q, rho.field, phi, nilp, inertia), "wd_schur")
+    image = WDRep(rho.q, rho.field, phi, nilp, inertia)
+    object.__setattr__(image, "_verdict", None)
+    return image
 
 
 def frobenius_semisimplify(rho: WDRep) -> WDRep:
@@ -255,31 +271,23 @@ class Filtration:
         return sorted(self.steps)
 
     def step(self, k: int) -> Matrix:
-        keys = self.indices()
-        if k < keys[0]:
-            return self.steps[keys[0]]
-        if k > keys[-1]:
-            return self.steps[keys[-1]]
-        return self.steps[k]
+        keys = self.indices()  # consecutive integers
+        return self.steps[min(max(k, keys[0]), keys[-1])]
 
     def graded_dim(self, k: int) -> int:
         return self.step(k).ncols - self.step(k - 1).ncols
-
-
-def _complement_columns(sub: Matrix, big: Matrix) -> Matrix:
-    """Columns of `big` extending a basis of span(sub) to span(big)."""
-    stacked = sub.hstack(big)
-    _, pivots = stacked.rref()
-    chosen = [p - sub.ncols for p in pivots if p >= sub.ncols]
-    cols = [big.column(j) for j in chosen]
-    return Matrix.from_columns(big.field, cols, big.nrows)
 
 
 def _powers_and_kernels(N: Matrix):
     """N^0, ..., N^e and the canonical bases of ker N^0, ..., ker N^e,
     where e is the nilpotency index (N^e = 0 != N^(e-1)).  Both the
     monodromy filtration and the signature layers are built from these.
+    A Matrix is immutable, so the flag is computed once and kept on N
+    itself, as `wd_validate` keeps its verdict on the WDRep.
     Raises ValueError when N is not square or N^n != 0 (n = size)."""
+    flag = getattr(N, "_flag", None)
+    if flag is not None:
+        return flag
     if not N.is_square():
         raise ValueError("a nilpotent flag needs a square matrix")
     powers = [Matrix.identity(N.field, N.nrows)]
@@ -287,7 +295,8 @@ def _powers_and_kernels(N: Matrix):
         if len(powers) > N.nrows:
             raise ValueError(f"matrix is not nilpotent (N^{N.nrows} != 0)")
         powers.append(powers[-1] * N)
-    return powers, [kernel_basis(P) for P in powers]
+    N._flag = flag = (powers, [kernel_basis(P) for P in powers])
+    return flag
 
 
 def monodromy_filtration(N: Matrix) -> Filtration:
@@ -315,14 +324,20 @@ def _quotient_actions(flag, operators):
     """For each (key, sub, big) of `flag` with span(sub) inside span(big)
     and a nonzero quotient: key and the matrices of `operators` on
     span(big)/span(sub), in the basis of the columns of `big` that extend
-    `sub`."""
+    `sub`.  One elimination per quotient: the images of every operator
+    are solved for side by side."""
     for key, sub, big in flag:
-        reps = _complement_columns(sub, big)
-        if reps.ncols == 0:
+        _, pivots = sub.hstack(big).rref()
+        chosen = [p - sub.ncols for p in pivots if p >= sub.ncols]
+        if not chosen:
             continue
-        base = sub.hstack(reps)
-        yield key, [Matrix(sub.field, solve_in_span(base, op * reps).rows[sub.ncols:])
-                    for op in operators]
+        field, m = big.field, len(chosen)
+        reps = Matrix._trusted(field, tuple(tuple(row[j] for j in chosen) for row in big.rows))
+        images = [(op * reps).rows for op in operators]
+        side_by_side = Matrix._trusted(field, tuple(sum(rows, ()) for rows in zip(*images)))
+        coords = solve_in_span(sub.hstack(reps), side_by_side).rows[sub.ncols:]
+        yield key, [Matrix._trusted(field, tuple(row[i * m:(i + 1) * m] for row in coords))
+                    for i in range(len(operators))]
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +411,7 @@ def frss_signature(rho: WDRep) -> Signature:
     space P_k = L_k/L_(k+1), with L_k = ker N & im N^k = N^k * ker N^(k+1),
     with its induced Frobenius gives an entry (t = k+1, charpoly on P_k);
     inertia traces on P_k are appended when inertia is nontrivial."""
-    message = wd_validate(rho)
-    if message is not None:
-        raise ValueError(f"invalid representation: {message}")
+    _require_valid(rho)
     field = rho.field
     n = rho.dim
     if n == 0:
@@ -477,26 +490,18 @@ class PurityReport:
 
 
 def _q_power_exponent(value: Fraction, q: int):
-    if value <= 0:
-        return None
+    """j with value = q^j, or None when there is none."""
     num, den = value.numerator, value.denominator
-    if den == 1:
-        j = 0
-        while num > 1:
-            num, rem = divmod(num, q)
-            if rem:
-                return None
-            j += 1
-        return j
-    if num == 1:
-        j = 0
-        while den > 1:
-            den, rem = divmod(den, q)
-            if rem:
-                return None
-            j += 1
-        return -j
-    return None
+    if value <= 0 or (num != 1 and den != 1):
+        return None
+    sign, m = (1, num) if den == 1 else (-1, den)
+    j = 0
+    while m > 1:
+        m, rem = divmod(m, q)
+        if rem:
+            return None
+        j += 1
+    return sign * j
 
 
 def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
@@ -513,9 +518,7 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
         raise ValueError("purity is a property of specializations, not of Q(t) families")
     if not (rho.field == QQ or isinstance(rho.field, NumberField)):
         raise ValueError("purity requires coefficients in Q or a number field")
-    message = wd_validate(rho)
-    if message is not None:
-        raise ValueError(f"invalid representation: {message}")
+    _require_valid(rho)
     eps = Fraction(eps)
     filt = monodromy_filtration(rho.nilp)
     flag = ((k, filt.step(k - 1), filt.step(k)) for k in filt.indices())

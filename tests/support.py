@@ -111,6 +111,22 @@ def random_valid_wdrep(rng, q, max_dim=4, with_inertia=False) -> WDRep:
                  tuple((label, P * g * Pinv) for label, g in inertia))
 
 
+def lift_to_field(rng, rho: WDRep, field) -> WDRep:
+    """A representation over Q carried to `field`: over Q(t) or a number
+    field every matrix is also conjugated by the same `generator_shear`,
+    so the entries mix in the field's generator."""
+    if field == QQ:
+        return rho
+    P = generator_shear(rng, rho.dim, field)
+    P_inv = P.inverse()
+
+    def conj(M):
+        return P * Matrix(field, M.rows) * P_inv
+
+    return WDRep(rho.q, field, conj(rho.phi), conj(rho.nilp),
+                 tuple((label, conj(g)) for label, g in rho.inertia))
+
+
 def kernel_sum_filtration_step(N: Matrix, k: int) -> Matrix:
     """Independent filtration oracle: M_k = sum_j (ker N^(k+j+1) & im N^j),
     assembled directly from the formula."""

@@ -38,6 +38,16 @@ class TestFlagParsing:
         with pytest.raises(ParseError):
             parse_rational("x")
 
+    def test_point_count_bound(self):
+        bound = cli.MAX_SCAN_POINTS
+        assert len(parse_points(f"1..{bound}")) == bound
+        assert len(parse_points(",".join(str(a) for a in range(bound)))) == bound
+        # an oversized range is refused before any of its points is built
+        for text in (f"0..{bound}", "-1000000000..1000000000",
+                     ",".join(["1"] * (bound + 1))):
+            with pytest.raises(ParseError, match="scan points requested"):
+                parse_points(text)
+
     def test_merge_negative_values(self):
         argv = ["scan", "--points", "-5..5", "f.json", "--weight", "-1"]
         merged = cli._merge_negative_values(argv)
@@ -280,6 +290,13 @@ class TestHostileInput:
         code, err, seconds = _run_cli("validate", path)
         assert code == 2
         assert "Traceback" not in err and "nested deeper" in err
+        assert seconds < 10
+
+    def test_oversized_point_range(self):
+        code, err, seconds = _run_cli("scan", "--partition", "2", "--points",
+                                      "-100000..100000", FLAGSHIP)
+        assert code == 2
+        assert "Traceback" not in err and "200001 scan points requested" in err
         assert seconds < 10
 
     def test_huge_exponent(self, tmp_path):

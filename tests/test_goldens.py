@@ -1,10 +1,14 @@
 """Byte-for-byte check of the checked-in golden envelopes: the README's
 CLI examples, the rigidity cases of the corpus workload, the inertia21
-case and the two generated Q(t) families, run in-process.  The goldens
+case and the two generated Q(t) families, run in-process; and a check
+that bench/tracer.py still finds every function it traces.  The goldens
 under bench/golden and the generator bench/gen.py are only read here,
 never written."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,12 @@ def test_generated_family_matches_golden(name, tmp_path, monkeypatch):
     path = tmp_path / f"{name}.json"
     path.write_bytes(gen.document_bytes(getattr(gen, generator)(1)))
     check(["rigidity", *options, str(path)], GOLDEN / name / "00.out", monkeypatch)
+
+
+def test_tracer_binds_every_span():
+    """`bench/run.py --trace 1` wraps each function that bench/tracer.py
+    names at its module bindings; a deleted or renamed one fails install."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")]))
+    proc = subprocess.run([sys.executable, "-c", "import tracer; tracer.Recorder().install()"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

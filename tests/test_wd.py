@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +10,13 @@ from wdreps import (DEFAULT_EPS, Matrix, NonIntegralWeight, NonSplitSpectrum,
                     mat_subspaces, monodromy_filtration, purity_check,
                     signature_reconstruct, sp_construct, wd_direct_sum, wd_schur,
                     wd_tensor, wd_validate)
+from wdreps import partitions_of, wd
+from wdreps.families import specialize
+from wdreps.jsonio import load_wdrep
 from wdreps.linalg import intersect_columns
 from wdreps.schur import Partition
 
-from support import (flagship_family, kernel_sum_filtration_step,
+from support import (flagship_family, kernel_sum_filtration_step, lift_to_field,
                      random_nilpotent, random_pure_rep, random_unimodular,
                      random_valid_wdrep, subspaces_equal, trivial_onedim)
 
@@ -219,14 +223,42 @@ class TestSchurOfRep:
         assert back.dim == 1
 
     def test_outputs_validate_random(self):
+        # an image inherits its input's verdict, so the full check runs here:
+        # every partition with d <= 3, with and without inertia, over Q, Q(t)
+        # and Q(sqrt 2)
         rng = random.Random(53)
-        for _ in range(15):
-            rho = random_valid_wdrep(rng, 5, max_dim=3, with_inertia=bool(rng.random() < 0.5))
-            d = rng.randint(1, 3)
-            from wdreps import partitions_of
-            mus = partitions_of(d)
-            mu = mus[rng.randrange(len(mus))]
-            assert wd_validate(wd_schur(rho, mu)) is None
+        for field in (QQ, QT, NumberField([-2, 0, 1])):
+            for d in (1, 2, 3):
+                for mu in partitions_of(d):
+                    for with_inertia in (False, True):
+                        rho = lift_to_field(rng, random_valid_wdrep(
+                            rng, 5, max_dim=3, with_inertia=with_inertia), field)
+                        image = wd_schur(rho, mu)
+                        assert image.field == field
+                        assert wd._check_invariants(image) is None
+
+    def test_invalid_input_raises(self):
+        bad = WDRep(5, QQ, Matrix.identity(QQ, 2), Matrix(QQ, [[0, 0], [1, 0]]))
+        with pytest.raises(ValueError, match="invalid representation: conjugation"):
+            wd_schur(bad, Partition.of(2))
+
+    def test_image_is_never_checked(self, monkeypatch):
+        rho = random_valid_wdrep(random.Random(7), 5, max_dim=3, with_inertia=True)
+        checked = []
+        check = wd._check_invariants
+
+        def counting_check(rep):
+            checked.append(rep)
+            return check(rep)
+
+        monkeypatch.setattr(wd, "_check_invariants", counting_check)
+        # an input whose verdict is not yet known is checked, the image is not
+        image = wd_schur(rho, Partition.of(2, 1))
+        assert len(checked) == 1 and checked[0] is rho
+        assert wd_validate(image) is None and len(checked) == 1
+        # a validated input is not checked again either
+        wd_schur(rho, Partition.of(3))
+        assert len(checked) == 1
 
 
 class TestFrss:
@@ -459,7 +491,6 @@ class TestPurity:
 class TestRelationPreservation:
     def test_tensor_and_schur_validate_100_random(self):
         rng = random.Random(331)
-        from wdreps import partitions_of
         for i in range(100):
             a = random_valid_wdrep(rng, 3, max_dim=3,
                                    with_inertia=bool(i % 3 == 0))
@@ -467,7 +498,41 @@ class TestRelationPreservation:
                 b = random_valid_wdrep(rng, 3, max_dim=2)
                 assert wd_validate(wd_tensor(a, b)) is None
             else:
-                d = rng.randint(1, 2)
+                d = rng.randint(1, 3)
                 mus = partitions_of(d)
                 mu = mus[rng.randrange(len(mus))]
-                assert wd_validate(wd_schur(a, mu)) is None
+                field = (QQ, QT, NumberField([-2, 0, 1]))[i // 2 % 3]
+                # the image inherits the verdict of its input: check it directly
+                assert wd._check_invariants(wd_schur(lift_to_field(rng, a, field), mu)) is None
+
+
+class TestOncePerPoint:
+    """At a scan point, the signature and the purity check of one Schur
+    image share the powers of N and their kernels, and each quotient of
+    either flag is eliminated once for all the operators on it."""
+
+    def test_flag_and_quotients_computed_once(self, monkeypatch):
+        path = Path(__file__).resolve().parent.parent / "corpus" / "inertia_pair.json"
+        image = wd_schur(specialize(load_wdrep(str(path)), 2), Partition.of(2, 1))
+        assert image.dim == 20 and image.inertia
+        N = image.nilp
+        e = next(k for k in range(N.nrows + 1) if (N ** k).is_zero())
+        counts = {"kernel_basis": 0, "solve_in_span": 0}
+
+        def counting(name):
+            original = getattr(wd, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(wd, name, counting(name))
+        signature = frss_signature(image)
+        report = purity_check(image)
+        # one kernel per power N^0..N^e, not one per consumer
+        assert counts["kernel_basis"] == e + 1
+        # one solve per nonzero quotient: a signature entry (one per chain
+        # length) or a graded piece, not one per operator
+        assert counts["solve_in_span"] == len(signature.entries) + len(report.per_graded)
