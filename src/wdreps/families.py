@@ -17,7 +17,7 @@ from .linalg import Matrix
 from .roots import DEFAULT_EPS, CertificationFailed
 from .schur import Partition
 from .wd import (NonIntegralWeight, PurityReport, Signature, SignatureEntry,
-                 WDRep, frss_signature, purity_check, wd_schur, wd_validate)
+                 WDRep, _require_valid, frss_signature, purity_check, wd_schur)
 
 
 class DenominatorVanishes(ArithmeticError):
@@ -45,10 +45,19 @@ def _evaluate_matrix(M: Matrix, a: Fraction) -> Matrix:
 
 
 def specialize(fam: WDRep, point) -> WDRep:
-    """Evaluate every coefficient at t = a.  The result is a valid
-    representation over Q; evaluation commutes with every constructor."""
+    """Evaluate every coefficient at t = a; evaluation commutes with every
+    constructor.  The family is validated (once per object; an invalid one
+    raises ValueError) and the point inherits its verdict unchecked.
+    Evaluation at a is a ring homomorphism on the entries without a pole
+    at a, and det(phi)(a) != 0 is checked, so phi^-1 = adj(phi)/det(phi)
+    evaluates to phi(a)^-1 and every invariant carries over: N(a)^n = 0,
+    phi(a) N(a) phi(a)^-1 = q^-1 N(a), each g(a) commutes with N(a), g^m = I
+    gives g(a)^m = I, and the point's inertia group is a quotient of the
+    family's, so its closure stays under the cap and Frobenius still
+    normalizes it."""
     if fam.field != QT:
         raise ValueError("specialize expects a family with Q(t) coefficients")
+    _require_valid(fam)
     a = Fraction(point)
     phi = _evaluate_matrix(fam.phi, a)
     if not phi.det():
@@ -56,9 +65,7 @@ def specialize(fam: WDRep, point) -> WDRep:
     nilp = _evaluate_matrix(fam.nilp, a)
     inertia = tuple((label, _evaluate_matrix(g, a)) for label, g in fam.inertia)
     rho = WDRep(fam.q, QQ, phi, nilp, inertia)
-    message = wd_validate(rho)
-    if message is not None:
-        raise ValueError(f"specialization at t = {a} is invalid: {message}")
+    object.__setattr__(rho, "_verdict", None)
     return rho
 
 

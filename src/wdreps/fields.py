@@ -683,8 +683,8 @@ def field_from_json(obj) -> Field:
             raise ParseError("NumberField descriptor requires 'minpoly'")
         try:
             return NumberField(obj["minpoly"])
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"NumberField minpoly: {exc}") from exc
     raise ParseError(f"unknown field type {kind!r}")
 
 

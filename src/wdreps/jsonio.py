@@ -15,7 +15,7 @@ from fractions import Fraction
 from .families import PointResult, RigidityReport
 from .fields import (Field, NFElem, NumberField, ParseError, Poly, QQ, QT,
                      RatFunc, field_from_json, format_poly)
-from .linalg import Matrix
+from .linalg import Matrix, ZeroDivisorPivotError
 from .roots import ModulusInterval
 from .wd import Filtration, PurityReport, Signature, WDRep, wd_validate
 
@@ -109,6 +109,8 @@ def wdrep_from_json(obj) -> WDRep:
     field = field_from_json(obj["field"])
     phi = matrix_from_json(obj["phi"], field, "phi")
     nilp = matrix_from_json(obj["nilp"], field, "nilp")
+    if not isinstance(obj.get("inertia", []), list):
+        raise ParseError("inertia must be an array")
     inertia = []
     for i, item in enumerate(obj.get("inertia", [])):
         if not isinstance(item, dict) or set(item) != {"label", "matrix"}:
@@ -121,7 +123,10 @@ def wdrep_from_json(obj) -> WDRep:
         rho = WDRep(q, field, phi, nilp, tuple(inertia))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    message = wd_validate(rho)
+    try:
+        message = wd_validate(rho)
+    except ZeroDivisorPivotError as exc:  # the check itself cannot run
+        raise ValidationError(f"{type(exc).__name__}: {exc}") from exc
     if message is not None:
         raise ValidationError(message)
     return rho

@@ -13,6 +13,7 @@ results are the same reduced Fractions that field arithmetic gives.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -30,26 +31,32 @@ class ZeroDivisorPivotError(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix over a `Field`.  The `_flag` slot holds the
-    powers and kernels of a nilpotent matrix once `wd` has computed them."""
+    """Immutable dense matrix over a `Field`.  The column count is stored,
+    so a matrix without rows keeps its width (0 x n is not 0 x 0).  The
+    `_flag` slot holds the powers and kernels of a nilpotent matrix once
+    `wd` has computed them."""
 
-    __slots__ = ("field", "rows", "_flag")
+    __slots__ = ("field", "rows", "ncols", "_flag")
 
     def __init__(self, field: Field, rows):
         self.field = field
         self.rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged matrix rows")
+        self.ncols = len(self.rows[0]) if self.rows else 0
+        if any(len(r) != self.ncols for r in self.rows):
+            raise ValueError("ragged matrix rows")
 
     @classmethod
-    def _trusted(cls, field: Field, rows) -> "Matrix":
+    def _trusted(cls, field: Field, rows, ncols: int | None = None) -> "Matrix":
         """Wrap a tuple of equal-length tuples of `field` scalars without
-        coercing or checking them: for results this module computed."""
+        coercing or checking them: for results this module computed.  The
+        width defaults to that of the first row; pass it when there may be
+        no rows."""
         M = object.__new__(cls)
         M.field = field
         M.rows = rows
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        M.ncols = ncols
         return M
 
     # -- constructors -------------------------------------------------
@@ -58,33 +65,29 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
         return cls._trusted(field, tuple(tuple(one if i == j else zero for j in range(n))
-                                         for i in range(n)))
+                                         for i in range(n)), n)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls._trusted(field, ((field.zero,) * ncols,) * nrows)
+        return cls._trusted(field, ((field.zero,) * ncols,) * nrows, ncols)
 
     @classmethod
     def diagonal(cls, field: Field, entries) -> "Matrix":
-        entries = [field.coerce(e) for e in entries]
-        zero = field.zero
-        n = len(entries)
-        return cls(field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
+        entries = list(entries)
+        return cls(field, [[e if i == j else field.zero for j in range(len(entries))]
+                           for i, e in enumerate(entries)])
 
     @classmethod
     def from_columns(cls, field: Field, cols, nrows: int) -> "Matrix":
         cols = list(cols)
-        return cls(field, [[col[i] for col in cols] for i in range(nrows)])
+        return cls._trusted(field, tuple(tuple(field.coerce(col[i]) for col in cols)
+                                         for i in range(nrows)), len(cols))
 
     # -- shape and access ---------------------------------------------
 
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -105,7 +108,8 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return (self.field == other.field and self.ncols == other.ncols
+                and self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.field, self.rows))
@@ -115,27 +119,29 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _entrywise(self, fn, *others) -> "Matrix":
+        """fn applied entry by entry to self and matrices of its shape."""
+        if any((o.nrows, o.ncols) != (self.nrows, self.ncols) for o in others):
+            raise ValueError("shape mismatch in an entrywise matrix operation")
+        rows = zip(self.rows, *(o.rows for o in others))
+        return Matrix._trusted(self.field, tuple(tuple(map(fn, *rs)) for rs in rows), self.ncols)
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch in matrix addition")
-        return Matrix._trusted(self.field, tuple(tuple(a + b for a, b in zip(ra, rb))
-                                                 for ra, rb in zip(self.rows, other.rows)))
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch in matrix subtraction")
-        return Matrix._trusted(self.field, tuple(tuple(a - b for a, b in zip(ra, rb))
-                                                 for ra, rb in zip(self.rows, other.rows)))
+        return self._entrywise(operator.sub, other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._trusted(self.field, tuple(tuple(-a for a in row) for row in self.rows))
+        return self._entrywise(operator.neg)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in matrix product")
             if self.field == QQ:
-                return Matrix._trusted(QQ, _mul_q(self.rows, other.rows))
+                return Matrix._trusted(QQ, _mul_q(self.rows, other.rows, other.ncols),
+                                       other.ncols)
             cols = other.columns()
             zero = self.field.zero
             out = []
@@ -148,14 +154,14 @@ class Matrix:
                             acc = acc + a * b
                     out_row.append(acc)
                 out.append(tuple(out_row))
-            return Matrix._trusted(self.field, tuple(out))
+            return Matrix._trusted(self.field, tuple(out), other.ncols)
         return self._scale(self.field.coerce(other))
 
     def __rmul__(self, other):
         return self._scale(self.field.coerce(other))
 
     def _scale(self, s) -> "Matrix":
-        return Matrix._trusted(self.field, tuple(tuple(a * s for a in row) for row in self.rows))
+        return self._entrywise(lambda a: a * s)
 
     def __pow__(self, n: int) -> "Matrix":
         if not self.is_square():
@@ -165,7 +171,8 @@ class Matrix:
         return binary_power(self, n, Matrix.identity(self.field, self.nrows))
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(self.field, tuple(zip(*self.rows)))
+        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return Matrix._trusted(self.field, rows, self.nrows)
 
     def trace(self):
         if not self.is_square():
@@ -176,17 +183,21 @@ class Matrix:
         return acc
 
     def map_entries(self, fn, field: Field) -> "Matrix":
-        return Matrix(field, [[fn(x) for x in row] for row in self.rows])
+        M = Matrix(field, [[fn(x) for x in row] for row in self.rows])
+        M.ncols = self.ncols
+        return M
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix._trusted(self.field, tuple(ra + rb for ra, rb in zip(self.rows, other.rows)))
+        return Matrix._trusted(self.field, tuple(ra + rb for ra, rb in zip(self.rows, other.rows)),
+                               self.ncols + other.ncols)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, first factor most significant."""
         return Matrix._trusted(self.field, tuple(tuple(a * b for a in ra for b in rb)
-                                                 for ra in self.rows for rb in other.rows))
+                                                 for ra in self.rows for rb in other.rows),
+                               self.ncols * other.ncols)
 
     # -- elimination ----------------------------------------------------
 
@@ -195,7 +206,7 @@ class Matrix:
         Over Q the elimination runs on integers (`_rref_q`)."""
         if self.field == QQ:
             rows, pivots = _rref_q(self.rows, self.ncols)
-            return Matrix._trusted(QQ, rows), pivots
+            return Matrix._trusted(QQ, rows, self.ncols), pivots
         rows = [list(r) for r in self.rows]
         nr, nc = self.nrows, self.ncols
         one = self.field.one
@@ -216,7 +227,7 @@ class Matrix:
             r += 1
             if r == nr:
                 break
-        return Matrix._trusted(self.field, tuple(map(tuple, rows))), tuple(pivots)
+        return Matrix._trusted(self.field, tuple(map(tuple, rows)), nc), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -249,7 +260,7 @@ class Matrix:
         red, pivots = aug.rref()
         if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) != n:
             raise SingularMatrixError("matrix is singular")
-        return Matrix._trusted(self.field, tuple(row[n:] for row in red.rows))
+        return Matrix._trusted(self.field, tuple(row[n:] for row in red.rows), n)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +280,11 @@ def _scaled(vec):
     return den, [n * (den // d) for n, d in pairs]
 
 
-def _mul_q(a_rows, b_rows):
-    """Rows of the product of two matrices over Q."""
+def _mul_q(a_rows, b_rows, ncols: int):
+    """Rows of the product of two matrices over Q, the second with
+    `ncols` columns."""
     cols = [_scaled(col) for col in zip(*b_rows)]
-    zero_row = (_ZERO,) * len(cols)
+    zero_row = (_ZERO,) * ncols
     out = []
     for row in a_rows:
         da, ints = _scaled(row)
@@ -328,44 +340,42 @@ def _rref_q(rows, ncols: int):
 
 def block_diagonal(field: Field, blocks) -> Matrix:
     blocks = list(blocks)
-    size = sum(b.nrows for b in blocks)
-    zero = field.zero
-    rows = [[zero] * size for _ in range(size)]
-    off = 0
+    size = sum(b.ncols for b in blocks)
+    rows, off = [], 0
     for b in blocks:
-        for i in range(b.nrows):
-            for j in range(b.ncols):
-                rows[off + i][off + j] = b[i, j]
-        off += b.nrows
+        rows.extend((field.zero,) * off + row + (field.zero,) * (size - off - b.ncols)
+                    for row in b.rows)
+        off += b.ncols
     return Matrix(field, rows)
-
-
-def _from_columns(field: Field, cols, nrows: int) -> Matrix:
-    return Matrix._trusted(field, tuple(zip(*cols)) if cols else ((),) * nrows)
 
 
 def column_echelon(M: Matrix) -> Matrix:
     """Canonical basis of the column space: reduced column echelon form,
     columns ordered by pivot row, pivot entries 1."""
-    red, _ = M.transpose().rref()
-    return _from_columns(M.field, [row for row in red.rows if any(row)], M.nrows)
+    red, pivots = M.transpose().rref()
+    return Matrix._trusted(M.field, red.rows[:len(pivots)], M.nrows).transpose()
 
 
 def kernel_basis(M: Matrix) -> Matrix:
-    """Canonical basis of the kernel of M, in reduced column echelon form."""
-    red, pivots = M.rref()
+    """Canonical basis of the kernel of M, in reduced column echelon form,
+    from one elimination: of M with its columns reversed.  The kernel
+    vector of a free column f there is 1 at f and nonzero elsewhere only at
+    pivot columns before f.  Reversed back, its 1 is its first nonzero
+    entry and every other kernel vector is 0 there, so these vectors,
+    ordered by that entry, are already the canonical basis."""
+    field, n = M.field, M.ncols
+    red, pivots = Matrix._trusted(field, tuple(row[::-1] for row in M.rows), n).rref()
     pivot_set = set(pivots)
-    free = [c for c in range(M.ncols) if c not in pivot_set]
     kernel_cols = []
-    for f in free:
-        col = [M.field.zero] * M.ncols
-        col[f] = M.field.one
-        for r, p in enumerate(pivots):
-            col[p] = -red[r, f]
-        kernel_cols.append(col)
-    if not kernel_cols:
-        return Matrix.zeros(M.field, M.ncols, 0)
-    return column_echelon(_from_columns(M.field, kernel_cols, M.ncols))
+    for f in range(n - 1, -1, -1):
+        if f in pivot_set:
+            continue
+        col = [field.zero] * n
+        col[n - 1 - f] = field.one
+        for row, p in zip(red.rows, pivots):
+            col[n - 1 - p] = -row[f]
+        kernel_cols.append(tuple(col))
+    return Matrix._trusted(field, tuple(kernel_cols), n).transpose()
 
 
 def mat_subspaces(M: Matrix):
@@ -375,34 +385,25 @@ def mat_subspaces(M: Matrix):
     span the column space.  Both bases are in reduced column echelon form.
     """
     kernel = kernel_basis(M)
-    rank = M.ncols - kernel.ncols
-    image = column_echelon(M) if rank else Matrix.zeros(M.field, M.nrows, 0)
-    return rank, kernel, image
+    return M.ncols - kernel.ncols, kernel, column_echelon(M)
 
 
 def solve_in_span(A: Matrix, Y: Matrix) -> Matrix:
     """Solve A * X = Y where the columns of A are independent and Y lies
     in their span; raises ValueError otherwise."""
-    if A.ncols == 0:
-        if not Y.is_zero():
-            raise ValueError("right-hand side outside the span")
-        return Matrix.zeros(A.field, 0, Y.ncols)
     red, pivots = A.hstack(Y).rref()
     if len(pivots) != A.ncols or any(p >= A.ncols for p in pivots):
         raise ValueError("columns dependent or right-hand side outside the span")
-    return Matrix._trusted(A.field, tuple(row[A.ncols:] for row in red.rows[:A.ncols]))
+    return Matrix._trusted(A.field, tuple(row[A.ncols:] for row in red.rows[:A.ncols]),
+                           Y.ncols)
 
 
 def intersect_columns(U: Matrix, V: Matrix) -> Matrix:
     """Canonical basis of (column space of U) intersected with (column
     space of V)."""
-    if U.ncols == 0 or V.ncols == 0:
-        return Matrix.zeros(U.field, U.nrows, 0)
     kernel = kernel_basis(U.hstack(-V))
-    if kernel.ncols == 0:
-        return Matrix.zeros(U.field, U.nrows, 0)
     # the U-coordinates of each kernel vector give a spanning vector
-    return column_echelon(U * Matrix._trusted(U.field, kernel.rows[:U.ncols]))
+    return column_echelon(U * Matrix._trusted(U.field, kernel.rows[:U.ncols], kernel.ncols))
 
 
 def charpoly(M: Matrix) -> Poly:
@@ -527,7 +528,7 @@ def poly_eval_matrix(p: Poly, M: Matrix) -> Matrix:
         acc = acc * M
         if c:
             acc = Matrix._trusted(M.field, tuple(
-                row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(acc.rows)))
+                row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(acc.rows)), n)
     return acc
 
 
@@ -542,8 +543,6 @@ def mult_jordan_chevalley(M: Matrix):
     if not M.is_square():
         raise ValueError("decomposition of a non-square matrix")
     n = M.nrows
-    if n == 0:
-        return M, M
     if not M.det():
         raise SingularMatrixError("multiplicative decomposition needs an invertible matrix")
     f = squarefree_part(charpoly(M))
@@ -565,9 +564,7 @@ def mult_jordan_chevalley(M: Matrix):
 
 
 def is_nilpotent(M: Matrix) -> bool:
-    if not M.is_square():
-        return False
-    return (M ** M.nrows).is_zero() if M.nrows else True
+    return M.is_square() and (M ** M.nrows).is_zero()
 
 
 def scalar_restriction(M: Matrix) -> Matrix:
@@ -580,12 +577,6 @@ def scalar_restriction(M: Matrix) -> Matrix:
         return M
     if not isinstance(M.field, NumberField):
         raise ValueError("scalar restriction is defined over Q and number fields only")
-    m = M.field.degree
-    out = [[Fraction(0)] * (M.ncols * m) for _ in range(M.nrows * m)]
-    for i in range(M.nrows):
-        for j in range(M.ncols):
-            block = M[i, j].regular_matrix()
-            for bi in range(m):
-                for bj in range(m):
-                    out[i * m + bi][j * m + bj] = block[bi][bj]
-    return Matrix(QQ, out)
+    blocks = [[x.regular_matrix() for x in row] for row in M.rows]
+    return Matrix(QQ, [[b[bi][bj] for b in brow for bj in range(M.field.degree)]
+                       for brow in blocks for bi in range(M.field.degree)])

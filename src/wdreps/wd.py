@@ -17,7 +17,7 @@ from fractions import Fraction
 from .fields import Field, NumberField, Poly, QQ, QT
 from .linalg import (Matrix, SingularMatrixError, block_diagonal, charpoly,
                      column_echelon, is_nilpotent, kernel_basis, mult_jordan_chevalley,
-                     scalar_restriction, solve_in_span)
+                     scalar_restriction)
 from .roots import DEFAULT_EPS, CertificationFailed, ModulusInterval, root_moduli_certified
 from .schur import Partition, schur_derivation, schur_of_matrix
 
@@ -163,23 +163,13 @@ def sp_construct(t: int, r: WDRep) -> WDRep:
         raise ValueError("t must be a positive integer")
     if not r.nilp.is_zero():
         raise ValueError("sp_construct needs a representation with zero monodromy")
-    field = r.field
-    n0 = r.dim
-    q = r.q
-    blocks = []
-    for i in range(t):
-        blocks.append(r.phi * field.coerce(Fraction(1, q) ** i))
-    phi = block_diagonal(field, blocks)
-    size = t * n0
-    zero = field.zero
-    nilp_rows = [[zero] * size for _ in range(size)]
-    one = field.one
-    for i in range(t - 1):
-        for k in range(n0):
-            nilp_rows[(i + 1) * n0 + k][i * n0 + k] = one
-    nilp = Matrix(field, nilp_rows)
+    field, n0, size = r.field, r.dim, t * r.dim
+    phi = block_diagonal(field, [r.phi * field.coerce(Fraction(1, r.q) ** i) for i in range(t)])
+    # entry (i, j) is 1 exactly when i lies one block below j, at the same place
+    nilp = Matrix(field, [[field.one if i == j + n0 else field.zero for j in range(size)]
+                          for i in range(size)])
     inertia = tuple((label, block_diagonal(field, [g] * t)) for label, g in r.inertia)
-    return _require_valid(WDRep(q, field, phi, nilp, inertia), "sp_construct")
+    return _require_valid(WDRep(r.q, field, phi, nilp, inertia), "sp_construct")
 
 
 def _merge_inertia(a: WDRep, b: WDRep, combine):
@@ -320,24 +310,39 @@ def monodromy_filtration(N: Matrix) -> Filtration:
     return Filtration(steps)
 
 
+def _pivot_rows(basis: Matrix):
+    """The pivot row (first nonzero entry) of each canonical basis column."""
+    return [next(i for i, x in enumerate(col) if x) for col in zip(*basis.rows)]
+
+
 def _quotient_actions(flag, operators):
-    """For each (key, sub, big) of `flag` with span(sub) inside span(big)
-    and a nonzero quotient: key and the matrices of `operators` on
-    span(big)/span(sub), in the basis of the columns of `big` that extend
-    `sub`.  One elimination per quotient: the images of every operator
-    are solved for side by side."""
+    """For each (key, sub, big) of `flag`, canonical bases with span(sub)
+    inside span(big), both stable under every operator, and a nonzero
+    quotient: key and the matrices of `operators` on span(big)/span(sub),
+    in a basis fixed only up to similarity (callers read nothing but
+    charpoly, trace and size).  No elimination: a canonical basis is the
+    identity on its pivot rows, and each pivot row of sub is one of big.
+    So the columns of big whose pivot rows P are not pivot rows of sub span
+    a complement, y in span(big) has coordinates (y - sub * y[sub rows])[P]
+    modulo span(sub), and each action is Y[P] - sub[P] * Y[sub rows], with
+    Y = op * (those columns of big): products only."""
     for key, sub, big in flag:
-        _, pivots = sub.hstack(big).rref()
-        chosen = [p - sub.ncols for p in pivots if p >= sub.ncols]
+        sub_rows = _pivot_rows(sub)
+        taken = set(sub_rows)
+        chosen = [(j, i) for j, i in enumerate(_pivot_rows(big)) if i not in taken]
         if not chosen:
             continue
         field, m = big.field, len(chosen)
-        reps = Matrix._trusted(field, tuple(tuple(row[j] for j in chosen) for row in big.rows))
-        images = [(op * reps).rows for op in operators]
-        side_by_side = Matrix._trusted(field, tuple(sum(rows, ()) for rows in zip(*images)))
-        coords = solve_in_span(sub.hstack(reps), side_by_side).rows[sub.ncols:]
-        yield key, [Matrix._trusted(field, tuple(row[i * m:(i + 1) * m] for row in coords))
-                    for i in range(len(operators))]
+        reps = Matrix._trusted(field, tuple(tuple(row[j] for j, _ in chosen)
+                                            for row in big.rows), m)
+        lower = Matrix._trusted(field, tuple(sub.rows[i] for _, i in chosen), sub.ncols)
+        actions = []
+        for op in operators:
+            Y = (op * reps).rows
+            top = Matrix._trusted(field, tuple(Y[i] for i in sub_rows), m)
+            own = Matrix._trusted(field, tuple(Y[i] for _, i in chosen), m)
+            actions.append(own - lower * top)
+        yield key, actions
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +417,13 @@ def frss_signature(rho: WDRep) -> Signature:
     with its induced Frobenius gives an entry (t = k+1, charpoly on P_k);
     inertia traces on P_k are appended when inertia is nontrivial."""
     _require_valid(rho)
-    field = rho.field
     n = rho.dim
-    if n == 0:
-        return Signature(())
     S, _ = mult_jordan_chevalley(rho.phi)
     powers, kernels = _powers_and_kernels(rho.nilp)
     e = len(powers) - 1
     # layers[k] = ker N & im N^k = N^k * ker N^(k+1); layers[e] = 0
     layers = [column_echelon(powers[k] * kernels[k + 1]) for k in range(e)]
-    layers.append(Matrix.zeros(field, n, 0))
+    layers.append(Matrix.zeros(rho.field, n, 0))
     entries = []
     flag = ((k, layers[k + 1], layers[k]) for k in range(e))
     for k, (action, *inertia) in _quotient_actions(flag, [S] + [g for _, g in rho.inertia]):
@@ -437,15 +439,9 @@ def frss_signature(rho: WDRep) -> Signature:
 def _companion(p: Poly) -> Matrix:
     if not p.is_monic() or p.degree < 1:
         raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-    g = p.degree
-    field = p.field
-    zero, one = field.zero, field.one
-    rows = [[zero] * g for _ in range(g)]
-    for i in range(1, g):
-        rows[i][i - 1] = one
-    for i in range(g):
-        rows[i][g - 1] = -p[i]
-    return Matrix(field, rows)
+    g, field = p.degree, p.field
+    return Matrix(field, [[-p[i] if j == g - 1 else field.one if i == j + 1 else field.zero
+                           for j in range(g)] for i in range(g)])
 
 
 def signature_reconstruct(sig: Signature, q: int, field: Field = QQ) -> WDRep:

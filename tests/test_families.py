@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +11,12 @@ from wdreps import (DenominatorVanishes, Matrix, Poly, QQ, QT, Signature,
                     purity_scan, rigidity_check, sp_construct, specialize,
                     specialize_signature, trace_link_check, wd_direct_sum,
                     wd_schur, wd_tensor, wd_validate)
+from wdreps import wd
+from wdreps.jsonio import load_wdrep
 from wdreps.schur import Partition
 
-from support import flagship_family, flagship_constant_partner, trivial_onedim
+from support import (flagship_family, flagship_constant_partner, lift_to_field,
+                     random_valid_wdrep, trivial_onedim)
 
 
 def sig_pairs(sig):
@@ -47,7 +51,7 @@ class TestSpecialize:
     def test_flagship_point(self):
         rho = specialize(flagship_family(), 3)
         assert rho.nilp == Matrix(QQ, [[0, 0], [3, 0]])
-        assert wd_validate(rho) is None
+        assert wd._check_invariants(rho) is None
 
     def test_requires_function_field(self):
         with pytest.raises(ValueError):
@@ -80,6 +84,68 @@ class TestSpecialize:
             lhs = specialize(sp_construct(3, char), a)
             rhs = sp_construct(3, specialize(char, a))
             assert lhs.phi == rhs.phi and lhs.nilp == rhs.nilp
+
+
+def _random_qt_family(rng):
+    """A valid Q(t) family with poles and singular points: a random valid
+    representation over Q carried to Q(t), conjugated by diag(t - c, 1, ...)
+    and with Frobenius scaled by (t - c')/(t^2 + 1)."""
+    rho = lift_to_field(rng, random_valid_wdrep(rng, 5, max_dim=3,
+                                                with_inertia=rng.random() < 0.5), QT)
+    t = QT.gen()
+    P = Matrix.diagonal(QT, [t - rng.randint(-5, 5)] + [QT.one] * (rho.dim - 1))
+    P_inv = P.inverse()
+    scale = (t - rng.randint(-5, 5)) / (t * t + 1)
+    return WDRep(rho.q, QT, P * rho.phi * P_inv * scale, P * rho.nilp * P_inv,
+                 tuple((label, P * g * P_inv) for label, g in rho.inertia))
+
+
+def _defined_points(fam):
+    for a in range(-5, 6):
+        try:
+            yield specialize(fam, a)
+        except (DenominatorVanishes, SingularFrobenius):
+            continue
+
+
+class TestSpecializeVerdict:
+    """A specialization inherits the family's verdict: evaluation at a point
+    is a ring homomorphism on the entries without a pole there, so every
+    invariant carries over.  The full check runs here instead."""
+
+    def test_points_satisfy_every_invariant(self):
+        corpus = Path(__file__).resolve().parent.parent / "corpus"
+        families = [load_wdrep(str(path)) for path in sorted(corpus.glob("*.json"))]
+        rng = random.Random(61)
+        families = [f for f in families if f.field == QT]
+        families += [_random_qt_family(rng) for _ in range(12)]
+        skipped = 0
+        for fam in families:
+            points = list(_defined_points(fam))
+            skipped += 11 - len(points)
+            for rho in points:
+                assert wd._check_invariants(rho) is None
+        assert skipped  # the random families do have poles and singular points
+
+    def test_points_are_never_checked(self, monkeypatch):
+        fam = _random_qt_family(random.Random(5))
+        checked = []
+        check = wd._check_invariants
+
+        def counting_check(rep):
+            checked.append(rep)
+            return check(rep)
+
+        monkeypatch.setattr(wd, "_check_invariants", counting_check)
+        points = list(_defined_points(fam))
+        assert points and all(wd_validate(rho) is None for rho in points)
+        # the family is checked once, its points never
+        assert checked == [fam]
+
+    def test_invalid_family_raises(self):
+        bad = WDRep(5, QT, Matrix.identity(QT, 2), Matrix(QT, [["0", "0"], ["t", "0"]]))
+        with pytest.raises(ValueError, match="invalid representation: conjugation"):
+            specialize(bad, 1)
 
 
 class TestPurityScan:

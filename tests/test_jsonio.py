@@ -147,3 +147,94 @@ class TestReports:
         doc = wdrep_to_json(flagship_family())
         assert canonical_json_bytes(doc) == canonical_json_bytes(
             json.loads(canonical_json_bytes(doc)))
+
+
+# ---------------------------------------------------------------------------
+# loader fuzzing: any document either loads or is refused as an input error
+# ---------------------------------------------------------------------------
+
+def _fuzz_documents():
+    """Documents that are mostly well formed, so that the loader gets past
+    its key checks: a field, q and square matrices of scalar strings for
+    that field, then a few mutations (junk values, booleans, floats, bad
+    fields, ragged or non-square shapes, missing or unknown keys)."""
+    st = pytest.importorskip("hypothesis.strategies")
+    junk = st.one_of(st.booleans(), st.floats(allow_nan=True), st.none(),
+                     st.text(max_size=4), st.lists(st.integers(-3, 3), max_size=3),
+                     st.fixed_dictionaries({"num": st.lists(st.integers(-3, 3), max_size=3),
+                                            "den": st.lists(st.integers(-3, 3), max_size=3)}))
+    fields = st.sampled_from([
+        {"type": "Q"}, {"type": "Qt"}, {"type": "NumberField", "minpoly": [-2, 0, 1]},
+        {"type": "NumberField", "minpoly": [-1, 0, 1]},
+        {"type": "NumberField", "minpoly": [1, 0, 1]}])
+    bad_fields = st.one_of(
+        junk, st.sampled_from([{}, {"type": "R"}, {"type": "NumberField"},
+                               {"type": "NumberField", "minpoly": [0, 0, 1]},
+                               {"type": "NumberField", "minpoly": [1, 2]},
+                               {"type": "NumberField", "minpoly": ["1/2", 0, 1]}]),
+        st.fixed_dictionaries({"type": st.just("NumberField"), "minpoly": junk}))
+    rationals = ["0", "0", "0", "1", "-1", "1/5", "5", "-3/4"]
+    scalars = {"Q": rationals, "Qt": rationals + ["t", "t+1", "1/(t-1)", "(t^2+1)/(t+2)"],
+               "NumberField": rationals + ["a", "a+1", "a-1", "2*a-3", "a^2-1"]}
+    junk_scalars = st.one_of(junk, st.sampled_from(
+        ["1/0", "t^", "((t)", "2^99999", "", "x", "1/2/3", "t/0", "9" * 40, "a/(a+1)"]))
+
+    @st.composite
+    def documents(draw):
+        n = draw(st.integers(0, 3))
+        field = draw(fields)
+        entries = st.one_of(st.integers(-6, 6), st.sampled_from(scalars[field["type"]]))
+
+        def square():
+            return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+        # a strictly lower triangular nilp is nilpotent, so validation gets
+        # as far as the conjugation relation and the inertia checks
+        nilp = [[draw(entries) if j < i and draw(st.booleans()) else "0" for j in range(n)]
+                for i in range(n)]
+        doc = {"q": draw(st.sampled_from([2, 3, 5])), "field": field,
+               "phi": square(), "nilp": nilp}
+        if draw(st.booleans()):
+            doc["inertia"] = [{"label": draw(st.sampled_from(["g", "h"])),
+                               "matrix": square()}
+                              for _ in range(draw(st.integers(0, 2)))]
+        matrices = [doc["phi"], nilp] + [g["matrix"] for g in doc.get("inertia", [])]
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.integers(0, 8))
+            if kind == 0:
+                doc["q"] = draw(st.one_of(junk, st.integers(-2, 1)))
+            elif kind == 1:
+                doc["field"] = draw(bad_fields)
+            elif kind in (2, 3) and n:
+                row = draw(st.sampled_from(draw(st.sampled_from(matrices))))
+                row[draw(st.integers(0, n - 1))] = draw(junk_scalars)
+            elif kind == 4:
+                key = draw(st.sampled_from(["phi", "nilp"]))
+                doc[key] = draw(st.one_of(junk, st.lists(st.lists(entries, max_size=3),
+                                                         max_size=3)))
+            elif kind == 5 and isinstance(doc.get("inertia"), list) and doc["inertia"]:
+                doc["inertia"][0] = draw(st.one_of(junk, st.fixed_dictionaries(
+                    {"label": junk, "matrix": st.just(square())})))
+            elif kind == 6:
+                del doc[draw(st.sampled_from(sorted(doc)))]
+            elif kind == 7:
+                doc[draw(st.sampled_from(["mu", "Phi", ""]))] = draw(junk)
+            elif kind == 8:
+                doc["inertia"] = draw(junk)
+        return doc
+
+    return st.one_of(documents(), documents(), documents(), junk)
+
+
+def test_loader_fuzz():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(_fuzz_documents())
+    def load(doc):
+        try:
+            assert isinstance(wdrep_from_json(doc), WDRep)
+        except (ParseError, ValidationError):
+            pass
+
+    load()

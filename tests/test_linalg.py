@@ -10,7 +10,7 @@ from wdreps import (Matrix, Poly, QQ, QT, SingularMatrixError, WDRep,
                     scalar_restriction, sp_construct, squarefree_part,
                     wd_direct_sum)
 from wdreps.fields import NumberField
-from wdreps.linalg import intersect_columns, solve_in_span
+from wdreps.linalg import intersect_columns, kernel_basis, solve_in_span
 
 from support import random_fraction, random_matrix, random_unimodular
 
@@ -166,6 +166,80 @@ class TestHelpers:
         assert scalar_restriction(M2) is M2
 
 
+class TestShapes:
+    def test_matrix_without_rows_keeps_its_width(self):
+        Z = Matrix.zeros(QQ, 0, 3)
+        assert (Z.nrows, Z.ncols) == (0, 3) and Z != Matrix.zeros(QQ, 0, 0)
+        assert kernel_basis(Z) == Matrix.identity(QQ, 3)
+        assert mat_subspaces(Z)[0] == 0
+        T = Z.transpose()
+        assert (T.nrows, T.ncols) == (3, 0) and T.transpose() == Z
+        assert T * Z == Matrix.zeros(QQ, 3, 3) and (Z * T).ncols == 0
+        assert (Z.hstack(Z).ncols, Z.kron(Matrix.identity(QQ, 2)).ncols) == (6, 6)
+        assert Matrix.from_columns(QQ, [[], []], 0).ncols == 2
+        assert column_echelon(T) == T and column_echelon(Z).ncols == 0
+
+    def test_empty_spans_need_no_branch(self):
+        for field in (QQ, QT):
+            empty = Matrix.zeros(field, 3, 0)
+            U = Matrix.identity(field, 3)
+            assert intersect_columns(empty, U) == empty
+            assert intersect_columns(U, empty) == empty
+            assert solve_in_span(empty, Matrix.zeros(field, 3, 2)) == Matrix.zeros(field, 0, 2)
+            with pytest.raises(ValueError):
+                solve_in_span(empty, U)
+
+
+def _kernel_by_two_eliminations(M):
+    """The kernel as the natural basis of the rref of M, then re-echeloned:
+    independent of the reversed-column rule in `kernel_basis`."""
+    red, pivots = M.rref()
+    cols = []
+    for f in (c for c in range(M.ncols) if c not in pivots):
+        col = [M.field.zero] * M.ncols
+        col[f] = M.field.one
+        for r, p in enumerate(pivots):
+            col[p] = -red[r, f]
+        cols.append(col)
+    return column_echelon(Matrix.from_columns(M.field, cols, M.ncols))
+
+
+class TestKernelBasis:
+    def test_one_elimination_per_kernel(self, monkeypatch):
+        calls = []
+        rref = Matrix.rref
+
+        def counting_rref(M):
+            calls.append(M)
+            return rref(M)
+
+        monkeypatch.setattr(Matrix, "rref", counting_rref)
+        for M in _oracle_cases():
+            del calls[:]
+            kernel_basis(M)
+            assert len(calls) == 1
+
+    def test_equals_two_elimination_kernel(self):
+        rng = random.Random(640)
+        K = NumberField([-2, 0, 1])
+        t, a = QT.gen(), K.gen()
+        scalars = {QQ: lambda: random_fraction(rng),
+                   QT: lambda: random_fraction(rng) * t + random_fraction(rng),
+                   K: lambda: random_fraction(rng) * a + random_fraction(rng)}
+        for field, scalar in scalars.items():
+            for _ in range(40):
+                nrows, ncols, rank = rng.randint(0, 4), rng.randint(0, 5), rng.randint(0, 3)
+                # a product of random factors has rank at most `rank`
+                A = Matrix.from_columns(field, [[scalar() for _ in range(nrows)]
+                                                for _ in range(rank)], nrows)
+                B = Matrix.from_columns(field, [[scalar() for _ in range(rank)]
+                                                for _ in range(ncols)], rank)
+                M = A * B
+                kernel = kernel_basis(M)
+                assert kernel == _kernel_by_two_eliminations(M)
+                assert (M * kernel).is_zero() and kernel.nrows == ncols
+
+
 # ---------------------------------------------------------------------------
 # independent oracles for the integer Q kernel and the Hessenberg charpoly
 # ---------------------------------------------------------------------------
@@ -174,13 +248,15 @@ BIG = 10 ** 40
 
 
 def _oracle_cases():
-    """Q matrices of every shape the kernel special-cases: empty shapes,
-    zero rows and columns, rank deficiency, sparse and 40-digit entries.
-    (A matrix without rows carries no column count, so 0 x n is 0 x 0.)"""
+    """Q matrices of every shape the kernel special-cases: empty shapes
+    (0 x 0, 0 x n and n x 0), zero rows and columns, rank deficiency,
+    sparse and 40-digit entries."""
     rng = random.Random(1512)
-    cases = [[], [[]], [[], [], []], [[0, 0], [0, 0]],
-             [[Fraction(BIG + 7, BIG - 3), Fraction(-3, BIG + 1)],
-              [Fraction(BIG ** 2 - 1, 17), Fraction(5 * BIG + 1, BIG)]]]
+    cases = [Matrix(QQ, rows) for rows in
+             ([], [[]], [[], [], []], [[0, 0], [0, 0]],
+              [[Fraction(BIG + 7, BIG - 3), Fraction(-3, BIG + 1)],
+               [Fraction(BIG ** 2 - 1, 17), Fraction(5 * BIG + 1, BIG)]])]
+    cases += [Matrix.zeros(QQ, 0, 1), Matrix.zeros(QQ, 0, 3), Matrix.zeros(QQ, 2, 0)]
     for _ in range(60):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         kind = rng.choice(["dense", "sparse", "low-rank", "huge"])
@@ -203,7 +279,7 @@ def _oracle_cases():
             c = rng.randrange(ncols)
             for row in rows:
                 row[c] = Fraction(0)
-        cases.append(rows)
+        cases.append(Matrix(QQ, rows))
     return cases
 
 
@@ -213,7 +289,9 @@ def _to_sympy(sp, M):
 
 
 def _from_sympy(S):
-    return [[Fraction(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)]
+    """The sympy matrix S as a Matrix of the same shape."""
+    return Matrix.from_columns(QQ, [[Fraction(int(x.p), int(x.q)) for x in S.col(j)]
+                                    for j in range(S.cols)], S.rows)
 
 
 def _canonical_span_sympy(sp, vectors, nrows):
@@ -221,20 +299,19 @@ def _canonical_span_sympy(sp, vectors, nrows):
     if not vectors:
         return Matrix.zeros(QQ, nrows, 0)
     red, pivots = sp.Matrix.hstack(*vectors).T.rref()
-    return Matrix.from_columns(QQ, _from_sympy(red[:len(pivots), :]), nrows)
+    return _from_sympy(red[:len(pivots), :]).transpose()
 
 
 class TestQKernelOracle:
     def test_against_sympy(self):
         sp = pytest.importorskip("sympy")
         x = sp.Symbol("x")
-        for rows in _oracle_cases():
-            M = Matrix(QQ, rows)
+        for M in _oracle_cases():
             S = _to_sympy(sp, M)
             red, pivots = M.rref()
             s_red, s_pivots = S.rref()
             assert pivots == tuple(s_pivots)
-            assert red == Matrix(QQ, _from_sympy(s_red))
+            assert red == _from_sympy(s_red)
             assert M.rank() == S.rank()
             rank, kernel, image = mat_subspaces(M)
             assert rank == S.rank()
@@ -245,20 +322,23 @@ class TestQKernelOracle:
                             for c in reversed(S.charpoly(x).all_coeffs())]
                 assert charpoly(M) == Poly(QQ, expected)
                 if S.rank() == M.nrows:
-                    assert M.inverse() == Matrix(QQ, _from_sympy(S.inv()))
+                    assert M.inverse() == _from_sympy(S.inv())
                 else:
                     with pytest.raises(SingularMatrixError):
                         M.inverse()
 
     def test_products_against_sympy(self):
         sp = pytest.importorskip("sympy")
-        for rows in _oracle_cases():
-            M = Matrix(QQ, rows)
-            if not M.ncols:
-                continue  # its transpose has no rows, hence no column count
+        for M in _oracle_cases():
             for P, Q in ((M, M.transpose()), (M.transpose(), M)):
                 expected = _to_sympy(sp, P) * _to_sympy(sp, Q)
-                assert P * Q == Matrix(QQ, _from_sympy(expected))
+                assert P * Q == _from_sympy(expected)
+                assert P.hstack(P) == _from_sympy(_to_sympy(sp, P).row_join(_to_sympy(sp, P)))
+                K = P.kron(Q)
+                assert (K.nrows, K.ncols) == (P.nrows * Q.nrows, P.ncols * Q.ncols)
+                if K.nrows * K.ncols:  # sympy cannot index an empty product
+                    assert K == _from_sympy(sp.kronecker_product(_to_sympy(sp, P),
+                                                                 _to_sympy(sp, Q)))
 
 
 def _check_charpoly_identities(M):

@@ -13,7 +13,8 @@ from wdreps import (DEFAULT_EPS, Matrix, NonIntegralWeight, NonSplitSpectrum,
 from wdreps import partitions_of, wd
 from wdreps.families import specialize
 from wdreps.jsonio import load_wdrep
-from wdreps.linalg import intersect_columns
+from wdreps import linalg
+from wdreps.linalg import intersect_columns, solve_in_span
 from wdreps.schur import Partition
 
 from support import (flagship_family, kernel_sum_filtration_step, lift_to_field,
@@ -508,8 +509,8 @@ class TestRelationPreservation:
 
 class TestOncePerPoint:
     """At a scan point, the signature and the purity check of one Schur
-    image share the powers of N and their kernels, and each quotient of
-    either flag is eliminated once for all the operators on it."""
+    image share the powers of N and their kernels, each kernel costs one
+    elimination, and the quotients of either flag cost none."""
 
     def test_flag_and_quotients_computed_once(self, monkeypatch):
         path = Path(__file__).resolve().parent.parent / "corpus" / "inertia_pair.json"
@@ -517,22 +518,92 @@ class TestOncePerPoint:
         assert image.dim == 20 and image.inertia
         N = image.nilp
         e = next(k for k in range(N.nrows + 1) if (N ** k).is_zero())
-        counts = {"kernel_basis": 0, "solve_in_span": 0}
+        rrefs, kernel_rrefs, quotient_rrefs, quotients = [], [], [], []
+        rref, kernel, actions = Matrix.rref, wd.kernel_basis, wd._quotient_actions
 
-        def counting(name):
-            original = getattr(wd, name)
+        def counting_rref(M):
+            rrefs.append(M)
+            return rref(M)
 
-            def wrapper(*args):
-                counts[name] += 1
-                return original(*args)
-            return wrapper
+        def counting_kernel(M):
+            before = len(rrefs)
+            out = kernel(M)
+            kernel_rrefs.append(len(rrefs) - before)
+            return out
 
-        for name in counts:
-            monkeypatch.setattr(wd, name, counting(name))
+        def counting_actions(flag, operators):
+            flag = list(flag)  # the steps are built before the quotients are read
+            before = len(rrefs)
+            out = list(actions(flag, operators))
+            quotient_rrefs.append(len(rrefs) - before)
+            quotients.extend(out)
+            return out
+
+        def forbidden(*args):
+            raise AssertionError("solve_in_span called")
+
+        monkeypatch.setattr(Matrix, "rref", counting_rref)
+        monkeypatch.setattr(wd, "kernel_basis", counting_kernel)
+        monkeypatch.setattr(wd, "_quotient_actions", counting_actions)
+        monkeypatch.setattr(linalg, "solve_in_span", forbidden)
         signature = frss_signature(image)
         report = purity_check(image)
-        # one kernel per power N^0..N^e, not one per consumer
-        assert counts["kernel_basis"] == e + 1
-        # one solve per nonzero quotient: a signature entry (one per chain
-        # length) or a graded piece, not one per operator
-        assert counts["solve_in_span"] == len(signature.entries) + len(report.per_graded)
+        # one kernel per power N^0..N^e, not one per consumer, one rref each
+        assert kernel_rrefs == [1] * (e + 1)
+        # every nonzero quotient of both flags was read with no elimination
+        assert len(quotients) == len(signature.entries) + len(report.per_graded)
+        assert quotient_rrefs == [0, 0] and rrefs
+
+
+def _reference_quotient_actions(flag, operators):
+    """The quotient actions by elimination: complement columns of big from
+    an rref of [sub | big], coordinates by solving against sub and them.
+    Independent of the read-off rule in `wd._quotient_actions`."""
+    for key, sub, big in flag:
+        _, pivots = sub.hstack(big).rref()
+        chosen = [p - sub.ncols for p in pivots if p >= sub.ncols]
+        if not chosen:
+            continue
+        reps = Matrix.from_columns(big.field, [big.column(j) for j in chosen], big.nrows)
+        basis = sub.hstack(reps)
+        yield key, [Matrix(big.field, solve_in_span(basis, op * reps).rows[sub.ncols:])
+                    for op in operators]
+
+
+def _both_flags(rho):
+    """The signature layers and the monodromy filtration of rho, as
+    (key, sub, big) triples, built as `frss_signature` and `purity_check`
+    build them."""
+    powers, kernels = wd._powers_and_kernels(rho.nilp)
+    e = len(powers) - 1
+    layers = [column_echelon(powers[k] * kernels[k + 1]) for k in range(e)]
+    layers.append(Matrix.zeros(rho.field, rho.dim, 0))
+    filt = monodromy_filtration(rho.nilp)
+    return ([(k, layers[k + 1], layers[k]) for k in range(e)],
+            [(k, filt.step(k - 1), filt.step(k)) for k in filt.indices()])
+
+
+class TestQuotientActionsOracle:
+    def test_against_elimination(self):
+        rng = random.Random(409)
+        for field in (QQ, QT, NumberField([-2, 0, 1])):
+            for i in range(8):
+                rho = random_valid_wdrep(rng, 5, max_dim=3, with_inertia=bool(i % 2))
+                if i >= 4:
+                    rho = wd_schur(rho, (Partition.of(2), Partition.of(1, 1))[i % 2])
+                rho = lift_to_field(rng, rho, field)
+                operators = [rho.phi, rho.nilp] + [g for _, g in rho.inertia]
+                for flag in _both_flags(rho):
+                    # every operator maps every step into itself
+                    for _, sub, big in flag:
+                        for step in (sub, big):
+                            for op in operators:
+                                solve_in_span(step, op * step)
+                    got = list(wd._quotient_actions(flag, operators))
+                    want = list(_reference_quotient_actions(flag, operators))
+                    assert [k for k, _ in got] == [k for k, _ in want]
+                    for (_, mats), (_, ref) in zip(got, want):
+                        for A, B in zip(mats, ref):
+                            assert A.nrows == B.nrows
+                            assert charpoly(A) == charpoly(B)
+                            assert A.trace() == B.trace()
