@@ -679,10 +679,11 @@ def field_from_json(obj) -> Field:
     if kind == "Qt":
         return QT
     if kind == "NumberField":
-        if "minpoly" not in obj:
-            raise ParseError("NumberField descriptor requires 'minpoly'")
+        minpoly = obj.get("minpoly")
+        if not isinstance(minpoly, list) or any(isinstance(c, bool) for c in minpoly):
+            raise ParseError("NumberField descriptor requires 'minpoly', an array of coefficients")
         try:
-            return NumberField(obj["minpoly"])
+            return NumberField(minpoly)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"NumberField minpoly: {exc}") from exc
     raise ParseError(f"unknown field type {kind!r}")

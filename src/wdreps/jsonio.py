@@ -29,9 +29,11 @@ class ValidationError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _poly_from_array(values, what: str) -> Poly:
+    if not isinstance(values, list):
+        raise ParseError(f"{what}: coefficients must be an array")
     coeffs = []
     for v in values:
-        if isinstance(v, int):
+        if isinstance(v, int) and not isinstance(v, bool):
             coeffs.append(Fraction(v))
         elif isinstance(v, str):
             try:

@@ -7,16 +7,16 @@ distinct approximations z_1..z_m, f is the characteristic polynomial of
 the generalized companion matrix diag(z_i) - e * w^T with the Weierstrass
 corrections w_i = f(z_i) / prod_{j!=i}(z_i - z_j); column Gershgorin disks
 D(z_i, m*|w_i|) therefore cover all roots, and pairwise disjoint disks
-isolate exactly one root each.  All disk data is computed in exact
-Gaussian-rational arithmetic, so the resulting modulus intervals are
-mathematically guaranteed.
+isolate exactly one root each.  All disk data is computed exactly, on
+Gaussian integers over one denominator shared by the approximations of a
+round, so the resulting modulus intervals are mathematically guaranteed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .fields import Poly, QQ, squarefree_decomposition
 
@@ -51,6 +51,17 @@ class ModulusInterval:
         return self.hi * self.hi < target or target < self.lo * self.lo
 
 
+def _shift(tol: Fraction) -> int:
+    """Bits of the resolution 2^-shift that sqrt_bounds uses for tol."""
+    return max(1, (tol.denominator // tol.numerator).bit_length() + 1)
+
+
+def _floor_sqrt(n: int, d: int, shift: int) -> int:
+    """floor(sqrt(n/d) * 2^shift) for integers n >= 0, d > 0.  It depends
+    only on the value n/d, since floor(n * 4^shift / d) does."""
+    return isqrt((n << (2 * shift)) // d)
+
+
 def sqrt_bounds(a: Fraction, tol: Fraction):
     """Rational (lo, hi) with lo^2 <= a <= hi^2 and hi - lo <= tol."""
     if a < 0:
@@ -59,46 +70,45 @@ def sqrt_bounds(a: Fraction, tol: Fraction):
         return Fraction(0), Fraction(0)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    shift = max(1, (tol.denominator // tol.numerator).bit_length() + 1)
-    scaled = a.numerator * (1 << (2 * shift)) // a.denominator
-    r = isqrt(scaled)
-    lo = Fraction(r, 1 << shift)
-    hi = Fraction(r + 1, 1 << shift)
-    return lo, hi
+    shift = _shift(tol)
+    r = _floor_sqrt(a.numerator, a.denominator, shift)
+    return Fraction(r, 1 << shift), Fraction(r + 1, 1 << shift)
 
 
-# Gaussian rationals as (re, im) pairs of Fractions.
+# Gaussian integers as (re, im) pairs of ints; a point z is Z / den for a
+# denominator den shared by all points of a round.
 
-def _csub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cdiv(a, b):
-    d = b[0] * b[0] + b[1] * b[1]
-    if d == 0:
-        raise ZeroDivisionError("division by zero Gaussian rational")
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
-
-
-def _cabs2(a) -> Fraction:
-    return a[0] * a[0] + a[1] * a[1]
-
-
-def _ceval(coeffs, z):
-    acc = (Fraction(0), Fraction(0))
+def _homogeneous(coeffs, den: int):
+    """[c_k * den^(m-k)]: Horner on these at Z gives den^m * p(Z / den)."""
+    out, power = [], 1
     for c in reversed(coeffs):
-        acc = _cmul(acc, z)
-        acc = (acc[0] + c, acc[1])
-    return acc
+        out.append(c * power)
+        power *= den
+    return out[::-1]
 
 
-def _cround(z, bits: int):
-    scale = 1 << bits
-    return (Fraction(round(z[0] * scale), scale), Fraction(round(z[1] * scale), scale))
+def _horner(scaled, z):
+    """sum scaled[k] * z^k for a Gaussian integer z."""
+    x, y = z
+    re, im = scaled[-1], 0
+    for c in reversed(scaled[:-1]):
+        re, im = re * x - im * y + c, re * y + im * x
+    return re, im
+
+
+def _rescale(den: int, zs, unit: int):
+    """The same points over lcm(den, unit)."""
+    new = lcm(den, unit)
+    k = new // den
+    return new, [(x * k, y * k) for x, y in zs]
+
+
+def _round_div(n: int, d: int) -> int:
+    """round(n / d) for d > 0, ties to even: round(Fraction(n, d))."""
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+    return q
 
 
 def _durand_kerner(coeffs):
@@ -152,62 +162,77 @@ def _certify_squarefree(f: Poly, eps: Fraction):
         raise CertificationFailed(f"coefficients too large for seeding: {exc}") from exc
     zs = [(Fraction(z.real).limit_denominator(1 << 64),
            Fraction(z.imag).limit_denominator(1 << 64)) for z in seeds]
-    fprime = f.derivative()
-    sqrt_tol = eps / 8
-    radius_cap = eps * Fraction(3, 8)
+    den = lcm(*(c.denominator for z in zs for c in z))
+    zs = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+          for x, y in zs]
+    # D*f and D*f' on integer coefficients
+    D = lcm(*(c.denominator for c in coeffs))
+    fa = [c.numerator * (D // c.denominator) for c in coeffs]
+    ga = [k * c for k, c in enumerate(fa)][1:]
+    shift = _shift(eps / 8)
+    # radii are integers R meaning R / 2^shift; R <= cap iff R / 2^shift <= 3 eps / 8
+    cap = (3 * eps.numerator << shift) // (8 * eps.denominator)
     bits = 128
 
     for _ in range(_MAX_REFINE_ROUNDS):
         # keep approximations pairwise distinct so the corrections exist
-        seen = {}
-        for i, z in enumerate(zs):
-            while z in seen:
-                z = (z[0] + Fraction(1, 1 << bits), z[1])
-            seen[z] = i
-            zs[i] = z
+        if len(set(zs)) < m:
+            den, zs = _rescale(den, zs, 1 << bits)
+            seen = set()
+            for i, (x, y) in enumerate(zs):
+                while (x, y) in seen:
+                    x += den >> bits
+                seen.add((x, y))
+                zs[i] = (x, y)
 
-        ws = []
-        for i, z in enumerate(zs):
-            den = (Fraction(1), Fraction(0))
-            for j, other in enumerate(zs):
-                if j != i:
-                    den = _cmul(den, _csub(z, other))
-            ws.append(_cdiv(_ceval(coeffs, z), den))
-
+        # F_i = den^m D f(z_i), P_i = den^(m-1) prod_{j!=i} (z_i - z_j), so the
+        # Weierstrass correction is w_i = F_i / (D den P_i) and the Gershgorin
+        # radius m |w_i| is bounded above at resolution 2^-shift
+        scaled = _homogeneous(fa, den)
+        fs = [_horner(scaled, z) for z in zs]
         radii = []
-        for w in ws:
-            _, wub = sqrt_bounds(_cabs2(w), sqrt_tol)
-            radii.append(m * wub)
+        for i, ((x, y), (fr, fi)) in enumerate(zip(zs, fs)):
+            if fr == fi == 0:
+                radii.append(0)
+                continue
+            pr, pi = 1, 0
+            for j, (u, v) in enumerate(zs):
+                if j != i:
+                    pr, pi = pr * (x - u) - pi * (y - v), pr * (y - v) + pi * (x - u)
+            radii.append(1 + _floor_sqrt(m * m * (fr * fr + fi * fi),
+                                         (D * den) ** 2 * (pr * pr + pi * pi), shift))
 
-        ok = all(r <= radius_cap for r in radii)
-        if ok:
-            for i in range(m):
-                for j in range(i + 1, m):
-                    gap2 = _cabs2(_csub(zs[i], zs[j]))
-                    lim = radii[i] + radii[j]
-                    if gap2 <= lim * lim:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+        # disks D(z_i, r_i) pairwise disjoint: |z_i - z_j|^2 > (r_i + r_j)^2
+        if all(r <= cap for r in radii) and all(
+                ((zs[i][0] - zs[j][0]) ** 2 + (zs[i][1] - zs[j][1]) ** 2 << 2 * shift)
+                > ((radii[i] + radii[j]) * den) ** 2
+                for i in range(m) for j in range(i + 1, m)):
             intervals = []
-            for z, r in zip(zs, radii):
-                clo, chi = sqrt_bounds(_cabs2(z), sqrt_tol)
-                lo = clo - r
-                intervals.append(ModulusInterval(lo if lo > 0 else Fraction(0), chi + r))
+            for (x, y), r in zip(zs, radii):
+                n = x * x + y * y
+                c = _floor_sqrt(n, den * den, shift)
+                intervals.append(ModulusInterval(Fraction(max(c - r, 0), 1 << shift),
+                                                 Fraction(c + (n != 0) + r, 1 << shift)))
             return intervals
 
-        # Newton step in exact arithmetic, then round to keep sizes tame
+        # Newton step z - f(z)/f'(z) = (Z G - F) / (den G), G = den^(m-1) D f'(z),
+        # times conj(G)/conj(G), rounded to 1/2^bits with ties to even
+        dscaled = _homogeneous(ga, den)
         new_zs = []
-        for z in zs:
-            fp = _ceval(fprime.coeffs, z)
-            if fp == (Fraction(0), Fraction(0)):
-                z = (z[0] + Fraction(1, 1 << (bits // 2)), z[1])
-                fp = _ceval(fprime.coeffs, z)
-            step = _cdiv(_ceval(coeffs, z), fp)
-            new_zs.append(_cround(_csub(z, step), bits))
-        zs = new_zs
+        for z, (fr, fi) in zip(zs, fs):
+            d, (x, y) = den, z
+            gr, gi = _horner(dscaled, z)
+            if gr == gi == 0:
+                half = bits // 2
+                d, ((x, y),) = _rescale(den, [z], 1 << half)
+                x += d >> half
+                fr, fi = _horner(_homogeneous(fa, d), (x, y))
+                gr, gi = _horner(_homogeneous(ga, d), (x, y))
+            nr, ni = x * gr - y * gi - fr, x * gi + y * gr - fi
+            q = d * (gr * gr + gi * gi)
+            new_zs.append((_round_div(nr * gr + ni * gi << bits, q),
+                           _round_div(ni * gr - nr * gi << bits, q)))
+        zs, den = new_zs, 1 << bits
         bits = min(bits * 2, 1 << 14)
 
     raise CertificationFailed(

@@ -68,6 +68,12 @@ class WDRep:
 
 
 def _matrix_order(g: Matrix, bound: int):
+    # A g of finite order has roots of unity as eigenvalues, so over Q(t)
+    # its charpoly has constant coefficients. Otherwise its powers only
+    # grow in degree, and none of them is the identity.
+    if g.field == QT and any(c.num.degree > 0 or c.den.degree > 0
+                             for c in charpoly(g).coeffs):
+        return None
     eye = Matrix.identity(g.field, g.nrows)
     acc = g
     for m in range(1, bound + 1):

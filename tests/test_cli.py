@@ -334,3 +334,19 @@ class TestHostileInput:
             code, err, _ = _run_cli(*argv)
             assert code == 2
             assert "Traceback" not in err and "ZeroDivisorPivotError" in err
+
+
+def test_purity_of_degree_8_frobenius(tmp_path):
+    """x^8 + 625 is a Weil polynomial of weight 1 for q = 5: every root has
+    modulus sqrt(5). Its companion matrix certifies pure in a fresh process."""
+    phi = [["1" if i == j + 1 else "0" for j in range(7)] + ["-625" if i == 0 else "0"]
+           for i in range(8)]
+    path = tmp_path / "degree8.json"
+    path.write_text(json.dumps({"q": 5, "field": {"type": "Q"}, "phi": phi,
+                                "nilp": [["0"] * 8 for _ in range(8)], "inertia": []}))
+    report = tmp_path / "report.json"
+    code, err, seconds = _run_cli("purity", str(path), "--output", str(report))
+    assert code == 0, err
+    purity = json.loads(report.read_text())["result"]["purity"]
+    assert purity["verdict"] == "pure" and purity["weight"] == 1
+    assert seconds < 10

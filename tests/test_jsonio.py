@@ -50,6 +50,26 @@ class TestScalars:
         with pytest.raises(ParseError):
             scalar_from_json("q+1", QQ, "x")
 
+    @pytest.mark.parametrize("value, field", [
+        ({"num": [True], "den": [True]}, QT),
+        ({"num": [0, 1], "den": [1, False]}, QT),
+        ({"num": "12", "den": [1]}, QT),   # a string is not a coefficient array
+        ({"num": 5, "den": [1]}, QT),
+        ({"num": {}, "den": [1]}, QT),
+        ([True, False], NumberField([-2, 0, 1])),
+        ([1, True], NumberField([-2, 0, 1])),
+    ])
+    def test_rejects_non_numeric_coefficients(self, value, field):
+        with pytest.raises(ParseError):
+            scalar_from_json(value, field, "x")
+
+    @pytest.mark.parametrize("minpoly", [[True, 0, 1], [-2, 0, True], "101", None])
+    def test_rejects_non_numeric_minpoly(self, minpoly):
+        doc = {"q": 5, "field": {"type": "NumberField", "minpoly": minpoly},
+               "phi": [["1"]], "nilp": [["0"]], "inertia": []}
+        with pytest.raises(ParseError):
+            wdrep_from_json(doc)
+
 
 class TestMatrices:
     def test_ragged_rejected(self):
@@ -156,13 +176,14 @@ class TestReports:
 def _fuzz_documents():
     """Documents that are mostly well formed, so that the loader gets past
     its key checks: a field, q and square matrices of scalar strings for
-    that field, then a few mutations (junk values, booleans, floats, bad
-    fields, ragged or non-square shapes, missing or unknown keys)."""
+    that field, then a few mutations (junk values, booleans, also inside
+    coefficient arrays, floats, bad fields, ragged or non-square shapes, missing or unknown keys)."""
     st = pytest.importorskip("hypothesis.strategies")
+    coeffs = st.lists(st.one_of(st.integers(-3, 3), st.booleans()), max_size=3)
     junk = st.one_of(st.booleans(), st.floats(allow_nan=True), st.none(),
-                     st.text(max_size=4), st.lists(st.integers(-3, 3), max_size=3),
-                     st.fixed_dictionaries({"num": st.lists(st.integers(-3, 3), max_size=3),
-                                            "den": st.lists(st.integers(-3, 3), max_size=3)}))
+                     st.text(max_size=4), coeffs,
+                     st.fixed_dictionaries({"num": st.one_of(coeffs, st.text(max_size=3), st.integers()),
+                                            "den": coeffs}))
     fields = st.sampled_from([
         {"type": "Q"}, {"type": "Qt"}, {"type": "NumberField", "minpoly": [-2, 0, 1]},
         {"type": "NumberField", "minpoly": [-1, 0, 1]},

@@ -6,6 +6,8 @@ import pytest
 
 from wdreps import (DEFAULT_EPS, CertificationFailed, ModulusInterval, Poly,
                     QQ, root_moduli_certified, sqrt_bounds)
+from wdreps import roots
+from wdreps.fields import poly_gcd
 
 
 def assert_enclosure(intervals, true_moduli, eps):
@@ -27,6 +29,13 @@ class TestSqrtBounds:
     def test_irrational(self):
         lo, hi = sqrt_bounds(Fraction(2), Fraction(1, 10 ** 30))
         assert lo * lo <= 2 <= hi * hi
+
+
+def test_integer_round_matches_fraction_round():
+    # ties go to the even neighbour, as in round(Fraction)
+    for n in range(-40, 41):
+        for d in (1, 2, 4, 6, 7, 8):
+            assert roots._round_div(n, d) == round(Fraction(n, d))
 
 
 class TestExamples:
@@ -100,3 +109,190 @@ class TestProperties:
     def test_exact_interval_for_rational_roots(self):
         iv = root_moduli_certified([-3, 1], DEFAULT_EPS)[0]
         assert iv == ModulusInterval(Fraction(3), Fraction(3))
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the certifier on Gaussian rationals (Fractions), with the
+# radius taken as an upper bound of m|w|
+# ---------------------------------------------------------------------------
+
+def _reference_certify(f, eps):
+    """(intervals, Newton steps, whether some radius is 0) from the same
+    seeds, rounds and certificate as `_certify_squarefree`, in Fraction
+    arithmetic throughout."""
+    def sub(a, b):
+        return (a[0] - b[0], a[1] - b[1])
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def div(a, b):
+        d = b[0] * b[0] + b[1] * b[1]
+        return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
+
+    def abs2(a):
+        return a[0] * a[0] + a[1] * a[1]
+
+    def ev(coeffs, z):
+        acc = (Fraction(0), Fraction(0))
+        for c in reversed(coeffs):
+            acc = mul(acc, z)
+            acc = (acc[0] + c, acc[1])
+        return acc
+
+    m, coeffs = f.degree, list(f.coeffs)
+    zs = [(Fraction(z.real).limit_denominator(1 << 64),
+           Fraction(z.imag).limit_denominator(1 << 64)) for z in roots._durand_kerner(coeffs)]
+    fprime = f.derivative()
+    tol, cap, bits = eps / 8, eps * Fraction(3, 8), 128
+    for steps in range(roots._MAX_REFINE_ROUNDS):
+        seen = set()
+        for i, z in enumerate(zs):
+            while z in seen:
+                z = (z[0] + Fraction(1, 1 << bits), z[1])
+            seen.add(z)
+            zs[i] = z
+        radii = []
+        for i, z in enumerate(zs):
+            den = (Fraction(1), Fraction(0))
+            for j, other in enumerate(zs):
+                if j != i:
+                    den = mul(den, sub(z, other))
+            w = div(ev(coeffs, z), den)
+            radii.append(sqrt_bounds(m * m * abs2(w), tol)[1])
+        if all(r <= cap for r in radii) and all(
+                abs2(sub(zs[i], zs[j])) > (radii[i] + radii[j]) ** 2
+                for i in range(m) for j in range(i + 1, m)):
+            intervals = []
+            for z, r in zip(zs, radii):
+                clo, chi = sqrt_bounds(abs2(z), tol)
+                intervals.append(ModulusInterval(max(clo - r, Fraction(0)), chi + r))
+            return intervals, steps, 0 in radii
+        new_zs = []
+        for z in zs:
+            fp = ev(fprime.coeffs, z)
+            if fp == (Fraction(0), Fraction(0)):
+                z = (z[0] + Fraction(1, 1 << (bits // 2)), z[1])
+                fp = ev(fprime.coeffs, z)
+            new = sub(z, div(ev(coeffs, z), fp))
+            new_zs.append(tuple(Fraction(round(c * (1 << bits)), 1 << bits) for c in new))
+        zs = new_zs
+        bits = min(bits * 2, 1 << 14)
+    raise CertificationFailed("reference did not certify")
+
+
+def _random_squarefree(rng, degree):
+    while True:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)]
+        f = Poly(QQ, coeffs + [Fraction(1)])
+        if f[0] != 0 and poly_gcd(f, f.derivative()).degree == 0:
+            return f
+
+
+class TestReferenceOracle:
+    def test_equal_to_fraction_reference(self):
+        rng = random.Random(8)
+        cases = [Poly(QQ, [-2, 1]) * Poly(QQ, [1, 1, 1]),  # exact rational root 2
+                 Poly(QQ, [Fraction(-1, 4), 0, 1])]        # roots +-1/2 exactly
+        cases += [_random_squarefree(rng, rng.randint(2, 9)) for _ in range(58)]
+        exact_radius = no_newton = 0
+        for n, f in enumerate(cases):
+            eps = Fraction(1, 10 ** (12, 30, 200)[n % 3])
+            expected, steps, zero_radius = _reference_certify(f, eps)
+            assert roots._certify_squarefree(f, eps) == expected, (f, eps)
+            exact_radius += zero_radius
+            no_newton += steps == 0
+        assert exact_radius and no_newton
+
+    def test_rare_paths_against_reference(self, monkeypatch):
+        """Seeds that hit the two nudges: a zero derivative (x^2 - 2^-126 at
+        the seed 0) and two equal seeds (which then stay on one root)."""
+        units = []
+        rescale = roots._rescale
+        monkeypatch.setattr(roots, "_rescale", lambda *a: units.append(a[2]) or rescale(*a))
+        eps = DEFAULT_EPS
+        f = Poly(QQ, [Fraction(-1, 2 ** 126), 0, 1])
+        monkeypatch.setattr(roots, "_durand_kerner", lambda c: [0j, -2.0 ** -63 + 0j])
+        expected, _, zero_radius = _reference_certify(f, eps)
+        assert zero_radius and roots._certify_squarefree(f, eps) == expected
+        assert units == [1 << 64]   # the zero-derivative nudge by 2^-(bits/2)
+        units.clear()
+        f = Poly(QQ, [-2, 0, 1])
+        monkeypatch.setattr(roots, "_durand_kerner", lambda c: [1.5 + 0j, 1.5 + 0j])
+        for certify in (_reference_certify, roots._certify_squarefree):
+            with pytest.raises(CertificationFailed):
+                certify(f, eps)
+        assert units[0] == 1 << 128   # the distinctness nudge by 2^-bits
+
+
+class TestHighDegree:
+    """The radius is an upper bound of m|w| at resolution 2^-shift <= eps/16,
+    so it can fall below the cap 3 eps / 8 at any degree."""
+
+    @pytest.mark.parametrize("p", [
+        [625] + [0] * 7 + [1],         # x^8 + 625: every |root| is sqrt(5)
+        [5 ** 6] + [0] * 11 + [1],     # x^12 + 5^6: every |root| is sqrt(5)
+        [-2] + [0] * 8 + [1],          # x^9 - 2: every |root| is 2^(1/9)
+    ])
+    def test_x_power_plus_constant(self, p):
+        m = len(p) - 1
+        intervals = root_moduli_certified(p, DEFAULT_EPS)
+        assert len(intervals) == m
+        for iv in intervals:
+            # |root|^m = |p(0)|: compare exactly
+            assert iv.lo ** m <= abs(p[0]) <= iv.hi ** m
+            assert iv.width() <= DEFAULT_EPS
+
+
+def test_refinement_loop_runs_without_gcd(monkeypatch):
+    """Every approximation of a round lives on Gaussian integers over one
+    denominator, so no Fraction is normalized inside the refinement loop:
+    the deterministic count of math.gcd calls is the same at eps 10^-12
+    (no Newton step) as at eps 10^-2000 (seven), and small."""
+    gcd = math.gcd
+    for f in (Poly(QQ, [5, -3, 1]), Poly(QQ, [5, -3, 1]) * Poly(QQ, [5, 1, 1])):
+        counts = []
+        for eps in (Fraction(1, 10 ** 12), Fraction(1, 10 ** 2000)):
+            calls = []
+            monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or gcd(*a))
+            intervals = roots._certify_squarefree(f, eps)
+            monkeypatch.setattr(math, "gcd", gcd)
+            assert all(iv.contains_half_power(5, 1) for iv in intervals)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 20 * f.degree
+
+
+class TestMpmathOracle:
+    """An independent check: mpmath's polyroots at 100 digits."""
+
+    def _check(self, p, eps):
+        mpmath = pytest.importorskip("mpmath")
+        intervals = root_moduli_certified(p, eps)
+        with mpmath.workdps(100):
+            found = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                      for c in reversed(p.coeffs)],
+                                     maxsteps=400, extraprec=400)
+            slack = mpmath.mpf(10) ** -80
+            assert len(intervals) == len(found)
+            for iv, modulus in zip(intervals, sorted(abs(r) for r in found)):
+                lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
+                hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+                assert lo - slack <= modulus <= hi + slack
+                assert iv.width() <= eps
+
+    def test_random_polynomials(self):
+        rng = random.Random(11)
+        for _ in range(12):
+            self._check(_random_squarefree(rng, rng.randint(2, 8)), Fraction(1, 10 ** 30))
+
+    def test_weil_type_products(self):
+        # x^2 - a x + q with |a| < 2 sqrt(q) has both roots on |z| = sqrt(q)
+        rng = random.Random(12)
+        for _ in range(8):
+            q = rng.choice([2, 3, 5, 7])
+            bound = math.isqrt(4 * q - 1)
+            traces = rng.sample(range(-bound, bound + 1), rng.randint(1, 3))
+            p = Poly.one(QQ)
+            for a in traces:
+                p = p * Poly(QQ, [q, -a, 1])
+            self._check(p * Poly(QQ, [-q, 0, 1]), Fraction(1, 10 ** 30))

@@ -77,6 +77,23 @@ class TestValidate:
                     (("u", Matrix(QQ, [[1, 1], [0, 1]])),))
         assert "order exceeds bound" in wd_validate(rho)
 
+    def test_inertia_order_over_qt(self):
+        t = QT.gen()
+        conj = Matrix(QT, [[1, t], [0, 1]])
+        swap = conj * Matrix(QT, [[0, 1], [1, 0]]) * conj.inverse()
+        assert wd._matrix_order(swap, wd.INERTIA_ORDER_BOUND) == 2
+        assert wd._matrix_order(conj, wd.INERTIA_ORDER_BOUND) is None
+        # a non-constant charpoly rules out finite order before any power:
+        # the 64 powers of this generator grow to degree ~64 in t
+        gen = Matrix(QT, [[(t * t + 1) / (t + 2), -5], [4, -5]])
+        rho = WDRep(5, QT, Matrix.identity(QT, 2), Matrix.zeros(QT, 2, 2), (("g", gen),))
+        products = []
+        mul = Matrix.__mul__
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Matrix, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+            assert "order exceeds bound" in wd_validate(rho)
+        assert len(products) < 10
+
     def test_singular_phi(self):
         rho = WDRep(5, QQ, Matrix.zeros(QQ, 1, 1), Matrix.zeros(QQ, 1, 1))
         assert wd_validate(rho) == "phi is singular"
