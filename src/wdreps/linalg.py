@@ -6,15 +6,17 @@ Echelon conventions are deterministic (first invertible pivot, columns
 ordered by pivot row, pivots normalized to 1, reduced) so every basis
 this module emits is the unique canonical basis of its subspace.
 
-Over Q, products and row reduction run on Python integers (rows and
-columns scaled to common denominators, fraction-free elimination); their
-results are the same reduced Fractions that field arithmetic gives.
+A matrix over Q is stored as Python ints over one denominator, in a
+canonical form that every operation on it (products, sums, fraction-free
+elimination and determinants, Horner steps) reads and writes; Fractions
+are built only when `Matrix.rows` is read.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .fields import Field, NumberField, Poly, QQ, binary_power, squarefree_part
@@ -34,16 +36,19 @@ class Matrix:
     """Immutable dense matrix over a `Field`.  The column count is stored,
     so a matrix without rows keeps its width (0 x n is not 0 x 0).  The
     `_flag` slot holds the powers and kernels of a nilpotent matrix once
-    `wd` has computed them."""
+    `wd` has computed them.  Over Q it is int rows `num` over an int
+    `den` > 0 with gcd(den, entries) = 1 (den = 1 when zero), and `rows`
+    builds Fractions on first access; elsewhere `rows` holds the scalars
+    and `num` and `den` are None."""
 
-    __slots__ = ("field", "rows", "ncols", "_flag")
+    __slots__ = ("field", "ncols", "den", "num", "_rows", "_flag")
 
     def __init__(self, field: Field, rows):
-        self.field = field
-        self.rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
+        rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged matrix rows")
+        self._fill(field, rows, ncols)
 
     @classmethod
     def _trusted(cls, field: Field, rows, ncols: int | None = None) -> "Matrix":
@@ -52,24 +57,36 @@ class Matrix:
         width defaults to that of the first row; pass it when there may be
         no rows."""
         M = object.__new__(cls)
-        M.field = field
-        M.rows = rows
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        M.ncols = ncols
+        M._fill(field, rows, ncols)
         return M
+
+    def _fill(self, field: Field, rows, ncols: int):
+        self.field, self.ncols, self._rows, self.den, self.num = field, ncols, rows, None, None
+        if field == QQ:  # over the lcm of reduced denominators, no prime divides every entry
+            self.den = den = lcm(*[x.denominator for row in rows for x in row])
+            self.num = tuple(tuple([x.numerator * (den // x.denominator) for x in row])
+                             for row in rows)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _from_stored(cls, field: Field, grid, ncols: int, den) -> "Matrix":
+        """A matrix from rows in stored form: int numerators over `den` for
+        Q (den not None), field scalars otherwise."""
+        return cls._trusted(field, grid, ncols) if den is None else _q(grid, ncols, den)
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls._trusted(field, tuple(tuple(one if i == j else zero for j in range(n))
-                                         for i in range(n)), n)
+        den, zero, one = _units(field)
+        return cls._from_stored(field, tuple(tuple(one if i == j else zero for j in range(n))
+                                             for i in range(n)), n, den)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls._trusted(field, ((field.zero,) * ncols,) * nrows, ncols)
+        den, zero, _ = _units(field)
+        return cls._from_stored(field, ((zero,) * ncols,) * nrows, ncols, den)
 
     @classmethod
     def diagonal(cls, field: Field, entries) -> "Matrix":
@@ -86,8 +103,20 @@ class Matrix:
     # -- shape and access ---------------------------------------------
 
     @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = tuple(tuple([Fraction(x, self.den) if x else _ZERO for x in row])
+                               for row in self.num)
+        return self._rows
+
+    @property
+    def _stored(self):
+        """The rows as stored: numerators over `den` for Q, else scalars."""
+        return self.rows if self.num is None else self.num
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._rows if self.num is None else self.num)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -102,17 +131,25 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
+    def select(self, rows=None, cols=None) -> "Matrix":
+        """The submatrix on the given row and column indices (all if None)."""
+        grid = self._stored if rows is None else list(map(self._stored.__getitem__, rows))
+        if cols is None:
+            return self._from_stored(self.field, tuple(grid), self.ncols, self.den)
+        return self._from_stored(self.field, tuple(tuple([row[j] for j in cols]) for row in grid),
+                                 len(cols), self.den)
+
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(map(any, self._stored))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.field == other.field and self.ncols == other.ncols
-                and self.rows == other.rows)
+                and self.den == other.den and self._stored == other._stored)
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.den, self._stored))
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {[list(r) for r in self.rows]!r})"
@@ -120,11 +157,14 @@ class Matrix:
     # -- arithmetic ----------------------------------------------------
 
     def _entrywise(self, fn, *others) -> "Matrix":
-        """fn applied entry by entry to self and matrices of its shape."""
+        """fn applied entry by entry to self and matrices of its shape; over
+        Q to the numerators over the common denominator."""
         if any((o.nrows, o.ncols) != (self.nrows, self.ncols) for o in others):
             raise ValueError("shape mismatch in an entrywise matrix operation")
-        rows = zip(self.rows, *(o.rows for o in others))
-        return Matrix._trusted(self.field, tuple(tuple(map(fn, *rs)) for rs in rows), self.ncols)
+        den = self.den and lcm(self.den, *(o.den for o in others))
+        rows = zip(*(_over(M, den) for M in (self, *others)))
+        return self._from_stored(self.field, tuple(tuple(map(fn, *rs)) for rs in rows),
+                                 self.ncols, den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(operator.add, other)
@@ -139,9 +179,8 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in matrix product")
-            if self.field == QQ:
-                return Matrix._trusted(QQ, _mul_q(self.rows, other.rows, other.ncols),
-                                       other.ncols)
+            if self.num is not None:
+                return _mul_q(self, other)
             cols = other.columns()
             zero = self.field.zero
             out = []
@@ -161,7 +200,11 @@ class Matrix:
         return self._scale(self.field.coerce(other))
 
     def _scale(self, s) -> "Matrix":
-        return self._entrywise(lambda a: a * s)
+        if self.num is None:
+            return self._entrywise(lambda a: a * s)
+        p, q = s.as_integer_ratio()
+        return _q(tuple(tuple([x * p for x in row]) for row in self.num), self.ncols,
+                  self.den * q)
 
     def __pow__(self, n: int) -> "Matrix":
         if not self.is_square():
@@ -171,16 +214,16 @@ class Matrix:
         return binary_power(self, n, Matrix.identity(self.field, self.nrows))
 
     def transpose(self) -> "Matrix":
-        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
-        return Matrix._trusted(self.field, rows, self.nrows)
+        grid = self._stored
+        return self._from_stored(self.field, tuple(zip(*grid)) if grid else ((),) * self.ncols,
+                                 self.nrows, self.den)
 
     def trace(self):
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        acc = self.field.zero
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
+        if self.num is not None:
+            return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
+        return sum((row[i] for i, row in enumerate(self.rows)), self.field.zero)
 
     def map_entries(self, fn, field: Field) -> "Matrix":
         M = Matrix(field, [[fn(x) for x in row] for row in self.rows])
@@ -190,23 +233,23 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix._trusted(self.field, tuple(ra + rb for ra, rb in zip(self.rows, other.rows)),
-                               self.ncols + other.ncols)
+        den = self.den and lcm(self.den, other.den)
+        rows = tuple(ra + rb for ra, rb in zip(_over(self, den), _over(other, den)))
+        return self._from_stored(self.field, rows, self.ncols + other.ncols, den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, first factor most significant."""
-        return Matrix._trusted(self.field, tuple(tuple(a * b for a in ra for b in rb)
-                                                 for ra in self.rows for rb in other.rows),
-                               self.ncols * other.ncols)
+        return self._from_stored(self.field, tuple(tuple(a * b for a in ra for b in rb)
+                                                   for ra in self._stored for rb in other._stored),
+                                 self.ncols * other.ncols, self.den and self.den * other.den)
 
     # -- elimination ----------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot_columns).
-        Over Q the elimination runs on integers (`_rref_q`)."""
-        if self.field == QQ:
-            rows, pivots = _rref_q(self.rows, self.ncols)
-            return Matrix._trusted(QQ, rows, self.ncols), pivots
+        Over Q the elimination runs on the numerators (`_rref_q`)."""
+        if self.num is not None:
+            return _rref_q(self.num, self.ncols)
         rows = [list(r) for r in self.rows]
         nr, nc = self.nrows, self.ncols
         one = self.field.one
@@ -233,13 +276,21 @@ class Matrix:
         return len(self.rref()[1])
 
     def det(self):
+        """Over Q fraction-free on the numerators; over an etale algebra, if
+        a column has only zero divisors, by Berkowitz's division-free charpoly."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.rows]
         n = self.nrows
+        if self.num is not None:
+            return _det_ints(self.num) / self.den ** n
+        rows = [list(r) for r in self.rows]
         acc = self.field.one
         for c in range(n):
-            pr, inv = _pivot(rows, c, c, self.field.one)
+            try:
+                pr, inv = _pivot(rows, c, c, self.field.one)
+            except ZeroDivisorPivotError:
+                p0 = _berkowitz(self.rows, self.field.zero, self.field.one)[0]
+                return -p0 if n % 2 else p0
             if pr is None:
                 return self.field.zero
             if pr != c:
@@ -253,59 +304,80 @@ class Matrix:
         return acc
 
     def inverse(self) -> "Matrix":
+        """rref of [M | I]; over an etale algebra where that meets a column
+        of zero divisors, the Cayley-Hamilton adjugate over a unit det."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         aug = self.hstack(Matrix.identity(self.field, n))
-        red, pivots = aug.rref()
+        try:
+            red, pivots = aug.rref()
+        except ZeroDivisorPivotError:
+            # p(x) = x q(x) + p(0), so M q(M) = -p(0) I
+            p = _berkowitz(self.rows, self.field.zero, self.field.one)
+            try:
+                scale = -self.field.one / p[0]
+            except ZeroDivisionError:
+                raise SingularMatrixError("its determinant divides zero") from None
+            return poly_eval_matrix(Poly(self.field, p[1:]), self)._scale(scale)
         if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) != n:
             raise SingularMatrixError("matrix is singular")
-        return Matrix._trusted(self.field, tuple(row[n:] for row in red.rows), n)
+        return red.select(cols=range(n, 2 * n))
 
 
 # ---------------------------------------------------------------------------
-# the integer kernel over Q: each row or column of Fractions becomes Python
-# ints over the lcm of its denominators; only results become Fractions again
+# the integer kernel over Q: every operation reads and writes numerators
+# over one denominator; Fractions appear only in `Matrix.rows`
 # ---------------------------------------------------------------------------
 
 _ZERO = Fraction(0)
 
 
-def _scaled(vec):
-    """(den, ints) with vec[k] = ints[k] / den."""
-    pairs = [x.as_integer_ratio() for x in vec]
-    den = lcm(*[d for _, d in pairs])
-    if den == 1:
-        return 1, [n for n, _ in pairs]
-    return den, [n * (den // d) for n, d in pairs]
+def _units(field: Field):
+    """(den, zero, one) of the stored form over `field`."""
+    return (1, 0, 1) if field == QQ else (None, field.zero, field.one)
 
 
-def _mul_q(a_rows, b_rows, ncols: int):
-    """Rows of the product of two matrices over Q, the second with
-    `ncols` columns."""
-    cols = [_scaled(col) for col in zip(*b_rows)]
-    zero_row = (_ZERO,) * ncols
+def _q(num, ncols: int, den: int = 1) -> Matrix:
+    """The Q matrix num / den (den > 0), put in canonical form."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            den //= g
+            num = tuple(tuple([x // g for x in row]) for row in num)
+    M = object.__new__(Matrix)
+    M.field, M.ncols, M.den, M.num, M._rows = QQ, ncols, den, num, None
+    return M
+
+
+def _over(M: Matrix, den):
+    """The stored rows of M, over Q rescaled to the multiple den of M.den."""
+    if den is None or den == M.den:
+        return M._stored
+    f = den // M.den
+    return tuple(tuple([x * f for x in row]) for row in M.num)
+
+
+def _mul_q(A: Matrix, B: Matrix) -> Matrix:
+    """A * B over Q on the numerators, skipping the zero entries of both."""
+    b_support = [[(j, w) for j, w in enumerate(row) if w] for row in B.num]
     out = []
-    for row in a_rows:
-        da, ints = _scaled(row)
-        nonzero = [(k, v) for k, v in enumerate(ints) if v]
-        if not nonzero:
-            out.append(zero_row)
-            continue
-        entries = []
-        for db, col in cols:
-            s = sum([v * col[k] for k, v in nonzero])
-            entries.append(Fraction(s, da * db) if s else _ZERO)
-        out.append(tuple(entries))
-    return tuple(out)
+    for row in A.num:
+        acc = [0] * B.ncols
+        for v, support in zip(row, b_support):
+            if v:
+                for j, w in support:
+                    acc[j] += v * w
+        out.append(tuple(acc))
+    return _q(tuple(out), B.ncols, A.den * B.den)
 
 
-def _rref_q(rows, ncols: int):
-    """Rows and pivot columns of the reduced row echelon form over Q, by
-    fraction-free Gauss-Jordan elimination on primitive integer rows.
-    The reduced form is unique, so it equals the one field arithmetic
-    gives."""
-    work = [_scaled(row)[1] for row in rows]
+def _rref_q(num, ncols: int):
+    """`Matrix.rref` of a Q matrix with numerators num: fraction-free
+    Gauss-Jordan elimination on primitive rows, each divided by its pivot
+    only at the end, over the lcm of the pivots.  The reduced form is
+    unique, so it equals the one field arithmetic gives."""
+    work = list(num)
     nr = len(work)
     pivots = []
     for c in range(ncols):
@@ -332,10 +404,40 @@ def _rref_q(rows, ncols: int):
                     row = [x // g for x in row]
                 work[i] = row
         pivots.append(c)
-    out = [tuple(Fraction(x, work[i][c]) if x else _ZERO for x in work[i])
-           for i, c in enumerate(pivots)]
-    out.extend([(_ZERO,) * ncols] * (nr - len(pivots)))
-    return tuple(out), tuple(pivots)
+    # each pivot row is primitive, so the rows over den are canonical
+    den = lcm(*[work[i][c] for i, c in enumerate(pivots)])
+    out = []
+    for row, c in zip(work, pivots):
+        f = den // row[c]
+        out.append(tuple([x * f for x in row]))
+    out.extend([(0,) * ncols] * (nr - len(pivots)))
+    return _q(tuple(out), ncols, den), tuple(pivots)
+
+
+def _det_ints(rows) -> Fraction:
+    """Determinant of a square int matrix by fraction-free elimination that
+    changes only the rows with a nonzero entry below the pivot (Bareiss's
+    [Bareiss 1968] rescales every row): each becomes the primitive part of
+    a * row - b * pivot row, and det is divided by a and multiplied by the
+    content."""
+    work, n, num, den = [list(r) for r in rows], len(rows), 1, 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if work[i][c]), None)
+        if pr is None:
+            return _ZERO
+        if pr != c:
+            work[c], work[pr], num = work[pr], work[c], -num
+        prow, p = work[c], work[c][c]
+        num *= p
+        for i in range(c + 1, n):
+            if f := work[i][c]:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(work[i], prow)]
+                g = gcd(*row) or 1
+                work[i] = [x // g for x in row]
+                num, den = num * g, den * a
+    return Fraction(num, den)
 
 
 def block_diagonal(field: Field, blocks) -> Matrix:
@@ -353,7 +455,12 @@ def column_echelon(M: Matrix) -> Matrix:
     """Canonical basis of the column space: reduced column echelon form,
     columns ordered by pivot row, pivot entries 1."""
     red, pivots = M.transpose().rref()
-    return Matrix._trusted(M.field, red.rows[:len(pivots)], M.nrows).transpose()
+    return red.select(rows=range(len(pivots))).transpose()
+
+
+def pivot_rows(basis: Matrix):
+    """The pivot row (first nonzero entry) of each canonical basis column."""
+    return [next(i for i, x in enumerate(col) if x) for col in zip(*basis._stored)]
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -364,18 +471,20 @@ def kernel_basis(M: Matrix) -> Matrix:
     entry and every other kernel vector is 0 there, so these vectors,
     ordered by that entry, are already the canonical basis."""
     field, n = M.field, M.ncols
-    red, pivots = Matrix._trusted(field, tuple(row[::-1] for row in M.rows), n).rref()
+    red, pivots = M.select(cols=range(n - 1, -1, -1)).rref()
+    # over Q the kernel columns are scaled by red.den, as red's rows are
+    zero, one = (field.zero, field.one) if red.den is None else (0, red.den)
     pivot_set = set(pivots)
     kernel_cols = []
     for f in range(n - 1, -1, -1):
         if f in pivot_set:
             continue
-        col = [field.zero] * n
-        col[n - 1 - f] = field.one
-        for row, p in zip(red.rows, pivots):
+        col = [zero] * n
+        col[n - 1 - f] = one
+        for row, p in zip(red._stored, pivots):
             col[n - 1 - p] = -row[f]
         kernel_cols.append(tuple(col))
-    return Matrix._trusted(field, tuple(kernel_cols), n).transpose()
+    return Matrix._from_stored(field, tuple(kernel_cols), n, red.den).transpose()
 
 
 def mat_subspaces(M: Matrix):
@@ -394,8 +503,7 @@ def solve_in_span(A: Matrix, Y: Matrix) -> Matrix:
     red, pivots = A.hstack(Y).rref()
     if len(pivots) != A.ncols or any(p >= A.ncols for p in pivots):
         raise ValueError("columns dependent or right-hand side outside the span")
-    return Matrix._trusted(A.field, tuple(row[A.ncols:] for row in red.rows[:A.ncols]),
-                           Y.ncols)
+    return red.select(rows=range(A.ncols), cols=range(A.ncols, A.ncols + Y.ncols))
 
 
 def intersect_columns(U: Matrix, V: Matrix) -> Matrix:
@@ -403,7 +511,7 @@ def intersect_columns(U: Matrix, V: Matrix) -> Matrix:
     space of V)."""
     kernel = kernel_basis(U.hstack(-V))
     # the U-coordinates of each kernel vector give a spanning vector
-    return column_echelon(U * Matrix._trusted(U.field, kernel.rows[:U.ncols], kernel.ncols))
+    return column_echelon(U * kernel.select(rows=range(U.ncols)))
 
 
 def charpoly(M: Matrix) -> Poly:
@@ -515,9 +623,8 @@ def _berkowitz(A, zero, one) -> list:
 
 def poly_eval_matrix(p: Poly, M: Matrix) -> Matrix:
     """Horner evaluation of a polynomial at a square matrix.  Each Horner
-    constant goes onto the diagonal alone: building and adding I*c costs
-    2n^2 Fraction operations per step, about 10% of the time of
-    `rigidity --partition 2,1 corpus/inertia_pair.json`."""
+    constant goes onto the diagonal alone (over Q: onto the numerators),
+    with no I*c built and added."""
     if not M.is_square():
         raise ValueError("polynomial evaluation needs a square matrix")
     n = M.nrows
@@ -526,9 +633,15 @@ def poly_eval_matrix(p: Poly, M: Matrix) -> Matrix:
     acc = Matrix.identity(M.field, n) * p.coeffs[-1]
     for c in reversed(p.coeffs[:-1]):
         acc = acc * M
-        if c:
+        if c and acc.den is None:
             acc = Matrix._trusted(M.field, tuple(
                 row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(acc.rows)), n)
+        elif c:
+            # acc + c = (q num + p den I) / (q den) for c = p / q
+            p, q = c.as_integer_ratio()
+            p *= acc.den
+            acc = _q(tuple(tuple(x * q + p if i == j else x * q for j, x in enumerate(row))
+                           for i, row in enumerate(acc.num)), n, acc.den * q)
     return acc
 
 

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .fields import Field, QQ
 from .linalg import Matrix
@@ -305,11 +305,21 @@ class SchurBasis:
                                                  for w in words))
 
     @cached_property
+    def scaled_columns(self) -> tuple:
+        """(den, columns): over Q the columns times the lcm den of their
+        coefficient denominators, so on ints; otherwise (None, columns)."""
+        if self.field != QQ:
+            return None, self.columns
+        den = lcm(*[c.denominator for col in self.columns for _, c in col])
+        return den, tuple(tuple((w, int(c * den)) for w, c in col) for col in self.columns)
+
+    @cached_property
     def support_trie(self) -> dict:
         """The support words of all columns as nested dicts keyed by digit;
-        the leaf reached by word u lists the pairs (j, b_j[u])."""
+        the leaf reached by word u lists the pairs (j, b_j[u]), with b_j the
+        scaled columns."""
         trie: dict = {}
-        for j, col in enumerate(self.columns):
+        for j, col in enumerate(self.scaled_columns[1]):
             for word, coeff in col:
                 node = trie
                 for x in word[:-1]:
@@ -421,15 +431,18 @@ def schur_of_matrix(A: Matrix, mu: Partition) -> Matrix:
     image, in the canonical basis.  Functorial in A.  Entry (i, j) sums
     b_j[u] * prod_k A[w_i[k]][u[k]] over the support words u of column j,
     taking each prefix product once down the support trie; a zero factor
-    prunes its subtree."""
+    prunes its subtree.  Over Q the sums run on A's numerators and the
+    scaled columns, over den * A.den^d."""
     if not A.is_square():
         raise ValueError("schur_of_matrix needs a square matrix")
     basis = schur_basis(mu, A.nrows, A.field)
+    den, grid = basis.scaled_columns[0], A._stored
+    zero = A.field.zero if den is None else 0
     last = mu.d - 1
     out = []
     for w in basis.pivot_words:
-        rows = [A.rows[k] for k in w]
-        acc = [A.field.zero] * basis.dim
+        rows = [grid[k] for k in w]
+        acc = [zero] * basis.dim
         stack = [(basis.support_trie, 0, None)]
         while stack:
             node, level, prod = stack.pop()
@@ -445,7 +458,7 @@ def schur_of_matrix(A: Matrix, mu: Partition) -> Matrix:
                 for j, coeff in child:
                     acc[j] = acc[j] + coeff * f
         out.append(tuple(acc))
-    return Matrix._trusted(A.field, tuple(out))
+    return Matrix._from_stored(A.field, tuple(out), basis.dim, den and den * A.den ** mu.d)
 
 
 def schur_derivation(N: Matrix, mu: Partition) -> Matrix:
@@ -454,21 +467,23 @@ def schur_derivation(N: Matrix, mu: Partition) -> Matrix:
 
     Slot k sends a word u only to the words that differ from u at most in
     slot k, so each support word meets only the pivot words of its shape
-    with slot k removed."""
+    with slot k removed.  Over Q the sums run on N's numerators and the
+    scaled columns, over den * N.den."""
     if not N.is_square():
         raise ValueError("schur_derivation needs a square matrix")
     basis = schur_basis(mu, N.nrows, N.field)
     index = basis.slot_index
     words = basis.pivot_words
-    out = [[N.field.zero] * basis.dim for _ in range(basis.dim)]
-    for j, col in enumerate(basis.columns):
+    (den, columns), grid = basis.scaled_columns, N._stored
+    out = [[N.field.zero if den is None else 0] * basis.dim for _ in range(basis.dim)]
+    for j, col in enumerate(columns):
         for u, coeff in col:
             for k in range(len(u)):
                 for i in index.get((k, u[:k] + u[k + 1:]), ()):
-                    f = N.rows[words[i][k]][u[k]]
+                    f = grid[words[i][k]][u[k]]
                     if f:
                         out[i][j] = out[i][j] + coeff * f
-    return Matrix._trusted(N.field, tuple(map(tuple, out)))
+    return Matrix._from_stored(N.field, tuple(map(tuple, out)), basis.dim, den and den * N.den)
 
 
 def schur_trace_oracle(power_sums, mu: Partition, field: Field = QQ):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .fields import Field, NumberField, Poly, QQ, QT
 from .linalg import (Matrix, SingularMatrixError, block_diagonal, charpoly,
                      column_echelon, is_nilpotent, kernel_basis, mult_jordan_chevalley,
-                     scalar_restriction)
+                     pivot_rows, scalar_restriction)
 from .roots import DEFAULT_EPS, CertificationFailed, ModulusInterval, root_moduli_certified
 from .schur import Partition, schur_derivation, schur_of_matrix
 
@@ -316,11 +316,6 @@ def monodromy_filtration(N: Matrix) -> Filtration:
     return Filtration(steps)
 
 
-def _pivot_rows(basis: Matrix):
-    """The pivot row (first nonzero entry) of each canonical basis column."""
-    return [next(i for i, x in enumerate(col) if x) for col in zip(*basis.rows)]
-
-
 def _quotient_actions(flag, operators):
     """For each (key, sub, big) of `flag`, canonical bases with span(sub)
     inside span(big), both stable under every operator, and a nonzero
@@ -333,21 +328,18 @@ def _quotient_actions(flag, operators):
     modulo span(sub), and each action is Y[P] - sub[P] * Y[sub rows], with
     Y = op * (those columns of big): products only."""
     for key, sub, big in flag:
-        sub_rows = _pivot_rows(sub)
+        sub_rows = pivot_rows(sub)
         taken = set(sub_rows)
-        chosen = [(j, i) for j, i in enumerate(_pivot_rows(big)) if i not in taken]
+        chosen = [(j, i) for j, i in enumerate(pivot_rows(big)) if i not in taken]
         if not chosen:
             continue
-        field, m = big.field, len(chosen)
-        reps = Matrix._trusted(field, tuple(tuple(row[j] for j, _ in chosen)
-                                            for row in big.rows), m)
-        lower = Matrix._trusted(field, tuple(sub.rows[i] for _, i in chosen), sub.ncols)
+        own_rows = [i for _, i in chosen]
+        reps = big.select(cols=[j for j, _ in chosen])
+        lower = sub.select(rows=own_rows)
         actions = []
         for op in operators:
-            Y = (op * reps).rows
-            top = Matrix._trusted(field, tuple(Y[i] for i in sub_rows), m)
-            own = Matrix._trusted(field, tuple(Y[i] for _, i in chosen), m)
-            actions.append(own - lower * top)
+            Y = op * reps
+            actions.append(Y.select(rows=own_rows) - lower * Y.select(rows=sub_rows))
         yield key, actions
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -325,15 +327,20 @@ class TestHostileInput:
         assert "Traceback" not in err and "cannot write the report" in err
 
     def test_zero_divisor_column_in_etale_algebra(self, tmp_path):
+        # no entry of the first column is invertible in Q[a]/(a^2-1); phi is
+        # invertible when its determinant is a unit (2), not when it divides
+        # zero (a+1)
         path = tmp_path / "etale.json"
-        path.write_text(json.dumps({
-            "q": 5, "field": {"type": "NumberField", "minpoly": [-1, 0, 1]},
-            "phi": [["a+1", "1"], ["a-1", "1"]], "nilp": [["0", "0"], ["0", "0"]],
-            "inertia": []}))
-        for argv in (["validate", str(path)], ["frss", str(path)]):
-            code, err, _ = _run_cli(*argv)
-            assert code == 2
-            assert "Traceback" not in err and "ZeroDivisorPivotError" in err
+        for phi, code in (([["a+1", "1"], ["a-1", "1"]], 0),
+                          ([["a+1", "0"], ["0", "1"]], 2)):
+            path.write_text(json.dumps({
+                "q": 5, "field": {"type": "NumberField", "minpoly": [-1, 0, 1]},
+                "phi": phi, "nilp": [["0", "0"], ["0", "0"]], "inertia": []}))
+            for argv in (["validate", str(path)], ["frss", str(path)]):
+                got, err, _ = _run_cli(*argv)
+                assert got == code
+                assert "Traceback" not in err
+                assert ("phi is singular" in err) == bool(code)
 
 
 def test_purity_of_degree_8_frobenius(tmp_path):
@@ -350,3 +357,115 @@ def test_purity_of_degree_8_frobenius(tmp_path):
     purity = json.loads(report.read_text())["result"]["purity"]
     assert purity["verdict"] == "pure" and purity["weight"] == 1
     assert seconds < 10
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzzing: mutated corpus documents and argument lists for every
+# subcommand, run in-process
+# ---------------------------------------------------------------------------
+
+COMMANDS = ("validate", "schur", "frss", "filtration", "purity", "specialize", "scan",
+            "rigidity")
+
+
+def _fuzz_invocations():
+    """(document, argument list after the input path, command)."""
+    st = pytest.importorskip("hypothesis.strategies")
+    corpus = {p.name: json.loads(p.read_text()) for p in sorted(CORPUS.glob("*.json"))}
+    scalars = st.sampled_from(["0", "1", "-1", "5", "1/5", "1/25", "t", "-t", "t+1",
+                               "1/(t-1)", "t^2", "a", "1/0", "x", "", 7, -2, True, None, 1.5])
+    fields = st.sampled_from([{"type": "Q"}, {"type": "Qt"}, {"type": "R"},
+                              {"type": "NumberField", "minpoly": [-2, 0, 1]},
+                              {"type": "NumberField", "minpoly": [-1, 0, 1]}])
+
+    @st.composite
+    def documents(draw):
+        doc = json.loads(json.dumps(corpus[draw(st.sampled_from(sorted(corpus)))]))
+        n = len(doc["phi"])
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+            kind = draw(st.integers(0, 5))
+            if kind == 0:
+                matrices = [doc[k] for k in ("phi", "nilp") if isinstance(doc.get(k), list)]
+                matrices += [g["matrix"] for g in doc.get("inertia") or []
+                             if isinstance(g, dict) and isinstance(g.get("matrix"), list)]
+                if matrices:
+                    row = draw(st.sampled_from(draw(st.sampled_from(matrices))))
+                    if row:
+                        row[draw(st.integers(0, len(row) - 1))] = draw(scalars)
+            elif kind == 1:
+                doc["q"] = draw(st.sampled_from([2, 3, 5, 7, 25, 1, 0, "5"]))
+            elif kind == 2:
+                doc["field"] = draw(fields)
+            elif kind == 3:
+                doc["inertia"] = draw(st.sampled_from([[], [{"label": "h", "matrix": [
+                    ["-1" if i == j == 0 else "1" if i == j else "0" for j in range(n)]
+                    for i in range(n)]}]]))
+            elif kind == 4:
+                doc.pop(draw(st.sampled_from(["q", "field", "phi", "nilp", "inertia"])), None)
+            else:
+                doc["nilp"] = [["0"] * n for _ in range(n)]
+        return doc
+
+    flags = {
+        "--partition": ["1", "2", "1,1", "2,1", "3", "2", "2,1", "0", "1,2", "x"],
+        "--points": ["0..2", "-1..1", "1/2,3", "1..1", "0..2", "5..3", "x", "-3..-1"],
+        "--point": ["0", "1", "1/2", "-1", "2", "x", "1/0"],
+        "--weight": ["infer", "infer", "0", "-1", "2", "x"],
+        "--eps": ["1/1000", "1/1000000", "1/1000", "0", "-1", "x"],
+        "--format": ["json", "table", "json", "xml"],
+        "--bogus": ["1"],
+    }
+    # percent chance of each flag: a scan always gets a small --points
+    # range, required flags are usually there, optional ones often and
+    # foreign ones rarely
+    scan = {"--partition": 90, "--points": 100, "--weight": 40, "--eps": 40}
+    chances = {"schur": {"--partition": 90}, "purity": {"--weight": 40, "--eps": 40},
+               "specialize": {"--point": 90}, "scan": scan, "rigidity": scan}
+
+    @st.composite
+    def invocations(draw):
+        command = draw(st.sampled_from(COMMANDS))
+        own = chances.get(command, {})
+        args = []
+        for flag, values in flags.items():
+            chance = 40 if flag == "--format" else own.get(flag, 3)
+            if draw(st.integers(0, 99)) < chance:
+                args += [flag, draw(st.sampled_from(values))]
+        return draw(documents()), args, command
+
+    return invocations()
+
+
+def _main_in_process(argv):
+    """(exit code, stdout bytes, stderr text) of `cli.main(argv)`."""
+    out, err = io.BytesIO(), io.StringIO()
+    stdout = io.TextIOWrapper(out, encoding="utf-8")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the arguments
+            code = exc.code
+        stdout.flush()
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_fuzz(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path / "doc.json"
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(_fuzz_invocations())
+    def run(case):
+        doc, args, command = case
+        path.write_text(json.dumps(doc))
+        code, out, err = _main_in_process([command, str(path), *args])
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err
+        if code == 1:
+            assert command == "rigidity"
+            if b"verdict: " in out:
+                assert b"verdict: fail" in out
+            else:
+                assert json.loads(out)["result"]["report"]["verdict"] == "fail"
+
+    run()

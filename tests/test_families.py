@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -308,3 +309,27 @@ class TestDirectSumScan:
         for a in range(-3, 4):
             st, s1, s2 = point(r_total, a), point(r1, a), point(r2, a)
             assert st.signature == s1.signature.union(s2.signature)
+
+
+def test_scan_reads_fraction_rows_only_for_charpolys(monkeypatch):
+    """Over Q a Matrix stores ints over one denominator and builds its
+    Fraction rows only when they are read.  On the scan path the only
+    reader is `charpoly` (still on Fractions): once per Jordan-Chevalley
+    input, signature layer and graded piece.  A count above that means a
+    Fraction round trip crept back into the scan."""
+    rows = Matrix.rows
+    readers = []
+
+    def counting(M):
+        if M._rows is None:
+            readers.append(sys._getframe(1).f_code.co_name)
+        return rows.fget(M)
+
+    fam = load_wdrep(str(Path(__file__).resolve().parents[1] / "corpus" / "inertia_pair.json"))
+    monkeypatch.setattr(Matrix, "rows", property(counting))
+    report = purity_scan(fam, Partition.of(2, 1), range(5))
+    assert [pr.purity.verdict for pr in report.points] == ["impure"] + ["pure"] * 4
+    assert set(readers) == {"charpoly"}
+    # at t != 0: the Jordan-Chevalley input, 2 signature layers and 4 graded
+    # pieces; at t = 0, where N vanishes, one layer and one piece
+    assert len(readers) == 4 * 7 + 3

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -418,14 +419,32 @@ class TestHessenbergCharpoly:
         assert M.det() == K.coerce(-1)
         assert M.rank() == 2
 
-    def test_etale_algebra_column_of_zero_divisors_is_an_input_error(self):
-        # phi has det 2, but a+1 and a-1 both divide zero
+    def test_etale_algebra_column_of_zero_divisors(self):
+        # a+1 and a-1 both divide zero, so no elimination can start; the
+        # determinants 2 and 4a are units, read off Berkowitz's charpoly,
+        # and the inverses are Cayley-Hamilton adjugates over them
         K = NumberField([-1, 0, 1])
+        a = K.gen()
         M = Matrix(K, [["a+1", "1"], ["a-1", "1"]])
-        for op in (M.inverse, M.rref, M.det):
-            with pytest.raises(ZeroDivisorPivotError, match="no invertible pivot"):
-                op()
+        with pytest.raises(ZeroDivisorPivotError, match="no invertible pivot"):
+            M.rref()
         assert issubclass(ZeroDivisorPivotError, ValueError)
+        assert M.det() == K.coerce(2)
+        P = Matrix(K, [["a+1", "a-1"], ["a-1", "a+1"]])
+        assert charpoly(P) == Poly(K, [4 * a, -2 * a - 2, 1])
+        assert P.det() == 4 * a
+        for X in (M, P):
+            assert X * X.inverse() == Matrix.identity(K, 2)
+            assert X.inverse() * X == Matrix.identity(K, 2)
+
+    def test_etale_algebra_singular_matrix_still_raises(self):
+        # det a+1 divides zero: no inverse, even though det is nonzero
+        K = NumberField([-1, 0, 1])
+        for M in (Matrix(K, [["a+1", "0"], ["0", "1"]]),
+                  Matrix(K, [["a+1", "a+1"], ["a-1", "a+1"]])):
+            assert M.det() and M.det() * (K.gen() - 1) == K.zero
+            with pytest.raises(SingularMatrixError, match="determinant divides zero"):
+                M.inverse()
 
     def test_etale_algebra_matches_both_factors(self):
         # Q[a]/(a^2-1) = Q x Q by a -> 1 and a -> -1; the charpoly over the
@@ -466,3 +485,161 @@ def test_poly_eval_matrix_horner():
     t = QT.gen()
     N = Matrix(QT, [["t", "1"], ["0", "1/t"]])
     assert poly_eval_matrix(Poly(QT, [t, 0, 1]), N) == N * N + Matrix.identity(QT, 2) * t
+
+
+# ---------------------------------------------------------------------------
+# the stored form over Q against a nested-list Fraction reference that
+# shares no code with linalg
+# ---------------------------------------------------------------------------
+
+def _ref_mul(a, b, ncols):
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(ncols)]
+            for row in a]
+
+
+def _ref_rref(rows, ncols):
+    """Gauss-Jordan over Fractions: pivot on the first nonzero entry."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _ref_transpose(rows, ncols):
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def _ref_det(rows):
+    rows, n, acc = [list(r) for r in rows], len(rows), Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            acc = -acc
+        acc *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return acc
+
+
+def _ref_column_echelon(rows, nrows, ncols):
+    red, pivots = _ref_rref(_ref_transpose(rows, ncols), nrows)
+    return _ref_transpose(red[:len(pivots)], nrows)
+
+
+def _ref_kernel(rows, ncols):
+    red, pivots = _ref_rref(rows, ncols)
+    vectors = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        vectors.append(v)
+    return _ref_column_echelon(_ref_transpose(vectors, ncols), ncols, len(vectors))
+
+
+def _draw_rows(rng, nrows, ncols):
+    """Sparse or dense entries with small, negative or large denominators."""
+    density = rng.choice([0.05, 0.2, 0.6, 1.0])
+    dens = rng.choice([(1, 1), (1, 4), (-9, -1), (10 ** 12, 10 ** 12 + 50)])
+    return [[Fraction(rng.randint(-9, 9), rng.randint(*dens)) if rng.random() < density
+             else Fraction(0) for _ in range(ncols)] for _ in range(nrows)]
+
+
+class TestStoredFormOracle:
+    def _check(self, M, ref, nrows=None, ncols=None):
+        """M has the entries ref, stored canonically."""
+        nrows = len(ref) if nrows is None else nrows
+        ncols = (len(ref[0]) if ref else 0) if ncols is None else ncols
+        assert (M.nrows, M.ncols) == (nrows, ncols)
+        assert M.rows == tuple(map(tuple, ref))
+        entries = [x for row in M.num for x in row]
+        assert all(type(x) is int for x in entries) and type(M.den) is int
+        assert M.den > 0 and math.gcd(M.den, *entries) == 1
+        assert M.den == 1 or any(entries)
+        expected = Matrix(QQ, ref)
+        expected.ncols = ncols
+        assert M == expected and hash(M) == hash(expected)
+
+    def test_operations_against_reference(self):
+        rng = random.Random(909)
+        shapes = [(0, 3), (3, 0), (1, 1), (0, 0)] + [
+            (rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60)]
+        for nrows, ncols in shapes:
+            a = _draw_rows(rng, nrows, ncols)
+            b = _draw_rows(rng, nrows, ncols)
+            A, B = Matrix(QQ, a), Matrix(QQ, b)
+            A.ncols = B.ncols = ncols
+            self._check(A, a, nrows, ncols)
+            self._check(A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)],
+                        nrows, ncols)
+            self._check(A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)],
+                        nrows, ncols)
+            self._check(-A, [[-x for x in r] for r in a], nrows, ncols)
+            s = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+            self._check(A * s, [[x * s for x in r] for r in a], nrows, ncols)
+            self._check(A.transpose(), _ref_transpose(a, ncols), ncols, nrows)
+            self._check(A.hstack(B), [r + s for r, s in zip(a, b)], nrows, 2 * ncols)
+            c = _draw_rows(rng, ncols, nrows + 1)
+            C = Matrix(QQ, c)
+            C.ncols = nrows + 1
+            self._check(A * C, _ref_mul(a, c, nrows + 1), nrows, nrows + 1)
+            self._check(A.kron(B), [[x * y for x in r for y in s] for r in a for s in b],
+                        nrows * nrows, ncols * ncols)
+            assert A.is_zero() == all(x == 0 for r in a for x in r)
+            red, pivots = A.rref()
+            ref_red, ref_pivots = _ref_rref(a, ncols)
+            assert list(pivots) == ref_pivots
+            self._check(red, ref_red, nrows, ncols)
+            self._check(kernel_basis(A), _ref_kernel(a, ncols), ncols)
+            self._check(column_echelon(A), _ref_column_echelon(a, nrows, ncols), nrows)
+            if nrows == ncols:
+                assert A.det() == _ref_det(a)
+                assert A.trace() == sum((a[i][i] for i in range(nrows)), Fraction(0))
+                p = Poly(QQ, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)])
+                acc = [[Fraction(0)] * nrows for _ in range(nrows)]
+                for coeff in reversed(p.coeffs):
+                    acc = _ref_mul(acc, a, nrows)
+                    acc = [[x + coeff * (i == j) for j, x in enumerate(r)]
+                           for i, r in enumerate(acc)]
+                self._check(poly_eval_matrix(p, A), acc, nrows, nrows)
+                if _ref_det(a):
+                    aug = [r + [Fraction(int(i == j)) for j in range(nrows)]
+                           for i, r in enumerate(a)]
+                    inv = [r[nrows:] for r in _ref_rref(aug, 2 * nrows)[0]]
+                    self._check(A.inverse(), inv, nrows, nrows)
+                else:
+                    with pytest.raises(SingularMatrixError):
+                        A.inverse()
+
+    def test_solve_and_intersect_against_reference(self):
+        rng = random.Random(910)
+        for _ in range(40):
+            n, k = rng.randint(1, 6), rng.randint(0, 3)
+            a = _ref_column_echelon(_draw_rows(rng, n, k), n, k)
+            x = _draw_rows(rng, len(a[0]) if a and a[0] else 0, rng.randint(0, 3))
+            m = len(x[0]) if x else 0
+            A, X = Matrix.from_columns(QQ, _ref_transpose(a, len(a[0])), n), Matrix(QQ, x)
+            X.ncols = m
+            Y = A * X
+            self._check(solve_in_span(A, Y), x, A.ncols, m)
+
+    def test_rows_are_built_once(self):
+        M = Matrix(QQ, [[1, 2], [3, 4]]) * Fraction(1, 2)
+        assert M.rows is M.rows
+        assert M.num == ((1, 2), (3, 4)) and M.den == 2

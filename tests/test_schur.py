@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+import math
 from math import factorial
 
 import pytest
@@ -12,6 +13,11 @@ from wdreps.fields import NumberField
 from wdreps.schur import Partition, perm_identity, perm_mul, perm_sign
 
 from support import random_matrix
+
+
+def prod_entries(A, w, u):
+    """prod_k A[w_k, u_k]."""
+    return math.prod((A[i, j] for i, j in zip(w, u)), start=Fraction(1))
 
 
 class TestPartition:
@@ -241,6 +247,27 @@ class TestSparseFunctorOracle:
                         power, derivation = self._oracles(A, mu)
                         assert schur_of_matrix(A, mu) == power
                         assert schur_derivation(A, mu) == derivation
+
+    def test_integer_path_equals_fraction_arithmetic(self):
+        # over Q the functor runs on A's numerators and the basis scaled to
+        # ints; here every entry is summed over Fractions from its definition
+        rng = random.Random(72)
+        for n in range(1, 5):
+            for d in range(1, 4):
+                for mu in partitions_of(d):
+                    basis = schur_basis(mu, n, QQ)
+                    A = Matrix(QQ, [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                     if rng.random() < 0.7 else 0 for _ in range(n)]
+                                    for _ in range(n)])
+                    power = [[sum((c * prod_entries(A, w, u) for u, c in col), Fraction(0))
+                              for col in basis.columns] for w in basis.pivot_words]
+                    derivation = [[sum((c * A[w[k], u[k]] for u, c in col for k in range(d)
+                                        if w[:k] + w[k + 1:] == u[:k] + u[k + 1:]), Fraction(0))
+                                   for col in basis.columns] for w in basis.pivot_words]
+                    for S, ref in ((schur_of_matrix(A, mu), power),
+                                   (schur_derivation(A, mu), derivation)):
+                        assert S.rows == tuple(map(tuple, ref))
+                        assert math.gcd(S.den, *[x for row in S.num for x in row]) == 1
 
     def test_zero_dimensional_images(self):
         for field, _ in self.FIELDS.values():
