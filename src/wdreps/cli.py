@@ -27,7 +27,7 @@ from .fields import ParseError, Poly, QQ
 from .jsonio import (ValidationError, canonical_json_bytes, filtration_to_json,
                      format_poly, load_wdrep, purity_report_to_json,
                      rigidity_report_to_json, signature_to_json, wdrep_to_json)
-from .roots import DEFAULT_EPS, CertificationFailed
+from .roots import DEFAULT_EPS, MIN_EPS, CertificationFailed
 from .schur import Partition, ResourceCapExceeded
 from .wd import (NonIntegralWeight, frobenius_semisimplify, frss_signature,
                  monodromy_filtration, purity_check, wd_schur)
@@ -106,6 +106,8 @@ def parse_eps(text: str | None) -> Fraction:
     eps = parse_rational(text)
     if eps <= 0:
         raise ParseError("eps must be positive")
+    if eps < MIN_EPS:
+        raise ParseError("eps below 2^-20000 cannot be certified")
     return eps
 
 
@@ -134,6 +136,7 @@ def run_command(req: CommandRequest):
     code = EXIT_OK
     try:
         envelope["input_digest"] = _digest(req.input_path)
+        eps = parse_eps(req.eps)
         rho = load_wdrep(req.input_path) if req.command != "validate" else None
         if req.command == "validate":
             try:
@@ -153,7 +156,7 @@ def run_command(req: CommandRequest):
         elif req.command == "filtration":
             envelope["result"] = {"filtration": filtration_to_json(monodromy_filtration(rho.nilp))}
         elif req.command == "purity":
-            report = purity_check(rho, parse_weight(req.weight), parse_eps(req.eps))
+            report = purity_check(rho, parse_weight(req.weight), eps)
             envelope["result"] = {"purity": purity_report_to_json(report)}
         elif req.command == "specialize":
             if req.point is None:
@@ -163,7 +166,7 @@ def run_command(req: CommandRequest):
         elif req.command in ("scan", "rigidity"):
             mu = _required_partition(req)
             report = purity_scan(rho, mu, parse_points(req.points),
-                                 parse_weight(req.weight), parse_eps(req.eps))
+                                 parse_weight(req.weight), eps)
             if req.command == "rigidity":
                 report = rigidity_check(report)
                 if report.verdict == "fail":
@@ -314,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "of rationals (default -25..25)")
         if eps:
             p.add_argument("--eps", default=None,
-                           help=f"certification width as a rational (default {DEFAULT_EPS})")
+                           help=f"certification width, at least 2^-20000 (default {DEFAULT_EPS})")
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         return p

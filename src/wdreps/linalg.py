@@ -6,10 +6,14 @@ Echelon conventions are deterministic (first invertible pivot, columns
 ordered by pivot row, pivots normalized to 1, reduced) so every basis
 this module emits is the unique canonical basis of its subspace.
 
-A matrix over Q is stored as Python ints over one denominator, in a
-canonical form that every operation on it (products, sums, fraction-free
-elimination and determinants, Horner steps) reads and writes; Fractions
-are built only when `Matrix.rows` is read.
+Every matrix has one stored form: rows `num` over a denominator `den`.
+Over Q they are Python ints over one int in canonical form, which every
+operation (products, sums, fraction-free elimination and determinants,
+Horner steps) reads and writes, and Fractions are built only when
+`Matrix.rows` is read; over any other field they are the scalars
+themselves and `den` is None.  `_make` builds every computed matrix.
+Over Q `det` eliminates on the ints; over the other fields it is read off
+the characteristic polynomial, which `charpoly` keeps on the matrix.
 """
 
 from __future__ import annotations
@@ -33,60 +37,41 @@ class ZeroDivisorPivotError(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix over a `Field`.  The column count is stored,
-    so a matrix without rows keeps its width (0 x n is not 0 x 0).  The
-    `_flag` slot holds the powers and kernels of a nilpotent matrix once
-    `wd` has computed them.  Over Q it is int rows `num` over an int
-    `den` > 0 with gcd(den, entries) = 1 (den = 1 when zero), and `rows`
-    builds Fractions on first access; elsewhere `rows` holds the scalars
-    and `num` and `den` are None."""
+    """Immutable dense matrix over a `Field`, stored as rows `num` over
+    `den`: over Q int rows over an int `den` > 0 with gcd(den, entries) = 1
+    (den = 1 when zero), and `rows` builds Fractions on first access;
+    elsewhere `num` holds the scalars, `rows` is `num` and `den` is None.
+    The column count is stored, so a matrix without rows keeps its width
+    (0 x n is not 0 x 0).  The `_flag` slot holds the powers and kernels
+    of a nilpotent matrix once `wd` has computed them, and `_charpoly` the
+    characteristic polynomial once `charpoly` has."""
 
-    __slots__ = ("field", "ncols", "den", "num", "_rows", "_flag")
+    __slots__ = ("field", "ncols", "den", "num", "_rows", "_flag", "_charpoly")
 
     def __init__(self, field: Field, rows):
         rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged matrix rows")
-        self._fill(field, rows, ncols)
-
-    @classmethod
-    def _trusted(cls, field: Field, rows, ncols: int | None = None) -> "Matrix":
-        """Wrap a tuple of equal-length tuples of `field` scalars without
-        coercing or checking them: for results this module computed.  The
-        width defaults to that of the first row; pass it when there may be
-        no rows."""
-        M = object.__new__(cls)
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        M._fill(field, rows, ncols)
-        return M
-
-    def _fill(self, field: Field, rows, ncols: int):
-        self.field, self.ncols, self._rows, self.den, self.num = field, ncols, rows, None, None
+        num, den = rows, None
         if field == QQ:  # over the lcm of reduced denominators, no prime divides every entry
-            self.den = den = lcm(*[x.denominator for row in rows for x in row])
-            self.num = tuple(tuple([x.numerator * (den // x.denominator) for x in row])
-                             for row in rows)
+            den = lcm(*[x.denominator for row in rows for x in row])
+            num = tuple(tuple([x.numerator * (den // x.denominator) for x in row])
+                        for row in rows)
+        self.field, self.ncols, self.num, self.den, self._rows = field, ncols, num, den, rows
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _from_stored(cls, field: Field, grid, ncols: int, den) -> "Matrix":
-        """A matrix from rows in stored form: int numerators over `den` for
-        Q (den not None), field scalars otherwise."""
-        return cls._trusted(field, grid, ncols) if den is None else _q(grid, ncols, den)
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         den, zero, one = _units(field)
-        return cls._from_stored(field, tuple(tuple(one if i == j else zero for j in range(n))
-                                             for i in range(n)), n, den)
+        return _make(field, tuple(tuple(one if i == j else zero for j in range(n))
+                                  for i in range(n)), n, den)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
         den, zero, _ = _units(field)
-        return cls._from_stored(field, ((zero,) * ncols,) * nrows, ncols, den)
+        return _make(field, ((zero,) * ncols,) * nrows, ncols, den)
 
     @classmethod
     def diagonal(cls, field: Field, entries) -> "Matrix":
@@ -97,8 +82,9 @@ class Matrix:
     @classmethod
     def from_columns(cls, field: Field, cols, nrows: int) -> "Matrix":
         cols = list(cols)
-        return cls._trusted(field, tuple(tuple(field.coerce(col[i]) for col in cols)
-                                         for i in range(nrows)), len(cols))
+        M = cls(field, [[col[i] for col in cols] for i in range(nrows)])
+        M.ncols = len(cols)
+        return M
 
     # -- shape and access ---------------------------------------------
 
@@ -110,13 +96,8 @@ class Matrix:
         return self._rows
 
     @property
-    def _stored(self):
-        """The rows as stored: numerators over `den` for Q, else scalars."""
-        return self.rows if self.num is None else self.num
-
-    @property
     def nrows(self) -> int:
-        return len(self._rows if self.num is None else self.num)
+        return len(self.num)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -128,28 +109,25 @@ class Matrix:
     def column(self, j: int):
         return [row[j] for row in self.rows]
 
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
     def select(self, rows=None, cols=None) -> "Matrix":
         """The submatrix on the given row and column indices (all if None)."""
-        grid = self._stored if rows is None else list(map(self._stored.__getitem__, rows))
+        grid = self.num if rows is None else tuple(map(self.num.__getitem__, rows))
         if cols is None:
-            return self._from_stored(self.field, tuple(grid), self.ncols, self.den)
-        return self._from_stored(self.field, tuple(tuple([row[j] for j in cols]) for row in grid),
-                                 len(cols), self.den)
+            return _make(self.field, grid, self.ncols, self.den)
+        return _make(self.field, tuple(tuple([row[j] for j in cols]) for row in grid),
+                     len(cols), self.den)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self._stored))
+        return not any(map(any, self.num))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.field == other.field and self.ncols == other.ncols
-                and self.den == other.den and self._stored == other._stored)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.field, self.den, self._stored))
+        return hash((self.field, self.den, self.num))
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {[list(r) for r in self.rows]!r})"
@@ -157,14 +135,13 @@ class Matrix:
     # -- arithmetic ----------------------------------------------------
 
     def _entrywise(self, fn, *others) -> "Matrix":
-        """fn applied entry by entry to self and matrices of its shape; over
-        Q to the numerators over the common denominator."""
+        """fn applied entry by entry to the numerators of self and matrices
+        of its shape, over their common denominator."""
         if any((o.nrows, o.ncols) != (self.nrows, self.ncols) for o in others):
             raise ValueError("shape mismatch in an entrywise matrix operation")
         den = self.den and lcm(self.den, *(o.den for o in others))
         rows = zip(*(_over(M, den) for M in (self, *others)))
-        return self._from_stored(self.field, tuple(tuple(map(fn, *rs)) for rs in rows),
-                                 self.ncols, den)
+        return _make(self.field, tuple(tuple(map(fn, *rs)) for rs in rows), self.ncols, den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(operator.add, other)
@@ -176,35 +153,31 @@ class Matrix:
         return self._entrywise(operator.neg)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch in matrix product")
-            if self.num is not None:
-                return _mul_q(self, other)
-            cols = other.columns()
-            zero = self.field.zero
-            out = []
-            for row in self.rows:
-                out_row = []
-                for col in cols:
-                    acc = zero
-                    for a, b in zip(row, col):
-                        if a and b:
-                            acc = acc + a * b
-                    out_row.append(acc)
-                out.append(tuple(out_row))
-            return Matrix._trusted(self.field, tuple(out), other.ncols)
-        return self._scale(self.field.coerce(other))
+        """A product skips the zero entries of both factors; over Q it runs
+        on the numerators, over den * other.den."""
+        if not isinstance(other, Matrix):
+            return self._scale(self.field.coerce(other))
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch in matrix product")
+        zero = _units(self.field)[1]
+        support = [[(j, w) for j, w in enumerate(row) if w] for row in other.num]
+        out = []
+        for row in self.num:
+            acc = [zero] * other.ncols
+            for v, row_support in zip(row, support):
+                if v:
+                    for j, w in row_support:
+                        acc[j] = acc[j] + v * w
+            out.append(tuple(acc))
+        return _make(self.field, tuple(out), other.ncols, self.den and self.den * other.den)
 
-    def __rmul__(self, other):
-        return self._scale(self.field.coerce(other))
+    __rmul__ = __mul__
 
     def _scale(self, s) -> "Matrix":
-        if self.num is None:
-            return self._entrywise(lambda a: a * s)
-        p, q = s.as_integer_ratio()
-        return _q(tuple(tuple([x * p for x in row]) for row in self.num), self.ncols,
-                  self.den * q)
+        # over Q the numerators take s's numerator and den its denominator
+        s, q = s.as_integer_ratio() if self.den else (s, None)
+        return _make(self.field, tuple(tuple([x * s for x in row]) for row in self.num),
+                     self.ncols, self.den and self.den * q)
 
     def __pow__(self, n: int) -> "Matrix":
         if not self.is_square():
@@ -214,16 +187,14 @@ class Matrix:
         return binary_power(self, n, Matrix.identity(self.field, self.nrows))
 
     def transpose(self) -> "Matrix":
-        grid = self._stored
-        return self._from_stored(self.field, tuple(zip(*grid)) if grid else ((),) * self.ncols,
-                                 self.nrows, self.den)
+        return _make(self.field, tuple(zip(*self.num)) if self.num else ((),) * self.ncols,
+                     self.nrows, self.den)
 
     def trace(self):
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        if self.num is not None:
-            return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
-        return sum((row[i] for i, row in enumerate(self.rows)), self.field.zero)
+        s = sum((row[i] for i, row in enumerate(self.num)), _units(self.field)[1])
+        return Fraction(s, self.den) if self.den else s
 
     def map_entries(self, fn, field: Field) -> "Matrix":
         M = Matrix(field, [[fn(x) for x in row] for row in self.rows])
@@ -235,22 +206,22 @@ class Matrix:
             raise ValueError("row count mismatch in hstack")
         den = self.den and lcm(self.den, other.den)
         rows = tuple(ra + rb for ra, rb in zip(_over(self, den), _over(other, den)))
-        return self._from_stored(self.field, rows, self.ncols + other.ncols, den)
+        return _make(self.field, rows, self.ncols + other.ncols, den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, first factor most significant."""
-        return self._from_stored(self.field, tuple(tuple(a * b for a in ra for b in rb)
-                                                   for ra in self._stored for rb in other._stored),
-                                 self.ncols * other.ncols, self.den and self.den * other.den)
+        return _make(self.field, tuple(tuple(a * b for a in ra for b in rb)
+                                       for ra in self.num for rb in other.num),
+                     self.ncols * other.ncols, self.den and self.den * other.den)
 
     # -- elimination ----------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot_columns).
         Over Q the elimination runs on the numerators (`_rref_q`)."""
-        if self.num is not None:
+        if self.den is not None:
             return _rref_q(self.num, self.ncols)
-        rows = [list(r) for r in self.rows]
+        rows = [list(r) for r in self.num]
         nr, nc = self.nrows, self.ncols
         one = self.field.one
         pivots = []
@@ -270,38 +241,22 @@ class Matrix:
             r += 1
             if r == nr:
                 break
-        return Matrix._trusted(self.field, tuple(map(tuple, rows)), nc), tuple(pivots)
+        return _make(self.field, tuple(map(tuple, rows)), nc), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def det(self):
-        """Over Q fraction-free on the numerators; over an etale algebra, if
-        a column has only zero divisors, by Berkowitz's division-free charpoly."""
+        """Over Q by fraction-free elimination on the numerators; over any
+        other field (etale algebras included) (-1)^n times the constant term
+        of `charpoly`, which stays on the matrix for later calls."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
-        if self.num is not None:
+        if self.den is not None:
             return _det_ints(self.num) / self.den ** n
-        rows = [list(r) for r in self.rows]
-        acc = self.field.one
-        for c in range(n):
-            try:
-                pr, inv = _pivot(rows, c, c, self.field.one)
-            except ZeroDivisorPivotError:
-                p0 = _berkowitz(self.rows, self.field.zero, self.field.one)[0]
-                return -p0 if n % 2 else p0
-            if pr is None:
-                return self.field.zero
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                acc = -acc
-            acc = acc * rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    f = rows[i][c] * inv
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-        return acc
+        p0 = charpoly(self)[0]
+        return -p0 if n % 2 else p0
 
     def inverse(self) -> "Matrix":
         """rref of [M | I]; over an etale algebra where that meets a column
@@ -314,7 +269,7 @@ class Matrix:
             red, pivots = aug.rref()
         except ZeroDivisorPivotError:
             # p(x) = x q(x) + p(0), so M q(M) = -p(0) I
-            p = _berkowitz(self.rows, self.field.zero, self.field.one)
+            p = charpoly(self).coeffs
             try:
                 scale = -self.field.one / p[0]
             except ZeroDivisionError:
@@ -326,8 +281,9 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# the integer kernel over Q: every operation reads and writes numerators
-# over one denominator; Fractions appear only in `Matrix.rows`
+# the stored form, and the integer kernel over Q: every operation reads and
+# writes numerators over one denominator; Fractions appear only in
+# `Matrix.rows`
 # ---------------------------------------------------------------------------
 
 _ZERO = Fraction(0)
@@ -338,38 +294,28 @@ def _units(field: Field):
     return (1, 0, 1) if field == QQ else (None, field.zero, field.one)
 
 
-def _q(num, ncols: int, den: int = 1) -> Matrix:
-    """The Q matrix num / den (den > 0), put in canonical form."""
-    if den != 1:
+def _make(field: Field, num, ncols: int, den: int | None = None) -> Matrix:
+    """The matrix with stored rows `num` (a tuple of equal-length tuples),
+    uncoerced and unchecked: for results this module computed.  Over Q
+    `num` holds ints and `den` > 0, and the result is put in canonical
+    form; over any other field `num` holds the scalars and `den` is None."""
+    if den is not None and den != 1:
         g = gcd(den, *chain.from_iterable(num))
         if g != 1:
             den //= g
             num = tuple(tuple([x // g for x in row]) for row in num)
     M = object.__new__(Matrix)
-    M.field, M.ncols, M.den, M.num, M._rows = QQ, ncols, den, num, None
+    M.field, M.ncols, M.num, M.den = field, ncols, num, den
+    M._rows = num if den is None else None
     return M
 
 
 def _over(M: Matrix, den):
     """The stored rows of M, over Q rescaled to the multiple den of M.den."""
     if den is None or den == M.den:
-        return M._stored
+        return M.num
     f = den // M.den
     return tuple(tuple([x * f for x in row]) for row in M.num)
-
-
-def _mul_q(A: Matrix, B: Matrix) -> Matrix:
-    """A * B over Q on the numerators, skipping the zero entries of both."""
-    b_support = [[(j, w) for j, w in enumerate(row) if w] for row in B.num]
-    out = []
-    for row in A.num:
-        acc = [0] * B.ncols
-        for v, support in zip(row, b_support):
-            if v:
-                for j, w in support:
-                    acc[j] += v * w
-        out.append(tuple(acc))
-    return _q(tuple(out), B.ncols, A.den * B.den)
 
 
 def _rref_q(num, ncols: int):
@@ -411,7 +357,7 @@ def _rref_q(num, ncols: int):
         f = den // row[c]
         out.append(tuple([x * f for x in row]))
     out.extend([(0,) * ncols] * (nr - len(pivots)))
-    return _q(tuple(out), ncols, den), tuple(pivots)
+    return _make(QQ, tuple(out), ncols, den), tuple(pivots)
 
 
 def _det_ints(rows) -> Fraction:
@@ -460,7 +406,7 @@ def column_echelon(M: Matrix) -> Matrix:
 
 def pivot_rows(basis: Matrix):
     """The pivot row (first nonzero entry) of each canonical basis column."""
-    return [next(i for i, x in enumerate(col) if x) for col in zip(*basis._stored)]
+    return [next(i for i, x in enumerate(col) if x) for col in zip(*basis.num)]
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -481,10 +427,10 @@ def kernel_basis(M: Matrix) -> Matrix:
             continue
         col = [zero] * n
         col[n - 1 - f] = one
-        for row, p in zip(red._stored, pivots):
+        for row, p in zip(red.num, pivots):
             col[n - 1 - p] = -row[f]
         kernel_cols.append(tuple(col))
-    return Matrix._from_stored(field, tuple(kernel_cols), n, red.den).transpose()
+    return _make(field, tuple(kernel_cols), n, red.den).transpose()
 
 
 def mat_subspaces(M: Matrix):
@@ -522,9 +468,13 @@ def charpoly(M: Matrix) -> Poly:
     O(n^3) field operations over any field.  Over an etale algebra a column
     whose nonzero entries below the diagonal all divide zero cannot be
     cleared by a similarity; the reduced matrix then goes to Berkowitz's
-    division-free algorithm."""
+    division-free algorithm.  The result is kept on M, so `M.det()` and a
+    later `charpoly(M)` reduce M once."""
     if not M.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
+    kept = getattr(M, "_charpoly", None)
+    if kept is not None:
+        return kept
     n = M.nrows
     field = M.field
     zero, one = field.zero, field.one
@@ -539,7 +489,8 @@ def charpoly(M: Matrix) -> Poly:
                 pr, inv = _pivot(H, m, m - 1, one)
             except ZeroDivisorPivotError:
                 # every candidate pivot divides zero: finish division-free
-                return Poly(field, _berkowitz(H, zero, one))
+                coeffs = _berkowitz(H, zero, one)
+                break
         if pr != m:
             H[pr], H[m] = H[m], H[pr]
             for row in H:
@@ -556,25 +507,28 @@ def charpoly(M: Matrix) -> Poly:
             for row in H:
                 if row[i]:
                     row[m] = row[m] + u * row[i]
-    # polys[m] = charpoly of the leading m x m block, low degree first
-    polys = [[one]]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        h = H[m - 1][m - 1]
-        new = [zero] + prev
-        for k, c in enumerate(prev):
-            new[k] = new[k] - h * c
-        t = one
-        for i in range(m - 1, 0, -1):
-            t = t * H[i][i - 1]
-            if not t:
-                break
-            coef = H[i - 1][m - 1] * t
-            if coef:
-                for k, c in enumerate(polys[i - 1]):
-                    new[k] = new[k] - coef * c
-        polys.append(new)
-    return Poly(field, polys[n])
+    else:
+        # polys[m] = charpoly of the leading m x m block, low degree first
+        polys = [[one]]
+        for m in range(1, n + 1):
+            prev = polys[m - 1]
+            h = H[m - 1][m - 1]
+            new = [zero] + prev
+            for k, c in enumerate(prev):
+                new[k] = new[k] - h * c
+            t = one
+            for i in range(m - 1, 0, -1):
+                t = t * H[i][i - 1]
+                if not t:
+                    break
+                coef = H[i - 1][m - 1] * t
+                if coef:
+                    for k, c in enumerate(polys[i - 1]):
+                        new[k] = new[k] - coef * c
+            polys.append(new)
+        coeffs = polys[n]
+    M._charpoly = p = Poly(field, coeffs)
+    return p
 
 
 def _pivot(rows, start: int, c: int, one):
@@ -623,8 +577,8 @@ def _berkowitz(A, zero, one) -> list:
 
 def poly_eval_matrix(p: Poly, M: Matrix) -> Matrix:
     """Horner evaluation of a polynomial at a square matrix.  Each Horner
-    constant goes onto the diagonal alone (over Q: onto the numerators),
-    with no I*c built and added."""
+    constant goes onto the diagonal of the stored rows alone, with no I*c
+    built and added."""
     if not M.is_square():
         raise ValueError("polynomial evaluation needs a square matrix")
     n = M.nrows
@@ -633,15 +587,13 @@ def poly_eval_matrix(p: Poly, M: Matrix) -> Matrix:
     acc = Matrix.identity(M.field, n) * p.coeffs[-1]
     for c in reversed(p.coeffs[:-1]):
         acc = acc * M
-        if c and acc.den is None:
-            acc = Matrix._trusted(M.field, tuple(
-                row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(acc.rows)), n)
-        elif c:
-            # acc + c = (q num + p den I) / (q den) for c = p / q
-            p, q = c.as_integer_ratio()
-            p *= acc.den
-            acc = _q(tuple(tuple(x * q + p if i == j else x * q for j, x in enumerate(row))
-                           for i, row in enumerate(acc.num)), n, acc.den * q)
+        if c:
+            # over Q, c joins the numerators over the lcm of the denominators
+            den = acc.den and lcm(acc.den, c.denominator)
+            if den:
+                c = c.numerator * (den // c.denominator)
+            acc = _make(M.field, tuple(row[:i] + (row[i] + c,) + row[i + 1:]
+                                       for i, row in enumerate(_over(acc, den))), n, den)
     return acc
 
 

@@ -142,6 +142,11 @@ def _durand_kerner(coeffs):
 
 
 _MAX_REFINE_ROUNDS = 24
+# Newton steps double the bits of the approximations up to _MAX_BITS, so no
+# width much below 2^-16300 certifies (x^2 - 2 fails at 10^-5000); callers
+# refuse a width under MIN_EPS at once, before any refinement round.
+_MAX_BITS = 1 << 14
+MIN_EPS = Fraction(1, 1 << 20000)
 
 
 def _certify_squarefree(f: Poly, eps: Fraction):
@@ -233,7 +238,7 @@ def _certify_squarefree(f: Poly, eps: Fraction):
             new_zs.append((_round_div(nr * gr + ni * gi << bits, q),
                            _round_div(ni * gr - nr * gi << bits, q)))
         zs, den = new_zs, 1 << bits
-        bits = min(bits * 2, 1 << 14)
+        bits = min(bits * 2, _MAX_BITS)
 
     raise CertificationFailed(
         f"could not certify enclosures of the requested width within "

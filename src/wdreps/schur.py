@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .fields import Field, QQ
-from .linalg import Matrix
+from .linalg import Matrix, _make, _units
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -299,10 +299,12 @@ class SchurBasis:
     @cached_property
     def basis_matrix(self) -> Matrix:
         """The dense n^d x dim matrix of the columns."""
-        cols = [dict(col) for col in self.columns]
+        den, columns = self.scaled_columns
+        zero = _units(self.field)[1]
+        cols = [dict(col) for col in columns]
         words = itertools.product(range(self.n), repeat=self.mu.d)  # big-endian order
-        return Matrix._trusted(self.field, tuple(tuple(c.get(w, self.field.zero) for c in cols)
-                                                 for w in words))
+        return _make(self.field, tuple(tuple(c.get(w, zero) for c in cols) for w in words),
+                     self.dim, den)
 
     @cached_property
     def scaled_columns(self) -> tuple:
@@ -436,8 +438,8 @@ def schur_of_matrix(A: Matrix, mu: Partition) -> Matrix:
     if not A.is_square():
         raise ValueError("schur_of_matrix needs a square matrix")
     basis = schur_basis(mu, A.nrows, A.field)
-    den, grid = basis.scaled_columns[0], A._stored
-    zero = A.field.zero if den is None else 0
+    den, grid = basis.scaled_columns[0], A.num
+    zero = _units(A.field)[1]
     last = mu.d - 1
     out = []
     for w in basis.pivot_words:
@@ -458,7 +460,7 @@ def schur_of_matrix(A: Matrix, mu: Partition) -> Matrix:
                 for j, coeff in child:
                     acc[j] = acc[j] + coeff * f
         out.append(tuple(acc))
-    return Matrix._from_stored(A.field, tuple(out), basis.dim, den and den * A.den ** mu.d)
+    return _make(A.field, tuple(out), basis.dim, den and den * A.den ** mu.d)
 
 
 def schur_derivation(N: Matrix, mu: Partition) -> Matrix:
@@ -474,8 +476,8 @@ def schur_derivation(N: Matrix, mu: Partition) -> Matrix:
     basis = schur_basis(mu, N.nrows, N.field)
     index = basis.slot_index
     words = basis.pivot_words
-    (den, columns), grid = basis.scaled_columns, N._stored
-    out = [[N.field.zero if den is None else 0] * basis.dim for _ in range(basis.dim)]
+    (den, columns), grid = basis.scaled_columns, N.num
+    out = [[_units(N.field)[1]] * basis.dim for _ in range(basis.dim)]
     for j, col in enumerate(columns):
         for u, coeff in col:
             for k in range(len(u)):
@@ -483,7 +485,7 @@ def schur_derivation(N: Matrix, mu: Partition) -> Matrix:
                     f = grid[words[i][k]][u[k]]
                     if f:
                         out[i][j] = out[i][j] + coeff * f
-    return Matrix._from_stored(N.field, tuple(map(tuple, out)), basis.dim, den and den * N.den)
+    return _make(N.field, tuple(map(tuple, out)), basis.dim, den and den * N.den)
 
 
 def schur_trace_oracle(power_sums, mu: Partition, field: Field = QQ):

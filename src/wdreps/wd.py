@@ -18,7 +18,8 @@ from .fields import Field, NumberField, Poly, QQ, QT
 from .linalg import (Matrix, SingularMatrixError, block_diagonal, charpoly,
                      column_echelon, is_nilpotent, kernel_basis, mult_jordan_chevalley,
                      pivot_rows, scalar_restriction)
-from .roots import DEFAULT_EPS, CertificationFailed, ModulusInterval, root_moduli_certified
+from .roots import (DEFAULT_EPS, MIN_EPS, CertificationFailed, ModulusInterval,
+                    root_moduli_certified)
 from .schur import Partition, schur_derivation, schur_of_matrix
 
 INERTIA_ORDER_BOUND = 64
@@ -506,14 +507,16 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
     With weight="infer" the candidate w is read off per piece from
     |det| = q^((w+k)*dim/2) and must be a consistent integer.  Interval
     ambiguity escalates by halving eps up to 4 times before raising
-    CertificationFailed.
+    CertificationFailed.  An eps below `roots.MIN_EPS` raises ValueError.
     """
+    eps = Fraction(eps)
+    if eps < MIN_EPS:
+        raise ValueError("eps below 2^-20000 cannot be certified")
     if rho.field == QT:
         raise ValueError("purity is a property of specializations, not of Q(t) families")
     if not (rho.field == QQ or isinstance(rho.field, NumberField)):
         raise ValueError("purity requires coefficients in Q or a number field")
     _require_valid(rho)
-    eps = Fraction(eps)
     filt = monodromy_filtration(rho.nilp)
     flag = ((k, filt.step(k - 1), filt.step(k)) for k in filt.indices())
     pieces = []

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,24 @@ class TestHostileInput:
         assert code == 2
         assert "Traceback" not in err and "nested deeper" in err
         assert seconds < 10
+
+    def test_eps_below_min_eps(self, tmp_path):
+        # refused by the parser before the document is loaded; certifying it
+        # would run every refinement round on 200,000-digit widths
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({"q": 2, "field": {"type": "Q"}, "phi": [["0", "2"], ["1", "0"]],
+                                    "nilp": [["0", "0"], ["0", "0"]]}))
+        start = time.perf_counter()
+        code, env = run_command(CommandRequest("purity", str(path), eps="1e-200000"))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and env["diagnostics"] == [
+            "ParseError: eps below 2^-20000 cannot be certified"]
+        # 2^-20000 lies between 10^-6021 and 10^-6020
+        assert cli.parse_eps("1e-6020") == Fraction(1, 10 ** 6020)
+        with pytest.raises(ParseError):
+            cli.parse_eps("1e-6021")
+        code, err, _ = _run_cli("purity", "--eps", "1e-200000", str(path))
+        assert code == 2 and "Traceback" not in err
 
     def test_oversized_point_range(self):
         code, err, seconds = _run_cli("scan", "--partition", "2", "--points",

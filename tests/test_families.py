@@ -8,7 +8,7 @@ import pytest
 
 from wdreps import (DenominatorVanishes, Matrix, Poly, QQ, QT, Signature,
                     SignatureEntry, SingularFrobenius, WDRep,
-                    default_scan_points, frss_signature, hook_content_dim,
+                    default_scan_points, frss_signature, hook_content_dim, mult_jordan_chevalley,
                     purity_scan, rigidity_check, sp_construct, specialize,
                     specialize_signature, trace_link_check, wd_direct_sum,
                     wd_schur, wd_tensor, wd_validate)
@@ -333,3 +333,24 @@ def test_scan_reads_fraction_rows_only_for_charpolys(monkeypatch):
     # at t != 0: the Jordan-Chevalley input, 2 signature layers and 4 graded
     # pieces; at t = 0, where N vanishes, one layer and one piece
     assert len(readers) == 4 * 7 + 3
+
+
+def test_jordan_chevalley_reduces_the_qt_schur_image_once(monkeypatch):
+    """Over Q(t) det is read off the charpoly kept on the matrix, so
+    Jordan-Chevalley's invertibility check and its charpoly share one
+    reduction: only `charpoly` reads the image's rows, and only once."""
+    fam = load_wdrep(str(Path(__file__).resolve().parents[1] / "corpus" / "inertia_pair.json"))
+    S = wd_schur(fam, Partition.of(2, 1)).phi
+    assert S.field == QT and S.nrows == 20
+    rows = Matrix.rows
+    readers = []
+
+    def counting(M):
+        if M is S:
+            readers.append(sys._getframe(1).f_code.co_name)
+        return rows.fget(M)
+
+    monkeypatch.setattr(Matrix, "rows", property(counting))
+    semisimple, unipotent = mult_jordan_chevalley(S)
+    assert readers == ["charpoly"]
+    assert semisimple * unipotent == S

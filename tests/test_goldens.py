@@ -1,11 +1,13 @@
 """Byte-for-byte check of the checked-in golden envelopes: the README's
 CLI examples, the rigidity cases of the corpus workload, the inertia21
-case and the two generated Q(t) families, run in-process; and a check
-that bench/tracer.py still finds every function it traces.  The goldens
-under bench/golden and the generator bench/gen.py are only read here,
-never written."""
+case and the two generated Q(t) families, run in-process; and checks
+that bench/tracer.py still finds every function it traces and that each
+workload, cut down to a point or two, still calls every span its
+bench/layers.json rows name.  The goldens under bench/golden and the
+files bench/gen.py and bench/run.py are only read here, never written."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -95,3 +97,37 @@ def test_tracer_binds_every_span():
     proc = subprocess.run([sys.executable, "-c", "import tracer; tracer.Recorder().install()"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_workloads_call_every_layer_row(tmp_path, monkeypatch):
+    """The check `bench/run.py --trace 1` makes after its traced pass,
+    `check_bindings`, on each workload run through bench/tracer.py at one
+    or two points: a call the layer rows need that a change removes (such
+    as the det of a Q(t) matrix) fails here, not only in a traced run."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    gen = _load_generator()
+    docs = {}
+    for name, generator in (("dense-qt", gen.dense_qt), ("wedge-tight", gen.wedge_tight)):
+        docs[name] = str(tmp_path / f"{name}.json")
+        Path(docs[name]).write_bytes(gen.document_bytes(generator(1)))
+    cases = {
+        "inertia21": [run.rigidity("2,1", "corpus/inertia_pair.json", "--points", "1..2")],
+        "corpus": [["validate", "corpus/sp2.json"], ["frss", "corpus/sp2.json"]],
+        "dense-qt": [run.rigidity("2", docs["dense-qt"], "--points", "1..1")],
+        "wedge-tight": [run.rigidity("1,1,1,1", docs["wedge-tight"], "--points", "1..1",
+                                     "--eps", run.EPS_2000)],
+    }
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for name, invocations in cases.items():
+        spans = {}
+        for index, argv in enumerate(invocations):
+            stats = tmp_path / f"{name}-{index}.json"
+            proc = subprocess.run([sys.executable, str(ROOT / "bench" / "tracer.py"), str(stats),
+                                   *argv], cwd=ROOT, env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            for key, (calls, _, _) in json.loads(stats.read_text())["spans"].items():
+                spans[key] = [spans.get(key, [0])[0] + calls]
+        assert run.check_bindings(name, spans) == [], name

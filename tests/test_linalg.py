@@ -10,6 +10,7 @@ from wdreps import (Matrix, Poly, QQ, QT, SingularMatrixError, WDRep,
                     mat_subspaces, mult_jordan_chevalley, poly_eval_matrix,
                     scalar_restriction, sp_construct, squarefree_part,
                     wd_direct_sum)
+from wdreps import linalg
 from wdreps.fields import NumberField
 from wdreps.linalg import intersect_columns, kernel_basis, solve_in_span
 
@@ -643,3 +644,108 @@ class TestStoredFormOracle:
         M = Matrix(QQ, [[1, 2], [3, 4]]) * Fraction(1, 2)
         assert M.rows is M.rows
         assert M.num == ((1, 2), (3, 4)) and M.den == 2
+
+
+# ---------------------------------------------------------------------------
+# the one stored form and product loop over the other fields, against a
+# triple loop and cofactor expansion written here
+# ---------------------------------------------------------------------------
+
+def _other_fields():
+    """Q(t), Q(sqrt 2) and the etale algebra Q[a]/(a^2-1), each with a few
+    entries: zero, units, and over Q[a]/(a^2-1) the zero divisors a +- 1."""
+    t = QT.gen()
+    root2 = NumberField([-2, 0, 1])
+    etale = NumberField([-1, 0, 1])
+    a, b = root2.gen(), etale.gen()
+    return [
+        (QT, [QT.zero, QT.one, t, t * t - 2, (t - 1) / (t + 3), QT.coerce(Fraction(-2, 7))]),
+        (root2, [root2.zero, root2.one, a, a * 3 - 1, root2.coerce(Fraction(5, 2))]),
+        (etale, [etale.zero, etale.one, b, b + 1, b - 1, b * 2 - 3]),
+    ]
+
+
+def _ref_field_mul(field, a, b, ncols):
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(ncols):
+            acc = field.zero
+            for k, x in enumerate(row):
+                acc = acc + x * b[k][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _ref_cofactor_det(field, rows):
+    """Laplace expansion along the first row."""
+    if not rows:
+        return field.one
+    acc = field.zero
+    for j, x in enumerate(rows[0]):
+        if x:
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            term = x * _ref_cofactor_det(field, minor)
+            acc = acc - term if j % 2 else acc + term
+    return acc
+
+
+class TestStoredFormOtherFields:
+    def _check(self, M, field, ref, nrows, ncols):
+        """M has the entries ref, stored as the scalars over den None."""
+        assert (M.field, M.nrows, M.ncols, M.den) == (field, nrows, ncols, None)
+        assert M.num == tuple(map(tuple, ref)) and M.rows is M.num
+        expected = Matrix(field, ref)
+        expected.ncols = ncols
+        assert M == expected and hash(M) == hash(expected)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_product_det_trace_transpose_against_reference(self, index):
+        field, entries = _other_fields()[index]
+        rng = random.Random(1010 + index)
+        shapes = [(0, 3), (3, 0), (0, 0), (1, 1)] + [
+            (rng.randint(1, 4), rng.randint(1, 4)) for _ in range(20)]
+        for nrows, ncols in shapes:
+            a = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+            m = rng.randint(0, 3)
+            c = [[rng.choice(entries) for _ in range(m)] for _ in range(ncols)]
+            A, C = Matrix(field, a), Matrix(field, c)
+            A.ncols, C.ncols = ncols, m
+            self._check(A * C, field, _ref_field_mul(field, a, c, m), nrows, m)
+            self._check(A.transpose(), field, _ref_transpose(a, ncols), ncols, nrows)
+            s = rng.choice(entries)
+            self._check(A * s, field, [[x * s for x in r] for r in a], nrows, ncols)
+            if nrows == ncols:
+                assert A.trace() == sum((a[i][i] for i in range(nrows)), field.zero)
+                assert A.det() == _ref_cofactor_det(field, a)
+
+
+class TestKeptCharpoly:
+    @pytest.mark.parametrize("field", [QT, NumberField([-2, 0, 1])], ids=["Qt", "Qsqrt2"])
+    def test_det_then_charpoly_reduces_once(self, field, monkeypatch):
+        """det reads the constant term of the charpoly it keeps on M; the
+        later charpoly(M) returns that Poly and runs no reduction."""
+        rng = random.Random(1111)
+        gen = field.gen()
+        rows = [[gen * rng.randint(-3, 3) + rng.randint(1, 4) for _ in range(4)]
+                for _ in range(4)]
+        pivots = []
+        pivot = linalg._pivot
+
+        def counting(*args):
+            pivots.append(args[2])
+            return pivot(*args)
+
+        monkeypatch.setattr(linalg, "_pivot", counting)
+        reference = charpoly(Matrix(field, rows))
+        reduction = len(pivots)
+        assert reduction > 0
+        M = Matrix(field, rows)
+        pivots.clear()
+        det = M.det()
+        assert len(pivots) == reduction
+        p = charpoly(M)
+        assert len(pivots) == reduction
+        assert p is charpoly(M) and p == reference
+        assert det == p[0]  # n = 4 is even

@@ -244,6 +244,24 @@ class TestHighDegree:
             assert iv.width() <= DEFAULT_EPS
 
 
+@pytest.mark.parametrize("p", [
+    [-2, 0, 1],                 # x^2 - 2
+    [5, 0, 0, 0, 0, 0, 1],      # x^6 + 5: every |root|^6 is 5
+    [3, -1, 2, 0, 1],           # x^4 + 2x^2 - x + 3
+])
+def test_certifies_down_to_the_reach_of_the_bit_cap(p):
+    """Newton steps stop at 2^-16384, yet widths down to 2^-16300 certify,
+    which puts the refusal bound MIN_EPS below every width that does."""
+    eps = Fraction(1, 1 << 16300)
+    assert roots.MIN_EPS < eps
+    intervals = root_moduli_certified(p, eps)
+    m = len(p) - 1
+    assert len(intervals) == m
+    for iv in intervals:
+        assert iv.width() <= eps
+        assert p[0] != 5 or iv.lo ** m <= 5 <= iv.hi ** m
+
+
 def test_refinement_loop_runs_without_gcd(monkeypatch):
     """Every approximation of a round lives on Gaussian integers over one
     denominator, so no Fraction is normalized inside the refinement loop:

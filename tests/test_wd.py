@@ -458,6 +458,13 @@ class TestPurity:
         report = purity_check(rho, "infer")
         assert report.verdict == "impure"
 
+    def test_eps_below_min_eps_is_refused(self):
+        from wdreps.roots import MIN_EPS
+        rho = WDRep(2, QQ, Matrix(QQ, [[0, 2], [1, 0]]), Matrix.zeros(QQ, 2, 2))
+        with pytest.raises(ValueError, match="2\\^-20000"):
+            purity_check(rho, "infer", MIN_EPS / 2)
+        assert purity_check(rho, "infer", Fraction(1, 10 ** 30)).verdict == "pure"
+
     def test_trivial_pure_weight_zero(self):
         report = purity_check(trivial_onedim(), "infer")
         assert report.verdict == "pure" and report.weight == 0
