@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 import traceback
 from dataclasses import dataclass
@@ -61,6 +62,10 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if max(map(len, re.findall(r"\d+", text)), default=0) > limit > 0:
+            raise ParseError(f"integer of more than {limit} digits (Python's int-conversion "
+                             "limit) in a rational; use exponent form, e.g. 1e-4000") from exc
         raise ParseError(f"bad rational number {text!r}") from exc
 
 
@@ -107,7 +112,7 @@ def parse_eps(text: str | None) -> Fraction:
     if eps <= 0:
         raise ParseError("eps must be positive")
     if eps < MIN_EPS:
-        raise ParseError("eps below 2^-20000 cannot be certified")
+        raise ParseError("eps below 2^-16000 cannot be certified")
     return eps
 
 
@@ -317,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "of rationals (default -25..25)")
         if eps:
             p.add_argument("--eps", default=None,
-                           help=f"certification width, at least 2^-20000 (default {DEFAULT_EPS})")
+                           help=f"certification width, at least 2^-16000 (default {DEFAULT_EPS})")
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         return p

@@ -1,14 +1,14 @@
 """Certified enclosures for the absolute values of complex polynomial
 roots.
 
-Floating point is used only to seed approximations (Durand-Kerner); the
-certificates are exact.  For a monic squarefree f of degree m and pairwise
-distinct approximations z_1..z_m, f is the characteristic polynomial of
-the generalized companion matrix diag(z_i) - e * w^T with the Weierstrass
-corrections w_i = f(z_i) / prod_{j!=i}(z_i - z_j); column Gershgorin disks
-D(z_i, m*|w_i|) therefore cover all roots, and pairwise disjoint disks
-isolate exactly one root each.  All disk data is computed exactly, on
-Gaussian integers over one denominator shared by the approximations of a
+For a monic squarefree f of degree m and pairwise distinct approximations
+z_1..z_m, f is the characteristic polynomial of the generalized companion
+matrix diag(z_i) - e * w^T with the Weierstrass corrections
+w_i = f(z_i) / prod_{j!=i}(z_i - z_j); column Gershgorin disks D(z_i, m*|w_i|)
+therefore cover all roots, and pairwise disjoint disks isolate exactly one
+root each.  The one correction w_i seeds the approximations in floats
+(Durand-Kerner), then refines them (z_i - w_i) and bounds the disks exactly,
+on Gaussian integers over one denominator shared by the approximations of a
 round, so the resulting modulus intervals are mathematically guaranteed.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from .fields import Poly, QQ, squarefree_decomposition
 
@@ -113,7 +113,8 @@ def _round_div(n: int, d: int) -> int:
 
 def _durand_kerner(coeffs):
     """Float approximations to the roots of a monic squarefree polynomial
-    given by exact rational coefficients (low to high)."""
+    given by exact rational coefficients (low to high), refined by
+    Weierstrass corrections until each is below 1e-14 of its root."""
     m = len(coeffs) - 1
     fc = [float(c) for c in coeffs]
 
@@ -125,28 +126,24 @@ def _durand_kerner(coeffs):
 
     zs = [(0.4 + 0.9j) ** k for k in range(1, m + 1)]
     for _ in range(600):
-        shift = 0.0
+        done = True
         for i in range(m):
-            den = 1.0 + 0j
-            for j in range(m):
-                if j != i:
-                    den *= zs[i] - zs[j]
-            if den == 0:
-                den = 1e-40 + 0j
-            w = ev(zs[i]) / den
+            den = prod((zs[i] - zs[j] for j in range(m) if j != i), start=1 + 0j)
+            w = ev(zs[i]) / (den or 1e-40)
             zs[i] -= w
-            shift = max(shift, abs(w))
-        if shift < 1e-14:
+            done = done and abs(w) <= 1e-14 * abs(zs[i])
+        if done:
             break
     return zs
 
 
 _MAX_REFINE_ROUNDS = 24
-# Newton steps double the bits of the approximations up to _MAX_BITS, so no
-# width much below 2^-16300 certifies (x^2 - 2 fails at 10^-5000); callers
-# refuse a width under MIN_EPS at once, before any refinement round.
+# Weierstrass steps double the bits of the approximations up to _MAX_BITS, so
+# no width much below 2^-16300 certifies (x^2 - 2 fails at 10^-5000); callers
+# refuse a width under MIN_EPS at once, before any refinement round, and
+# every width purity_check tries down to MIN_EPS / 16 is within reach.
 _MAX_BITS = 1 << 14
-MIN_EPS = Fraction(1, 1 << 20000)
+MIN_EPS = Fraction(1, 1 << 16000)
 
 
 def _certify_squarefree(f: Poly, eps: Fraction):
@@ -157,23 +154,18 @@ def _certify_squarefree(f: Poly, eps: Fraction):
         return []
     coeffs = list(f.coeffs)
     if m == 1:
-        root = -coeffs[0]
-        modulus = abs(root)
-        return [ModulusInterval(modulus, modulus)]
+        return [ModulusInterval(abs(coeffs[0]), abs(coeffs[0]))]
 
     try:
-        seeds = _durand_kerner(coeffs)
+        # floats are dyadic rationals, so the seeds convert exactly
+        zs = [(Fraction(z.real), Fraction(z.imag)) for z in _durand_kerner(coeffs)]
     except OverflowError as exc:
         raise CertificationFailed(f"coefficients too large for seeding: {exc}") from exc
-    zs = [(Fraction(z.real).limit_denominator(1 << 64),
-           Fraction(z.imag).limit_denominator(1 << 64)) for z in seeds]
     den = lcm(*(c.denominator for z in zs for c in z))
     zs = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
           for x, y in zs]
-    # D*f and D*f' on integer coefficients
     D = lcm(*(c.denominator for c in coeffs))
     fa = [c.numerator * (D // c.denominator) for c in coeffs]
-    ga = [k * c for k, c in enumerate(fa)][1:]
     shift = _shift(eps / 8)
     # radii are integers R meaning R / 2^shift; R <= cap iff R / 2^shift <= 3 eps / 8
     cap = (3 * eps.numerator << shift) // (8 * eps.denominator)
@@ -191,50 +183,45 @@ def _certify_squarefree(f: Poly, eps: Fraction):
                 zs[i] = (x, y)
 
         # F_i = den^m D f(z_i), P_i = den^(m-1) prod_{j!=i} (z_i - z_j), so the
-        # Weierstrass correction is w_i = F_i / (D den P_i) and the Gershgorin
-        # radius m |w_i| is bounded above at resolution 2^-shift
+        # Weierstrass correction is w_i = F_i / (D den P_i); the Gershgorin
+        # radius m |w_i| is bounded above at the finer resolution 2^-fine
         scaled = _homogeneous(fa, den)
-        fs = [_horner(scaled, z) for z in zs]
-        radii = []
-        for i, ((x, y), (fr, fi)) in enumerate(zip(zs, fs)):
-            if fr == fi == 0:
-                radii.append(0)
-                continue
+        fine = max(shift, bits)
+        fs, ps, radii = [], [], []
+        for i, (x, y) in enumerate(zs):
+            fr, fi = _horner(scaled, (x, y))
             pr, pi = 1, 0
             for j, (u, v) in enumerate(zs):
                 if j != i:
                     pr, pi = pr * (x - u) - pi * (y - v), pr * (y - v) + pi * (x - u)
-            radii.append(1 + _floor_sqrt(m * m * (fr * fr + fi * fi),
-                                         (D * den) ** 2 * (pr * pr + pi * pi), shift))
+            fs.append((fr, fi))
+            ps.append((pr, pi))
+            radii.append(0 if fr == fi == 0 else 1 + _floor_sqrt(
+                m * m * (fr * fr + fi * fi), (D * den) ** 2 * (pr * pr + pi * pi), fine))
+        # the same bounds at resolution 2^-shift, never below the fine ones, for
+        # the cap and the intervals: floor(a 2^shift) = floor(a 2^fine) >> (fine - shift)
+        coarse = [r and 1 + ((r - 1) >> (fine - shift)) for r in radii]
 
         # disks D(z_i, r_i) pairwise disjoint: |z_i - z_j|^2 > (r_i + r_j)^2
-        if all(r <= cap for r in radii) and all(
-                ((zs[i][0] - zs[j][0]) ** 2 + (zs[i][1] - zs[j][1]) ** 2 << 2 * shift)
+        if all(r <= cap for r in coarse) and all(
+                ((zs[i][0] - zs[j][0]) ** 2 + (zs[i][1] - zs[j][1]) ** 2 << 2 * fine)
                 > ((radii[i] + radii[j]) * den) ** 2
                 for i in range(m) for j in range(i + 1, m)):
             intervals = []
-            for (x, y), r in zip(zs, radii):
+            for (x, y), r in zip(zs, coarse):
                 n = x * x + y * y
                 c = _floor_sqrt(n, den * den, shift)
                 intervals.append(ModulusInterval(Fraction(max(c - r, 0), 1 << shift),
                                                  Fraction(c + (n != 0) + r, 1 << shift)))
             return intervals
 
-        # Newton step z - f(z)/f'(z) = (Z G - F) / (den G), G = den^(m-1) D f'(z),
-        # times conj(G)/conj(G), rounded to 1/2^bits with ties to even
-        dscaled = _homogeneous(ga, den)
+        # Weierstrass step z - w = (Z G - F) / (den G) with G = D P, times
+        # conj(G)/conj(G), rounded to 1/2^bits with ties to even
         new_zs = []
-        for z, (fr, fi) in zip(zs, fs):
-            d, (x, y) = den, z
-            gr, gi = _horner(dscaled, z)
-            if gr == gi == 0:
-                half = bits // 2
-                d, ((x, y),) = _rescale(den, [z], 1 << half)
-                x += d >> half
-                fr, fi = _horner(_homogeneous(fa, d), (x, y))
-                gr, gi = _horner(_homogeneous(ga, d), (x, y))
+        for (x, y), (fr, fi), (pr, pi) in zip(zs, fs, ps):
+            gr, gi = D * pr, D * pi
             nr, ni = x * gr - y * gi - fr, x * gi + y * gr - fi
-            q = d * (gr * gr + gi * gi)
+            q = den * (gr * gr + gi * gi)
             new_zs.append((_round_div(nr * gr + ni * gi << bits, q),
                            _round_div(ni * gr - nr * gi << bits, q)))
         zs, den = new_zs, 1 << bits

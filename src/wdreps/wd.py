@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .fields import Field, NumberField, Poly, QQ, QT
 from .linalg import (Matrix, SingularMatrixError, block_diagonal, charpoly,
@@ -499,6 +500,12 @@ def _q_power_exponent(value: Fraction, q: int):
     return sign * j
 
 
+@lru_cache(maxsize=256)
+def _certified_moduli(coeffs: tuple, eps: Fraction) -> tuple[ModulusInterval, ...]:
+    """`root_moduli_certified`, memoized: a scan meets each charpoly at many points."""
+    return tuple(root_moduli_certified(coeffs, eps))
+
+
 def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
     """Certify whether every Frobenius root on graded piece k of the
     monodromy filtration has absolute value q^((w+k)/2) under every
@@ -511,7 +518,7 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
     """
     eps = Fraction(eps)
     if eps < MIN_EPS:
-        raise ValueError("eps below 2^-20000 cannot be certified")
+        raise ValueError("eps below 2^-16000 cannot be certified")
     if rho.field == QT:
         raise ValueError("purity is a property of specializations, not of Q(t) families")
     if not (rho.field == QQ or isinstance(rho.field, NumberField)):
@@ -554,7 +561,7 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
         j = w + k
         current = eps
         for attempt in range(5):
-            intervals = tuple(root_moduli_certified(p, current))
+            intervals = _certified_moduli(p.coeffs, current)
             matches = []
             ambiguous = False
             for iv in intervals:

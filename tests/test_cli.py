@@ -13,6 +13,7 @@ import pytest
 import wdreps.cli as cli
 from wdreps.cli import (CommandRequest, main, parse_points, parse_rational,
                         render_table, run_command)
+from wdreps import wd
 from wdreps.fields import ParseError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,17 +109,44 @@ class TestCommands:
         assert main(["purity", "--eps", spelling, SP2]) == 0
 
     def test_purity_certification_failure_exit_3(self, tmp_path):
-        # irrational Frobenius moduli force real certification work; an
-        # unreachable eps must fail loudly with exit code 3
+        # irrational Frobenius moduli force real certification work; an eps
+        # too wide to tell 5^(-1/2) from 5^0 and 5^-1, even after every
+        # halving, must fail loudly with exit code 3
         doc = {"q": 5, "field": {"type": "Q"},
                "phi": [["0", "1"], ["1/5", "0"]],
                "nilp": [["0", "0"], ["0", "0"]], "inertia": []}
         path = tmp_path / "irrational.json"
         path.write_text(json.dumps(doc))
         code, env = run_command(CommandRequest(
-            "purity", str(path), weight="-1", eps="1e-6000"))
+            "purity", str(path), weight="-1", eps="1000"))
         assert code == 3
         assert any("CertificationFailed" in d for d in env["diagnostics"])
+        assert any("remain ambiguous after escalation" in d for d in env["diagnostics"])
+
+    def test_small_root_moduli_certify(self, tmp_path):
+        # Frobenius roots of modulus 2^-101.5: the seeds are exact to their
+        # own size, not to an absolute 2^-64
+        for k in (203, 205):
+            doc = {"q": 2, "field": {"type": "Q"}, "phi": [["0", f"1/2^{k}"], ["1", "0"]],
+                   "nilp": [["0", "0"], ["0", "0"]]}
+            path = tmp_path / f"small{k}.json"
+            path.write_text(json.dumps(doc))
+            code, env = run_command(CommandRequest("purity", str(path)))
+            assert code == 0, env["diagnostics"]
+            assert env["result"]["purity"]["verdict"] == "pure"
+            assert env["result"]["purity"]["weight"] == -k
+
+    def test_each_graded_charpoly_certified_once(self, monkeypatch):
+        keys = []
+        certify = wd.root_moduli_certified
+        monkeypatch.setattr(wd, "root_moduli_certified",
+                            lambda p, eps: keys.append((tuple(p), eps)) or certify(p, eps))
+        wd._certified_moduli.cache_clear()
+        code, env = run_command(CommandRequest("rigidity", str(CORPUS / "inertia_pair.json"),
+                                               partition="2,1", points="-3..3"))
+        assert code in (0, 1) and env["diagnostics"] == []
+        assert keys and len(keys) == len(set(keys))
+        assert wd._certified_moduli.cache_info().hits > 0
 
     def test_specialize(self):
         code, env = run_command(CommandRequest("specialize", FLAGSHIP, point="3"))
@@ -301,17 +329,31 @@ class TestHostileInput:
         path = tmp_path / "rep.json"
         path.write_text(json.dumps({"q": 2, "field": {"type": "Q"}, "phi": [["0", "2"], ["1", "0"]],
                                     "nilp": [["0", "0"], ["0", "0"]]}))
-        start = time.perf_counter()
-        code, env = run_command(CommandRequest("purity", str(path), eps="1e-200000"))
-        assert time.perf_counter() - start < 1
-        assert code == 2 and env["diagnostics"] == [
-            "ParseError: eps below 2^-20000 cannot be certified"]
-        # 2^-20000 lies between 10^-6021 and 10^-6020
-        assert cli.parse_eps("1e-6020") == Fraction(1, 10 ** 6020)
+        for eps in ("1e-200000", "1e-4817"):
+            start = time.perf_counter()
+            code, env = run_command(CommandRequest("purity", str(path), eps=eps))
+            assert time.perf_counter() - start < 1
+            assert code == 2 and env["diagnostics"] == [
+                "ParseError: eps below 2^-16000 cannot be certified"]
+        # 2^-16000 lies between 10^-4817 and 10^-4816
+        assert cli.parse_eps("1e-4816") == Fraction(1, 10 ** 4816)
         with pytest.raises(ParseError):
-            cli.parse_eps("1e-6021")
+            cli.parse_eps("1e-4817")
         code, err, _ = _run_cli("purity", "--eps", "1e-200000", str(path))
         assert code == 2 and "Traceback" not in err
+
+    def test_rational_beyond_the_int_conversion_limit(self, tmp_path):
+        # 2^20000 has 6,021 digits, more than Python converts from a string
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            eps = "1/" + str(2 ** 20000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        path = _one_dim_rep(tmp_path, {"type": "Q"}, "1")
+        code, err, _ = _run_cli("purity", "--eps", eps, path)
+        assert code == 2 and "Traceback" not in err
+        assert f"more than {limit} digits" in err and "exponent form" in err
 
     def test_oversized_point_range(self):
         code, err, seconds = _run_cli("scan", "--partition", "2", "--points",

@@ -117,7 +117,7 @@ class TestProperties:
 # ---------------------------------------------------------------------------
 
 def _reference_certify(f, eps):
-    """(intervals, Newton steps, whether some radius is 0) from the same
+    """(intervals, Weierstrass steps, whether some radius is 0) from the same
     seeds, rounds and certificate as `_certify_squarefree`, in Fraction
     arithmetic throughout."""
     def sub(a, b):
@@ -141,9 +141,7 @@ def _reference_certify(f, eps):
         return acc
 
     m, coeffs = f.degree, list(f.coeffs)
-    zs = [(Fraction(z.real).limit_denominator(1 << 64),
-           Fraction(z.imag).limit_denominator(1 << 64)) for z in roots._durand_kerner(coeffs)]
-    fprime = f.derivative()
+    zs = [(Fraction(z.real), Fraction(z.imag)) for z in roots._durand_kerner(coeffs)]
     tol, cap, bits = eps / 8, eps * Fraction(3, 8), 128
     for steps in range(roots._MAX_REFINE_ROUNDS):
         seen = set()
@@ -152,31 +150,28 @@ def _reference_certify(f, eps):
                 z = (z[0] + Fraction(1, 1 << bits), z[1])
             seen.add(z)
             zs[i] = z
-        radii = []
+        # disjointness is tested at resolution 2^-fine (sqrt_bounds resolves
+        # a tolerance 2^-(k-2) to 2^-k), the cap and intervals at tol
+        fine = max(roots._shift(tol), bits)
+        ws, radii, fine_radii = [], [], []
         for i, z in enumerate(zs):
             den = (Fraction(1), Fraction(0))
             for j, other in enumerate(zs):
                 if j != i:
                     den = mul(den, sub(z, other))
-            w = div(ev(coeffs, z), den)
-            radii.append(sqrt_bounds(m * m * abs2(w), tol)[1])
+            ws.append(div(ev(coeffs, z), den))
+            radii.append(sqrt_bounds(m * m * abs2(ws[-1]), tol)[1])
+            fine_radii.append(sqrt_bounds(m * m * abs2(ws[-1]), Fraction(1, 1 << fine - 2))[1])
         if all(r <= cap for r in radii) and all(
-                abs2(sub(zs[i], zs[j])) > (radii[i] + radii[j]) ** 2
+                abs2(sub(zs[i], zs[j])) > (fine_radii[i] + fine_radii[j]) ** 2
                 for i in range(m) for j in range(i + 1, m)):
             intervals = []
             for z, r in zip(zs, radii):
                 clo, chi = sqrt_bounds(abs2(z), tol)
                 intervals.append(ModulusInterval(max(clo - r, Fraction(0)), chi + r))
             return intervals, steps, 0 in radii
-        new_zs = []
-        for z in zs:
-            fp = ev(fprime.coeffs, z)
-            if fp == (Fraction(0), Fraction(0)):
-                z = (z[0] + Fraction(1, 1 << (bits // 2)), z[1])
-                fp = ev(fprime.coeffs, z)
-            new = sub(z, div(ev(coeffs, z), fp))
-            new_zs.append(tuple(Fraction(round(c * (1 << bits)), 1 << bits) for c in new))
-        zs = new_zs
+        zs = [tuple(Fraction(round(c * (1 << bits)), 1 << bits) for c in sub(z, w))
+              for z, w in zip(zs, ws)]
         bits = min(bits * 2, 1 << 14)
     raise CertificationFailed("reference did not certify")
 
@@ -195,34 +190,51 @@ class TestReferenceOracle:
         cases = [Poly(QQ, [-2, 1]) * Poly(QQ, [1, 1, 1]),  # exact rational root 2
                  Poly(QQ, [Fraction(-1, 4), 0, 1])]        # roots +-1/2 exactly
         cases += [_random_squarefree(rng, rng.randint(2, 9)) for _ in range(58)]
-        exact_radius = no_newton = 0
+        exact_radius = no_step = 0
         for n, f in enumerate(cases):
             eps = Fraction(1, 10 ** (12, 30, 200)[n % 3])
             expected, steps, zero_radius = _reference_certify(f, eps)
             assert roots._certify_squarefree(f, eps) == expected, (f, eps)
             exact_radius += zero_radius
-            no_newton += steps == 0
-        assert exact_radius and no_newton
+            no_step += steps == 0
+        assert exact_radius and no_step
 
     def test_rare_paths_against_reference(self, monkeypatch):
-        """Seeds that hit the two nudges: a zero derivative (x^2 - 2^-126 at
-        the seed 0) and two equal seeds (which then stay on one root)."""
+        """Two equal seeds: the distinctness nudge keeps the corrections
+        defined, yet both approximations then stay on one root."""
         units = []
         rescale = roots._rescale
         monkeypatch.setattr(roots, "_rescale", lambda *a: units.append(a[2]) or rescale(*a))
-        eps = DEFAULT_EPS
-        f = Poly(QQ, [Fraction(-1, 2 ** 126), 0, 1])
-        monkeypatch.setattr(roots, "_durand_kerner", lambda c: [0j, -2.0 ** -63 + 0j])
-        expected, _, zero_radius = _reference_certify(f, eps)
-        assert zero_radius and roots._certify_squarefree(f, eps) == expected
-        assert units == [1 << 64]   # the zero-derivative nudge by 2^-(bits/2)
-        units.clear()
         f = Poly(QQ, [-2, 0, 1])
         monkeypatch.setattr(roots, "_durand_kerner", lambda c: [1.5 + 0j, 1.5 + 0j])
         for certify in (_reference_certify, roots._certify_squarefree):
             with pytest.raises(CertificationFailed):
-                certify(f, eps)
+                certify(f, DEFAULT_EPS)
         assert units[0] == 1 << 128   # the distinctness nudge by 2^-bits
+
+
+class TestWideEps:
+    """Disjointness is tested at the approximations' own resolution, so an
+    eps wider than the gap between two roots still separates them."""
+
+    @pytest.mark.parametrize("c", [Fraction(-1, 10000), Fraction(-1, 5), Fraction(1, 10 ** 6)])
+    def test_close_roots_certify_at_wide_eps(self, c):
+        for eps in (Fraction(1), Fraction(10), Fraction(1000)):
+            assert_enclosure(root_moduli_certified([c, 0, 1], eps), [abs(c)] * 2, eps)
+
+    def test_wider_eps_never_fails_where_narrower_certifies(self):
+        rng = random.Random(13)
+        widths = [Fraction(1, 10 ** 30), Fraction(1, 100), Fraction(1), Fraction(10)]
+        for _ in range(40):
+            f = _random_squarefree(rng, rng.randint(2, 8))
+            certified = []
+            for eps in widths:
+                try:
+                    roots._certify_squarefree(f, eps)
+                    certified.append(True)
+                except CertificationFailed:
+                    certified.append(False)
+            assert certified == sorted(certified), f
 
 
 class TestHighDegree:
@@ -250,10 +262,11 @@ class TestHighDegree:
     [3, -1, 2, 0, 1],           # x^4 + 2x^2 - x + 3
 ])
 def test_certifies_down_to_the_reach_of_the_bit_cap(p):
-    """Newton steps stop at 2^-16384, yet widths down to 2^-16300 certify,
-    which puts the refusal bound MIN_EPS below every width that does."""
+    """Weierstrass steps stop at 2^-16384, yet widths down to 2^-16300
+    certify, so every width purity_check tries, down to its last halving
+    MIN_EPS / 16, is within reach."""
     eps = Fraction(1, 1 << 16300)
-    assert roots.MIN_EPS < eps
+    assert eps < roots.MIN_EPS / 16
     intervals = root_moduli_certified(p, eps)
     m = len(p) - 1
     assert len(intervals) == m
@@ -266,7 +279,7 @@ def test_refinement_loop_runs_without_gcd(monkeypatch):
     """Every approximation of a round lives on Gaussian integers over one
     denominator, so no Fraction is normalized inside the refinement loop:
     the deterministic count of math.gcd calls is the same at eps 10^-12
-    (no Newton step) as at eps 10^-2000 (seven), and small."""
+    (no Weierstrass step) as at eps 10^-2000 (seven), and small."""
     gcd = math.gcd
     for f in (Poly(QQ, [5, -3, 1]), Poly(QQ, [5, -3, 1]) * Poly(QQ, [5, 1, 1])):
         counts = []

@@ -461,9 +461,26 @@ class TestPurity:
     def test_eps_below_min_eps_is_refused(self):
         from wdreps.roots import MIN_EPS
         rho = WDRep(2, QQ, Matrix(QQ, [[0, 2], [1, 0]]), Matrix.zeros(QQ, 2, 2))
-        with pytest.raises(ValueError, match="2\\^-20000"):
+        with pytest.raises(ValueError, match="2\\^-16000"):
             purity_check(rho, "infer", MIN_EPS / 2)
         assert purity_check(rho, "infer", Fraction(1, 10 ** 30)).verdict == "pure"
+
+    @pytest.mark.parametrize("k, tries", [(203, 2), (205, 3)])
+    def test_small_moduli_certify_after_escalation(self, monkeypatch, k, tries):
+        """x^2 - 2^-k has roots of modulus 2^(-k/2), closer to the half powers
+        2^(-(k+1)/2) and 2^(-(k-1)/2) than the default width 10^-30, so eps is
+        halved until the intervals separate them; the seeds are accurate
+        relative to the roots' size, however small."""
+        tried = []
+        certify = wd.root_moduli_certified
+        monkeypatch.setattr(wd, "root_moduli_certified",
+                            lambda p, eps: tried.append(eps) or certify(p, eps))
+        wd._certified_moduli.cache_clear()
+        rho = WDRep(2, QQ, Matrix(QQ, [[0, Fraction(1, 2 ** k)], [1, 0]]),
+                    Matrix.zeros(QQ, 2, 2))
+        report = purity_check(rho, "infer")
+        assert report.verdict == "pure" and report.weight == -k
+        assert tried == [DEFAULT_EPS / 2 ** i for i in range(tries)]
 
     def test_trivial_pure_weight_zero(self):
         report = purity_check(trivial_onedim(), "infer")
