@@ -603,7 +603,9 @@ def mult_jordan_chevalley(M: Matrix):
 
     Factorization-free: Newton iteration against the squarefree part f of
     the characteristic polynomial converges to the semisimple part S in at
-    most ceil(log2 n) + 1 steps, then U = S^-1 * M.
+    most ceil(log2 n) + 1 steps, then U = S^-1 * M.  A semisimple M takes
+    no Newton step, and S is M itself (`S is M`): callers read
+    semisimplicity off that identity.
     """
     if not M.is_square():
         raise ValueError("decomposition of a non-square matrix")

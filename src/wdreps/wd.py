@@ -233,24 +233,49 @@ def wd_schur(rho: WDRep, mu: Partition) -> WDRep:
       order bound;
     - the image inertia group is a quotient of the input group, so its
       closure stays under the cap, and S_mu(phi) S_mu(g) S_mu(phi)^-1 =
-      S_mu(phi g phi^-1) keeps Frobenius normalizing it."""
+      S_mu(phi g phi^-1) keeps Frobenius normalizing it.
+    The image also keeps its input and mu, for `_semisimple_part`."""
     _require_valid(rho)
     phi = schur_of_matrix(rho.phi, mu)
     nilp = schur_derivation(rho.nilp, mu)
     inertia = tuple((label, schur_of_matrix(g, mu)) for label, g in rho.inertia)
     image = WDRep(rho.q, rho.field, phi, nilp, inertia)
     object.__setattr__(image, "_verdict", None)
+    object.__setattr__(image, "_schur_of", (rho, mu))
     return image
 
 
+def _semisimple_part(rho: WDRep) -> Matrix:
+    """The semisimple Jordan-Chevalley factor S of rho.phi.
+
+    For a Schur image it is S_mu of the input's factor S_in, and the image's
+    own phi when the input is semisimple (S_in is its phi): S_mu acts on one
+    fixed basis, so it is multiplicative, S_mu(S_in) is semisimple and
+    S_mu(U_in) unipotent (characteristic 0), the two commute, and the
+    decomposition is unique [Borel, Linear Algebraic Groups, I.4.4].  So
+    Jordan-Chevalley runs on the input, never on the larger image.  A
+    representation that `frobenius_semisimplify` returns carries its phi as
+    its own factor."""
+    if "_semisimple" in rho.__dict__:
+        return rho._semisimple
+    if "_schur_of" not in rho.__dict__:
+        return mult_jordan_chevalley(rho.phi)[0]
+    source, mu = rho._schur_of
+    S = _semisimple_part(source)
+    return rho.phi if S is source.phi else schur_of_matrix(S, mu)
+
+
 def frobenius_semisimplify(rho: WDRep) -> WDRep:
-    """Replace phi by its semisimple Jordan-Chevalley factor; the
-    monodromy and inertia are untouched.  Idempotent, trace-preserving,
-    and the conjugation relation survives because the semisimple part
-    acts on the relevant eigenspace by the same scalar."""
-    S, _ = mult_jordan_chevalley(rho.phi)
-    return _require_valid(WDRep(rho.q, rho.field, S, rho.nilp, rho.inertia),
-                          "frobenius_semisimplify")
+    """Replace phi by its semisimple Jordan-Chevalley factor (see
+    `_semisimple_part`); the monodromy and inertia are untouched.
+    Idempotent, trace-preserving, and the conjugation relation survives
+    because the semisimple part acts on the relevant eigenspace by the same
+    scalar.  The result is marked as its own semisimple part, so neither
+    it nor its signature is decomposed again."""
+    S = _semisimple_part(rho)
+    out = WDRep(rho.q, rho.field, S, rho.nilp, rho.inertia)
+    object.__setattr__(out, "_semisimple", S)
+    return _require_valid(out, "frobenius_semisimplify")
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +440,12 @@ def frss_signature(rho: WDRep) -> Signature:
     """Signature of the Frobenius-semisimplification: for each k >= 0 the
     space P_k = L_k/L_(k+1), with L_k = ker N & im N^k = N^k * ker N^(k+1),
     with its induced Frobenius gives an entry (t = k+1, charpoly on P_k);
-    inertia traces on P_k are appended when inertia is nontrivial."""
+    inertia traces on P_k are appended when inertia is nontrivial.
+    Frobenius acts through its semisimple part, which a Schur image takes
+    from its input (`_semisimple_part`)."""
     _require_valid(rho)
     n = rho.dim
-    S, _ = mult_jordan_chevalley(rho.phi)
+    S = _semisimple_part(rho)
     powers, kernels = _powers_and_kernels(rho.nilp)
     e = len(powers) - 1
     # layers[k] = ker N & im N^k = N^k * ker N^(k+1); layers[e] = 0

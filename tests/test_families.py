@@ -314,9 +314,10 @@ class TestDirectSumScan:
 def test_scan_reads_fraction_rows_only_for_charpolys(monkeypatch):
     """Over Q a Matrix stores ints over one denominator and builds its
     Fraction rows only when they are read.  On the scan path the only
-    reader is `charpoly` (still on Fractions): once per Jordan-Chevalley
-    input, signature layer and graded piece.  A count above that means a
-    Fraction round trip crept back into the scan."""
+    reader is `charpoly` (still on Fractions): once per signature layer
+    and graded piece.  Jordan-Chevalley runs on the specialized input,
+    whose rows are already built, never on the image.  A count above that
+    means a Fraction round trip crept back into the scan."""
     rows = Matrix.rows
     readers = []
 
@@ -330,9 +331,9 @@ def test_scan_reads_fraction_rows_only_for_charpolys(monkeypatch):
     report = purity_scan(fam, Partition.of(2, 1), range(5))
     assert [pr.purity.verdict for pr in report.points] == ["impure"] + ["pure"] * 4
     assert set(readers) == {"charpoly"}
-    # at t != 0: the Jordan-Chevalley input, 2 signature layers and 4 graded
-    # pieces; at t = 0, where N vanishes, one layer and one piece
-    assert len(readers) == 4 * 7 + 3
+    # at t != 0: 2 signature layers and 4 graded pieces; at t = 0, where N
+    # vanishes, one layer and one piece
+    assert len(readers) == 4 * 6 + 2
 
 
 def test_jordan_chevalley_reduces_the_qt_schur_image_once(monkeypatch):

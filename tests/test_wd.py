@@ -10,8 +10,8 @@ from wdreps import (DEFAULT_EPS, Matrix, NonIntegralWeight, NonSplitSpectrum,
                     mat_subspaces, monodromy_filtration, purity_check,
                     signature_reconstruct, sp_construct, wd_direct_sum, wd_schur,
                     wd_tensor, wd_validate)
-from wdreps import partitions_of, wd
-from wdreps.families import specialize
+from wdreps import cli, partitions_of, wd
+from wdreps.families import purity_scan, specialize
 from wdreps.jsonio import load_wdrep
 from wdreps import linalg
 from wdreps.linalg import intersect_columns, solve_in_span
@@ -312,6 +312,98 @@ class TestFrss:
         P = random_unimodular(random.Random(2), 3)
         rho = WDRep(5, QQ, P * flag.phi * P.inverse(), P * flag.nilp * P.inverse())
         assert wd_validate(frobenius_semisimplify(rho)) is None
+
+
+def _non_semisimple_inputs(rng):
+    """Two valid representations over Q whose Frobenius is not semisimple:
+    a conjugated Jordan block 2*(I + E_12) with N = 0, and on e1, e2, e3
+    the Sp_2-type pair N e1 = e2, phi = diag(1, 1/5) coupled to e3 by
+    phi e3 = e3/5 + e2, which keeps phi N phi^-1 = N/5."""
+    P = random_unimodular(rng, 2)
+    block = Matrix(QQ, [[2, 2], [0, 2]])
+    yield WDRep(5, QQ, P * block * P.inverse(), Matrix.zeros(QQ, 2, 2))
+    P = random_unimodular(rng, 3)
+    phi = Matrix(QQ, [[1, 0, 0], [0, Fraction(1, 5), 1], [0, 0, Fraction(1, 5)]])
+    nilp = Matrix(QQ, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    yield WDRep(5, QQ, P * phi * P.inverse(), P * nilp * P.inverse(),
+                (("g", -Matrix.identity(QQ, 3)),))
+
+
+class TestSemisimplePartOfImage:
+    """A Schur image's semisimple Frobenius is S_mu of its input's, so
+    Jordan-Chevalley runs on the input only; Jordan-Chevalley on the image
+    itself is the reference."""
+
+    FIELDS = (QQ, QT, NumberField([-2, 0, 1]))
+    PARTITIONS = (Partition.of(2), Partition.of(1, 1), Partition.of(2, 1), Partition.of(3))
+
+    def test_jordan_chevalley_returns_a_semisimple_input_itself(self):
+        rng = random.Random(5)
+        for field in self.FIELDS:
+            rho = lift_to_field(rng, random_valid_wdrep(rng, 5, max_dim=3), field)
+            assert linalg.mult_jordan_chevalley(rho.phi)[0] is rho.phi
+            for rho in _non_semisimple_inputs(rng):
+                phi = lift_to_field(rng, rho, field).phi
+                assert linalg.mult_jordan_chevalley(phi)[0] is not phi
+
+    def test_equals_jordan_chevalley_on_the_image(self, monkeypatch):
+        rng = random.Random(61)
+        for field in self.FIELDS:
+            inputs = [random_valid_wdrep(rng, 5, max_dim=3, with_inertia=True),
+                      *_non_semisimple_inputs(rng)]
+            for rho in inputs:
+                rho = lift_to_field(rng, rho, field)
+                for mu in self.PARTITIONS:
+                    image = wd_schur(rho, mu)
+                    if field != QQ and image.dim > 8:
+                        continue  # 10 x 10 over Q(t): seconds of reference JC
+                    S, _ = linalg.mult_jordan_chevalley(image.phi)
+                    assert wd._semisimple_part(image) == S, (field, mu)
+                    signature = frss_signature(image)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(wd, "_semisimple_part", lambda _: S)
+                        assert frss_signature(image) == signature, (field, mu)
+
+    def test_non_semisimple_image_is_not_its_own_part(self):
+        rho = next(_non_semisimple_inputs(random.Random(3)))
+        image = wd_schur(rho, Partition.of(2))
+        S = wd._semisimple_part(image)
+        assert S != image.phi and S == Matrix.identity(QQ, 3) * 4
+
+    def test_scan_decomposes_only_the_input(self, monkeypatch):
+        path = Path(__file__).resolve().parent.parent / "corpus" / "inertia_pair.json"
+        sizes = []
+        decompose = wd.mult_jordan_chevalley
+
+        def recording(M):
+            sizes.append(M.nrows)
+            return decompose(M)
+
+        monkeypatch.setattr(wd, "mult_jordan_chevalley", recording)
+        purity_scan(load_wdrep(str(path)), Partition.of(2, 1), [1, 2])
+        # the generic signature and two points, each on the 4 x 4 input
+        assert sizes == [4, 4, 4]
+
+    def test_frss_command_decomposes_once(self, monkeypatch, capsys):
+        path = Path(__file__).resolve().parent.parent / "corpus" / "sp2.json"
+        calls = []
+        decompose = wd.mult_jordan_chevalley
+        monkeypatch.setattr(wd, "mult_jordan_chevalley",
+                            lambda M: calls.append(M.nrows) or decompose(M))
+        assert cli.main(["frss", str(path)]) == 0
+        assert calls == [2]
+        assert '"signature"' in capsys.readouterr().out
+
+    def test_semisimplification_is_its_own_part(self, monkeypatch):
+        rng = random.Random(11)
+        images = [frobenius_semisimplify(wd_schur(rho, Partition.of(2)))
+                  for rho in [random_valid_wdrep(rng, 5, max_dim=3), *_non_semisimple_inputs(rng)]]
+        monkeypatch.setattr(wd, "mult_jordan_chevalley", None)  # no decomposition below
+        for ss in images:
+            assert wd._semisimple_part(ss) is ss.phi
+            assert frobenius_semisimplify(ss).phi is ss.phi
+            image = wd_schur(ss, Partition.of(1, 1))
+            assert wd._semisimple_part(image) is image.phi
 
 
 class TestMonodromyFiltration:
