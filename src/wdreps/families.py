@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
 from .fields import Poly, QQ, QT
-from .linalg import Matrix
+from .linalg import Matrix, block_diagonal
 from .roots import DEFAULT_EPS, CertificationFailed
 from .schur import Partition
-from .wd import (NonIntegralWeight, PurityReport, Signature, SignatureEntry,
-                 WDRep, _require_valid, frss_signature, purity_check, wd_schur)
+from .wd import (INERTIA_CLOSURE_CAP, NonIntegralWeight, PurityReport, Signature,
+                 SignatureEntry, WDRep, _require_valid, frss_signature, inertia_closure,
+                 purity_check, wd_schur)
 
 
 class DenominatorVanishes(ArithmeticError):
@@ -164,50 +166,41 @@ class TraceLinkResult:
     first_difference: str | None
 
 
-_PAIR_CLOSURE_CAP = 4096
+# the joint group is a subgroup of the product of two closures within the cap
+_PAIR_CLOSURE_CAP = INERTIA_CLOSURE_CAP ** 2
 
 
 def trace_link_check(fam1: WDRep, fam2: WDRep, max_word_len: int) -> TraceLinkResult:
     """Compare tr(phi^k * g) for 1 <= k <= max_word_len and g running
     over the inertia closures, matched through words in the shared
     generator labels.  Equality of these traces is the desk surrogate for
-    sharing a pseudorepresentation."""
+    sharing a pseudorepresentation.
+
+    The joint closure is `inertia_closure` of the block-diagonal
+    generators g1 + g2, and each element m is compared through the two
+    diagonal blocks of (phi1 + phi2)^k * m, in BFS order."""
     if fam1.q != fam2.q:
         raise ValueError("trace link requires matching q")
-    labels1 = sorted(label for label, _ in fam1.inertia)
-    labels2 = sorted(label for label, _ in fam2.inertia)
-    if labels1 != labels2:
+    if fam1.field != fam2.field:
+        raise ValueError("trace link requires the same coefficient field")
+    labels = sorted(label for label, _ in fam1.inertia)
+    if labels != sorted(label for label, _ in fam2.inertia):
         raise ValueError("trace link requires matching inertia labels")
-    gens1 = dict(fam1.inertia)
-    gens2 = dict(fam2.inertia)
-
-    powers1 = [fam1.phi]
-    powers2 = [fam2.phi]
-    for _ in range(1, max_word_len):
-        powers1.append(powers1[-1] * fam1.phi)
-        powers2.append(powers2[-1] * fam2.phi)
-
-    start = (Matrix.identity(fam1.field, fam1.dim),
-             Matrix.identity(fam2.field, fam2.dim))
-    seen = {(start[0], start[1]): ""}
-    queue = [start]
-    while queue:
-        m1, m2 = queue.pop(0)
-        word = seen[(m1, m2)]
-        for k in range(1, max_word_len + 1):
-            t1 = (powers1[k - 1] * m1).trace()
-            t2 = (powers2[k - 1] * m2).trace()
+    field, d1 = fam1.field, fam1.dim
+    gens1, gens2 = dict(fam1.inertia), dict(fam2.inertia)
+    gens = [(label, block_diagonal(field, [gens1[label], gens2[label]])) for label in labels]
+    size = d1 + fam2.dim
+    closure = inertia_closure(gens, field, size, _PAIR_CLOSURE_CAP)
+    if closure is None:
+        raise ValueError("joint inertia closure exceeds the pair cap")
+    phi = block_diagonal(field, [fam1.phi, fam2.phi])
+    powers = list(accumulate([phi] * max_word_len, Matrix.__mul__))
+    blocks = (range(d1), range(d1, size))
+    for word, m in closure:
+        for k, power in enumerate(powers, 1):
+            product = power * m
+            t1, t2 = (product.select(rows=b, cols=b).trace() for b in blocks)
             if t1 != t2:
                 suffix = f"*{word}" if word else ""
                 return TraceLinkResult(False, f"phi^{k}{suffix}")
-        for label in labels1:
-            n1 = m1 * gens1[label]
-            n2 = m2 * gens2[label]
-            key = (n1, n2)
-            if key in seen:
-                continue
-            if len(seen) + 1 > _PAIR_CLOSURE_CAP:
-                raise ValueError("joint inertia closure exceeds the pair cap")
-            seen[key] = f"{word}*{label}".lstrip("*")
-            queue.append((n1, n2))
     return TraceLinkResult(True, None)

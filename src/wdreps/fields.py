@@ -670,6 +670,26 @@ class NumberField(Field):
         return f"NumberField({format_qpoly(self.minpoly, 'a')})"
 
 
+def poly_from_json(values, what: str) -> Poly:
+    """The polynomial over Q of a JSON coefficient array, low degree first:
+    every coefficient array of a document (`num`, `den`, `minpoly`, a
+    number-field scalar) holds integers or "a/b" strings, nothing else."""
+    if not isinstance(values, list):
+        raise ParseError(f"{what}: coefficients must be an array")
+    coeffs = []
+    for v in values:
+        if isinstance(v, int) and not isinstance(v, bool):
+            coeffs.append(Fraction(v))
+        elif isinstance(v, str):
+            try:
+                coeffs.append(Fraction(v))
+            except ValueError as exc:
+                raise ParseError(f"{what}: bad coefficient {v!r}") from exc
+        else:
+            raise ParseError(f"{what}: coefficients must be integers or 'a/b' strings")
+    return Poly(QQ, coeffs)
+
+
 def field_from_json(obj) -> Field:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError("field descriptor must be an object with a 'type' key")
@@ -679,12 +699,10 @@ def field_from_json(obj) -> Field:
     if kind == "Qt":
         return QT
     if kind == "NumberField":
-        minpoly = obj.get("minpoly")
-        if not isinstance(minpoly, list) or any(isinstance(c, bool) for c in minpoly):
-            raise ParseError("NumberField descriptor requires 'minpoly', an array of coefficients")
+        minpoly = poly_from_json(obj.get("minpoly"), "NumberField minpoly")
         try:
-            return NumberField(minpoly)
-        except (TypeError, ValueError) as exc:
+            return NumberField(minpoly.coeffs)
+        except ValueError as exc:
             raise ParseError(f"NumberField minpoly: {exc}") from exc
     raise ParseError(f"unknown field type {kind!r}")
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .families import PointResult, RigidityReport
 from .fields import (Field, NFElem, NumberField, ParseError, Poly, QQ, QT,
-                     RatFunc, field_from_json, format_poly)
+                     RatFunc, field_from_json, format_poly, poly_from_json)
 from .linalg import Matrix, ZeroDivisorPivotError
 from .roots import ModulusInterval
 from .wd import Filtration, PurityReport, Signature, WDRep, wd_validate
@@ -27,23 +27,6 @@ class ValidationError(ValueError):
 # ---------------------------------------------------------------------------
 # scalars and matrices
 # ---------------------------------------------------------------------------
-
-def _poly_from_array(values, what: str) -> Poly:
-    if not isinstance(values, list):
-        raise ParseError(f"{what}: coefficients must be an array")
-    coeffs = []
-    for v in values:
-        if isinstance(v, int) and not isinstance(v, bool):
-            coeffs.append(Fraction(v))
-        elif isinstance(v, str):
-            try:
-                coeffs.append(Fraction(v))
-            except ValueError as exc:
-                raise ParseError(f"{what}: bad coefficient {v!r}") from exc
-        else:
-            raise ParseError(f"{what}: coefficients must be integers or 'a/b' strings")
-    return Poly(QQ, coeffs)
-
 
 def scalar_from_json(value, field: Field, what: str):
     if isinstance(value, bool):
@@ -58,8 +41,8 @@ def scalar_from_json(value, field: Field, what: str):
     if isinstance(value, dict) and field == QT:
         if set(value) != {"num", "den"}:
             raise ParseError(f"{what}: rational function objects need exactly num and den")
-        num = _poly_from_array(value["num"], what)
-        den = _poly_from_array(value["den"], what)
+        num = poly_from_json(value["num"], what)
+        den = poly_from_json(value["den"], what)
         if den.is_zero():
             raise ParseError(f"{what}: zero denominator")
         return RatFunc(num, den)
@@ -69,7 +52,7 @@ def scalar_from_json(value, field: Field, what: str):
 
 
 def _nf_from_array(values, field: NumberField, what: str):
-    poly = _poly_from_array(values, what)
+    poly = poly_from_json(values, what)
     return NFElem(field, poly.coeffs)
 
 

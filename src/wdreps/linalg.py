@@ -8,12 +8,11 @@ this module emits is the unique canonical basis of its subspace.
 
 Every matrix has one stored form: rows `num` over a denominator `den`.
 Over Q they are Python ints over one int in canonical form, which every
-operation (products, sums, fraction-free elimination and determinants,
-Horner steps) reads and writes, and Fractions are built only when
-`Matrix.rows` is read; over any other field they are the scalars
-themselves and `den` is None.  `_make` builds every computed matrix.
-Over Q `det` eliminates on the ints; over the other fields it is read off
-the characteristic polynomial, which `charpoly` keeps on the matrix.
+operation (products, sums, fraction-free elimination, Horner steps) reads
+and writes, and Fractions are built only when `Matrix.rows` is read; over
+any other field they are the scalars themselves and `den` is None.  `_make` builds every computed matrix.
+Over every field `det` is read off the characteristic polynomial, which
+`charpoly` keeps on the matrix.
 """
 
 from __future__ import annotations
@@ -247,16 +246,13 @@ class Matrix:
         return len(self.rref()[1])
 
     def det(self):
-        """Over Q by fraction-free elimination on the numerators; over any
-        other field (etale algebras included) (-1)^n times the constant term
-        of `charpoly`, which stays on the matrix for later calls."""
+        """(-1)^n times the constant term of `charpoly`, over every field
+        (etale algebras included); the charpoly stays on the matrix for
+        later calls."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if self.den is not None:
-            return _det_ints(self.num) / self.den ** n
         p0 = charpoly(self)[0]
-        return -p0 if n % 2 else p0
+        return -p0 if self.nrows % 2 else p0
 
     def inverse(self) -> "Matrix":
         """rref of [M | I]; over an etale algebra where that meets a column
@@ -358,32 +354,6 @@ def _rref_q(num, ncols: int):
         out.append(tuple([x * f for x in row]))
     out.extend([(0,) * ncols] * (nr - len(pivots)))
     return _make(QQ, tuple(out), ncols, den), tuple(pivots)
-
-
-def _det_ints(rows) -> Fraction:
-    """Determinant of a square int matrix by fraction-free elimination that
-    changes only the rows with a nonzero entry below the pivot (Bareiss's
-    [Bareiss 1968] rescales every row): each becomes the primitive part of
-    a * row - b * pivot row, and det is divided by a and multiplied by the
-    content."""
-    work, n, num, den = [list(r) for r in rows], len(rows), 1, 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if work[i][c]), None)
-        if pr is None:
-            return _ZERO
-        if pr != c:
-            work[c], work[pr], num = work[pr], work[c], -num
-        prow, p = work[c], work[c][c]
-        num *= p
-        for i in range(c + 1, n):
-            if f := work[i][c]:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(work[i], prow)]
-                g = gcd(*row) or 1
-                work[i] = [x // g for x in row]
-                num, den = num * g, den * a
-    return Fraction(num, den)
 
 
 def block_diagonal(field: Field, blocks) -> Matrix:

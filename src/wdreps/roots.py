@@ -43,12 +43,31 @@ class ModulusInterval:
 
     def contains_half_power(self, base: int, j: int) -> bool:
         """Does the interval contain base**(j/2)?  Exact: compares squares."""
-        target = Fraction(base) ** j
-        return self.lo * self.lo <= target <= self.hi * self.hi
+        return (_compare_power(self.lo * self.lo, base, j) <= 0
+                <= _compare_power(self.hi * self.hi, base, j))
 
     def excludes_half_power(self, base: int, j: int) -> bool:
-        target = Fraction(base) ** j
-        return self.hi * self.hi < target or target < self.lo * self.lo
+        return (_compare_power(self.hi * self.hi, base, j) < 0
+                or _compare_power(self.lo * self.lo, base, j) > 0)
+
+
+def _compare_power(x: Fraction, base: int, j: int) -> int:
+    """The sign of x - base**j, for x >= 0 and base >= 2.  Bit lengths
+    decide it when they separate the two: 2^(s-1) < x < 2^(s+1) with s the
+    numerator's bit length less the denominator's, and base**j lies between
+    2^(j(b-1)) and 2^(jb) with b the bit length of base.  Only otherwise,
+    when x is about as long as base**j, is the power formed."""
+    if not x:
+        return -1
+    s = x.numerator.bit_length() - x.denominator.bit_length()
+    b = base.bit_length()
+    low, high = sorted((j * (b - 1), j * b))
+    if s + 1 <= low:
+        return -1
+    if s - 1 >= high:
+        return 1
+    target = Fraction(base) ** j
+    return (x > target) - (x < target)
 
 
 def _shift(tol: Fraction) -> int:

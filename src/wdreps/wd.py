@@ -23,7 +23,6 @@ from .roots import (DEFAULT_EPS, MIN_EPS, CertificationFailed, ModulusInterval,
                     root_moduli_certified)
 from .schur import Partition, schur_derivation, schur_of_matrix
 
-INERTIA_ORDER_BOUND = 64
 INERTIA_CLOSURE_CAP = 64
 
 
@@ -69,27 +68,12 @@ class WDRep:
         return self.phi.nrows
 
 
-def _matrix_order(g: Matrix, bound: int):
-    # A g of finite order has roots of unity as eigenvalues, so over Q(t)
-    # its charpoly has constant coefficients. Otherwise its powers only
-    # grow in degree, and none of them is the identity.
-    if g.field == QT and any(c.num.degree > 0 or c.den.degree > 0
-                             for c in charpoly(g).coeffs):
-        return None
-    eye = Matrix.identity(g.field, g.nrows)
-    acc = g
-    for m in range(1, bound + 1):
-        if acc == eye:
-            return m
-        acc = acc * g
-    return None
-
-
 def inertia_closure(generators, field: Field, dim: int, cap: int = INERTIA_CLOSURE_CAP):
     """BFS enumeration of the group generated by the labeled inertia
     matrices.  Returns a list of (word, matrix) in deterministic BFS
     order (identity first, generators in label order); None if the
-    closure exceeds the cap."""
+    closure exceeds the cap.  A closure within the cap contains g, g^2,
+    ... for each generator g, so it also bounds every generator's order."""
     eye = Matrix.identity(field, dim)
     elements = {eye: ""}
     order = [("", eye)]
@@ -137,8 +121,12 @@ def _check_invariants(rho: WDRep):
         if g * rho.nilp != rho.nilp * g:
             return f"inertia[{idx}] {label!r} does not commute with nilp"
     for idx, (label, g) in enumerate(rho.inertia):
-        if _matrix_order(g, INERTIA_ORDER_BOUND) is None:
-            return f"inertia[{idx}] {label!r}: order exceeds bound {INERTIA_ORDER_BOUND}"
+        # a g of finite order has roots of unity as eigenvalues, so over
+        # Q(t) its charpoly is constant in t; otherwise its powers only grow
+        # in degree, and the closure is refused before any is formed
+        if rho.field == QT and any(c.num.degree > 0 or c.den.degree > 0
+                                   for c in charpoly(g).coeffs):
+            return f"inertia[{idx}] {label!r}: order exceeds bound {INERTIA_CLOSURE_CAP}"
     closure = inertia_closure(rho.inertia, rho.field, n)
     if closure is None:
         return f"inertia closure exceeds cap {INERTIA_CLOSURE_CAP}"
@@ -229,8 +217,6 @@ def wd_schur(rho: WDRep, mu: Partition) -> WDRep:
       nilpotents);
     - S_mu(phi) dN S_mu(phi)^-1 = d(q^-1 N) = q^-1 dN;
     - each S_mu(g) commutes with dN, since g N g^-1 = N;
-    - the order of S_mu(g) divides the order of g, so it stays under the
-      order bound;
     - the image inertia group is a quotient of the input group, so its
       closure stays under the cap, and S_mu(phi) S_mu(g) S_mu(phi)^-1 =
       S_mu(phi g phi^-1) keeps Frobenius normalizing it.

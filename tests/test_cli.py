@@ -355,6 +355,28 @@ class TestHostileInput:
         assert code == 2 and "Traceback" not in err
         assert f"more than {limit} digits" in err and "exponent form" in err
 
+    def test_float_minpoly(self, tmp_path):
+        path = _one_dim_rep(tmp_path, {"type": "NumberField", "minpoly": [-2.0, 0, 1.0]}, "1")
+        code, err, _ = _run_cli("validate", path)
+        assert code == 2
+        assert "Traceback" not in err and "must be integers or 'a/b' strings" in err
+
+    def test_huge_weight(self):
+        """q^(w+k) with w = 10^7 has about 2.3 * 10^7 bits; bit lengths alone
+        show it far above every enclosure, so no such power is formed."""
+        start = time.perf_counter()
+        code, env = run_command(CommandRequest("purity", SP2, weight="10000000"))
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        _, expected = run_command(CommandRequest("purity", SP2, weight="-1"))
+        purity = expected["result"]["purity"]
+        assert purity["verdict"] == "pure"
+        purity.update(verdict="impure", weight=10_000_000)
+        for piece in purity["graded"]:
+            for root in piece["roots"]:
+                root["match"] = False
+        assert env["result"] == expected["result"]
+
     def test_oversized_point_range(self):
         code, err, seconds = _run_cli("scan", "--partition", "2", "--points",
                                       "-100000..100000", FLAGSHIP)

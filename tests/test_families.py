@@ -12,12 +12,13 @@ from wdreps import (DenominatorVanishes, Matrix, Poly, QQ, QT, Signature,
                     purity_scan, rigidity_check, sp_construct, specialize,
                     specialize_signature, trace_link_check, wd_direct_sum,
                     wd_schur, wd_tensor, wd_validate)
-from wdreps import wd
+from wdreps import families, linalg, wd
+from wdreps.families import TraceLinkResult
 from wdreps.jsonio import load_wdrep
 from wdreps.schur import Partition
 
 from support import (flagship_family, flagship_constant_partner, lift_to_field,
-                     random_valid_wdrep, trivial_onedim)
+                     random_unimodular, random_valid_wdrep, trivial_onedim)
 
 
 def sig_pairs(sig):
@@ -261,6 +262,49 @@ class TestTraceLink:
         res = trace_link_check(fam1, fam2, 2)
         assert not res.equal and res.first_difference == "phi^1*g"
 
+    def test_two_labels_in_bfs_word_order(self):
+        """The joint closure is {1, g, h, g*h}, walked breadth first with
+        labels in sorted order; the traces first differ at g*h, which is
+        -1 in the first family and 1 in the second."""
+        swap = Matrix(QQ, [[0, 1], [1, 0]])
+        fam1 = WDRep(5, QQ, Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 2),
+                     (("h", Matrix.diagonal(QQ, [-1, 1])), ("g", Matrix.diagonal(QQ, [1, -1]))))
+        fam2 = WDRep(5, QQ, Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 2),
+                     (("g", swap), ("h", swap)))
+        res = trace_link_check(fam1, fam2, 3)
+        assert not res.equal and res.first_difference == "phi^1*g*h"
+
+    def test_agrees_with_a_pair_bfs(self):
+        """Against a breadth-first walk over pairs (m1, m2) that compares
+        the traces of each pair as it is reached: random signed-permutation
+        inertia, the second family a conjugate of the first with, half the
+        time, one generator replaced."""
+        rng = random.Random(2024)
+
+        def signed_permutation(n):
+            perm = rng.sample(range(n), n)
+            return Matrix(QQ, [[rng.choice((-1, 1)) if perm[j] == i else 0 for j in range(n)]
+                               for i in range(n)])
+
+        outcomes = set()
+        for case in range(12):
+            n = 2 if case % 3 else 3
+            phi = Matrix.diagonal(QQ, [rng.choice((1, -1, 2, Fraction(1, 5))) for _ in range(n)])
+            inertia = [(label, signed_permutation(n)) for label in ("g", "h")]
+            P = random_unimodular(rng, n)
+            Pinv = P.inverse()
+            if case % 2:
+                inertia2 = [(label, P * g * Pinv) for label, g in inertia]
+            else:
+                inertia2 = [inertia[0], ("h", signed_permutation(n))]
+                inertia2 = [(label, P * g * Pinv) for label, g in inertia2]
+            fam1 = WDRep(5, QQ, phi, Matrix.zeros(QQ, n, n), tuple(inertia))
+            fam2 = WDRep(5, QQ, P * phi * Pinv, Matrix.zeros(QQ, n, n), tuple(inertia2))
+            got = trace_link_check(fam1, fam2, 3)
+            assert got == _pair_bfs_trace_link(fam1, fam2, 3)
+            outcomes.add(got.first_difference)
+        assert None in outcomes and len(outcomes) > 2
+
     def test_errors(self):
         fam_q7 = WDRep(7, QT, Matrix(QT, [["1"]]), Matrix.zeros(QT, 1, 1))
         with pytest.raises(ValueError):
@@ -269,6 +313,30 @@ class TestTraceLink:
                         Matrix.zeros(QT, 2, 2), (("h", Matrix.identity(QT, 2)),))
         with pytest.raises(ValueError):
             trace_link_check(flagship_family(), labeled, 2)
+        over_q = WDRep(5, QQ, Matrix.diagonal(QQ, [1, Fraction(1, 5)]), Matrix.zeros(QQ, 2, 2))
+        with pytest.raises(ValueError, match="same coefficient field"):
+            trace_link_check(flagship_family(), over_q, 2)
+
+
+def _pair_bfs_trace_link(fam1, fam2, max_word_len):
+    """Reference: breadth-first over pairs of inertia elements, labels in
+    sorted order, comparing tr(phi1^k m1) with tr(phi2^k m2) for each pair."""
+    labels = sorted(label for label, _ in fam1.inertia)
+    gens1, gens2 = dict(fam1.inertia), dict(fam2.inertia)
+    start = (Matrix.identity(fam1.field, fam1.dim), Matrix.identity(fam2.field, fam2.dim))
+    seen, queue = {start: ""}, [start]
+    while queue:
+        m1, m2 = pair = queue.pop(0)
+        word = seen[pair]
+        for k in range(1, max_word_len + 1):
+            if ((fam1.phi ** k) * m1).trace() != ((fam2.phi ** k) * m2).trace():
+                return TraceLinkResult(False, f"phi^{k}" + (f"*{word}" if word else ""))
+        for label in labels:
+            nxt = (m1 * gens1[label], m2 * gens2[label])
+            if nxt not in seen:
+                seen[nxt] = f"{word}*{label}".lstrip("*")
+                queue.append(nxt)
+    return TraceLinkResult(True, None)
 
 
 class TestRigidityCorpus:
@@ -334,6 +402,36 @@ def test_scan_reads_fraction_rows_only_for_charpolys(monkeypatch):
     # at t != 0: 2 signature layers and 4 graded pieces; at t = 0, where N
     # vanishes, one layer and one piece
     assert len(readers) == 4 * 6 + 2
+
+
+def test_scan_reduces_each_specialized_phi_once(monkeypatch):
+    """`specialize`'s singularity test and Jordan-Chevalley's `det` and
+    squarefree part all read the one charpoly kept on the specialized phi:
+    one Hessenberg reduction per point, and no elimination of its own."""
+    specialized, dets, reductions = [], [], []
+    specialize_, det, charpoly_ = families.specialize, Matrix.det, linalg.charpoly
+
+    def keep(fam, a):
+        rho = specialize_(fam, a)
+        # the singularity test has already reduced phi and kept its charpoly
+        assert getattr(rho.phi, "_charpoly", None) is not None and reductions[-1] is rho.phi
+        specialized.append(rho.phi)
+        return rho
+
+    def counting_charpoly(M):
+        if getattr(M, "_charpoly", None) is None:
+            reductions.append(M)
+        return charpoly_(M)
+
+    fam = load_wdrep(str(Path(__file__).resolve().parents[1] / "corpus" / "inertia_pair.json"))
+    monkeypatch.setattr(families, "specialize", keep)
+    monkeypatch.setattr(linalg, "charpoly", counting_charpoly)
+    monkeypatch.setattr(Matrix, "det", lambda M: dets.append(M) or det(M))
+    purity_scan(fam, Partition.of(2, 1), range(1, 4))
+    assert len(specialized) == 3
+    for phi in specialized:
+        assert sum(M is phi for M in dets) == 2
+        assert sum(M is phi for M in reductions) == 1
 
 
 def test_jordan_chevalley_reduces_the_qt_schur_image_once(monkeypatch):

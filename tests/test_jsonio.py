@@ -63,7 +63,8 @@ class TestScalars:
         with pytest.raises(ParseError):
             scalar_from_json(value, field, "x")
 
-    @pytest.mark.parametrize("minpoly", [[True, 0, 1], [-2, 0, True], "101", None])
+    @pytest.mark.parametrize("minpoly", [[True, 0, 1], [-2, 0, True], "101", None,
+                                         [-2.0, 0, 1.0], [-2, 0, 1.5]])
     def test_rejects_non_numeric_minpoly(self, minpoly):
         doc = {"q": 5, "field": {"type": "NumberField", "minpoly": minpoly},
                "phi": [["1"]], "nilp": [["0"]], "inertia": []}

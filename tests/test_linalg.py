@@ -722,12 +722,14 @@ class TestStoredFormOtherFields:
 
 
 class TestKeptCharpoly:
-    @pytest.mark.parametrize("field", [QT, NumberField([-2, 0, 1])], ids=["Qt", "Qsqrt2"])
+    @pytest.mark.parametrize("field", [QQ, QT, NumberField([-2, 0, 1])],
+                             ids=["Q", "Qt", "Qsqrt2"])
     def test_det_then_charpoly_reduces_once(self, field, monkeypatch):
-        """det reads the constant term of the charpoly it keeps on M; the
-        later charpoly(M) returns that Poly and runs no reduction."""
+        """det reads the constant term of the charpoly it keeps on M, over
+        every field; the later charpoly(M) returns that Poly and runs no
+        reduction."""
         rng = random.Random(1111)
-        gen = field.gen()
+        gen = Fraction(1, 3) if field == QQ else field.gen()
         rows = [[gen * rng.randint(-3, 3) + rng.randint(1, 4) for _ in range(4)]
                 for _ in range(4)]
         pivots = []

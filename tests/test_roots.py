@@ -106,6 +106,41 @@ class TestProperties:
         assert iv.excludes_half_power(5, 0)
         assert iv.excludes_half_power(5, 2)
 
+    def test_half_power_tests_against_the_direct_comparison(self):
+        """Bit lengths decide most comparisons with base**j; every verdict
+        equals the comparison with the power formed exactly, on intervals
+        whose squares straddle, touch or miss base**j by a little or by
+        far, and on bases that are powers of two (where base**j is exactly
+        2^(j(b-1)))."""
+        rng = random.Random(4242)
+        checked = 0
+        for _ in range(3000):
+            base = rng.choice((2, 3, 4, 5, 7, 8, 25, 49, 1024, 3 ** 20))
+            j = rng.randint(-300, 300)
+            target = Fraction(base) ** j
+            bits = j * math.log2(base) / 2  # log2 of base**(j/2)
+            ends = []
+            for _ in range(2):
+                kind = rng.randrange(3)
+                if kind == 0 and j % 2 == 0:  # exactly base**(j/2)
+                    x = Fraction(base) ** (j // 2)
+                elif kind == 1:  # a random rational of about the same size
+                    den = rng.randint(1, 2 ** rng.randint(1, 60))
+                    scale = int(bits + rng.randint(-3, 3) + den.bit_length())
+                    x = Fraction(rng.randint(0, 2 ** max(scale, 0)), den)
+                else:  # far off, or zero
+                    x = Fraction(rng.randint(0, 9), rng.randint(1, 9))
+                ends.append(x)
+            lo, hi = sorted(ends)
+            iv = ModulusInterval(lo, hi)
+            assert iv.contains_half_power(base, j) == (lo * lo <= target <= hi * hi)
+            assert iv.excludes_half_power(base, j) == (hi * hi < target or target < lo * lo)
+            for x in (lo * lo, hi * hi, target, target * (1 + Fraction(1, 2 ** 400)),
+                      target * (1 - Fraction(1, 2 ** 400))):
+                assert roots._compare_power(x, base, j) == (x > target) - (x < target)
+                checked += 1
+        assert checked == 15000
+
     def test_exact_interval_for_rational_roots(self):
         iv = root_moduli_certified([-3, 1], DEFAULT_EPS)[0]
         assert iv == ModulusInterval(Fraction(3), Fraction(3))

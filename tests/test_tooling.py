@@ -1,8 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+from wdreps import cli, fields, roots, schur, wd
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wdreps"
 
@@ -24,3 +28,27 @@ def test_package_imports_only_the_standard_library():
                for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
                if name not in sys.stdlib_module_names}
     assert not foreign
+
+
+def test_readme_states_the_bounds_in_force():
+    """Each resource bound the README quotes is the constant in force."""
+    readme = " ".join((SRC.parent.parent / "README.md").read_text(encoding="utf-8").split())
+    stated = {
+        "MAX_SCAN_POINTS": r"more than ([\d,]+) points \(`MAX_SCAN_POINTS`",
+        "MIN_EPS": r"below 2\^-(\d+) \(`MIN_EPS`",
+        "MAX_SCALAR_NESTING": r"at most (\d+) nested parentheses or signs \(`MAX_SCALAR_NESTING`\)",
+        "MAX_SCALAR_EXPONENT": r"no power beyond `x\^(\d+)` \(`MAX_SCALAR_EXPONENT`",
+        "DEFAULT_TENSOR_CAP": r"`n\^d <= (\d+)` \(`DEFAULT_TENSOR_CAP`",
+        "INERTIA_CLOSURE_CAP": r"capped at (\d+) elements \(`INERTIA_CLOSURE_CAP`",
+    }
+    values = {}
+    for name, pattern in stated.items():
+        match = re.search(pattern, readme)
+        assert match, f"the README no longer states {name}"
+        values[name] = int(match.group(1).replace(",", ""))
+    assert values["MAX_SCAN_POINTS"] == cli.MAX_SCAN_POINTS
+    assert Fraction(1, 2 ** values["MIN_EPS"]) == roots.MIN_EPS
+    assert values["MAX_SCALAR_NESTING"] == fields.MAX_SCALAR_NESTING
+    assert values["MAX_SCALAR_EXPONENT"] == fields.MAX_SCALAR_EXPONENT
+    assert values["DEFAULT_TENSOR_CAP"] == schur.DEFAULT_TENSOR_CAP
+    assert values["INERTIA_CLOSURE_CAP"] == wd.INERTIA_CLOSURE_CAP

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -73,26 +74,52 @@ class TestValidate:
         assert "relation" in wd_validate(rho)
 
     def test_infinite_order_inertia(self):
+        # no order test of its own: the closure cap bounds every generator's order
         rho = WDRep(5, QQ, Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 2),
                     (("u", Matrix(QQ, [[1, 1], [0, 1]])),))
-        assert "order exceeds bound" in wd_validate(rho)
+        assert "closure exceeds cap" in wd_validate(rho)
 
     def test_inertia_order_over_qt(self):
         t = QT.gen()
         conj = Matrix(QT, [[1, t], [0, 1]])
         swap = conj * Matrix(QT, [[0, 1], [1, 0]]) * conj.inverse()
-        assert wd._matrix_order(swap, wd.INERTIA_ORDER_BOUND) == 2
-        assert wd._matrix_order(conj, wd.INERTIA_ORDER_BOUND) is None
+
+        def rep(g):
+            return WDRep(5, QT, Matrix.identity(QT, 2), Matrix.zeros(QT, 2, 2), (("g", g),))
+
+        assert wd_validate(rep(swap)) is None
+        # constant charpoly (x - 1)^2 but infinite order: the closure cap refuses it
+        assert "closure exceeds cap" in wd_validate(rep(conj))
         # a non-constant charpoly rules out finite order before any power:
         # the 64 powers of this generator grow to degree ~64 in t
         gen = Matrix(QT, [[(t * t + 1) / (t + 2), -5], [4, -5]])
-        rho = WDRep(5, QT, Matrix.identity(QT, 2), Matrix.zeros(QT, 2, 2), (("g", gen),))
         products = []
         mul = Matrix.__mul__
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Matrix, "__mul__", lambda a, b: products.append(1) or mul(a, b))
-            assert "order exceeds bound" in wd_validate(rho)
+            assert "order exceeds bound 64" in wd_validate(rep(gen))
         assert len(products) < 10
+
+    @pytest.mark.parametrize("cycles", [(2,), (64,), (3, 4, 5), (7, 9), (5, 13), (2, 5, 7),
+                                        (65,), (2, 3, 11), (1, 1, 8, 16)])
+    def test_order_oracle_on_permutation_matrices(self, cycles):
+        """A permutation matrix has order lcm(cycle lengths), and its closure
+        is the cyclic group of that order: the representation validates
+        exactly when the order is at most the cap."""
+        dim, perm = sum(cycles), []
+        for length in cycles:
+            start = len(perm)
+            perm.extend(start + (i + 1) % length for i in range(length))
+        g = Matrix(QQ, [[int(perm[j] == i) for j in range(dim)] for i in range(dim)])
+        rho = WDRep(5, QQ, Matrix.identity(QQ, dim), Matrix.zeros(QQ, dim, dim), (("p", g),))
+        order = math.lcm(*cycles)
+        closure = wd.inertia_closure(rho.inertia, QQ, dim)
+        if order <= wd.INERTIA_CLOSURE_CAP:
+            assert wd_validate(rho) is None and len(closure) == order
+            assert [word for word, _ in closure] == ["*".join("p" * m) for m in range(order)]
+        else:
+            assert closure is None
+            assert wd_validate(rho) == f"inertia closure exceeds cap {wd.INERTIA_CLOSURE_CAP}"
 
     def test_singular_phi(self):
         rho = WDRep(5, QQ, Matrix.zeros(QQ, 1, 1), Matrix.zeros(QQ, 1, 1))
