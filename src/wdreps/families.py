@@ -166,7 +166,8 @@ class TraceLinkResult:
     first_difference: str | None
 
 
-# the joint group is a subgroup of the product of two closures within the cap
+# the joint group of two valid families is a subgroup of the product of two
+# closures within the cap, so this bound on its enumeration is never reached
 _PAIR_CLOSURE_CAP = INERTIA_CLOSURE_CAP ** 2
 
 
@@ -176,9 +177,12 @@ def trace_link_check(fam1: WDRep, fam2: WDRep, max_word_len: int) -> TraceLinkRe
     generator labels.  Equality of these traces is the desk surrogate for
     sharing a pseudorepresentation.
 
+    Both families are validated first (an invalid one raises ValueError).
     The joint closure is `inertia_closure` of the block-diagonal
     generators g1 + g2, and each element m is compared through the two
     diagonal blocks of (phi1 + phi2)^k * m, in BFS order."""
+    _require_valid(fam1)
+    _require_valid(fam2)
     if fam1.q != fam2.q:
         raise ValueError("trace link requires matching q")
     if fam1.field != fam2.field:
@@ -191,8 +195,6 @@ def trace_link_check(fam1: WDRep, fam2: WDRep, max_word_len: int) -> TraceLinkRe
     gens = [(label, block_diagonal(field, [gens1[label], gens2[label]])) for label in labels]
     size = d1 + fam2.dim
     closure = inertia_closure(gens, field, size, _PAIR_CLOSURE_CAP)
-    if closure is None:
-        raise ValueError("joint inertia closure exceeds the pair cap")
     phi = block_diagonal(field, [fam1.phi, fam2.phi])
     powers = list(accumulate([phi] * max_word_len, Matrix.__mul__))
     blocks = (range(d1), range(d1, size))

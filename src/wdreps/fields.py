@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import prod
 
 
 class ParseError(ValueError):
@@ -294,15 +295,9 @@ def poly_xgcd(a: Poly, b: Poly):
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p / gcd(p, p'), monic.  Rejects the zero polynomial."""
-    if p.is_zero():
-        raise ValueError("squarefree part of the zero polynomial")
-    if p.degree == 0:
-        return Poly.one(p.field)
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.monic()
-    return (p // g).monic()
+    """The product of the factors of `squarefree_decomposition`: monic,
+    with the roots of p, each once.  Rejects the zero polynomial."""
+    return prod((f for f, _ in squarefree_decomposition(p)), start=Poly.one(p.field))
 
 
 def squarefree_decomposition(p: Poly):

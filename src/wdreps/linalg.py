@@ -573,8 +573,11 @@ def mult_jordan_chevalley(M: Matrix):
 
     Factorization-free: Newton iteration against the squarefree part f of
     the characteristic polynomial converges to the semisimple part S in at
-    most ceil(log2 n) + 1 steps, then U = S^-1 * M.  A semisimple M takes
-    no Newton step, and S is M itself (`S is M`): callers read
+    most ceil(log2 n) + 1 steps, then U = S^-1 * M.  Over a number field f
+    is taken over Q, from the restriction of scalars: every eigenvalue of M
+    is a root of it, and its roots are simple, so S is the same and no gcd
+    runs over the field (an etale algebra has zero divisors).  A semisimple
+    M takes no Newton step, and S is M itself (`S is M`): callers read
     semisimplicity off that identity.
     """
     if not M.is_square():
@@ -582,7 +585,10 @@ def mult_jordan_chevalley(M: Matrix):
     n = M.nrows
     if not M.det():
         raise SingularMatrixError("multiplicative decomposition needs an invertible matrix")
-    f = squarefree_part(charpoly(M))
+    if isinstance(M.field, NumberField):
+        f = Poly(M.field, squarefree_part(charpoly(scalar_restriction(M))).coeffs)
+    else:
+        f = squarefree_part(charpoly(M))
     fp = f.derivative()
     X = M
     budget = max(1, n.bit_length() + 1)

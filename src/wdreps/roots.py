@@ -46,10 +46,6 @@ class ModulusInterval:
         return (_compare_power(self.lo * self.lo, base, j) <= 0
                 <= _compare_power(self.hi * self.hi, base, j))
 
-    def excludes_half_power(self, base: int, j: int) -> bool:
-        return (_compare_power(self.hi * self.hi, base, j) < 0
-                or _compare_power(self.lo * self.lo, base, j) > 0)
-
 
 def _compare_power(x: Fraction, base: int, j: int) -> int:
     """The sign of x - base**j, for x >= 0 and base >= 2.  Bit lengths

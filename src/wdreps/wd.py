@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import log2
 
 from .fields import Field, NumberField, Poly, QQ, QT
 from .linalg import (Matrix, SingularMatrixError, block_diagonal, charpoly,
                      column_echelon, is_nilpotent, kernel_basis, mult_jordan_chevalley,
                      pivot_rows, scalar_restriction)
 from .roots import (DEFAULT_EPS, MIN_EPS, CertificationFailed, ModulusInterval,
-                    root_moduli_certified)
+                    _compare_power, root_moduli_certified)
 from .schur import Partition, schur_derivation, schur_of_matrix
 
 INERTIA_CLOSURE_CAP = 64
@@ -370,10 +371,6 @@ class SignatureEntry:
     charpoly: Poly
     inertia_traces: tuple[tuple[str, object], ...] = ()
 
-    def sort_key(self):
-        return (self.t, tuple(repr(c) for c in self.charpoly.coeffs),
-                tuple((label, repr(v)) for label, v in self.inertia_traces))
-
 
 def _merge_entries(a: SignatureEntry, b: SignatureEntry) -> SignatureEntry:
     """Combine two constituents of the same chain length: charpolys
@@ -399,15 +396,15 @@ class Signature:
     splitting.
 
     Canonical form keeps one entry per chain length t (constituents of
-    equal t merge by multiplying charpolys), which is exactly what the
-    kernel/image quotients produce; a multiset union therefore reduces to
-    this merge."""
+    equal t merge by multiplying charpolys and adding traces, so their
+    order does not matter), which is exactly what the kernel/image
+    quotients produce; a multiset union therefore reduces to this merge."""
 
     entries: tuple[SignatureEntry, ...]
 
     def __post_init__(self):
         merged: dict[int, SignatureEntry] = {}
-        for entry in sorted(self.entries, key=SignatureEntry.sort_key):
+        for entry in self.entries:
             if entry.t in merged:
                 merged[entry.t] = _merge_entries(merged[entry.t], entry)
             else:
@@ -499,18 +496,28 @@ class PurityReport:
 
 
 def _q_power_exponent(value: Fraction, q: int):
-    """j with value = q^j, or None when there is none."""
+    """j with value = q^j, or None when there is none.  |j| is within one
+    of round(bit length / log2 q), so three exact comparisons decide it."""
     num, den = value.numerator, value.denominator
     if value <= 0 or (num != 1 and den != 1):
         return None
     sign, m = (1, num) if den == 1 else (-1, den)
-    j = 0
-    while m > 1:
-        m, rem = divmod(m, q)
-        if rem:
-            return None
-        j += 1
-    return sign * j
+    guess = round(m.bit_length() / log2(q))
+    for j in (guess, guess - 1, guess + 1):
+        if j >= 0 and _compare_power(Fraction(m), q, j) == 0:
+            return sign * j
+    return None
+
+
+def _matches(iv: ModulusInterval, q: int, j: int):
+    """Whether the root enclosed by iv has modulus q^(j/2): False when iv
+    misses it, None (undecided) when iv also meets q^((j-1)/2) or
+    q^((j+1)/2), True otherwise."""
+    if not iv.contains_half_power(q, j):
+        return False
+    if iv.contains_half_power(q, j - 1) or iv.contains_half_power(q, j + 1):
+        return None
+    return True
 
 
 @lru_cache(maxsize=256)
@@ -539,23 +546,21 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
     _require_valid(rho)
     filt = monodromy_filtration(rho.nilp)
     flag = ((k, filt.step(k - 1), filt.step(k)) for k in filt.indices())
-    pieces = []
-    for k, (action,) in _quotient_actions(flag, [rho.phi]):
-        mat = scalar_restriction(action)
-        pieces.append((k, mat, charpoly(mat)))
+    pieces = [(k, charpoly(scalar_restriction(action)))
+              for k, (action,) in _quotient_actions(flag, [rho.phi])]
     if not pieces:
         w = weight if isinstance(weight, int) else None
         return PurityReport(weight=w, verdict="pure", per_graded=())
 
     if weight == "infer":
         candidates = []
-        for k, mat, p in pieces:
+        for k, p in pieces:
             # det^2 = p(0)^2: the charpoly's constant term is (-1)^dim * det
             j = _q_power_exponent(p[0] ** 2, rho.q)
             if j is None:
                 raise NonIntegralWeight(
                     f"|det|^2 on graded piece {k} is not a power of q = {rho.q}")
-            num = Fraction(j, mat.nrows) - k
+            num = Fraction(j, p.degree) - k
             if num.denominator != 1:
                 raise NonIntegralWeight(
                     f"inferred weight {num} on graded piece {k} is not an integer")
@@ -570,25 +575,13 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
 
     graded = []
     verdict = "pure"
-    for k, mat, p in pieces:
+    for k, p in pieces:
         j = w + k
         current = eps
         for attempt in range(5):
             intervals = _certified_moduli(p.coeffs, current)
-            matches = []
-            ambiguous = False
-            for iv in intervals:
-                hit = iv.contains_half_power(rho.q, j)
-                clean = iv.excludes_half_power(rho.q, j - 1) and \
-                    iv.excludes_half_power(rho.q, j + 1)
-                if hit and clean:
-                    matches.append(True)
-                elif iv.excludes_half_power(rho.q, j):
-                    matches.append(False)
-                else:
-                    ambiguous = True
-                    break
-            if not ambiguous:
+            matches = [_matches(iv, rho.q, j) for iv in intervals]
+            if None not in matches:
                 break
             current = current / 2
         else:
@@ -596,6 +589,6 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
                 f"graded piece {k}: root enclosures remain ambiguous after escalation")
         if not all(matches):
             verdict = "impure"
-        graded.append(GradedPurity(k=k, dim=mat.nrows, charpoly=p,
+        graded.append(GradedPurity(k=k, dim=p.degree, charpoly=p,
                                    intervals=intervals, matches=tuple(matches)))
     return PurityReport(weight=w, verdict=verdict, per_graded=tuple(graded))

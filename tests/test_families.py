@@ -278,7 +278,9 @@ class TestTraceLink:
         """Against a breadth-first walk over pairs (m1, m2) that compares
         the traces of each pair as it is reached: random signed-permutation
         inertia, the second family a conjugate of the first with, half the
-        time, one generator replaced."""
+        time, one generator replaced.  Frobenius is a scalar times 1 or the
+        shared generator g, so it normalizes both inertia groups and both
+        families are valid."""
         rng = random.Random(2024)
 
         def signed_permutation(n):
@@ -289,8 +291,9 @@ class TestTraceLink:
         outcomes = set()
         for case in range(12):
             n = 2 if case % 3 else 3
-            phi = Matrix.diagonal(QQ, [rng.choice((1, -1, 2, Fraction(1, 5))) for _ in range(n)])
             inertia = [(label, signed_permutation(n)) for label in ("g", "h")]
+            phi = rng.choice((Matrix.identity(QQ, n), inertia[0][1])) * \
+                rng.choice((1, -1, 2, Fraction(1, 5)))
             P = random_unimodular(rng, n)
             Pinv = P.inverse()
             if case % 2:
@@ -304,6 +307,17 @@ class TestTraceLink:
             assert got == _pair_bfs_trace_link(fam1, fam2, 3)
             outcomes.add(got.first_difference)
         assert None in outcomes and len(outcomes) > 2
+
+    def test_invalid_family_is_named(self):
+        """A unipotent inertia generator has infinite order: validation
+        names it before any joint element is enumerated."""
+        fam = WDRep(5, QQ, Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 2),
+                    (("g", Matrix(QQ, [[1, 1], [0, 1]])),))
+        with pytest.raises(ValueError,
+                           match="^invalid representation: inertia closure exceeds cap 64$"):
+            trace_link_check(fam, fam, 2)
+        with pytest.raises(ValueError, match="inertia closure exceeds cap 64"):
+            trace_link_check(flagship_family(), fam, 2)
 
     def test_errors(self):
         fam_q7 = WDRep(7, QT, Matrix(QT, [["1"]]), Matrix.zeros(QT, 1, 1))

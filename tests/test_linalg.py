@@ -11,10 +11,10 @@ from wdreps import (Matrix, Poly, QQ, QT, SingularMatrixError, WDRep,
                     scalar_restriction, sp_construct, squarefree_part,
                     wd_direct_sum)
 from wdreps import linalg
-from wdreps.fields import NumberField
+from wdreps.fields import NumberField, poly_gcd
 from wdreps.linalg import intersect_columns, kernel_basis, solve_in_span
 
-from support import random_fraction, random_matrix, random_unimodular
+from support import generator_shear, random_fraction, random_matrix, random_unimodular
 
 
 class TestSubspaces:
@@ -126,12 +126,72 @@ class TestJordanChevalley:
             assert S2 == P * S * P.inverse()
             assert U2 == P * U * P.inverse()
 
+    @pytest.mark.parametrize("minpoly, units", [
+        ([-1, 0, 1], ("a", "1", "2", "a+2", "-a", "2*a-3")),  # Q[a]/(a^2-1), etale
+        ([-2, 0, 1], ("a", "1", "2", "a+1", "-a", "3-a"))])  # Q(sqrt 2)
+    def test_number_fields(self, minpoly, units):
+        """S*U = M = U*S with U unipotent and S killed by a squarefree
+        polynomial over Q, on conjugated Jordan matrices over K; and the
+        same S as Newton iteration against the squarefree part taken over K
+        wherever that one runs (over an etale algebra Euclid can meet a
+        zero divisor, as for diag(a, 1))."""
+        K = NumberField(minpoly)
+        rng = random.Random(47)
+        diag_a1 = Matrix.diagonal(K, [K.gen(), K.one])
+        matrices = [diag_a1]
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            J = [[K.zero] * n for _ in range(n)]
+            for i in range(n):
+                J[i][i] = K.parse_scalar(rng.choice(units))
+                if i and rng.random() < 0.5:  # join block i-1 when the eigenvalue repeats
+                    J[i][i] = J[i - 1][i - 1]
+                    J[i][i - 1] = K.one
+            P = random_unimodular(rng, n, K) * generator_shear(rng, n, K)
+            matrices.append(P * Matrix(K, J) * P.inverse())
+        agreed = failed = 0
+        for M in matrices:
+            n = M.nrows
+            S, U = mult_jordan_chevalley(M)
+            assert S * U == M and U * S == M
+            assert ((U - Matrix.identity(K, n)) ** n).is_zero()
+            f = squarefree_part(charpoly(scalar_restriction(M)))
+            assert poly_eval_matrix(Poly(K, f.coeffs), S).is_zero()
+            try:
+                reference = _newton_semisimple_over_the_field(M)
+            except ZeroDivisionError:
+                failed += 1
+                continue
+            assert S == reference
+            agreed += 1
+        assert agreed >= 25
+        if minpoly == [-1, 0, 1]:
+            assert failed >= 1
+            assert mult_jordan_chevalley(diag_a1)[0] is diag_a1
+
     def test_function_field(self):
         t = QT.gen()
         M = Matrix(QT, [[t, QT.one], [QT.zero, t]])
         S, U = mult_jordan_chevalley(M)
         assert S == Matrix.diagonal(QT, [t, t])
         assert (U - Matrix.identity(QT, 2)) * (U - Matrix.identity(QT, 2)) == Matrix.zeros(QT, 2, 2)
+
+
+def _newton_semisimple_over_the_field(M: Matrix) -> Matrix:
+    """Reference: the semisimple part by Newton iteration against
+    p / gcd(p, p'), with p the charpoly over M's own field and the gcd by
+    Euclid there."""
+    p = charpoly(M)
+    f = (p // poly_gcd(p, p.derivative())).monic()
+    fp = f.derivative()
+    X = M
+    for _ in range(M.nrows.bit_length() + 1):
+        FX = poly_eval_matrix(f, X)
+        if FX.is_zero():
+            return X
+        X = X - poly_eval_matrix(fp, X).inverse() * FX
+    assert poly_eval_matrix(f, X).is_zero()
+    return X
 
 
 class TestHelpers:

@@ -545,6 +545,24 @@ class TestSignature:
         sig = frss_signature(sp_construct(2, r))
         assert sig.entries[0].inertia_traces == (("g", Fraction(-1)),)
 
+    def test_merge_ignores_entry_order(self):
+        """Equal chain lengths merge by multiplying charpolys and adding
+        traces (a missing label counting as the identity), so every order of
+        the same entries gives the same canonical signature."""
+        rng = random.Random(89)
+        for _ in range(20):
+            entries = []
+            for _ in range(rng.randint(2, 5)):
+                p = Poly(QQ, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)]
+                         + [1])
+                labels = rng.sample(("g", "h"), rng.randint(0, 2))
+                traces = tuple((label, Fraction(rng.randint(-2, 2))) for label in labels)
+                entries.append(SignatureEntry(rng.randint(1, 2), p, traces))
+            first = Signature(tuple(entries))
+            for _ in range(4):
+                rng.shuffle(entries)
+                assert Signature(tuple(entries)) == first
+
     def test_reconstruction_roundtrip(self):
         rng = random.Random(83)
         for _ in range(10):
@@ -647,6 +665,89 @@ class TestPurity:
     def test_explicit_wrong_weight_is_impure(self):
         report = purity_check(sp_construct(2, trivial_onedim()), 4)
         assert report.verdict == "impure"
+
+
+def _divmod_q_power_exponent(value: Fraction, q: int):
+    """Reference: j with value = q^j by repeated division, or None."""
+    num, den = value.numerator, value.denominator
+    if value <= 0 or (num != 1 and den != 1):
+        return None
+    sign, m = (1, num) if den == 1 else (-1, den)
+    j = 0
+    while m > 1:
+        m, rem = divmod(m, q)
+        if rem:
+            return None
+        j += 1
+    return sign * j
+
+
+class TestQPowerExponent:
+    def test_against_repeated_division(self):
+        """Powers of q and their inverses, those times or divided by a small
+        prime, negatives, zero and random non-powers."""
+        rng = random.Random(1009)
+        checked = 0
+        for q in (2, 3, 4, 5, 9, 25, 3 ** 20):
+            for _ in range(400):
+                power = Fraction(q) ** rng.randint(-60, 60)
+                value = rng.choice((
+                    power, power * rng.choice((2, 3, 5, 7)), power / rng.choice((2, 3, 5, 7)),
+                    -power, Fraction(0), Fraction(rng.randint(1, 10 ** 12)),
+                    Fraction(1, rng.randint(1, 10 ** 12)), power + 1))
+                assert wd._q_power_exponent(value, q) == _divmod_q_power_exponent(value, q)
+                checked += 1
+        assert checked == 2800
+
+    def test_bit_length_guess_at_large_exponents(self):
+        for q in (2, 3, 5, 3 ** 20):
+            for j in (999, 1000, 1001, 4321):
+                assert wd._q_power_exponent(Fraction(q) ** j, q) == j
+                assert wd._q_power_exponent(Fraction(1, q ** j), q) == -j
+                assert wd._q_power_exponent(Fraction(q ** j + 1), q) is None
+
+
+def _lefschetz_graded_charpolys(sig: Signature, q: int) -> dict:
+    """Gr_k charpolys read off a signature over Q: an entry (t, p) with
+    m = t - 1 and d = deg p puts c^d p(x/c), c = q^((m+k)/2), into Gr_k for
+    k = -m, -m+2, ..., m [Deligne, Weil II, 1.6]."""
+    graded = {}
+    for entry in sig.entries:
+        m, p = entry.t - 1, entry.charpoly
+        for k in range(-m, m + 1, 2):
+            c = Fraction(q) ** ((m + k) // 2)
+            piece = Poly(QQ, [a * c ** (p.degree - i) for i, a in enumerate(p.coeffs)])
+            graded[k] = graded.get(k, Poly.one(QQ)) * piece
+    return graded
+
+
+class TestLefschetzIdentity:
+    """The graded charpolys of `purity_check` are the products that the
+    signature predicts."""
+
+    @staticmethod
+    def check(rho: WDRep):
+        graded = {g.k: g.charpoly for g in purity_check(rho, 0).per_graded}
+        assert graded == _lefschetz_graded_charpolys(frss_signature(rho), rho.q)
+
+    @pytest.mark.parametrize("parts", [(2, 1), (2,), (1, 1)])
+    def test_inertia_pair_points(self, parts):
+        fam = load_wdrep(str(Path(__file__).resolve().parent.parent / "corpus" / "inertia_pair.json"))
+        checked = 0
+        for a in range(-6, 7):
+            try:
+                rho = specialize(fam, a)
+            except ArithmeticError:  # a pole or a singular Frobenius
+                continue
+            self.check(wd_schur(rho, Partition.of(*parts)))
+            checked += 1
+        assert checked >= 12
+
+    def test_random_representations(self):
+        rng = random.Random(1729)
+        for i in range(120):
+            self.check(random_valid_wdrep(rng, rng.choice((2, 3, 5)), max_dim=4,
+                                          with_inertia=i % 3 == 0))
 
 
 class TestRelationPreservation:
