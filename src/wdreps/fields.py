@@ -768,9 +768,11 @@ def _tokenize(text: str):
 
 
 # Bounds of the scalar parser: nesting counts parentheses and unary signs; the
-# exponent bound caps the product of stacked exponents, as in (t^k)^m or t^k^m.
+# exponent bound caps the product of stacked exponents, as in (t^k)^m or t^k^m;
+# the bit bound caps each numerator and denominator of a value's coefficients.
 MAX_SCALAR_NESTING = 100
 MAX_SCALAR_EXPONENT = 1000
+MAX_SCALAR_BITS = 16384
 
 
 def parse_scalar_expression(text: str, field: Field):
@@ -783,6 +785,17 @@ def parse_scalar_expression(text: str, field: Field):
     pos = depth = 0
     groups = [1]  # per open parenthesis: the largest power stacked inside
     var = field.variable_name()
+
+    def bounded(node, expo=1):
+        """node, unless its largest coefficient bit length times expo (checked
+        before node**expo is formed) passes MAX_SCALAR_BITS."""
+        coeffs = (node.num.coeffs + node.den.coeffs if isinstance(node, RatFunc)
+                  else node.coeffs if isinstance(node, NFElem) else (node,))
+        if expo * max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                      for c in coeffs) > MAX_SCALAR_BITS:
+            raise ParseError(f"scalar coefficient beyond {MAX_SCALAR_BITS} bits "
+                             f"(MAX_SCALAR_BITS) in {text!r}")
+        return node
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -798,7 +811,7 @@ def parse_scalar_expression(text: str, field: Field):
         while peek() in ("+", "-"):
             op = take()
             rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
+            node = bounded(node + rhs if op == "+" else node - rhs)
         return node
 
     def parse_term():
@@ -806,13 +819,10 @@ def parse_scalar_expression(text: str, field: Field):
         while peek() in ("*", "/"):
             op = take()
             rhs = parse_factor()
-            if op == "*":
-                node = node * rhs
-            else:
-                try:
-                    node = node / rhs
-                except ZeroDivisionError as exc:
-                    raise ParseError(f"division by zero in {text!r}") from exc
+            try:
+                node = bounded(node * rhs if op == "*" else node / rhs)
+            except ZeroDivisionError as exc:
+                raise ParseError(f"division by zero in {text!r}") from exc
         return node
 
     def parse_factor():
@@ -842,7 +852,7 @@ def parse_scalar_expression(text: str, field: Field):
             power *= expo
             if power > MAX_SCALAR_EXPONENT:
                 raise ParseError(f"power beyond x^{MAX_SCALAR_EXPONENT} in {text!r}")
-            node = node ** expo
+            node = bounded(bounded(node, expo) ** expo)
         groups[-1] = max(groups[-1], power)
         depth -= 1
         return node

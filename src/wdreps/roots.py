@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import floor, inf, isqrt, lcm, log2, prod
 
 from .fields import Poly, QQ, squarefree_decomposition
 
@@ -41,29 +41,34 @@ class ModulusInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
+    def half_power_range(self, q: int):
+        """(a, b) with q**(j/2) in [lo, hi] exactly when a <= j <= b: one
+        exact bracket of powers of q per nonzero endpoint, -inf for a zero."""
+        a = b = -inf
+        if self.lo:
+            i, exact = _q_log(self.lo * self.lo, q)
+            a = i + (not exact)
+        if self.hi:
+            b = _q_log(self.hi * self.hi, q)[0]
+        return a, b
+
     def contains_half_power(self, base: int, j: int) -> bool:
-        """Does the interval contain base**(j/2)?  Exact: compares squares."""
-        return (_compare_power(self.lo * self.lo, base, j) <= 0
-                <= _compare_power(self.hi * self.hi, base, j))
+        """Does the interval contain base**(j/2)?"""
+        a, b = self.half_power_range(base)
+        return a <= j <= b
 
 
-def _compare_power(x: Fraction, base: int, j: int) -> int:
-    """The sign of x - base**j, for x >= 0 and base >= 2.  Bit lengths
-    decide it when they separate the two: 2^(s-1) < x < 2^(s+1) with s the
-    numerator's bit length less the denominator's, and base**j lies between
-    2^(j(b-1)) and 2^(jb) with b the bit length of base.  Only otherwise,
-    when x is about as long as base**j, is the power formed."""
-    if not x:
-        return -1
-    s = x.numerator.bit_length() - x.denominator.bit_length()
-    b = base.bit_length()
-    low, high = sorted((j * (b - 1), j * b))
-    if s + 1 <= low:
-        return -1
-    if s - 1 >= high:
-        return 1
-    target = Fraction(base) ** j
-    return (x > target) - (x < target)
+def _q_log(x: Fraction, q: int):
+    """(i, x == q**i) for the i with q**i <= x < q**(i+1), for x > 0 and
+    q >= 2.  Bit lengths guess i, one power near x is formed, and exact
+    steps by q move it until it brackets x; the guess affects only the cost."""
+    i = floor((x.numerator.bit_length() - x.denominator.bit_length()) / log2(q))
+    power = Fraction(q) ** i
+    while power > x:
+        power, i = power / q, i - 1
+    while power * q <= x:
+        power, i = power * q, i + 1
+    return i, power == x
 
 
 def _shift(tol: Fraction) -> int:
@@ -187,13 +192,13 @@ def _certify_squarefree(f: Poly, eps: Fraction):
     bits = 128
 
     for _ in range(_MAX_REFINE_ROUNDS):
-        # keep approximations pairwise distinct so the corrections exist
+        # nudge equal approximations apart by 2^-8 i, so the corrections exist
         if len(set(zs)) < m:
-            den, zs = _rescale(den, zs, 1 << bits)
+            den, zs = _rescale(den, zs, 1 << 8)
             seen = set()
             for i, (x, y) in enumerate(zs):
                 while (x, y) in seen:
-                    x += den >> bits
+                    y += den >> 8
                 seen.add((x, y))
                 zs[i] = (x, y)
 

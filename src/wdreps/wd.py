@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import log2
 
 from .fields import Field, NumberField, Poly, QQ, QT
 from .linalg import (Matrix, SingularMatrixError, block_diagonal, charpoly,
                      column_echelon, is_nilpotent, kernel_basis, mult_jordan_chevalley,
                      pivot_rows, scalar_restriction)
 from .roots import (DEFAULT_EPS, MIN_EPS, CertificationFailed, ModulusInterval,
-                    _compare_power, root_moduli_certified)
+                    _q_log, root_moduli_certified)
 from .schur import Partition, schur_derivation, schur_of_matrix
 
 INERTIA_CLOSURE_CAP = 64
@@ -495,29 +494,14 @@ class PurityReport:
     per_graded: tuple[GradedPurity, ...]
 
 
-def _q_power_exponent(value: Fraction, q: int):
-    """j with value = q^j, or None when there is none.  |j| is within one
-    of round(bit length / log2 q), so three exact comparisons decide it."""
-    num, den = value.numerator, value.denominator
-    if value <= 0 or (num != 1 and den != 1):
-        return None
-    sign, m = (1, num) if den == 1 else (-1, den)
-    guess = round(m.bit_length() / log2(q))
-    for j in (guess, guess - 1, guess + 1):
-        if j >= 0 and _compare_power(Fraction(m), q, j) == 0:
-            return sign * j
-    return None
-
-
 def _matches(iv: ModulusInterval, q: int, j: int):
     """Whether the root enclosed by iv has modulus q^(j/2): False when iv
     misses it, None (undecided) when iv also meets q^((j-1)/2) or
     q^((j+1)/2), True otherwise."""
-    if not iv.contains_half_power(q, j):
+    a, b = iv.half_power_range(q)
+    if not a <= j <= b:
         return False
-    if iv.contains_half_power(q, j - 1) or iv.contains_half_power(q, j + 1):
-        return None
-    return True
+    return None if a < j or j < b else True
 
 
 @lru_cache(maxsize=256)
@@ -556,8 +540,8 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
         candidates = []
         for k, p in pieces:
             # det^2 = p(0)^2: the charpoly's constant term is (-1)^dim * det
-            j = _q_power_exponent(p[0] ** 2, rho.q)
-            if j is None:
+            j, exact = _q_log(p[0] ** 2, rho.q)
+            if not exact:
                 raise NonIntegralWeight(
                     f"|det|^2 on graded piece {k} is not a power of q = {rho.q}")
             num = Fraction(j, p.degree) - k

@@ -107,13 +107,14 @@ class TestProperties:
         assert not iv.contains_half_power(5, 2)
 
     def test_half_power_tests_against_the_direct_comparison(self):
-        """Bit lengths decide most comparisons with base**j; every verdict
-        equals the comparison with the power formed exactly, on intervals
-        whose squares straddle, touch or miss base**j by a little or by
-        far, and on bases that are powers of two (where base**j is exactly
-        2^(j(b-1)))."""
+        """`_q_log` brackets x between consecutive powers of the base, and
+        `half_power_range` holds exactly the j with lo^2 <= base**j <= hi^2,
+        against squares and powers formed directly: on intervals whose
+        squares straddle, touch or miss base**j by a little or by far, with
+        lo = 0 and with exact powers at either end or both, and on bases
+        that are powers of two (where base**j is exactly 2^(j(b-1)))."""
         rng = random.Random(4242)
-        checked = 0
+        brackets = 0
         for _ in range(3000):
             base = rng.choice((2, 3, 4, 5, 7, 8, 25, 49, 1024, 3 ** 20))
             j = rng.randint(-300, 300)
@@ -121,25 +122,33 @@ class TestProperties:
             bits = j * math.log2(base) / 2  # log2 of base**(j/2)
             ends = []
             for _ in range(2):
-                kind = rng.randrange(3)
+                kind = rng.randrange(4)
                 if kind == 0 and j % 2 == 0:  # exactly base**(j/2)
                     x = Fraction(base) ** (j // 2)
                 elif kind == 1:  # a random rational of about the same size
                     den = rng.randint(1, 2 ** rng.randint(1, 60))
                     scale = int(bits + rng.randint(-3, 3) + den.bit_length())
                     x = Fraction(rng.randint(0, 2 ** max(scale, 0)), den)
-                else:  # far off, or zero
-                    x = Fraction(rng.randint(0, 9), rng.randint(1, 9))
+                elif kind == 2:  # far off
+                    x = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                else:
+                    x = Fraction(0)
                 ends.append(x)
             lo, hi = sorted(ends)
             iv = ModulusInterval(lo, hi)
+            a, b = iv.half_power_range(base)
+            for k in (j - 1, j, j + 1):
+                power = Fraction(base) ** k
+                assert (a <= k <= b) == (lo * lo <= power <= hi * hi)
             assert iv.contains_half_power(base, j) == (lo * lo <= target <= hi * hi)
-            assert (not iv.contains_half_power(base, j)) == (hi * hi < target or target < lo * lo)
             for x in (lo * lo, hi * hi, target, target * (1 + Fraction(1, 2 ** 400)),
                       target * (1 - Fraction(1, 2 ** 400))):
-                assert roots._compare_power(x, base, j) == (x > target) - (x < target)
-                checked += 1
-        assert checked == 15000
+                if x:
+                    i, exact = roots._q_log(x, base)
+                    assert Fraction(base) ** i <= x < Fraction(base) ** (i + 1)
+                    assert exact == (x == Fraction(base) ** i)
+                    brackets += 1
+        assert brackets == 12369
 
     def test_exact_interval_for_rational_roots(self):
         iv = root_moduli_certified([-3, 1], DEFAULT_EPS)[0]
@@ -182,7 +191,7 @@ def _reference_certify(f, eps):
         seen = set()
         for i, z in enumerate(zs):
             while z in seen:
-                z = (z[0] + Fraction(1, 1 << bits), z[1])
+                z = (z[0], z[1] + Fraction(1, 1 << 8))
             seen.add(z)
             zs[i] = z
         # disjointness is tested at resolution 2^-fine (sqrt_bounds resolves
@@ -235,17 +244,19 @@ class TestReferenceOracle:
         assert exact_radius and no_step
 
     def test_rare_paths_against_reference(self, monkeypatch):
-        """Two equal seeds: the distinctness nudge keeps the corrections
-        defined, yet both approximations then stay on one root."""
+        """Two equal seeds: the imaginary distinctness nudge of 2^-8 keeps
+        the corrections defined and lets them push the two approximations
+        apart, onto sqrt(2) and -sqrt(2)."""
         units = []
         rescale = roots._rescale
         monkeypatch.setattr(roots, "_rescale", lambda *a: units.append(a[2]) or rescale(*a))
         f = Poly(QQ, [-2, 0, 1])
-        monkeypatch.setattr(roots, "_durand_kerner", lambda c: [1.5 + 0j, 1.5 + 0j])
-        for certify in (_reference_certify, roots._certify_squarefree):
-            with pytest.raises(CertificationFailed):
-                certify(f, DEFAULT_EPS)
-        assert units[0] == 1 << 128   # the distinctness nudge by 2^-bits
+        for seed in (1.5, -1.5):
+            monkeypatch.setattr(roots, "_durand_kerner", lambda c, s=seed: [s + 0j, s + 0j])
+            intervals = roots._certify_squarefree(f, DEFAULT_EPS)
+            assert intervals == _reference_certify(f, DEFAULT_EPS)[0]
+            assert_enclosure(intervals, [2, 2], DEFAULT_EPS)
+        assert units == [1 << 8, 1 << 8]   # one nudge per pair of equal seeds
 
 
 class TestWideEps:

@@ -38,6 +38,7 @@ def test_readme_states_the_bounds_in_force():
         "MIN_EPS": r"below 2\^-(\d+) \(`MIN_EPS`",
         "MAX_SCALAR_NESTING": r"at most (\d+) nested parentheses or signs \(`MAX_SCALAR_NESTING`\)",
         "MAX_SCALAR_EXPONENT": r"no power beyond `x\^(\d+)` \(`MAX_SCALAR_EXPONENT`",
+        "MAX_SCALAR_BITS": r"more than ([\d,]+) bits \(`MAX_SCALAR_BITS`",
         "DEFAULT_TENSOR_CAP": r"`n\^d <= (\d+)` \(`DEFAULT_TENSOR_CAP`",
         "INERTIA_CLOSURE_CAP": r"capped at (\d+) elements \(`INERTIA_CLOSURE_CAP`",
     }
@@ -50,5 +51,6 @@ def test_readme_states_the_bounds_in_force():
     assert Fraction(1, 2 ** values["MIN_EPS"]) == roots.MIN_EPS
     assert values["MAX_SCALAR_NESTING"] == fields.MAX_SCALAR_NESTING
     assert values["MAX_SCALAR_EXPONENT"] == fields.MAX_SCALAR_EXPONENT
+    assert values["MAX_SCALAR_BITS"] == fields.MAX_SCALAR_BITS
     assert values["DEFAULT_TENSOR_CAP"] == schur.DEFAULT_TENSOR_CAP
     assert values["INERTIA_CLOSURE_CAP"] == wd.INERTIA_CLOSURE_CAP

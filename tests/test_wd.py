@@ -5,13 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from wdreps import (DEFAULT_EPS, Matrix, NonIntegralWeight, NonSplitSpectrum,
-                    NumberField, Poly, QQ, QT, Signature, SignatureEntry, WDRep,
+from wdreps import (DEFAULT_EPS, Matrix, ModulusInterval, NonIntegralWeight,
+                    NonSplitSpectrum, NumberField, Poly, QQ, QT, Signature, SignatureEntry, WDRep,
                     charpoly, column_echelon, frobenius_semisimplify, frss_signature,
                     mat_subspaces, monodromy_filtration, purity_check,
                     signature_reconstruct, sp_construct, wd_direct_sum, wd_schur,
                     wd_tensor, wd_validate)
-from wdreps import cli, partitions_of, wd
+from wdreps import cli, partitions_of, roots, wd
 from wdreps.families import purity_scan, specialize
 from wdreps.jsonio import load_wdrep
 from wdreps import linalg
@@ -619,6 +619,26 @@ class TestPurity:
         assert report.verdict == "pure" and report.weight == -k
         assert tried == [DEFAULT_EPS / 2 ** i for i in range(tries)]
 
+    def test_undecided_root_escalates_eps(self, monkeypatch):
+        """x^2 - 2 at eps 16 and 8: each enclosure of |root| = 2^(1/2) also
+        holds 2^0 (and at 16 also 2^(2/2)), so `_matches` leaves it
+        undecided and eps is halved until only 2^(1/2) remains."""
+        tried = []
+        certify = wd.root_moduli_certified
+        monkeypatch.setattr(wd, "root_moduli_certified",
+                            lambda p, eps: tried.append(eps) or certify(p, eps))
+        wd._certified_moduli.cache_clear()
+        rho = WDRep(2, QQ, Matrix(QQ, [[0, 2], [1, 0]]), Matrix.zeros(QQ, 2, 2))
+        report = purity_check(rho, "infer", Fraction(16))
+        assert report.verdict == "pure" and report.weight == 1
+        assert tried == [16, 8, 4]
+        below = ModulusInterval(Fraction(1), Fraction(7, 4))
+        above = ModulusInterval(Fraction(5, 4), Fraction(2))
+        assert below.half_power_range(2) == (0, 1) and above.half_power_range(2) == (1, 2)
+        assert wd._matches(below, 2, 1) is None and wd._matches(above, 2, 1) is None
+        assert wd._matches(below, 2, 2) is False
+        assert wd._matches(ModulusInterval(Fraction(5, 4), Fraction(3, 2)), 2, 1) is True
+
     def test_trivial_pure_weight_zero(self):
         report = purity_check(trivial_onedim(), "infer")
         assert report.verdict == "pure" and report.weight == 0
@@ -683,9 +703,18 @@ def _divmod_q_power_exponent(value: Fraction, q: int):
 
 
 class TestQPowerExponent:
+    """Weight inference reads j with |det|^2 = q^j off `roots._q_log`."""
+
+    @staticmethod
+    def _exponent(value: Fraction, q: int):
+        i, exact = roots._q_log(value, q)
+        return i if exact else None
+
     def test_against_repeated_division(self):
         """Powers of q and their inverses, those times or divided by a small
-        prime, negatives, zero and random non-powers."""
+        prime, random non-powers and power + 1 (|det|^2 is positive, so zero
+        and negatives never reach `_q_log`); the bracket q^i <= value <
+        q^(i+1) holds on each."""
         rng = random.Random(1009)
         checked = 0
         for q in (2, 3, 4, 5, 9, 25, 3 ** 20):
@@ -693,18 +722,36 @@ class TestQPowerExponent:
                 power = Fraction(q) ** rng.randint(-60, 60)
                 value = rng.choice((
                     power, power * rng.choice((2, 3, 5, 7)), power / rng.choice((2, 3, 5, 7)),
-                    -power, Fraction(0), Fraction(rng.randint(1, 10 ** 12)),
-                    Fraction(1, rng.randint(1, 10 ** 12)), power + 1))
-                assert wd._q_power_exponent(value, q) == _divmod_q_power_exponent(value, q)
+                    Fraction(rng.randint(1, 10 ** 12)), Fraction(1, rng.randint(1, 10 ** 12)),
+                    power + 1))
+                assert self._exponent(value, q) == _divmod_q_power_exponent(value, q)
+                i = roots._q_log(value, q)[0]
+                assert Fraction(q) ** i <= value < Fraction(q) ** (i + 1)
                 checked += 1
         assert checked == 2800
 
     def test_bit_length_guess_at_large_exponents(self):
         for q in (2, 3, 5, 3 ** 20):
             for j in (999, 1000, 1001, 4321):
-                assert wd._q_power_exponent(Fraction(q) ** j, q) == j
-                assert wd._q_power_exponent(Fraction(1, q ** j), q) == -j
-                assert wd._q_power_exponent(Fraction(q ** j + 1), q) is None
+                assert self._exponent(Fraction(q) ** j, q) == j
+                assert self._exponent(Fraction(1, q ** j), q) == -j
+                assert self._exponent(Fraction(q ** j + 1), q) is None
+
+    def test_weight_inference_on_one_dimensional_frobenius(self):
+        """purity infers w from |phi|^2 = q^w on a 1 x 1 Frobenius, and
+        refuses exactly the phi whose square is no power of q."""
+        rng = random.Random(1013)
+        for q in (2, 5, 9):
+            for _ in range(40):
+                power = Fraction(q) ** rng.randint(-30, 30)
+                phi = rng.choice((power, -power, power * 3 / 2, power + 1))
+                rho = WDRep(q, QQ, Matrix(QQ, [[phi]]), Matrix.zeros(QQ, 1, 1))
+                expected = _divmod_q_power_exponent(phi * phi, q)
+                if expected is None:
+                    with pytest.raises(NonIntegralWeight):
+                        purity_check(rho, "infer")
+                else:
+                    assert purity_check(rho, "infer").weight == expected
 
 
 def _lefschetz_graded_charpolys(sig: Signature, q: int) -> dict:
