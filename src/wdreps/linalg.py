@@ -41,11 +41,10 @@ class Matrix:
     (den = 1 when zero), and `rows` builds Fractions on first access;
     elsewhere `num` holds the scalars, `rows` is `num` and `den` is None.
     The column count is stored, so a matrix without rows keeps its width
-    (0 x n is not 0 x 0).  The `_flag` slot holds the powers and kernels
-    of a nilpotent matrix once `wd` has computed them, and `_charpoly` the
-    characteristic polynomial once `charpoly` has."""
+    (0 x n is not 0 x 0).  The `_charpoly` slot holds the characteristic
+    polynomial once `charpoly` has computed it."""
 
-    __slots__ = ("field", "ncols", "den", "num", "_rows", "_flag", "_charpoly")
+    __slots__ = ("field", "ncols", "den", "num", "_rows", "_charpoly")
 
     def __init__(self, field: Field, rows):
         rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)

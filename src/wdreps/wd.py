@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd
 
 from .fields import Field, NumberField, Poly, QQ, QT
 from .linalg import (Matrix, SingularMatrixError, block_diagonal, charpoly,
@@ -287,46 +288,76 @@ class Filtration:
         return self.step(k).ncols - self.step(k - 1).ncols
 
 
-def _powers_and_kernels(N: Matrix):
-    """N^0, ..., N^e and the canonical bases of ker N^0, ..., ker N^e,
-    where e is the nilpotency index (N^e = 0 != N^(e-1)).  Both the
-    monodromy filtration and the signature layers are built from these.
-    A Matrix is immutable, so the flag is computed once and kept on N
-    itself, as `wd_validate` keeps its verdict on the WDRep.
+class _LineFlag:
+    """The flag of one line of nilpotent matrices (N up to a nonzero
+    scalar), from its representative N: the powers N^0, ..., N^e and the
+    canonical bases of their kernels (e the nilpotency index, N^e = 0 !=
+    N^(e-1)), and, each built on first reading, the signature layers and
+    the monodromy filtration steps.  For c != 0, ker (cN)^k = ker N^k and
+    (cN)^k * K, cN * M span what N^k * K, N * M span, so every multiple
+    has these canonical bases.
     Raises ValueError when N is not square or N^n != 0 (n = size)."""
-    flag = getattr(N, "_flag", None)
-    if flag is not None:
-        return flag
-    if not N.is_square():
-        raise ValueError("a nilpotent flag needs a square matrix")
-    powers = [Matrix.identity(N.field, N.nrows)]
-    while not powers[-1].is_zero():
-        if len(powers) > N.nrows:
-            raise ValueError(f"matrix is not nilpotent (N^{N.nrows} != 0)")
-        powers.append(powers[-1] * N)
-    N._flag = flag = (powers, [kernel_basis(P) for P in powers])
-    return flag
+
+    def __init__(self, N: Matrix):
+        if not N.is_square():
+            raise ValueError("a nilpotent flag needs a square matrix")
+        powers = [Matrix.identity(N.field, N.nrows)]
+        while not powers[-1].is_zero():
+            if len(powers) > N.nrows:
+                raise ValueError(f"matrix is not nilpotent (N^{N.nrows} != 0)")
+            powers.append(powers[-1] * N)
+        self.N, self.powers, self.kernels = N, tuple(powers), tuple(map(kernel_basis, powers))
+
+    @cached_property
+    def layers(self) -> tuple[Matrix, ...]:
+        """layers[k] = ker N & im N^k = N^k * ker N^(k+1); layers[e] = 0."""
+        powers, kernels = self.powers, self.kernels
+        layers = [column_echelon(powers[k] * kernels[k + 1]) for k in range(len(powers) - 1)]
+        return (*layers, Matrix.zeros(self.N.field, self.N.nrows, 0))
+
+    @cached_property
+    def steps(self) -> dict[int, Matrix]:
+        """The filtration steps, built downward from M_(e-1) = V as
+        M_k = ker N^(k+1) + N * M_(k+2)."""
+        N, kernels = self.N, self.kernels
+        e = len(kernels) - 1
+        if e == 0:
+            empty = Matrix.zeros(N.field, 0, 0)
+            return {-1: empty, 0: empty}
+        steps = {e - 1: kernels[e]}
+        for k in range(e - 2, -e - 1, -1):
+            pushed = N * steps.get(k + 2, kernels[e])
+            steps[k] = column_echelon(kernels[max(k + 1, 0)].hstack(pushed))
+        return steps
+
+
+@lru_cache(maxsize=32)
+def _line_flag(line: Matrix) -> _LineFlag:
+    """`_LineFlag`, memoized: a scan meets one line of N at many points."""
+    return _LineFlag(line)
+
+
+def _nilpotent_flag(N: Matrix) -> _LineFlag:
+    """The flag of N's line, keyed over Q by the primitive integer multiple
+    of N with a positive first nonzero entry, elsewhere by N's own
+    (canonical) entries."""
+    if N.den is not None:
+        entries = [x for row in N.num for x in row if x]
+        if entries:
+            c = Fraction(N.den, gcd(*entries) * (1 if entries[0] > 0 else -1))
+            N = N if c == 1 else N * c
+    return _line_flag(N)
 
 
 def monodromy_filtration(N: Matrix) -> Filtration:
     """The unique increasing filtration with N*M_k inside M_(k-2) and
     N^k inducing isomorphisms gr_k = gr_(-k) [Deligne, Weil II, 1.6].
 
-    It is M_k = sum_j N^j * ker N^(k+1+2j), built downward from
-    M_(e-1) = V (e the nilpotency index) as
-    M_k = ker N^(k+1) + N * M_(k+2); keys run from -e (the zero subspace)
-    to e-1."""
-    powers, kernels = _powers_and_kernels(N)
-    e = len(powers) - 1
-    if e == 0:
-        empty = Matrix.zeros(N.field, 0, 0)
-        return Filtration({-1: empty, 0: empty})
-    full = kernels[e]
-    steps = {e - 1: full}
-    for k in range(e - 2, -e - 1, -1):
-        pushed = N * steps.get(k + 2, full)
-        steps[k] = column_echelon(kernels[max(k + 1, 0)].hstack(pushed))
-    return Filtration(steps)
+    It is M_k = sum_j N^j * ker N^(k+1+2j); keys run from -e (the zero
+    subspace) to e-1 (e the nilpotency index).  The steps are built once
+    per line of N (`_nilpotent_flag`); each call returns its own
+    Filtration over a copy of them."""
+    return Filtration(dict(_nilpotent_flag(N).steps))
 
 
 def _quotient_actions(flag, operators):
@@ -424,17 +455,15 @@ def frss_signature(rho: WDRep) -> Signature:
     with its induced Frobenius gives an entry (t = k+1, charpoly on P_k);
     inertia traces on P_k are appended when inertia is nontrivial.
     Frobenius acts through its semisimple part, which a Schur image takes
-    from its input (`_semisimple_part`)."""
+    from its input (`_semisimple_part`).  The layers are built once per
+    line of N (`_nilpotent_flag`): a scan whose monodromy is f(a) * N0
+    reads them again at every point with f(a) != 0."""
     _require_valid(rho)
     n = rho.dim
     S = _semisimple_part(rho)
-    powers, kernels = _powers_and_kernels(rho.nilp)
-    e = len(powers) - 1
-    # layers[k] = ker N & im N^k = N^k * ker N^(k+1); layers[e] = 0
-    layers = [column_echelon(powers[k] * kernels[k + 1]) for k in range(e)]
-    layers.append(Matrix.zeros(rho.field, n, 0))
+    layers = _nilpotent_flag(rho.nilp).layers
     entries = []
-    flag = ((k, layers[k + 1], layers[k]) for k in range(e))
+    flag = ((k, layers[k + 1], layers[k]) for k in range(len(layers) - 1))
     for k, (action, *inertia) in _quotient_actions(flag, [S] + [g for _, g in rho.inertia]):
         traces = tuple((label, g.trace()) for (label, _), g in zip(rho.inertia, inertia))
         entries.append(SignatureEntry(t=k + 1, charpoly=charpoly(action),

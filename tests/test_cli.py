@@ -217,6 +217,28 @@ class TestEnvelope:
         assert code1 == code2 == 0
         assert canonical_json_bytes(env1) == canonical_json_bytes(env2)
 
+    def test_cold_and_warm_line_memo_same_bytes(self):
+        # the nilpotent flag is kept per line of N: a cold memo, a warm one
+        # and one warmed through another multiple (N(7) = 7 * N(1)) agree
+        from wdreps.families import specialize
+        from wdreps.jsonio import load_wdrep
+        from wdreps.schur import Partition
+        argv = ["rigidity", "--partition", "2,1", "--points", "-3..3",
+                str(CORPUS / "inertia_pair.json")]
+        wd._line_flag.cache_clear()
+        cold = _main_in_process(argv)
+        warm = _main_in_process(argv)
+        wd._line_flag.cache_clear()
+        image = wd.wd_schur(specialize(load_wdrep(str(CORPUS / "inertia_pair.json")), 7),
+                            Partition.of(2, 1))
+        wd.frss_signature(image)
+        wd.monodromy_filtration(image.nilp)
+        hits = wd._line_flag.cache_info().hits
+        other = _main_in_process(argv)
+        assert wd._line_flag.cache_info().hits > hits
+        assert cold[0] == 0 and cold[1] and cold[2] == ""
+        assert cold == warm == other
+
     def test_digest_tracks_content(self):
         _, env = run_command(CommandRequest("validate", SP2))
         assert env["input_digest"].startswith("sha256:")

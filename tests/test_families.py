@@ -418,6 +418,26 @@ def test_scan_reads_fraction_rows_only_for_charpolys(monkeypatch):
     assert len(readers) == 4 * 6 + 2
 
 
+def test_scan_builds_one_flag_per_line_of_n(monkeypatch):
+    """inertia_pair's monodromy is t * N0, so every point with t != 0 reads
+    the one flag of N0's line: a longer scan eliminates no more kernels.
+    The Q(t) family is a line of its own, and so is t = 0, where N
+    vanishes."""
+    fam = load_wdrep(str(Path(__file__).resolve().parents[1] / "corpus" / "inertia_pair.json"))
+    kernels = []
+    kernel = wd.kernel_basis
+    monkeypatch.setattr(wd, "kernel_basis", lambda M: kernels.append(M) or kernel(M))
+    counts, lines = [], []
+    for points in (range(1, 3), range(1, 8), range(0, 3)):
+        wd._line_flag.cache_clear()
+        kernels.clear()
+        purity_scan(fam, Partition.of(2, 1), points)
+        counts.append(len(kernels))
+        lines.append(wd._line_flag.cache_info().currsize)
+    assert counts[0] == counts[1] < counts[2]
+    assert lines == [2, 2, 3]
+
+
 def test_scan_reduces_each_specialized_phi_once(monkeypatch):
     """`specialize`'s singularity test and Jordan-Chevalley's `det` and
     squarefree part all read the one charpoly kept on the specialized phi:

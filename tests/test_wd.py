@@ -510,6 +510,55 @@ class TestMonodromyFiltration:
                 assert filt.graded_dim(k) == filt.graded_dim(-k)
 
 
+class TestLineMemo:
+    """The nilpotent flag is kept per line of N: every nonzero multiple of
+    N reads the matrices a from-scratch flag of N itself gives."""
+
+    @staticmethod
+    def read(N):
+        flag = wd._nilpotent_flag(N)
+        return flag.layers, monodromy_filtration(N).steps
+
+    def test_scalar_invariance_over_q(self):
+        rng = random.Random(83)
+        for i in range(25):
+            N = random_valid_wdrep(rng, rng.choice((2, 3, 5)), max_dim=5,
+                                   with_inertia=i % 2 == 0).nilp
+            wd._line_flag.cache_clear()
+            scratch = wd._LineFlag(N)  # the flag of N itself, outside the memo
+            want = scratch.layers, scratch.steps
+            for c in (Fraction(-3), Fraction(1, 7), Fraction(5, 2)):
+                wd._line_flag.cache_clear()
+                assert self.read(N * c) == want  # cold, through the multiple
+                assert self.read(N) == want  # warm, through N
+                assert wd._line_flag.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("field", [QT, NumberField([-2, 0, 1])], ids=["Qt", "Q(a^2=2)"])
+    def test_exact_value_key_over_function_and_number_fields(self, field):
+        rng = random.Random(89)
+        for _ in range(6):
+            N = lift_to_field(rng, random_valid_wdrep(rng, 3, max_dim=4), field).nilp
+            scratch = wd._LineFlag(N)
+            want = scratch.layers, scratch.steps
+            wd._line_flag.cache_clear()
+            c = field.coerce(Fraction(-3))
+            assert self.read(N) == want
+            assert self.read(N * c) == want
+            # over Q(t) and number fields a multiple is its own entry
+            expected = 1 if N.is_zero() else 2
+            assert wd._line_flag.cache_info().currsize == expected
+
+    def test_returned_steps_are_a_copy(self):
+        N = Matrix(QQ, [[0, 0, 0], [2, 0, 0], [0, 3, 0]])
+        wd._line_flag.cache_clear()
+        first = monodromy_filtration(N)
+        want = dict(first.steps)
+        first.steps[0] = Matrix.zeros(QQ, 3, 0)
+        del first.steps[-3]
+        assert monodromy_filtration(N).steps == want
+        assert monodromy_filtration(N * Fraction(-1, 2)).steps == want
+
+
 class TestSignature:
     def test_sp2(self):
         assert sig_pairs(frss_signature(sp_construct(2, trivial_onedim()))) == \
@@ -821,6 +870,8 @@ class TestOncePerPoint:
     elimination, and the quotients of either flag cost none."""
 
     def test_flag_and_quotients_computed_once(self, monkeypatch):
+        # a memo warmed by an earlier test would skip the kernels counted here
+        wd._line_flag.cache_clear()
         path = Path(__file__).resolve().parent.parent / "corpus" / "inertia_pair.json"
         image = wd_schur(specialize(load_wdrep(str(path)), 2), Partition.of(2, 1))
         assert image.dim == 20 and image.inertia
@@ -880,14 +931,11 @@ def _reference_quotient_actions(flag, operators):
 
 def _both_flags(rho):
     """The signature layers and the monodromy filtration of rho, as
-    (key, sub, big) triples, built as `frss_signature` and `purity_check`
-    build them."""
-    powers, kernels = wd._powers_and_kernels(rho.nilp)
-    e = len(powers) - 1
-    layers = [column_echelon(powers[k] * kernels[k + 1]) for k in range(e)]
-    layers.append(Matrix.zeros(rho.field, rho.dim, 0))
+    (key, sub, big) triples, as `frss_signature` and `purity_check` read
+    them."""
+    layers = wd._nilpotent_flag(rho.nilp).layers
     filt = monodromy_filtration(rho.nilp)
-    return ([(k, layers[k + 1], layers[k]) for k in range(e)],
+    return ([(k, layers[k + 1], layers[k]) for k in range(len(layers) - 1)],
             [(k, filt.step(k - 1), filt.step(k)) for k in filt.indices()])
 
 
