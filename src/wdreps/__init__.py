@@ -17,10 +17,9 @@ from .linalg import (Matrix, SingularMatrixError, ZeroDivisorPivotError, block_d
                      poly_eval_matrix, scalar_restriction)
 from .roots import (DEFAULT_EPS, CertificationFailed, ModulusInterval,
                     root_moduli_certified, sqrt_bounds)
-from .schur import (GroupAlgebraElement, Partition, ResourceCapExceeded,
-                    SchurBasis, hook_content_dim, partitions_of, schur_basis,
-                    schur_derivation, schur_of_matrix, schur_trace_oracle,
-                    specht_dim, young_symmetrizer)
+from .schur import (Partition, ResourceCapExceeded, SchurBasis, hook_content_dim,
+                    partitions_of, schur_basis, schur_derivation, schur_of_matrix,
+                    schur_trace_oracle, specht_dim, young_symmetrizer)
 from .wd import (Filtration, GradedPurity, NonIntegralWeight, NonSplitSpectrum,
                  PurityReport, Signature, SignatureEntry, WDRep,
                  frobenius_semisimplify, frss_signature, inertia_closure,

@@ -154,6 +154,21 @@ def _durand_kerner(coeffs):
             done = done and abs(w) <= 1e-14 * abs(zs[i])
         if done:
             break
+    # a near-conjugate pair z, w (|Im z| < 1e-6 |Re z|, |w - conj z| <= |Im z|)
+    # hides two close real roots when f changes sign, exactly, between
+    # Re z - |Im z| and Re z; Weierstrass steps on a real polynomial keep
+    # conjugate symmetry, so such a pair gets the real seeds Re z - |Im z|
+    # and Re w + |Im z|, and a true conjugate pair keeps its complex seeds
+    def exact(x):
+        return sum(c * Fraction(x) ** k for k, c in enumerate(coeffs))
+
+    for i, z in enumerate(zs):
+        y = abs(z.imag)
+        if not 0 < y < 1e-6 * abs(z.real):
+            continue
+        pair = [j for j, w in enumerate(zs) if j != i and w.imag and abs(w - z.conjugate()) <= y]
+        if pair and exact(z.real) * exact(z.real - y) <= 0:
+            zs[i], zs[pair[0]] = complex(z.real - y), complex(zs[pair[0]].real + y)
     return zs
 
 

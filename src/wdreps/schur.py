@@ -24,10 +24,13 @@ from .linalg import Matrix, _make, _units
 
 
 class ResourceCapExceeded(RuntimeError):
-    """The tensor space n^d would exceed the configured cap."""
+    """The tensor space n^d would exceed the configured cap, or the
+    symmetrizer would have more than MAX_SYMMETRIZER_TERMS terms."""
 
 
 DEFAULT_TENSOR_CAP = 4096
+# 6!: every partition of d <= 6 passes; verifying c*c = n*c costs |c|^2
+MAX_SYMMETRIZER_TERMS = 720
 
 
 def tensor_cap() -> int:
@@ -137,98 +140,28 @@ def perm_mul(p: Perm, q: Perm) -> Perm:
 
 
 def perm_sign(p: Perm) -> int:
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """(-1) to the number of inversions."""
+    inversions = sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+    return -1 if inversions % 2 else 1
 
 
-def perm_cycles(p: Perm) -> str:
-    """Cycle notation on {1..d}, for debug output: "(1 2)(3 4 5)"."""
-    seen = [False] * len(p)
-    pieces = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        cycle = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j + 1)
-            j = p[j]
-        if len(cycle) > 1:
-            pieces.append("(" + " ".join(map(str, cycle)) + ")")
-    return "".join(pieces) or "e"
+def _add_scaled(vec: dict, pairs, coeff) -> None:
+    """vec += coeff * (the sparse vector of the (key, value) pairs), in
+    place, dropping the entries that become zero."""
+    for key, value in pairs:
+        total = vec.get(key, 0) + coeff * value
+        if total:
+            vec[key] = total
+        else:
+            vec.pop(key, None)
 
 
-class GroupAlgebraElement:
-    """Finitely supported map from permutations of {1..d} to rationals."""
-
-    __slots__ = ("d", "terms")
-
-    def __init__(self, d: int, terms):
-        self.d = d
-        cleaned = {}
-        for perm, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff:
-                cleaned[perm] = coeff
-        self.terms = cleaned
-
-    def coefficient(self, perm: Perm) -> Fraction:
-        return self.terms.get(perm, Fraction(0))
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self.d == other.d and self.terms == other.terms
-
-    def __mul__(self, other):
-        if isinstance(other, GroupAlgebraElement):
-            if self.d != other.d:
-                raise ValueError("group algebra degrees differ")
-            out: dict[Perm, Fraction] = {}
-            for p, a in self.terms.items():
-                for q, b in other.terms.items():
-                    key = perm_mul(p, q)
-                    val = out.get(key, Fraction(0)) + a * b
-                    if val:
-                        out[key] = val
-                    elif key in out:
-                        del out[key]
-            return GroupAlgebraElement(self.d, out)
-        scalar = Fraction(other)
-        return GroupAlgebraElement(self.d, {p: scalar * a for p, a in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if self.d != other.d:
-            raise ValueError("group algebra degrees differ")
-        out = dict(self.terms)
-        for p, b in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + b
-        return GroupAlgebraElement(self.d, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def support(self):
-        return sorted(self.terms)
-
-    def __repr__(self):
-        body = " + ".join(f"{c}*{perm_cycles(p)}" for p, c in sorted(self.terms.items()))
-        return f"GroupAlgebraElement({self.d}, {body or '0'})"
+def _convolve(x: dict, y: dict) -> dict:
+    """The product x*y in the group algebra, elements being {perm: coeff}."""
+    out: dict = {}
+    for p, a in x.items():
+        _add_scaled(out, ((perm_mul(p, q), b) for q, b in y.items()), a)
+    return out
 
 
 def _canonical_tableau_rows(mu: Partition) -> list[list[int]]:
@@ -252,24 +185,34 @@ def _block_preserving_perms(blocks: list[list[int]], d: int) -> list[Perm]:
     return out
 
 
-def young_symmetrizer(mu: Partition) -> tuple[GroupAlgebraElement, int]:
+def young_symmetrizer(mu: Partition) -> tuple[dict, int]:
     """The symmetrizer c = a*b of the canonical tableau (a = row sum,
-    b = signed column sum) together with the integer n_mu defined by
-    c*c = n_mu*c, verified by direct multiplication and cross-checked
-    against d!/dim of the irreducible labelled by mu."""
+    b = signed column sum) as a {perm: int} dict, together with the integer
+    n_mu defined by c*c = n_mu*c, verified by direct multiplication and
+    cross-checked against d!/dim of the irreducible labelled by mu.  A
+    symmetrizer of more than MAX_SYMMETRIZER_TERMS terms is refused first:
+    it has |R| |C| terms, the product of the factorials of the row and column
+    lengths, and the product stops at the bound, so no factorial beyond it is
+    formed.  The first column has len(mu.parts) cells; the others are counted
+    only once it passed, when at most 6 rows remain."""
+    columns = (sum(p > j for p in mu.parts) if j else len(mu.parts) for j in range(mu.parts[0]))
+    terms = 1
+    for length in itertools.chain(mu.parts, columns):
+        for k in range(2, length + 1):
+            terms *= k
+            if terms > MAX_SYMMETRIZER_TERMS:
+                raise ResourceCapExceeded(f"the symmetrizer of {mu} has more than "
+                                          f"{MAX_SYMMETRIZER_TERMS} terms (MAX_SYMMETRIZER_TERMS)")
     d = mu.d
     rows = _canonical_tableau_rows(mu)
-    cols: list[list[int]] = []
-    for j in range(mu.parts[0]):
-        cols.append([rows[i][j] for i in range(len(mu.parts)) if mu.parts[i] > j])
-    a = GroupAlgebraElement(d, {p: 1 for p in _block_preserving_perms(rows, d)})
-    b = GroupAlgebraElement(d, {p: perm_sign(p) for p in _block_preserving_perms(cols, d)})
-    c = a * b
-    cc = c * c
-    n_mu = cc.coefficient(perm_identity(d))
-    if n_mu.denominator != 1 or n_mu <= 0 or cc != n_mu * c:
+    cols = [[row[j] for row in rows if len(row) > j] for j in range(mu.parts[0])]
+    a = {p: 1 for p in _block_preserving_perms(rows, d)}
+    b = {p: perm_sign(p) for p in _block_preserving_perms(cols, d)}
+    c = _convolve(a, b)
+    cc = _convolve(c, c)
+    n_mu = cc.get(perm_identity(d), 0)
+    if n_mu <= 0 or cc != {p: n_mu * v for p, v in c.items()}:
         raise AssertionError(f"symmetrizer of {mu} is not essentially idempotent")
-    n_mu = int(n_mu)
     if n_mu * specht_dim(mu) != factorial(d):
         raise AssertionError(f"n_mu cross-check failed for {mu}")
     return c, n_mu
@@ -286,7 +229,7 @@ class SchurBasis:
     Each column is sparse: the (word, coefficient) pairs of its support, a
     word being the tuple of its d digits.  The columns are in reduced column
     echelon form, so the coefficient of basis vector i in any vector of the
-    image is read off at pivot_words[i] (big-endian row pivot_rows[i])."""
+    image is read off at pivot_words[i]."""
 
     mu: Partition
     n: int
@@ -294,7 +237,6 @@ class SchurBasis:
     dim: int
     columns: tuple
     pivot_words: tuple[tuple[int, ...], ...]
-    pivot_rows: tuple[int, ...]
 
     @cached_property
     def basis_matrix(self) -> Matrix:
@@ -343,58 +285,35 @@ _rational_basis_cache: dict = {}
 _field_basis_cache: dict = {}
 
 
-def _word_index(word, n: int) -> int:
-    idx = 0
-    for w in word:
-        idx = idx * n + w
-    return idx
-
-
 def _build_rational_basis(mu: Partition, n: int):
-    """Pivot words and sparse columns of the canonical basis over Q."""
-    d = mu.d
+    """Pivot words and sparse columns of the canonical basis over Q: c is
+    applied to each word in turn, the result reduced against the pivot
+    columns so far and, if nonzero, scaled to a new pivot column that the
+    earlier columns are reduced against.  With more rows than n the image
+    is zero, and c is not formed."""
+    if len(mu.parts) > n:
+        return (), ()
     c, _ = young_symmetrizer(mu)
     expected = hook_content_dim(mu, n)
-    terms = sorted(c.terms.items())
+    terms = sorted(c.items())
     # pivot word -> sparse column, mutually reduced; words sort as their indices do
     pivot_cols: dict[tuple, dict[tuple, Fraction]] = {}
-    if expected:
-        for word in itertools.product(range(n), repeat=d):
-            vec: dict[tuple, Fraction] = {}
-            for perm, coeff in terms:
-                key = tuple(word[perm[i]] for i in range(d))
-                val = vec.get(key, Fraction(0)) + coeff
-                if val:
-                    vec[key] = val
-                elif key in vec:
-                    del vec[key]
-            for prow in [r for r in vec if r in pivot_cols]:
-                coeff = vec.get(prow)
-                if not coeff:
-                    continue
-                for r, v in pivot_cols[prow].items():
-                    val = vec.get(r, Fraction(0)) - coeff * v
-                    if val:
-                        vec[r] = val
-                    elif r in vec:
-                        del vec[r]
-            if not vec:
-                continue
-            prow = min(vec)
-            lead = vec[prow]
-            newcol = {r: v / lead for r, v in vec.items()}
-            for col in pivot_cols.values():
-                if prow in col:
-                    coeff = col[prow]
-                    for r, v in newcol.items():
-                        val = col.get(r, Fraction(0)) - coeff * v
-                        if val:
-                            col[r] = val
-                        elif r in col:
-                            del col[r]
-            pivot_cols[prow] = newcol
-            if len(pivot_cols) == expected:
-                break
+    for word in itertools.product(range(n), repeat=mu.d):
+        vec: dict = {}
+        _add_scaled(vec, ((tuple(word[i] for i in perm), coeff) for perm, coeff in terms), 1)
+        for prow in [r for r in vec if r in pivot_cols]:
+            _add_scaled(vec, pivot_cols[prow].items(), -vec[prow])
+        if not vec:
+            continue
+        prow = min(vec)
+        inverse = Fraction(1, vec[prow])
+        newcol = {r: v * inverse for r, v in vec.items()}
+        for col in pivot_cols.values():
+            if prow in col:
+                _add_scaled(col, newcol.items(), -col[prow])
+        pivot_cols[prow] = newcol
+        if len(pivot_cols) == expected:
+            break
     if len(pivot_cols) != expected:
         raise AssertionError(
             f"symmetrizer image dimension {len(pivot_cols)} != hook content {expected}")
@@ -406,7 +325,8 @@ def schur_basis(mu: Partition, n: int, field: Field = QQ) -> SchurBasis:
     """Basis of the symmetrizer image, cached per (mu, n, field)."""
     d = mu.d
     cap = tensor_cap()
-    if n ** d > cap:
+    # for n >= 2 every d past the cap's bit length exceeds it: n^d is not formed
+    if n >= 2 and (d > cap.bit_length() or n ** d > cap):
         raise ResourceCapExceeded(
             f"tensor space {n}^{d} exceeds the cap {cap}; "
             "set WDREPS_TENSOR_CAP to override")
@@ -422,8 +342,7 @@ def schur_basis(mu: Partition, n: int, field: Field = QQ) -> SchurBasis:
         if field != QQ:
             columns = tuple(tuple((w, field.coerce(v)) for w, v in col) for col in columns)
         basis = SchurBasis(mu=mu, n=n, field=field, dim=len(pivot_words), columns=columns,
-                           pivot_words=pivot_words,
-                           pivot_rows=tuple(_word_index(w, n) for w in pivot_words))
+                           pivot_words=pivot_words)
         _field_basis_cache[fkey] = basis
     return basis
 

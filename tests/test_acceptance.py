@@ -42,7 +42,12 @@ def test_criterion_01_symmetrizer_law():
     for d in range(1, 6):
         for mu in partitions_of(d):
             c, n_mu = young_symmetrizer(mu)
-            ok = ok and (c * c == n_mu * c)
+            cc = {}
+            for p, x in c.items():
+                for q, y in c.items():
+                    pq = tuple(p[q[i]] for i in range(d))
+                    cc[pq] = cc.get(pq, 0) + x * y
+            ok = ok and ({p: v for p, v in cc.items() if v} == {p: n_mu * v for p, v in c.items()})
             ok = ok and (n_mu * specht_dim(mu) == factorial(d))
             count += 1
     elapsed = time.monotonic() - start

@@ -449,6 +449,30 @@ class TestHostileInput:
                 assert "Traceback" not in err
                 assert ("phi is singular" in err) == bool(code)
 
+    @pytest.mark.parametrize("partition, document, code, diagnostic", [
+        # the symmetrizer of (7) has 5040 terms
+        ("7", None, 2, "(MAX_SYMMETRIZER_TERMS)"),
+        ("100000000", None, 2, "(MAX_SYMMETRIZER_TERMS)"),
+        # seven antisymmetric slots in a plane: the image is 0, c is never formed
+        ("1,1,1,1,1,1,1", SP2, 0, None),
+        # 3^(10^7) is not formed to be compared with the cap
+        ("10000000", str(CORPUS / "sp3_chain.json"), 2,
+         "ResourceCapExceeded: tensor space 3^10000000 exceeds the cap 4096; "
+         "set WDREPS_TENSOR_CAP to override"),
+    ])
+    def test_oversized_partition(self, tmp_path, partition, document, code, diagnostic):
+        path = document or _one_dim_rep(tmp_path, {"type": "Q"}, "1")
+        start = time.perf_counter()
+        got, env = run_command(CommandRequest("schur", path, partition=partition))
+        assert time.perf_counter() - start < 1
+        assert got == code
+        if diagnostic is None:
+            assert env["diagnostics"] == []
+            image = env["result"]["representation"]
+            assert image["phi"] == image["nilp"] == []
+        else:
+            assert len(env["diagnostics"]) == 1 and diagnostic in env["diagnostics"][0]
+
 
 def test_purity_of_a_long_product_chain(tmp_path):
     """A 1 x 1 Frobenius 5^200000, written as 200 factors 5^1000: the parser

@@ -268,6 +268,20 @@ class TestWideEps:
         for eps in (Fraction(1), Fraction(10), Fraction(1000)):
             assert_enclosure(root_moduli_certified([c, 0, 1], eps), [abs(c)] * 2, eps)
 
+    @pytest.mark.parametrize("k", [28, 30, 40])
+    def test_close_real_roots(self, k):
+        # (x - 1)(x - 1 - 2^-k): the float seeds are a near-conjugate pair
+        r = 1 + Fraction(1, 2 ** k)
+        assert_enclosure(root_moduli_certified([r, -(1 + r), 1], DEFAULT_EPS),
+                         [1, r * r], DEFAULT_EPS)
+
+    @pytest.mark.parametrize("k", [20, 28, 30, 40])
+    def test_close_conjugate_roots_keep_complex_seeds(self, k):
+        # (x - 1)^2 + 2^-2k: roots 1 +- 2^-k i, no real root to split into
+        y2 = Fraction(1, 2 ** (2 * k))
+        assert_enclosure(root_moduli_certified([1 + y2, -2, 1], DEFAULT_EPS),
+                         [1 + y2] * 2, DEFAULT_EPS)
+
     def test_wider_eps_never_fails_where_narrower_certifies(self):
         rng = random.Random(13)
         widths = [Fraction(1, 10 ** 30), Fraction(1, 100), Fraction(1), Fraction(10)]

@@ -40,6 +40,7 @@ def test_readme_states_the_bounds_in_force():
         "MAX_SCALAR_EXPONENT": r"no power beyond `x\^(\d+)` \(`MAX_SCALAR_EXPONENT`",
         "MAX_SCALAR_BITS": r"more than ([\d,]+) bits \(`MAX_SCALAR_BITS`",
         "DEFAULT_TENSOR_CAP": r"`n\^d <= (\d+)` \(`DEFAULT_TENSOR_CAP`",
+        "MAX_SYMMETRIZER_TERMS": r"more than (\d+) terms \(`MAX_SYMMETRIZER_TERMS`",
         "INERTIA_CLOSURE_CAP": r"capped at (\d+) elements \(`INERTIA_CLOSURE_CAP`",
     }
     values = {}
@@ -53,4 +54,5 @@ def test_readme_states_the_bounds_in_force():
     assert values["MAX_SCALAR_EXPONENT"] == fields.MAX_SCALAR_EXPONENT
     assert values["MAX_SCALAR_BITS"] == fields.MAX_SCALAR_BITS
     assert values["DEFAULT_TENSOR_CAP"] == schur.DEFAULT_TENSOR_CAP
+    assert values["MAX_SYMMETRIZER_TERMS"] == schur.MAX_SYMMETRIZER_TERMS
     assert values["INERTIA_CLOSURE_CAP"] == wd.INERTIA_CLOSURE_CAP
