@@ -19,11 +19,10 @@ from .roots import (DEFAULT_EPS, CertificationFailed, ModulusInterval,
                     root_moduli_certified, sqrt_bounds)
 from .schur import (Partition, ResourceCapExceeded, SchurBasis, hook_content_dim,
                     partitions_of, schur_basis, schur_derivation, schur_of_matrix,
-                    schur_trace_oracle, specht_dim, young_symmetrizer)
-from .wd import (Filtration, GradedPurity, NonIntegralWeight, NonSplitSpectrum,
-                 PurityReport, Signature, SignatureEntry, WDRep,
-                 frobenius_semisimplify, frss_signature, inertia_closure,
-                 monodromy_filtration, purity_check, signature_reconstruct,
-                 sp_construct, wd_direct_sum, wd_schur, wd_tensor, wd_validate)
+                    specht_dim, young_symmetrizer)
+from .wd import (Filtration, GradedPurity, NonIntegralWeight, PurityReport, Signature,
+                 SignatureEntry, WDRep, frobenius_semisimplify, frss_signature,
+                 inertia_closure, monodromy_filtration, purity_check, sp_construct,
+                 wd_direct_sum, wd_schur, wd_tensor, wd_validate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,8 +18,8 @@ from .linalg import Matrix, block_diagonal
 from .roots import DEFAULT_EPS, CertificationFailed
 from .schur import Partition
 from .wd import (INERTIA_CLOSURE_CAP, NonIntegralWeight, PurityReport, Signature,
-                 SignatureEntry, WDRep, _require_valid, frss_signature, inertia_closure,
-                 purity_check, wd_schur)
+                 SignatureEntry, WDRep, _line, _require_valid, frss_signature,
+                 inertia_closure, purity_check, wd_schur)
 
 
 class DenominatorVanishes(ArithmeticError):
@@ -101,13 +101,33 @@ class RigidityReport:
     failures: tuple[Fraction, ...] = ()
 
 
+def _analyze_point(rho: WDRep, mu: Partition, weight, eps):
+    """(error, purity report, signature) of the image of one specialization."""
+    image = wd_schur(rho, mu)
+    signature = frss_signature(image)
+    try:
+        return None, purity_check(image, weight, eps), signature
+    except CertificationFailed as exc:
+        report = PurityReport(weight=None, verdict="uncertifiable", per_graded=())
+        return f"CertificationFailed: {exc}", report, signature
+    except NonIntegralWeight as exc:
+        return f"NonIntegralWeight: {exc}", None, signature
+
+
 def purity_scan(fam: WDRep, mu: Partition, points, weight="infer",
                 eps=DEFAULT_EPS) -> RigidityReport:
     """Generic signature over Q(t) plus, per point: specialize, apply the
     partition functor, certify purity, take the signature.  Per-point
-    errors are recorded, never raised; the verdict is left unset."""
+    errors are recorded, never raised; the verdict is left unset.
+
+    Points whose specializations share phi, inertia and the line of N
+    (`wd._line`) share one analysis: for c != 0, d(cN) = c dN has the
+    kernels, layers and filtration steps of dN, the signature reads only
+    S_mu(phi), the layers and the inertia traces, purity only phi and the
+    filtration, and no error message names the point."""
     generic = frss_signature(wd_schur(fam, mu))
     grid = sorted({Fraction(p) for p in points})
+    analyzed = {}
     results = []
     for a in grid:
         try:
@@ -116,18 +136,10 @@ def purity_scan(fam: WDRep, mu: Partition, points, weight="infer",
             results.append(PointResult(a, False, f"{type(exc).__name__}: {exc}",
                                        None, None))
             continue
-        image = wd_schur(rho, mu)
-        signature = frss_signature(image)
-        try:
-            report = purity_check(image, weight, eps)
-            error = None
-        except CertificationFailed as exc:
-            report = PurityReport(weight=None, verdict="uncertifiable", per_graded=())
-            error = f"CertificationFailed: {exc}"
-        except NonIntegralWeight as exc:
-            report = None
-            error = f"NonIntegralWeight: {exc}"
-        results.append(PointResult(a, True, error, report, signature))
+        key = (rho.phi, _line(rho.nilp), rho.inertia)
+        if key not in analyzed:
+            analyzed[key] = _analyze_point(rho, mu, weight, eps)
+        results.append(PointResult(a, True, *analyzed[key]))
     return RigidityReport(mu=mu, generic_signature=generic, points=tuple(results))
 
 

@@ -443,6 +443,8 @@ class RatFunc:
     def eval(self, a) -> Fraction:
         """Evaluate at t = a (a rational number).  Raises
         ZeroDivisionError when the denominator vanishes at a."""
+        if len(self.den.coeffs) == 1 and len(self.num.coeffs) <= 1:
+            return self.num[0]  # a constant: the denominator is monic
         a = Fraction(a)
         d = self.den.eval(a)
         if d == 0:

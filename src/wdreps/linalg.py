@@ -77,13 +77,6 @@ class Matrix:
         return cls(field, [[e if i == j else field.zero for j in range(len(entries))]
                            for i, e in enumerate(entries)])
 
-    @classmethod
-    def from_columns(cls, field: Field, cols, nrows: int) -> "Matrix":
-        cols = list(cols)
-        M = cls(field, [[col[i] for col in cols] for i in range(nrows)])
-        M.ncols = len(cols)
-        return M
-
     # -- shape and access ---------------------------------------------
 
     @property

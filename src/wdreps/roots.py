@@ -52,11 +52,6 @@ class ModulusInterval:
             b = _q_log(self.hi * self.hi, q)[0]
         return a, b
 
-    def contains_half_power(self, base: int, j: int) -> bool:
-        """Does the interval contain base**(j/2)?"""
-        a, b = self.half_power_range(base)
-        return a <= j <= b
-
 
 def _q_log(x: Fraction, q: int):
     """(i, x == q**i) for the i with q**i <= x < q**(i+1), for x > 0 and

@@ -406,29 +406,3 @@ def schur_derivation(N: Matrix, mu: Partition) -> Matrix:
                         out[i][j] = out[i][j] + coeff * f
     return _make(N.field, tuple(map(tuple, out)), basis.dim, den and den * N.den)
 
-
-def schur_trace_oracle(power_sums, mu: Partition, field: Field = QQ):
-    """Independent trace oracle: Newton's identities turn the power sums
-    tr(A), tr(A^2), ... into complete homogeneous sums, then the
-    Jacobi-Trudi determinant det(h_{mu_i - i + j}) evaluates the Schur
-    polynomial at the (implicit) eigenvalues."""
-    d = mu.d
-    ps = [field.coerce(p) for p in power_sums]
-    if len(ps) < d:
-        raise ValueError(f"need {d} power sums, got {len(ps)}")
-    h = [field.one]
-    for k in range(1, d + 1):
-        acc = field.zero
-        for i in range(1, k + 1):
-            acc = acc + ps[i - 1] * h[k - i]
-        h.append(acc / k)
-    ell = len(mu.parts)
-    zero = field.zero
-    rows = []
-    for i in range(ell):
-        row = []
-        for j in range(ell):
-            m = mu.parts[i] - i + j
-            row.append(h[m] if 0 <= m <= d else zero)
-        rows.append(row)
-    return Matrix(field, rows).det()

@@ -31,11 +31,6 @@ class NonIntegralWeight(ArithmeticError):
     """Weight inference produced a non-integral or inconsistent weight."""
 
 
-class NonSplitSpectrum(RuntimeError):
-    """An operation needed spectral data that is not available without
-    polynomial factorization."""
-
-
 @dataclass(frozen=True)
 class WDRep:
     """A Weil-Deligne representation over an exact coefficient field:
@@ -284,9 +279,6 @@ class Filtration:
         keys = self.indices()  # consecutive integers
         return self.steps[min(max(k, keys[0]), keys[-1])]
 
-    def graded_dim(self, k: int) -> int:
-        return self.step(k).ncols - self.step(k - 1).ncols
-
 
 class _LineFlag:
     """The flag of one line of nilpotent matrices (N up to a nonzero
@@ -337,16 +329,21 @@ def _line_flag(line: Matrix) -> _LineFlag:
     return _LineFlag(line)
 
 
-def _nilpotent_flag(N: Matrix) -> _LineFlag:
-    """The flag of N's line, keyed over Q by the primitive integer multiple
-    of N with a positive first nonzero entry, elsewhere by N's own
-    (canonical) entries."""
+def _line(N: Matrix) -> Matrix:
+    """The representative of N's line (N up to a nonzero scalar): over Q
+    the primitive integer multiple of N with a positive first nonzero
+    entry, elsewhere N itself (its entries are canonical)."""
     if N.den is not None:
         entries = [x for row in N.num for x in row if x]
         if entries:
             c = Fraction(N.den, gcd(*entries) * (1 if entries[0] > 0 else -1))
-            N = N if c == 1 else N * c
-    return _line_flag(N)
+            return N if c == 1 else N * c
+    return N
+
+
+def _nilpotent_flag(N: Matrix) -> _LineFlag:
+    """The flag of N's line, keyed by `_line`."""
+    return _line_flag(_line(N))
 
 
 def monodromy_filtration(N: Matrix) -> Filtration:
@@ -472,32 +469,6 @@ def frss_signature(rho: WDRep) -> Signature:
     if sig.total_dim() != n:
         raise AssertionError("signature dimensions do not add up")
     return sig
-
-
-def _companion(p: Poly) -> Matrix:
-    if not p.is_monic() or p.degree < 1:
-        raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-    g, field = p.degree, p.field
-    return Matrix(field, [[-p[i] if j == g - 1 else field.one if i == j + 1 else field.zero
-                           for j in range(g)] for i in range(g)])
-
-
-def signature_reconstruct(sig: Signature, q: int, field: Field = QQ) -> WDRep:
-    """Rebuild a representation with the given signature: each entry
-    (t, p) becomes the special representation of the unramified twist
-    whose chain-bottom Frobenius is the companion matrix of p.  Inertia
-    trace data cannot be rebuilt without splitting the spectrum."""
-    if any(entry.inertia_traces for entry in sig.entries):
-        raise NonSplitSpectrum("cannot reconstruct inertia actions from traces alone")
-    total = None
-    for entry in sig.entries:
-        top = _companion(entry.charpoly) * field.coerce(Fraction(q) ** (entry.t - 1))
-        size = entry.charpoly.degree
-        piece = sp_construct(entry.t, WDRep(q, field, top, Matrix.zeros(field, size, size)))
-        total = piece if total is None else wd_direct_sum(total, piece)
-    if total is None:
-        raise ValueError("cannot reconstruct from an empty signature")
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,78 @@ from wdreps import (Matrix, QQ, QT, WDRep, block_diagonal, column_echelon,
 from wdreps.linalg import intersect_columns
 
 
+class NonSplitSpectrum(RuntimeError):
+    """An operation needed spectral data that is not available without
+    polynomial factorization."""
+
+
+def from_columns(field, cols, nrows: int) -> Matrix:
+    """The matrix with the given columns, each a list of nrows scalars;
+    without rows it keeps the column count."""
+    cols = list(cols)
+    if nrows == 0:
+        return Matrix.zeros(field, 0, len(cols))
+    return Matrix(field, [[col[i] for col in cols] for i in range(nrows)])
+
+
+def contains_half_power(iv, base: int, j: int) -> bool:
+    """Does the modulus interval iv contain base**(j/2)?"""
+    a, b = iv.half_power_range(base)
+    return a <= j <= b
+
+
+def graded_dim(filt, k: int) -> int:
+    """Dimension of the graded piece M_k / M_(k-1) of a filtration."""
+    return filt.step(k).ncols - filt.step(k - 1).ncols
+
+
+def schur_trace_oracle(power_sums, mu, field=QQ):
+    """Independent trace oracle: Newton's identities turn the power sums
+    tr(A), tr(A^2), ... into complete homogeneous sums, then the
+    Jacobi-Trudi determinant det(h_{mu_i - i + j}) evaluates the Schur
+    polynomial at the (implicit) eigenvalues."""
+    d = mu.d
+    ps = [field.coerce(p) for p in power_sums]
+    if len(ps) < d:
+        raise ValueError(f"need {d} power sums, got {len(ps)}")
+    h = [field.one]
+    for k in range(1, d + 1):
+        acc = field.zero
+        for i in range(1, k + 1):
+            acc = acc + ps[i - 1] * h[k - i]
+        h.append(acc / k)
+    ell = len(mu.parts)
+    rows = [[h[m] if 0 <= m <= d else field.zero
+             for m in (mu.parts[i] - i + j for j in range(ell))] for i in range(ell)]
+    return Matrix(field, rows).det()
+
+
+def _companion(p) -> Matrix:
+    if not p.is_monic() or p.degree < 1:
+        raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
+    g, field = p.degree, p.field
+    return Matrix(field, [[-p[i] if j == g - 1 else field.one if i == j + 1 else field.zero
+                           for j in range(g)] for i in range(g)])
+
+
+def signature_reconstruct(sig, q: int, field=QQ) -> WDRep:
+    """Rebuild a representation with the given signature: each entry
+    (t, p) becomes the special representation of the unramified twist
+    whose chain-bottom Frobenius is the companion matrix of p.  Inertia
+    trace data cannot be rebuilt without splitting the spectrum."""
+    if any(entry.inertia_traces for entry in sig.entries):
+        raise NonSplitSpectrum("cannot reconstruct inertia actions from traces alone")
+    total = None
+    for entry in sig.entries:
+        top = _companion(entry.charpoly) * field.coerce(Fraction(q) ** (entry.t - 1))
+        size = entry.charpoly.degree
+        piece = sp_construct(entry.t, WDRep(q, field, top, Matrix.zeros(field, size, size)))
+        total = piece if total is None else wd_direct_sum(total, piece)
+    if total is None:
+        raise ValueError("cannot reconstruct from an empty signature")
+    return total
+
+
 def random_fraction(rng, lo=-4, hi=4, max_den=3) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 

@@ -146,7 +146,19 @@ class TestCommands:
                                                partition="2,1", points="-3..3"))
         assert code in (0, 1) and env["diagnostics"] == []
         assert keys and len(keys) == len(set(keys))
-        assert wd._certified_moduli.cache_info().hits > 0
+        # the points t != 0 share one analysis, so no graded charpoly is met twice:
+        # 4 pieces at t != 0 and 1 at t = 0
+        assert wd._certified_moduli.cache_info()[:2] == (0, 5)
+        # conjugated_irrational's phi moves with t, so each point is analyzed,
+        # but its one graded charpoly does not: certified once, read 6 times more
+        keys.clear()
+        wd._certified_moduli.cache_clear()
+        code, env = run_command(CommandRequest("rigidity",
+                                               str(CORPUS / "conjugated_irrational.json"),
+                                               partition="2", points="-3..3"))
+        assert code == 0 and env["diagnostics"] == []
+        assert len(keys) == len(set(keys)) == 1
+        assert wd._certified_moduli.cache_info()[:2] == (6, 1)
 
     def test_specialize(self):
         code, env = run_command(CommandRequest("specialize", FLAGSHIP, point="3"))

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from wdreps import (DenominatorVanishes, Matrix, Poly, QQ, QT, Signature,
-                    SignatureEntry, SingularFrobenius, WDRep,
+from wdreps import (CertificationFailed, DenominatorVanishes, Matrix, NonIntegralWeight,
+                    Poly, PointResult, PurityReport, QQ, QT, RigidityReport, Signature,
+                    SignatureEntry, SingularFrobenius, WDRep, purity_check,
                     default_scan_points, frss_signature, hook_content_dim, mult_jordan_chevalley,
                     purity_scan, rigidity_check, sp_construct, specialize,
                     specialize_signature, trace_link_check, wd_direct_sum,
@@ -19,6 +20,9 @@ from wdreps.schur import Partition
 
 from support import (flagship_family, flagship_constant_partner, lift_to_field,
                      random_unimodular, random_valid_wdrep, trivial_onedim)
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def sig_pairs(sig):
@@ -397,9 +401,11 @@ def test_scan_reads_fraction_rows_only_for_charpolys(monkeypatch):
     """Over Q a Matrix stores ints over one denominator and builds its
     Fraction rows only when they are read.  On the scan path the only
     reader is `charpoly` (still on Fractions): once per signature layer
-    and graded piece.  Jordan-Chevalley runs on the specialized input,
-    whose rows are already built, never on the image.  A count above that
-    means a Fraction round trip crept back into the scan."""
+    and graded piece of each distinct specialized input, since points
+    with equal phi, inertia and line of N share one analysis.
+    Jordan-Chevalley runs on the specialized input, whose rows are already
+    built, never on the image.  A count above that means a Fraction round
+    trip crept back into the scan."""
     rows = Matrix.rows
     readers = []
 
@@ -413,9 +419,65 @@ def test_scan_reads_fraction_rows_only_for_charpolys(monkeypatch):
     report = purity_scan(fam, Partition.of(2, 1), range(5))
     assert [pr.purity.verdict for pr in report.points] == ["impure"] + ["pure"] * 4
     assert set(readers) == {"charpoly"}
-    # at t != 0: 2 signature layers and 4 graded pieces; at t = 0, where N
-    # vanishes, one layer and one piece
-    assert len(readers) == 4 * 6 + 2
+    # t = 1..4 share one input up to the scalar on N, analyzed once: 2
+    # signature layers and 4 graded pieces; at t = 0, where N vanishes, one
+    # layer and one piece
+    assert len(readers) == 6 + 2
+
+
+# every Q(t) corpus family with each partition its golden cases use
+GOLDEN_SCANS = [("flagship", (2,)), ("flagship", (3,)), ("flagship", (4,)),
+                ("flagship_constant", (2,)), ("conjugated_irrational", (2,)),
+                ("inertia_pair", (2,)), ("inertia_pair", (2, 1)),
+                ("sp3_chain", (2,)), ("sp3_chain", (3,)), ("sp3_chain", (2, 1))]
+
+
+def _reference_point(fam, mu, a):
+    """One point analyzed on its own, without the scan's point memo."""
+    try:
+        rho = specialize(fam, a)
+    except (DenominatorVanishes, SingularFrobenius) as exc:
+        return PointResult(a, False, f"{type(exc).__name__}: {exc}", None, None)
+    image = wd_schur(rho, mu)
+    signature = frss_signature(image)
+    try:
+        report, error = purity_check(image), None
+    except CertificationFailed as exc:
+        report = PurityReport(weight=None, verdict="uncertifiable", per_graded=())
+        error = f"CertificationFailed: {exc}"
+    except NonIntegralWeight as exc:
+        report, error = None, f"NonIntegralWeight: {exc}"
+    return PointResult(a, True, error, report, signature)
+
+
+@pytest.mark.parametrize("name, parts", GOLDEN_SCANS)
+def test_scan_equals_a_pointwise_reference(name, parts):
+    """Points that share phi, inertia and the line of N share one analysis;
+    the scan must still equal the point-by-point analysis at every point,
+    negative multiples of N included."""
+    fam = load_wdrep(str(CORPUS / f"{name}.json"))
+    mu = Partition.of(*parts)
+    grid = [Fraction(a) for a in range(-6, 7)]
+    expected = RigidityReport(mu=mu, generic_signature=frss_signature(wd_schur(fam, mu)),
+                              points=tuple(_reference_point(fam, mu, a) for a in grid))
+    assert purity_scan(fam, mu, grid) == expected
+
+
+def test_scan_analyzes_each_distinct_input_once(monkeypatch):
+    """inertia_pair has constant phi and inertia and N(t) = t * N0: over
+    -25..25 the functor runs for the generic Q(t) signature, at t = 0 and
+    at one t != 0, and the points t < 0, where N's scalar is negative,
+    share the analysis of the points t > 0."""
+    images = []
+    schur_ = families.wd_schur
+    monkeypatch.setattr(families, "wd_schur",
+                        lambda rho, mu: images.append(rho) or schur_(rho, mu))
+    fam = load_wdrep(str(CORPUS / "inertia_pair.json"))
+    report = purity_scan(fam, Partition.of(2, 1), default_scan_points())
+    assert len(report.points) == 51
+    assert images[0] is fam and images[1:] == [specialize(fam, -25), specialize(fam, 0)]
+    shared = [(pr.error, pr.purity, pr.signature) for pr in report.points if pr.a]
+    assert all(analysis == shared[0] for analysis in shared)
 
 
 def test_scan_builds_one_flag_per_line_of_n(monkeypatch):
@@ -441,7 +503,10 @@ def test_scan_builds_one_flag_per_line_of_n(monkeypatch):
 def test_scan_reduces_each_specialized_phi_once(monkeypatch):
     """`specialize`'s singularity test and Jordan-Chevalley's `det` and
     squarefree part all read the one charpoly kept on the specialized phi:
-    one Hessenberg reduction per point, and no elimination of its own."""
+    one Hessenberg reduction per point, and no elimination of its own.
+    inertia_pair's phi is constant and N(t) = t * N0, so t = 2 and 3 reuse
+    the analysis of t = 1: their phi is reduced only by the singularity
+    test, and Jordan-Chevalley's `det` runs on the first phi alone."""
     specialized, dets, reductions = [], [], []
     specialize_, det, charpoly_ = families.specialize, Matrix.det, linalg.charpoly
 
@@ -463,9 +528,8 @@ def test_scan_reduces_each_specialized_phi_once(monkeypatch):
     monkeypatch.setattr(Matrix, "det", lambda M: dets.append(M) or det(M))
     purity_scan(fam, Partition.of(2, 1), range(1, 4))
     assert len(specialized) == 3
-    for phi in specialized:
-        assert sum(M is phi for M in dets) == 2
-        assert sum(M is phi for M in reductions) == 1
+    assert [sum(M is phi for M in dets) for phi in specialized] == [2, 1, 1]
+    assert [sum(M is phi for M in reductions) for phi in specialized] == [1, 1, 1]
 
 
 def test_jordan_chevalley_reduces_the_qt_schur_image_once(monkeypatch):

@@ -80,6 +80,36 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             x.eval(1)
 
+    def test_eval_agrees_with_horner_on_both_parts(self):
+        """`eval` returns a constant's coefficient without Horner or a
+        division; on every input it equals num(a) / den(a) by Horner and
+        raises ZeroDivisionError exactly at the poles."""
+        rng = random.Random(23)
+
+        def rand_poly(degree):
+            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(degree)]
+            return qpoly(*coeffs, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+
+        constants = poles = 0
+        for _ in range(300):
+            root = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            den = rand_poly(rng.randint(0, 2))
+            if rng.random() < 0.5:
+                den = den * qpoly(-root, 1)
+            num = rand_poly(rng.randint(0, 3)) if rng.random() < 0.8 else qpoly()
+            f = RatFunc(num, den)
+            constants += f.den.degree == 0 and f.num.degree <= 0
+            for a in (root, Fraction(rng.randint(-9, 9), rng.randint(1, 5)), 0):
+                d = f.den.eval(Fraction(a))
+                if d == 0:
+                    poles += 1
+                    with pytest.raises(ZeroDivisionError):
+                        f.eval(a)
+                    continue
+                value = f.eval(a)
+                assert type(value) is Fraction and value == f.num.eval(Fraction(a)) / d
+        assert constants > 20 and poles > 20
+
     def test_pow_negative(self):
         t = QT.gen()
         assert t ** -2 == 1 / (t * t)

@@ -14,7 +14,8 @@ from wdreps import linalg
 from wdreps.fields import NumberField, poly_gcd
 from wdreps.linalg import intersect_columns, kernel_basis, solve_in_span
 
-from support import generator_shear, random_fraction, random_matrix, random_unimodular
+from support import (from_columns, generator_shear, random_fraction, random_matrix,
+                     random_unimodular)
 
 
 class TestSubspaces:
@@ -238,7 +239,7 @@ class TestShapes:
         assert (T.nrows, T.ncols) == (3, 0) and T.transpose() == Z
         assert T * Z == Matrix.zeros(QQ, 3, 3) and (Z * T).ncols == 0
         assert (Z.hstack(Z).ncols, Z.kron(Matrix.identity(QQ, 2)).ncols) == (6, 6)
-        assert Matrix.from_columns(QQ, [[], []], 0).ncols == 2
+        assert from_columns(QQ, [[], []], 0).ncols == 2
         assert column_echelon(T) == T and column_echelon(Z).ncols == 0
 
     def test_empty_spans_need_no_branch(self):
@@ -263,7 +264,7 @@ def _kernel_by_two_eliminations(M):
         for r, p in enumerate(pivots):
             col[p] = -red[r, f]
         cols.append(col)
-    return column_echelon(Matrix.from_columns(M.field, cols, M.ncols))
+    return column_echelon(from_columns(M.field, cols, M.ncols))
 
 
 class TestKernelBasis:
@@ -292,9 +293,9 @@ class TestKernelBasis:
             for _ in range(40):
                 nrows, ncols, rank = rng.randint(0, 4), rng.randint(0, 5), rng.randint(0, 3)
                 # a product of random factors has rank at most `rank`
-                A = Matrix.from_columns(field, [[scalar() for _ in range(nrows)]
+                A = from_columns(field, [[scalar() for _ in range(nrows)]
                                                 for _ in range(rank)], nrows)
-                B = Matrix.from_columns(field, [[scalar() for _ in range(rank)]
+                B = from_columns(field, [[scalar() for _ in range(rank)]
                                                 for _ in range(ncols)], rank)
                 M = A * B
                 kernel = kernel_basis(M)
@@ -352,7 +353,7 @@ def _to_sympy(sp, M):
 
 def _from_sympy(S):
     """The sympy matrix S as a Matrix of the same shape."""
-    return Matrix.from_columns(QQ, [[Fraction(int(x.p), int(x.q)) for x in S.col(j)]
+    return from_columns(QQ, [[Fraction(int(x.p), int(x.q)) for x in S.col(j)]
                                     for j in range(S.cols)], S.rows)
 
 
@@ -695,7 +696,7 @@ class TestStoredFormOracle:
             a = _ref_column_echelon(_draw_rows(rng, n, k), n, k)
             x = _draw_rows(rng, len(a[0]) if a and a[0] else 0, rng.randint(0, 3))
             m = len(x[0]) if x else 0
-            A, X = Matrix.from_columns(QQ, _ref_transpose(a, len(a[0])), n), Matrix(QQ, x)
+            A, X = from_columns(QQ, _ref_transpose(a, len(a[0])), n), Matrix(QQ, x)
             X.ncols = m
             Y = A * X
             self._check(solve_in_span(A, Y), x, A.ncols, m)

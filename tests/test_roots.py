@@ -9,6 +9,8 @@ from wdreps import (DEFAULT_EPS, CertificationFailed, ModulusInterval, Poly,
 from wdreps import roots
 from wdreps.fields import poly_gcd
 
+from support import contains_half_power
+
 
 def assert_enclosure(intervals, true_moduli, eps):
     assert len(intervals) == len(true_moduli)
@@ -102,9 +104,9 @@ class TestProperties:
 
     def test_half_power_membership(self):
         iv = root_moduli_certified([5, -3, 1], DEFAULT_EPS)[0]
-        assert iv.contains_half_power(5, 1)
-        assert not iv.contains_half_power(5, 0)
-        assert not iv.contains_half_power(5, 2)
+        assert contains_half_power(iv, 5, 1)
+        assert not contains_half_power(iv, 5, 0)
+        assert not contains_half_power(iv, 5, 2)
 
     def test_half_power_tests_against_the_direct_comparison(self):
         """`_q_log` brackets x between consecutive powers of the base, and
@@ -140,7 +142,7 @@ class TestProperties:
             for k in (j - 1, j, j + 1):
                 power = Fraction(base) ** k
                 assert (a <= k <= b) == (lo * lo <= power <= hi * hi)
-            assert iv.contains_half_power(base, j) == (lo * lo <= target <= hi * hi)
+            assert contains_half_power(iv, base, j) == (lo * lo <= target <= hi * hi)
             for x in (lo * lo, hi * hi, target, target * (1 + Fraction(1, 2 ** 400)),
                       target * (1 - Fraction(1, 2 ** 400))):
                 if x:
@@ -348,7 +350,7 @@ def test_refinement_loop_runs_without_gcd(monkeypatch):
             monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or gcd(*a))
             intervals = roots._certify_squarefree(f, eps)
             monkeypatch.setattr(math, "gcd", gcd)
-            assert all(iv.contains_half_power(5, 1) for iv in intervals)
+            assert all(contains_half_power(iv, 5, 1) for iv in intervals)
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 20 * f.degree
 

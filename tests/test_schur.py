@@ -8,11 +8,11 @@ import pytest
 
 from wdreps import (Matrix, Poly, QQ, QT, ResourceCapExceeded, column_echelon,
                     hook_content_dim, partitions_of, schur_basis, schur_derivation,
-                    schur_of_matrix, schur_trace_oracle, specht_dim, young_symmetrizer)
+                    schur_of_matrix, specht_dim, young_symmetrizer)
 from wdreps.fields import NumberField
 from wdreps.schur import Partition, perm_identity, perm_mul, perm_sign
 
-from support import random_matrix
+from support import from_columns, random_matrix, schur_trace_oracle
 
 
 def prod_entries(A, w, u):
@@ -358,7 +358,7 @@ def _action_matrix(element, n, d):
         for perm, coeff in element.items():
             col[word_index(tuple(word[perm[i]] for i in range(d)), n)] += coeff
         cols.append(col)
-    return Matrix.from_columns(QQ, cols, size)
+    return from_columns(QQ, cols, size)
 
 
 def _cycle_sign(perm):
