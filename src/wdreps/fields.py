@@ -332,34 +332,64 @@ def squarefree_decomposition(p: Poly):
 # rational functions in t
 # ---------------------------------------------------------------------------
 
+_QONE = Poly(QQ, (1,))
+
+
+def _canonical(num: Poly, den: Poly, coprime: bool = False) -> "RatFunc":
+    """num/den in canonical form: reduced, denominator monic, zero as 0/1.
+
+    The gcd runs only when a common factor can exist: never when den is
+    constant, nor when the caller knows num and den to be coprime
+    (`coprime`); then only den's leading coefficient is divided out."""
+    if den.is_zero():
+        raise ZeroDivisionError("rational function with zero denominator")
+    out = RatFunc.__new__(RatFunc)
+    if num.is_zero():
+        out.num, out.den = num, _QONE
+        return out
+    if not coprime and den.degree > 0:
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num, den = num // g, den // g
+    lead = den.coeffs[-1]
+    if lead != 1:
+        inv = 1 / lead
+        num, den = num * inv, den * inv
+    out.num, out.den = num, den
+    return out
+
+
 class RatFunc:
     """Element of Q(t): a reduced fraction of Q-polynomials with monic
-    denominator, so structural equality is semantic equality."""
+    denominator, so structural equality is semantic equality.
+
+    Every scalar comes from one normalizer, `_canonical`, which runs a
+    polynomial gcd only where a common factor can exist.  `RatFunc(num,
+    den)` takes gcd(num, den) unless den is constant.  For reduced a/b
+    and c/d:
+      * a product cancels across, gcd(a, d) and gcd(c, b), each skipped
+        when one of its arguments is constant; a quotient is the product
+        with d/c, c scaled monic;
+      * a sum over two constant denominators adds the numerators; otherwise
+        it takes g = gcd(b, d) (none when b or d is constant) and, when
+        g != 1, gcd(a*(d/g) + c*(b/g), g) (Henrici; Knuth, TAOCP vol. 2,
+        4.5.1);
+      * powers and negation take none.
+    Each of these results is already reduced, so it is the canonical form
+    a gcd of the whole fraction gives, and prints and compares alike.
+    A constant hashes as the `Fraction` it equals."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if isinstance(num, RatFunc):
-            self.num, self.den = num.num, num.den
-            return
-        num = num if isinstance(num, Poly) else Poly(QQ, (QQ.coerce(num),))
-        if den is None:
-            den = Poly.one(QQ)
-        elif not isinstance(den, Poly):
-            den = Poly(QQ, (QQ.coerce(den),))
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = Poly.zero(QQ), Poly.one(QQ)
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = num // g, den // g
-        lead = den.leading()
-        if lead != 1:
-            num = num * (Fraction(1) / lead)
-            den = den.monic()
-        self.num, self.den = num, den
+            x = num if den is None else num / den
+        else:
+            num = num if isinstance(num, Poly) else Poly(QQ, (QQ.coerce(num),))
+            den = (_QONE if den is None else den if isinstance(den, Poly)
+                   else Poly(QQ, (QQ.coerce(den),)))
+            x = _canonical(num, den)
+        self.num, self.den = x.num, x.den
 
     @classmethod
     def t(cls):
@@ -387,6 +417,8 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        if self.den.degree == 0 and self.num.degree <= 0:
+            return hash(self.num[0])
         return hash((self.num.coeffs, self.den.coeffs))
 
     def __neg__(self):
@@ -398,7 +430,20 @@ class RatFunc:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if b.degree == 0:
+            return _canonical(a * d + c if d.degree else a + c, d, True)
+        if d.degree == 0:
+            return _canonical(a + c * b, b, True)
+        g = poly_gcd(b, d)
+        if g.degree == 0:
+            return _canonical(a * d + c * b, b * d, True)
+        b = b // g
+        s = a * (d // g) + c * b
+        g = poly_gcd(s, g)
+        if g.degree > 0:
+            s, d = s // g, d // g
+        return _canonical(s, b * d, True)
 
     __radd__ = __add__
 
@@ -406,7 +451,7 @@ class RatFunc:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self + -o
 
     def __rsub__(self, other):
         return (-self) + other
@@ -415,17 +460,30 @@ class RatFunc:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if a.degree > 0 and d.degree > 0:
+            g = poly_gcd(a, d)
+            if g.degree > 0:
+                a, d = a // g, d // g
+        if c.degree > 0 and b.degree > 0:
+            g = poly_gcd(c, b)
+            if g.degree > 0:
+                c, b = c // g, b // g
+        # a constant denominator is 1
+        return _canonical(a * c, d if b.degree == 0 else b if d.degree == 0 else b * d, True)
 
     __rmul__ = __mul__
+
+    def _inverse(self) -> "RatFunc":
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return _canonical(self.den, self.num, True)
 
     def __truediv__(self, other):
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return self * o._inverse()
 
     def __rtruediv__(self, other):
         o = self._promote(other)
@@ -435,10 +493,8 @@ class RatFunc:
 
     def __pow__(self, n: int):
         if n < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("zero to a negative power")
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+            return self._inverse() ** (-n)
+        return _canonical(self.num ** n, self.den ** n, True)
 
     def eval(self, a) -> Fraction:
         """Evaluate at t = a (a rational number).  Raises
@@ -537,6 +593,8 @@ class NFElem:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])  # a constant hashes as its Fraction
         return hash((self.field, self.coeffs))
 
     def __neg__(self):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from wdreps import (NFElem, NumberField, ParseError, Poly, QQ, QT, RatFunc,
+from wdreps import (Matrix, NFElem, NumberField, ParseError, Poly, QQ, QT, RatFunc,
                     field_from_json, squarefree_decomposition, squarefree_part)
+from wdreps import fields
 from wdreps.fields import format_qpoly, poly_gcd, poly_xgcd
 
 
@@ -118,6 +119,121 @@ class TestRatFunc:
         t = QT.gen()
         lhs = (t / (t + 1)) + (1 / (t + 1))
         assert lhs == QT.one
+
+    def test_rational_numerator_keeps_its_denominator(self):
+        t = QT.gen()
+        x = RatFunc(t, qpoly(1, 1))
+        assert (x.num, x.den) == (qpoly(0, 1), qpoly(1, 1))
+        y = RatFunc(t * t - 1, qpoly(2, 2))  # (t^2 - 1) / (2t + 2)
+        assert (y.num, y.den) == (qpoly(Fraction(-1, 2), Fraction(1, 2)), qpoly(1))
+        assert RatFunc(1 / t, 3) == 1 / (3 * t)
+        assert RatFunc(t) == t
+        with pytest.raises(ZeroDivisionError):
+            RatFunc(t, qpoly())
+
+    def test_constants_hash_as_their_fraction(self):
+        """Equal scalars hash alike: a constant of Q(t) or of a number field
+        compares equal to its Fraction, so it hashes as that Fraction."""
+        t = QT.gen()
+        K = NumberField([1, 0, 1])
+        for c in (0, 3, Fraction(-2, 7)):
+            for x in (RatFunc(c), (t + c) - t, K.coerce(c), (K.gen() + c) - K.gen()):
+                assert x == c and hash(x) == hash(Fraction(c))
+                assert len({x, Fraction(c)}) == 1
+        assert len({t, t + 1, 1 / t, K.gen(), RatFunc(1), 1}) == 5
+
+
+def _qt_operands():
+    """Pairs of Q(t) scalars: numerators and non-monic denominators are
+    small products over one pool of factors, so the two operands often
+    share a factor, and each has some chance of being a constant or zero."""
+    st = pytest.importorskip("hypothesis.strategies")
+    pool = [qpoly(0, 1), qpoly(-1, 1), qpoly(1, 1), qpoly(1, 0, 1), qpoly(2, 3)]
+    rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    units = rationals.filter(bool)
+
+    @st.composite
+    def poly(draw, factors):
+        p = qpoly(draw(units))
+        for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=factors)):
+            p = p * pool[i]
+        return p
+
+    numerators = st.one_of(
+        st.just(qpoly()), poly(2),
+        st.builds(lambda cs, p: qpoly(*cs) * p, st.lists(rationals, max_size=3), poly(1)))
+    scalars = st.builds(RatFunc, numerators, poly(3))
+    return st.tuples(scalars, scalars)
+
+
+def test_arithmetic_matches_sympy_cancel():
+    """+, -, * and / on Q(t) give sympy's cancelled fraction, denominator
+    made monic, and zero as 0/1; dividing by zero raises.  x + (y - x)
+    takes the second gcd of a sum over denominators with a common factor."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("t")
+
+    def expr(x):
+        def poly(p):
+            return sum(sympy.Rational(c.numerator, c.denominator) * T ** i
+                       for i, c in enumerate(p.coeffs))
+        return poly(x.num) / poly(x.den)
+
+    def canonical(e):
+        num, den = sympy.fraction(sympy.cancel(e))
+        lead = sympy.Poly(den, T).LC()
+
+        def coeffs(part):
+            cs = [Fraction(int(c.p), int(c.q))
+                  for c in reversed(sympy.Poly(part / lead, T, domain="QQ").all_coeffs())]
+            while cs and not cs[-1]:
+                cs.pop()
+            return tuple(cs)
+        return coeffs(num), coeffs(den)
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(_qt_operands())
+    def check(pair):
+        x, y = pair
+        ex, ey = expr(x), expr(y)
+        assert (x.num.coeffs, x.den.coeffs) == canonical(ex)
+        # y - x and x share factors of x's denominator that cancel in the sum
+        for got, want in ((x + y, ex + ey), (x - y, ex - ey), (x * y, ex * ey),
+                          (x + (y - x), ey)):
+            assert (got.num.coeffs, got.den.coeffs) == canonical(want)
+        zero = x - x
+        assert (zero.num.coeffs, zero.den.coeffs) == ((), (1,))
+        if y:
+            got = x / y
+            assert (got.num.coeffs, got.den.coeffs) == canonical(ex / ey)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+
+    check()
+
+
+def test_polynomial_arithmetic_runs_no_gcd(monkeypatch):
+    """Sums, differences, products, powers and quotients by constants of
+    Q(t) polynomials, and a product of Q(t) matrices of polynomials, call
+    `poly_gcd` zero times; a sum over two non-constant denominators
+    still takes one."""
+    gcd_calls = []
+    gcd = fields.poly_gcd
+    monkeypatch.setattr(fields, "poly_gcd", lambda a, b: gcd_calls.append((a, b)) or gcd(a, b))
+    t = QT.gen()
+    p, q = 3 * t * t - 1, Fraction(1, 2) * t + 5
+    values = [p + q, p - q, p * q, -p, p ** 3, p / 3, p / Fraction(-2, 5), 7 / RatFunc(2),
+              RatFunc(qpoly(1, 2), qpoly(Fraction(3, 4))), p + Fraction(1, 3), 2 - q]
+    A = Matrix(QT, [[p, q], [1, t]])
+    values.append(A * A)
+    assert values[0] == 3 * t * t + Fraction(1, 2) * t + 4
+    assert values[6] == Fraction(-15, 2) * t * t + Fraction(5, 2)
+    assert gcd_calls == []
+    x = 1 / (t - 1) + 1 / (t + 1)
+    assert len(gcd_calls) == 1
+    assert (x.num, x.den) == (qpoly(0, 2), qpoly(-1, 0, 1))
 
 
 class TestScalarStrings:
