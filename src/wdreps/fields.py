@@ -5,6 +5,13 @@ Every scalar is immutable and hashable, arithmetic is exact, and equality
 is canonical (fractions reduced, denominators monic, residues reduced mod
 the minimal polynomial).  Field descriptors double as coercion points and
 as the (de)serialization authority for their scalars.
+
+Each field's `promote` is the one promotion path of operands: its own
+scalars and lifts of ints and Fractions, never strings, which enter only
+through `Field.coerce` and the scalar parser.  `zero` and `one` are
+constants of the field.  `Scalar` derives `-`, `/` and their reflections
+from `+`, negation, `*` and `_inverse`.  `Poly(field, coeffs)` coerces;
+polynomial arithmetic builds its results with `_poly`, which does not.
 """
 
 from __future__ import annotations
@@ -23,22 +30,28 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Field:
-    """Base descriptor.  Concrete fields say how to coerce their scalars
-    and which generator symbol, if any, the parser admits; scalars carry
-    the arithmetic and format themselves with `str`."""
+    """Base descriptor.  Concrete fields say how to promote values into
+    their scalars and which generator symbol, if any, the parser admits;
+    scalars carry the arithmetic and format themselves with `str`."""
 
     kind = "?"
 
-    def coerce(self, value):
+    def __init__(self):
+        self.zero, self.one = self.promote(0), self.promote(1)
+
+    def promote(self, value):
+        """value as a scalar of this field: one of its own, or a lift of an
+        int or Fraction; None for anything else.  Never parses."""
         raise NotImplementedError
 
-    @property
-    def zero(self):
-        return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
+    def coerce(self, value):
+        """`promote`, and else a string through the scalar parser."""
+        x = self.promote(value)
+        if x is not None:
+            return x
+        if isinstance(value, str):
+            return self.parse_scalar(value)
+        raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
     def format_scalar(self, x) -> str:
         return str(x)
@@ -51,7 +64,13 @@ class Field:
         return None
 
     def to_json(self):
-        raise NotImplementedError
+        return {"type": self.kind}
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(self.kind)
 
     def __repr__(self):
         return self.kind
@@ -62,23 +81,12 @@ class RationalField(Field):
 
     kind = "Q"
 
-    def coerce(self, value):
+    def promote(self, value):
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
             return Fraction(value)
-        if isinstance(value, str):
-            return self.parse_scalar(value)
-        raise TypeError(f"cannot coerce {value!r} into Q")
-
-    def to_json(self):
-        return {"type": "Q"}
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
+        return None
 
 
 QQ = RationalField()
@@ -105,29 +113,28 @@ class Poly:
     """Dense univariate polynomial with coefficients in a `Field`.
 
     Coefficients are stored low degree first with no trailing zeros; the
-    zero polynomial has an empty coefficient tuple and degree -1.
+    zero polynomial has an empty coefficient tuple and degree -1.  The
+    constructor coerces each coefficient; arithmetic builds its results
+    with `_poly`, from coefficients that are field scalars already.
     """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = _poly(field, [field.coerce(c) for c in coeffs]).coeffs
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return _poly(field, [])
 
     @classmethod
     def one(cls, field):
-        return cls(field, (1,))
+        return _poly(field, [field.one])
 
     @classmethod
     def x(cls, field):
-        return cls(field, (0, 1))
+        return _poly(field, [field.zero, field.one])
 
     @property
     def degree(self) -> int:
@@ -158,7 +165,7 @@ class Poly:
         lead = self.coeffs[-1]
         if lead == self.field.one:
             return self
-        return Poly(self.field, [c / lead for c in self.coeffs])
+        return _poly(self.field, [c / lead for c in self.coeffs])
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -168,12 +175,20 @@ class Poly:
     def __hash__(self):
         return hash((self.field, self.coeffs))
 
+    def _operand(self, other):
+        """other as a polynomial over this field: a Poly, or a constant
+        lifted by `field.promote`; None for anything else."""
+        if isinstance(other, Poly):
+            return other
+        s = self.field.promote(other)
+        return None if s is None else _poly(self.field, [s])
+
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return _poly(self.field, [-c for c in self.coeffs])
 
     def __add__(self, other):
-        other = self._promote(other)
-        if other is NotImplemented:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -181,37 +196,36 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(self.field, out)
+        return _poly(self.field, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._promote(other)
-        if other is NotImplemented:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            if self.is_zero() or other.is_zero():
-                return Poly.zero(self.field)
-            zero = self.field.zero
-            out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return Poly(self.field, out)
-        try:
-            s = self.field.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return Poly(self.field, [c * s for c in self.coeffs])
+        field = self.field
+        if not isinstance(other, Poly):
+            s = field.promote(other)
+            if s is None:
+                return NotImplemented
+            return _poly(field, [c * s for c in self.coeffs])
+        if self.is_zero() or other.is_zero():
+            return _poly(field, [])
+        out = [field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b:
+                    out[i + j] = out[i + j] + a * b
+        return _poly(field, out)
 
     __rmul__ = __mul__
 
@@ -220,17 +234,10 @@ class Poly:
             raise ValueError("negative polynomial power")
         return binary_power(self, n, Poly.one(self.field))
 
-    def _promote(self, other):
-        if isinstance(other, Poly):
-            return other
-        try:
-            return Poly(self.field, (self.field.coerce(other),))
-        except TypeError:
+    def __divmod__(self, other):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-
-    def __divmod__(self, other: "Poly"):
-        if not isinstance(other, Poly):
-            other = self._promote(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         field = self.field
@@ -245,7 +252,7 @@ class Poly:
             quo[i - dd] = q
             for j, c in enumerate(other.coeffs):
                 rem[i - dd + j] = rem[i - dd + j] - q * c
-        return Poly(field, quo), Poly(field, rem)
+        return _poly(field, quo), _poly(field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -254,7 +261,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def derivative(self) -> "Poly":
-        return Poly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, x):
         """Horner evaluation at a scalar of the coefficient field."""
@@ -265,6 +272,17 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.field!r}, {list(self.coeffs)!r})"
+
+
+def _poly(field: Field, cs: list) -> Poly:
+    """The polynomial with coefficients `cs`, a list of scalars of `field`
+    low degree first (its trailing zeros popped), coerced no further: for
+    results this module computed."""
+    while cs and not cs[-1]:
+        cs.pop()
+    p = object.__new__(Poly)
+    p.field, p.coeffs = field, tuple(cs)
+    return p
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -329,10 +347,58 @@ def squarefree_decomposition(p: Poly):
 
 
 # ---------------------------------------------------------------------------
+# field scalars beyond Q
+# ---------------------------------------------------------------------------
+
+class Scalar:
+    """The operators a scalar derives from its own `+`, negation, `*` and
+    `_inverse` (as CPython's `fractions` derives its reflected ones): `-`,
+    `/`, their reflections, powers, `bool` and `repr`.  An operand that
+    `self.field.promote` refuses gives NotImplemented, so TypeError."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __sub__(self, other):
+        o = self.field.promote(other)
+        if o is None:
+            return NotImplemented
+        return self + -o
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):
+        o = self.field.promote(other)
+        if o is None:
+            return NotImplemented
+        return self * o._inverse()
+
+    def __rtruediv__(self, other):
+        o = self.field.promote(other)
+        if o is None:
+            return NotImplemented
+        return o * self._inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self._inverse() ** (-n)
+        return self._power(n)
+
+    def _power(self, n: int):
+        return binary_power(self, n, self.field.one)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+# ---------------------------------------------------------------------------
 # rational functions in t
 # ---------------------------------------------------------------------------
 
-_QONE = Poly(QQ, (1,))
+_QONE = Poly.one(QQ)
 
 
 def _canonical(num: Poly, den: Poly, coprime: bool = False) -> "RatFunc":
@@ -359,7 +425,7 @@ def _canonical(num: Poly, den: Poly, coprime: bool = False) -> "RatFunc":
     return out
 
 
-class RatFunc:
+class RatFunc(Scalar):
     """Element of Q(t): a reduced fraction of Q-polynomials with monic
     denominator, so structural equality is semantic equality.
 
@@ -377,17 +443,17 @@ class RatFunc:
       * powers and negation take none.
     Each of these results is already reduced, so it is the canonical form
     a gcd of the whole fraction gives, and prints and compares alike.
-    A constant hashes as the `Fraction` it equals."""
+    A constant hashes as the `Fraction` it equals.  A bare `Poly` is not
+    a scalar of Q(t): `RatFunc(p)` lifts it."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if isinstance(num, RatFunc):
-            x = num if den is None else num / den
+            x = num if den is None else num / RatFunc(den)
         else:
-            num = num if isinstance(num, Poly) else Poly(QQ, (QQ.coerce(num),))
-            den = (_QONE if den is None else den if isinstance(den, Poly)
-                   else Poly(QQ, (QQ.coerce(den),)))
+            num = num if isinstance(num, Poly) else Poly(QQ, (num,))
+            den = _QONE if den is None else den if isinstance(den, Poly) else Poly(QQ, (den,))
             x = _canonical(num, den)
         self.num, self.den = x.num, x.den
 
@@ -396,22 +462,10 @@ class RatFunc:
         return cls(Poly.x(QQ))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def _promote(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(Fraction(other))
-        if isinstance(other, Poly) and other.field == QQ:
-            return RatFunc(other)
-        return None
+        return not self.num.coeffs
 
     def __eq__(self, other):
-        o = self._promote(other)
+        o = QT.promote(other)
         if o is None:
             return NotImplemented
         return self.num == o.num and self.den == o.den
@@ -427,7 +481,7 @@ class RatFunc:
         return out
 
     def __add__(self, other):
-        o = self._promote(other)
+        o = QT.promote(other)
         if o is None:
             return NotImplemented
         a, b, c, d = self.num, self.den, o.num, o.den
@@ -447,17 +501,8 @@ class RatFunc:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return self + -o
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        o = self._promote(other)
+        o = QT.promote(other)
         if o is None:
             return NotImplemented
         a, b, c, d = self.num, self.den, o.num, o.den
@@ -479,21 +524,7 @@ class RatFunc:
             raise ZeroDivisionError("division by zero rational function")
         return _canonical(self.den, self.num, True)
 
-    def __truediv__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return self * o._inverse()
-
-    def __rtruediv__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self._inverse() ** (-n)
+    def _power(self, n: int) -> "RatFunc":
         return _canonical(self.num ** n, self.den ** n, True)
 
     def eval(self, a) -> Fraction:
@@ -510,13 +541,10 @@ class RatFunc:
     def __str__(self):
         if self.is_zero():
             return "0"
-        num = format_qpoly(self.num, "t")
+        num = format_poly(self.num, "t")
         if self.den.degree == 0:
             return num
-        return f"({num})/({format_qpoly(self.den, 't')})"
-
-    def __repr__(self):
-        return f"RatFunc({str(self)!r})"
+        return f"({num})/({format_poly(self.den, 't')})"
 
 
 class RationalFunctionField(Field):
@@ -524,16 +552,12 @@ class RationalFunctionField(Field):
 
     kind = "Qt"
 
-    def coerce(self, value):
+    def promote(self, value):
         if isinstance(value, RatFunc):
             return value
         if isinstance(value, (int, Fraction)):
-            return RatFunc(Fraction(value))
-        if isinstance(value, Poly) and value.field == QQ:
-            return RatFunc(value)
-        if isinstance(value, str):
-            return self.parse_scalar(value)
-        raise TypeError(f"cannot coerce {value!r} into Q(t)")
+            return _canonical(_poly(QQ, [Fraction(value)]), _QONE, True)
+        return None
 
     def gen(self):
         return RatFunc.t()
@@ -541,24 +565,16 @@ class RationalFunctionField(Field):
     def variable_name(self):
         return "t"
 
-    def to_json(self):
-        return {"type": "Qt"}
 
-    def __eq__(self, other):
-        return isinstance(other, RationalFunctionField)
-
-    def __hash__(self):
-        return hash("Qt")
-
-
-QT = RationalFunctionField()
+# every Q(t) scalar shares one `field`, a class attribute of RatFunc
+QT = RatFunc.field = RationalFunctionField()
 
 
 # ---------------------------------------------------------------------------
 # number fields Q[a]/(m)
 # ---------------------------------------------------------------------------
 
-class NFElem:
+class NFElem(Scalar):
     """Residue of a Q-polynomial in `a` modulo the defining polynomial."""
 
     __slots__ = ("field", "coeffs")
@@ -566,28 +582,16 @@ class NFElem:
     def __init__(self, field: "NumberField", coeffs):
         cs = [Fraction(c) for c in coeffs]
         if len(cs) >= field.degree:
-            cs = list((Poly(QQ, cs) % field.minpoly).coeffs)
+            cs = list((_poly(QQ, cs) % field.minpoly).coeffs)
         cs += [Fraction(0)] * (field.degree - len(cs))
         self.field = field
         self.coeffs = tuple(cs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def _promote(self, other):
-        if isinstance(other, NFElem):
-            if other.field == self.field:
-                return other
-            return None
-        if isinstance(other, (int, Fraction)):
-            return NFElem(self.field, (Fraction(other),))
-        return None
+        return not any(self.coeffs)
 
     def __eq__(self, other):
-        o = self._promote(other)
+        o = self.field.promote(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
@@ -601,57 +605,31 @@ class NFElem:
         return NFElem(self.field, [-c for c in self.coeffs])
 
     def __add__(self, other):
-        o = self._promote(other)
+        o = self.field.promote(other)
         if o is None:
             return NotImplemented
         return NFElem(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return NFElem(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        o = self._promote(other)
+        o = self.field.promote(other)
         if o is None:
             return NotImplemented
-        prod = Poly(QQ, self.coeffs) * Poly(QQ, o.coeffs)
+        prod = _poly(QQ, list(self.coeffs)) * _poly(QQ, list(o.coeffs))
         return NFElem(self.field, (prod % self.field.minpoly).coeffs)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "NFElem":
+    def _inverse(self) -> "NFElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = poly_xgcd(Poly(QQ, self.coeffs), self.field.minpoly)
+        g, s, _ = poly_xgcd(_poly(QQ, list(self.coeffs)), self.field.minpoly)
         if g.degree != 0:
             # squarefree but reducible minimal polynomial: zero divisors exist
             raise ZeroDivisionError(
-                f"zero divisor in Q[a]/({format_qpoly(self.field.minpoly, 'a')})")
+                f"zero divisor in Q[a]/({format_poly(self.field.minpoly, 'a')})")
         return NFElem(self.field, (s * (QQ.one / g[0])).coeffs)
-
-    def __truediv__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return binary_power(self, n, self.field.one)
 
     def regular_matrix(self):
         """Multiplication-by-self matrix on the Q-basis 1, a, ..., a^(m-1),
@@ -666,10 +644,7 @@ class NFElem:
         return [[cols[j][i] for j in range(m)] for i in range(m)]
 
     def __str__(self):
-        return format_qpoly(Poly(QQ, self.coeffs), "a")
-
-    def __repr__(self):
-        return f"NFElem({str(self)!r})"
+        return format_poly(_poly(QQ, list(self.coeffs)), "a")
 
 
 class NumberField(Field):
@@ -693,17 +668,14 @@ class NumberField(Field):
             raise ValueError("number field minimal polynomial must be squarefree")
         self.minpoly = m
         self.degree = m.degree
+        super().__init__()
 
-    def coerce(self, value):
+    def promote(self, value):
         if isinstance(value, NFElem):
-            if value.field == self:
-                return value
-            raise TypeError("element of a different number field")
+            return value if value.field == self else None
         if isinstance(value, (int, Fraction)):
-            return NFElem(self, (Fraction(value),))
-        if isinstance(value, str):
-            return self.parse_scalar(value)
-        raise TypeError(f"cannot coerce {value!r} into {self!r}")
+            return NFElem(self, (value,))
+        return None
 
     def gen(self):
         return NFElem(self, (0, 1))
@@ -722,7 +694,7 @@ class NumberField(Field):
         return hash(("NumberField", self.minpoly.coeffs))
 
     def __repr__(self):
-        return f"NumberField({format_qpoly(self.minpoly, 'a')})"
+        return f"NumberField({format_poly(self.minpoly, 'a')})"
 
 
 def poly_from_json(values, what: str) -> Poly:
@@ -792,9 +764,6 @@ def format_poly(p: Poly, var: str = "x") -> str:
             sign = "+"
         pieces.append(sign + body if pieces or sign == "-" else body)
     return "".join(pieces)
-
-
-format_qpoly = format_poly
 
 
 _TOKEN_CHARS = set("0123456789")
@@ -932,5 +901,4 @@ def parse_scalar_expression(text: str, field: Field):
     value = parse_expr()
     if pos != len(tokens):
         raise ParseError(f"trailing input in scalar {text!r}")
-    # Fraction divisions produce Fraction; make sure the result lives in field
-    return field.coerce(value) if not isinstance(value, (RatFunc, NFElem)) else value
+    return field.coerce(value)

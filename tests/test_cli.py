@@ -15,6 +15,7 @@ from wdreps.cli import (CommandRequest, main, parse_points, parse_rational,
                         render_table, run_command)
 from wdreps import wd
 from wdreps.fields import MAX_SCALAR_BITS, ParseError
+from wdreps.roots import CertificationFailed
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -159,6 +160,45 @@ class TestCommands:
         assert code == 0 and env["diagnostics"] == []
         assert len(keys) == len(set(keys)) == 1
         assert wd._certified_moduli.cache_info()[:2] == (6, 1)
+
+    def test_uncertifiable_point_is_recorded_not_fatal(self, monkeypatch):
+        """A point whose graded charpoly fails certification keeps its
+        signature, is exempt from the verdict and is named in the
+        diagnostics; the run still exits 0, and the table shows it."""
+        target = (Fraction(1, 5), Fraction(-6, 5), 1)  # (x - 1)(x - 1/5), flagship at t = 0
+        certify = wd.root_moduli_certified
+
+        def failing(p, eps):
+            if tuple(p) == target:
+                raise CertificationFailed("stubbed: enclosures stay ambiguous")
+            return certify(p, eps)
+
+        monkeypatch.setattr(wd, "root_moduli_certified", failing)
+        wd._certified_moduli.cache_clear()
+        try:
+            req = CommandRequest("rigidity", FLAGSHIP, partition="1", points="-2..2")
+            code, env = run_command(req)
+        finally:
+            wd._certified_moduli.cache_clear()
+        assert code == 0
+        report = env["result"]["report"]
+        assert report["verdict"] == "pass" and report["failures"] == []
+        point = next(p for p in report["points"] if p["a"] == "0")
+        message = "CertificationFailed: stubbed: enclosures stay ambiguous"
+        assert point["defined"] and point["error"] == message
+        assert point["purity"]["verdict"] == "uncertifiable"
+        # its signature differs from the generic one, so only the exemption
+        # keeps the verdict at pass
+        assert point["signature"] and point["signature"] != report["generic_signature"]
+        others = [p for p in report["points"] if p["a"] != "0"]
+        assert len(others) == 4
+        assert all(p["error"] is None and p["purity"]["verdict"] == "pure" for p in others)
+        assert env["diagnostics"] == [f"point 0: {message}"]
+        table = render_table(env)
+        assert "verdict: pass" in table.splitlines()
+        assert ("point 0: uncertifiable (weight none); signature: Sp_1 of x^2-6/5*x+1/5"
+                in table.splitlines())
+        assert f"note: point 0: {message}" in table.splitlines()
 
     def test_specialize(self):
         code, env = run_command(CommandRequest("specialize", FLAGSHIP, point="3"))

@@ -6,7 +6,8 @@ import pytest
 from wdreps import (Matrix, NFElem, NumberField, ParseError, Poly, QQ, QT, RatFunc,
                     field_from_json, squarefree_decomposition, squarefree_part)
 from wdreps import fields
-from wdreps.fields import format_qpoly, poly_gcd, poly_xgcd
+from wdreps.fields import format_poly, poly_gcd, poly_xgcd
+from wdreps.linalg import charpoly
 
 
 def qpoly(*coeffs):
@@ -142,6 +143,17 @@ class TestRatFunc:
                 assert len({x, Fraction(c)}) == 1
         assert len({t, t + 1, 1 / t, K.gen(), RatFunc(1), 1}) == 5
 
+    def test_not_equal_to_a_bare_poly(self):
+        """A Q-polynomial is not a scalar of Q(t): t and x differ both ways
+        and hash apart; `RatFunc(p)` is the lift."""
+        t, x = RatFunc.t(), Poly.x(QQ)
+        assert t != x and x != t
+        assert not (t == x) and not (x == t)
+        assert len({t, x}) == 2
+        assert RatFunc(x) == t
+        with pytest.raises(TypeError):
+            QT.coerce(x)
+
 
 def _qt_operands():
     """Pairs of Q(t) scalars: numerators and non-monic denominators are
@@ -236,6 +248,47 @@ def test_polynomial_arithmetic_runs_no_gcd(monkeypatch):
     assert (x.num, x.den) == (qpoly(0, 2), qpoly(-1, 0, 1))
 
 
+def test_arithmetic_does_not_parse_strings():
+    """Operands are promoted, never parsed: a string, a foreign object or
+    an element of another number field is refused with TypeError, as for
+    every kind of scalar; strings enter through `coerce` alone."""
+    one = Poly(QQ, [1])
+    K, L = NumberField([1, 0, 1]), NumberField([-2, 0, 1])
+    cases = [lambda: one + "3", lambda: one * "2", lambda: "2" * one,
+             lambda: one - "1", lambda: divmod(one, "x"), lambda: divmod(one, object()),
+             lambda: one % "x", lambda: RatFunc.t() + "3", lambda: "3" - RatFunc.t(),
+             lambda: RatFunc.t() / "t", lambda: K.gen() + "a", lambda: K.gen() * L.gen(),
+             lambda: K.gen() - L.gen(), lambda: L.gen() / K.gen(),
+             lambda: Poly(K, [1, 1]) + L.gen(), lambda: Poly(K, [1, 1]) * L.gen()]
+    for case in cases:
+        with pytest.raises(TypeError):
+            case()
+    with pytest.raises(TypeError):
+        K.coerce(L.gen())
+    assert QQ.coerce("3") == 3 and QT.coerce("t") == RatFunc.t() and K.coerce("a") == K.gen()
+
+
+def test_polynomial_results_are_not_coerced_again(monkeypatch):
+    """Polynomial arithmetic over Q, a Q(t) matrix product and a Q(t)
+    characteristic polynomial build their results from field scalars
+    without `coerce`; the public constructor still coerces."""
+    p, q = qpoly(-1, 0, 1), qpoly(Fraction(1, 2), 3, 0, 2)
+    t = QT.gen()
+    A = Matrix(QT, [[t, 1 / (t + 1), 2], [t * t - 1, 0, t / 3], [1, t - 2, 5]])
+    calls = []
+    coerce = fields.Field.coerce
+    monkeypatch.setattr(fields.RationalField, "coerce",
+                        lambda self, value: calls.append(value) or coerce(self, value))
+    results = [p + q, p - q, p * q, divmod(q, p), q.derivative(), q.monic(),
+               squarefree_part(p * p * q), 3 - p, 2 * p, A * A, charpoly(A)]
+    assert calls == []
+    Poly(QQ, [1, 2])
+    assert calls == [1, 2]
+    assert results[3] == (qpoly(0, 2), qpoly(Fraction(1, 2), 5))
+    assert results[6] == (p * q).monic()
+    assert results[10].degree == 3 and results[10][0] == -A.det()
+
+
 class TestScalarStrings:
     @pytest.mark.parametrize("text", ["0", "1", "-3/5", "7"])
     def test_q_roundtrip(self, text):
@@ -263,9 +316,9 @@ class TestScalarStrings:
             QT.parse_scalar("1/(t-t)")
 
     def test_format_qpoly(self):
-        assert format_qpoly(qpoly(-1, 0, 1), "t") == "t^2-1"
-        assert format_qpoly(qpoly(3, Fraction(1, 2)), "t") == "1/2*t+3"
-        assert format_qpoly(Poly.zero(QQ), "t") == "0"
+        assert format_poly(qpoly(-1, 0, 1), "t") == "t^2-1"
+        assert format_poly(qpoly(3, Fraction(1, 2)), "t") == "1/2*t+3"
+        assert format_poly(Poly.zero(QQ), "t") == "0"
 
 
 class TestNumberField:

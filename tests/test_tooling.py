@@ -56,3 +56,28 @@ def test_readme_states_the_bounds_in_force():
     assert values["DEFAULT_TENSOR_CAP"] == schur.DEFAULT_TENSOR_CAP
     assert values["MAX_SYMMETRIZER_TERMS"] == schur.MAX_SYMMETRIZER_TERMS
     assert values["INERTIA_CLOSURE_CAP"] == wd.INERTIA_CLOSURE_CAP
+
+
+def test_scalars_have_one_promotion_path():
+    """`coerce` is defined once, on `fields.Field`; every concrete field
+    defines `promote`; the `format_qpoly` alias of `format_poly` is gone."""
+    coerce_defs, coerce_classes, without_promote, qpoly_names = [], [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "coerce":
+                coerce_defs.append(path.name)
+            if isinstance(node, ast.ClassDef):
+                methods = {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+                if "coerce" in methods:
+                    coerce_classes.append(node.name)
+                if "promote" not in methods and any(
+                        isinstance(b, ast.Name) and b.id == "Field" for b in node.bases):
+                    without_promote.append(node.name)
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "name", "asname")}
+            if "format_qpoly" in names:
+                qpoly_names.append(path.name)
+    assert coerce_defs == ["fields.py"] and coerce_classes == ["Field"]
+    assert {cls.__name__ for cls in fields.Field.__subclasses__()} == {
+        "RationalField", "RationalFunctionField", "NumberField"}
+    assert without_promote == []
+    assert qpoly_names == []
