@@ -18,8 +18,8 @@ from .linalg import (Matrix, SingularMatrixError, ZeroDivisorPivotError, block_d
 from .roots import (DEFAULT_EPS, CertificationFailed, ModulusInterval,
                     root_moduli_certified, sqrt_bounds)
 from .schur import (Partition, ResourceCapExceeded, SchurBasis, hook_content_dim,
-                    partitions_of, schur_basis, schur_derivation, schur_of_matrix,
-                    specht_dim, young_symmetrizer)
+                    schur_basis, schur_derivation, schur_of_matrix, specht_dim,
+                    young_symmetrizer)
 from .wd import (Filtration, GradedPurity, NonIntegralWeight, PurityReport, Signature,
                  SignatureEntry, WDRep, frobenius_semisimplify, frss_signature,
                  inertia_closure, monodromy_filtration, purity_check, sp_construct,

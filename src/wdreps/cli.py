@@ -24,10 +24,10 @@ from fractions import Fraction
 from . import __version__
 from .families import (DenominatorVanishes, SingularFrobenius, default_scan_points,
                        purity_scan, rigidity_check, specialize)
-from .fields import ParseError, Poly, QQ
-from .jsonio import (ValidationError, canonical_json_bytes, filtration_to_json,
-                     format_poly, load_wdrep, purity_report_to_json,
-                     rigidity_report_to_json, signature_to_json, wdrep_to_json)
+from .fields import ParseError, Poly, QQ, format_poly
+from .jsonio import (ValidationError, canonical_json_bytes, filtration_to_json, load_wdrep,
+                     purity_report_to_json, rigidity_report_to_json, signature_to_json,
+                     wdrep_to_json)
 from .roots import DEFAULT_EPS, MIN_EPS, CertificationFailed
 from .schur import Partition, ResourceCapExceeded
 from .wd import (NonIntegralWeight, frobenius_semisimplify, frss_signature,
@@ -124,12 +124,9 @@ def _digest(path: str) -> str:
 def run_command(req: CommandRequest):
     """Dispatch a request; returns (exit_code, envelope dict)."""
     diagnostics: list[str] = []
-    options = {k: v for k, v in (("partition", req.partition),
-                                 ("weight", req.weight),
-                                 ("point", req.point),
-                                 ("points", req.points),
-                                 ("eps", req.eps),
-                                 ("format", req.format)) if v is not None}
+    # the output path is not echoed: the envelope is the same wherever it goes
+    options = {name: getattr(req, name) for name in OPTIONS
+               if name != "output" and getattr(req, name) is not None}
     envelope = {
         "tool": "wdreps",
         "version": __version__,
@@ -246,7 +243,13 @@ def render_table(envelope: dict) -> str:
         if result["violation"]:
             lines.append(f"violation: {result['violation']}")
     elif "purity" in result:
-        lines.extend(_purity_lines(result["purity"], indent=""))
+        purity = result["purity"]
+        lines.append(f"purity: {purity['verdict']} (weight {purity['weight']})")
+        for piece in purity["graded"]:
+            matches = sum(1 for r in piece["roots"] if r["match"])
+            lines.append(f"  gr_{piece['k']}: dim {piece['dim']}, "
+                         f"charpoly {_poly_string_from_coeffs(piece['charpoly'])}, "
+                         f"{matches}/{len(piece['roots'])} roots match")
     elif "filtration" in result:
         for step in result["filtration"]:
             lines.append(f"M_{step['k']}: dim {step['dim']}")
@@ -273,16 +276,6 @@ def render_table(envelope: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _purity_lines(purity: dict, indent: str) -> list[str]:
-    lines = [f"{indent}purity: {purity['verdict']} (weight {purity['weight']})"]
-    for piece in purity["graded"]:
-        matches = sum(1 for r in piece["roots"] if r["match"])
-        lines.append(f"{indent}  gr_{piece['k']}: dim {piece['dim']}, "
-                     f"charpoly {_poly_string_from_coeffs(piece['charpoly'])}, "
-                     f"{matches}/{len(piece['roots'])} roots match")
-    return lines
-
-
 def _point_line(pr: dict) -> str:
     if not pr["defined"]:
         return f"point {pr['a']}: undefined ({pr['error']})"
@@ -297,46 +290,44 @@ def _point_line(pr: dict) -> str:
 # argparse wiring
 # ---------------------------------------------------------------------------
 
+# every flag a command may take, with its argparse keywords
+OPTIONS = {
+    "partition": {"required": True, "help": "comma-separated partition, e.g. '2,1'"},
+    "weight": {"default": "infer", "help": "integer weight or 'infer' (default)"},
+    "point": {"required": True, "help": "rational point, e.g. '3' or '1/2'"},
+    "points": {"default": None, "help": "inclusive integer range 'lo..hi' or comma list "
+                                        "of rationals (default -25..25)"},
+    "eps": {"default": None,
+            "help": f"certification width, at least 2^-16000 (default {DEFAULT_EPS})"},
+    "format": {"choices": ("json", "table"), "default": "json"},
+    "output": {"default": None, "help": "write the report here instead of stdout"},
+}
+
+# the one list of commands: help text and flags, in help order
+_SCAN_FLAGS = ("partition", "weight", "points", "eps", "format", "output")
+COMMANDS = {
+    "validate": ("check every representation invariant", ("format", "output")),
+    "schur": ("apply the partition functor", ("partition", "format", "output")),
+    "frss": ("Frobenius-semisimplify and report the signature", ("format", "output")),
+    "filtration": ("monodromy filtration of the nilpotent part", ("format", "output")),
+    "purity": ("certify purity", ("weight", "eps", "format", "output")),
+    "specialize": ("evaluate a Q(t) family at a rational point", ("point", "format", "output")),
+    "scan": ("per-point purity and signature scan of a family", _SCAN_FLAGS),
+    "rigidity": ("scan plus the rigidity verdict", _SCAN_FLAGS),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wdreps",
         description="Exact computations with Weil-Deligne representations "
                     "and their Q(t)-families.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, partition=False, weight=False, point=False,
-            points=False, eps=False):
+    for name, (help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="path to a representation or family JSON file")
-        if partition:
-            p.add_argument("--partition", required=True,
-                           help="comma-separated partition, e.g. '2,1'")
-        if weight:
-            p.add_argument("--weight", default="infer",
-                           help="integer weight or 'infer' (default)")
-        if point:
-            p.add_argument("--point", required=True, help="rational point, e.g. '3' or '1/2'")
-        if points:
-            p.add_argument("--points", default=None,
-                           help="inclusive integer range 'lo..hi' or comma list "
-                                "of rationals (default -25..25)")
-        if eps:
-            p.add_argument("--eps", default=None,
-                           help=f"certification width, at least 2^-16000 (default {DEFAULT_EPS})")
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--output", default=None, help="write the report here instead of stdout")
-        return p
-
-    add("validate", "check every representation invariant")
-    add("schur", "apply the partition functor", partition=True)
-    add("frss", "Frobenius-semisimplify and report the signature")
-    add("filtration", "monodromy filtration of the nilpotent part")
-    add("purity", "certify purity", weight=True, eps=True)
-    add("specialize", "evaluate a Q(t) family at a rational point", point=True)
-    add("scan", "per-point purity and signature scan of a family",
-        partition=True, weight=True, points=True, eps=True)
-    add("rigidity", "scan plus the rigidity verdict",
-        partition=True, weight=True, points=True, eps=True)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **OPTIONS[flag])
     return parser
 
 
@@ -362,17 +353,8 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 def parse_request(argv) -> CommandRequest:
     """The request a command line asks for."""
     args = build_parser().parse_args(_merge_negative_values(list(argv)))
-    return CommandRequest(
-        command=args.command,
-        input_path=args.input,
-        partition=getattr(args, "partition", None),
-        weight=getattr(args, "weight", None),
-        point=getattr(args, "point", None),
-        points=getattr(args, "points", None),
-        eps=getattr(args, "eps", None),
-        output=args.output,
-        format=args.format,
-    )
+    return CommandRequest(args.command, args.input,
+                          **{name: getattr(args, name, None) for name in OPTIONS})
 
 
 def render(req: CommandRequest, envelope: dict) -> bytes:

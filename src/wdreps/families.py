@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 
-from .fields import Poly, QQ, QT
+from .fields import QQ, QT, _poly
 from .linalg import Matrix, block_diagonal
 from .roots import DEFAULT_EPS, CertificationFailed
 from .schur import Partition
@@ -78,7 +78,7 @@ def specialize_signature(sig: Signature, point) -> Signature:
     for entry in sig.entries:
         coeffs = [c.eval(a) for c in entry.charpoly.coeffs]
         traces = tuple((label, v.eval(a)) for label, v in entry.inertia_traces)
-        entries.append(SignatureEntry(t=entry.t, charpoly=Poly(QQ, coeffs),
+        entries.append(SignatureEntry(t=entry.t, charpoly=_poly(QQ, coeffs),
                                       inertia_traces=traces))
     return Signature(tuple(entries))
 
@@ -183,16 +183,22 @@ class TraceLinkResult:
 _PAIR_CLOSURE_CAP = INERTIA_CLOSURE_CAP ** 2
 
 
-def trace_link_check(fam1: WDRep, fam2: WDRep, max_word_len: int) -> TraceLinkResult:
-    """Compare tr(phi^k * g) for 1 <= k <= max_word_len and g running
-    over the inertia closures, matched through words in the shared
-    generator labels.  Equality of these traces is the desk surrogate for
-    sharing a pseudorepresentation.
+def trace_link_check(fam1: WDRep, fam2: WDRep) -> TraceLinkResult:
+    """Decide whether tr(phi1^k * g1) = tr(phi2^k * g2) for every k in Z
+    and every element g = (g1, g2) of the joint inertia closure, matched
+    through words in the shared generator labels.  Equality of these
+    traces is the desk surrogate for sharing a pseudorepresentation.
+
+    Comparing 1 <= k <= n = d1 + d2 decides it: with Phi = phi1 + phi2,
+    H = g1 + g2 and J = I + (-I), s_k = tr(Phi^k H J) obeys the linear
+    recurrence of charpoly(Phi) (Cayley-Hamilton), of order n, whose
+    constant term +-det Phi is nonzero, so it also runs backwards: zeros
+    at k = 1..n are zeros at every k.
 
     Both families are validated first (an invalid one raises ValueError).
     The joint closure is `inertia_closure` of the block-diagonal
     generators g1 + g2, and each element m is compared through the two
-    diagonal blocks of (phi1 + phi2)^k * m, in BFS order."""
+    diagonal blocks of Phi^k * m, in BFS order."""
     _require_valid(fam1)
     _require_valid(fam2)
     if fam1.q != fam2.q:
@@ -208,7 +214,7 @@ def trace_link_check(fam1: WDRep, fam2: WDRep, max_word_len: int) -> TraceLinkRe
     size = d1 + fam2.dim
     closure = inertia_closure(gens, field, size, _PAIR_CLOSURE_CAP)
     phi = block_diagonal(field, [fam1.phi, fam2.phi])
-    powers = list(accumulate([phi] * max_word_len, Matrix.__mul__))
+    powers = list(accumulate([phi] * size, Matrix.__mul__))
     blocks = (range(d1), range(d1, size))
     for word, m in closure:
         for k, power in enumerate(powers, 1):

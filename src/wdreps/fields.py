@@ -3,8 +3,8 @@ number fields Q[a]/(m(a)).
 
 Every scalar is immutable and hashable, arithmetic is exact, and equality
 is canonical (fractions reduced, denominators monic, residues reduced mod
-the minimal polynomial).  Field descriptors double as coercion points and
-as the (de)serialization authority for their scalars.
+the minimal polynomial).  Field descriptors double as coercion points;
+scalars print themselves with `str`, which the scalar parser reads back.
 
 Each field's `promote` is the one promotion path of operands: its own
 scalars and lifts of ints and Fractions, never strings, which enter only
@@ -16,7 +16,6 @@ polynomial arithmetic builds its results with `_poly`, which does not.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import prod
 
@@ -50,14 +49,8 @@ class Field:
         if x is not None:
             return x
         if isinstance(value, str):
-            return self.parse_scalar(value)
+            return parse_scalar_expression(value, self)
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
-
-    def format_scalar(self, x) -> str:
-        return str(x)
-
-    def parse_scalar(self, text: str):
-        return parse_scalar_expression(text, self)
 
     def variable_name(self):
         """The generator symbol the scalar parser admits, if any."""
@@ -738,13 +731,9 @@ def field_from_json(obj) -> Field:
 # scalar formatting / parsing
 # ---------------------------------------------------------------------------
 
-_SIMPLE_COEFF = re.compile(r"^-?\d+(/\d+)?$")
-
-
 def format_poly(p: Poly, var: str = "x") -> str:
-    """Compact canonical string of a polynomial, highest degree first:
-    "t^2-1", "1/2*t+3", "-t", "0"; coefficients that are not rational
-    numbers are parenthesized, as in "x+(t+1)"."""
+    """Compact canonical string of a polynomial over Q, highest degree
+    first: "t^2-1", "1/2*t+3", "-t", "0"."""
     if p.is_zero():
         return "0"
     pieces = []
@@ -752,17 +741,10 @@ def format_poly(p: Poly, var: str = "x") -> str:
         c = p[i]
         if not c:
             continue
-        s = p.field.format_scalar(c)
+        mag = str(abs(c))
         xpow = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-        if _SIMPLE_COEFF.match(s):
-            neg = s.startswith("-")
-            mag = s[1:] if neg else s
-            body = mag if not xpow else xpow if mag == "1" else f"{mag}*{xpow}"
-            sign = "-" if neg else "+"
-        else:
-            body = f"({s})*{xpow}" if xpow else f"({s})"
-            sign = "+"
-        pieces.append(sign + body if pieces or sign == "-" else body)
+        body = mag if not xpow else xpow if mag == "1" else f"{mag}*{xpow}"
+        pieces.append(("-" if c < 0 else "+" if pieces else "") + body)
     return "".join(pieces)
 
 

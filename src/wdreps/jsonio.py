@@ -10,12 +10,11 @@ documents.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .families import PointResult, RigidityReport
-from .fields import (Field, NFElem, NumberField, ParseError, Poly, QQ, QT,
-                     RatFunc, field_from_json, format_poly, poly_from_json)
-from .linalg import Matrix, ZeroDivisorPivotError
+from .fields import (Field, NFElem, NumberField, ParseError, Poly, QT, RatFunc,
+                     field_from_json, parse_scalar_expression, poly_from_json)
+from .linalg import Matrix
 from .roots import ModulusInterval
 from .wd import Filtration, PurityReport, Signature, WDRep, wd_validate
 
@@ -35,7 +34,7 @@ def scalar_from_json(value, field: Field, what: str):
         return field.coerce(value)
     if isinstance(value, str):
         try:
-            return field.parse_scalar(value)
+            return parse_scalar_expression(value, field)
         except ParseError as exc:
             raise ParseError(f"{what}: {exc}") from exc
     if isinstance(value, dict) and field == QT:
@@ -47,13 +46,8 @@ def scalar_from_json(value, field: Field, what: str):
             raise ParseError(f"{what}: zero denominator")
         return RatFunc(num, den)
     if isinstance(value, list) and isinstance(field, NumberField):
-        return _nf_from_array(value, field, what)
+        return NFElem(field, poly_from_json(value, what).coeffs)
     raise ParseError(f"{what}: cannot interpret {value!r} as a scalar of {field!r}")
-
-
-def _nf_from_array(values, field: NumberField, what: str):
-    poly = poly_from_json(values, what)
-    return NFElem(field, poly.coeffs)
 
 
 def matrix_from_json(rows, field: Field, what: str) -> Matrix:
@@ -69,7 +63,7 @@ def matrix_from_json(rows, field: Field, what: str) -> Matrix:
 
 
 def matrix_to_json(M: Matrix):
-    return [[M.field.format_scalar(x) for x in row] for row in M.rows]
+    return [[str(x) for x in row] for row in M.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +82,6 @@ def wdrep_from_json(obj) -> WDRep:
     for key in ("q", "field", "phi", "nilp"):
         if key not in obj:
             raise ParseError(f"missing key {key!r}")
-    q = obj["q"]
-    if not isinstance(q, int) or q < 2:
-        raise ParseError("q must be an integer >= 2")
     field = field_from_json(obj["field"])
     phi = matrix_from_json(obj["phi"], field, "phi")
     nilp = matrix_from_json(obj["nilp"], field, "nilp")
@@ -105,13 +96,10 @@ def wdrep_from_json(obj) -> WDRep:
             raise ParseError(f"inertia[{i}]: label must be a nonempty string")
         inertia.append((label, matrix_from_json(item["matrix"], field, f"inertia[{i}]")))
     try:
-        rho = WDRep(q, field, phi, nilp, tuple(inertia))
+        rho = WDRep(obj["q"], field, phi, nilp, tuple(inertia))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    try:
-        message = wd_validate(rho)
-    except ZeroDivisorPivotError as exc:  # the check itself cannot run
-        raise ValidationError(f"{type(exc).__name__}: {exc}") from exc
+    message = wd_validate(rho)
     if message is not None:
         raise ValidationError(message)
     return rho
@@ -146,7 +134,7 @@ def load_wdrep(path: str) -> WDRep:
 # ---------------------------------------------------------------------------
 
 def poly_to_json(p: Poly):
-    return [p.field.format_scalar(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def signature_to_json(sig: Signature):
@@ -154,8 +142,7 @@ def signature_to_json(sig: Signature):
     for entry in sig.entries:
         item = {"t": entry.t, "charpoly": poly_to_json(entry.charpoly)}
         if entry.inertia_traces:
-            item["inertia_traces"] = {label: entry.charpoly.field.format_scalar(v)
-                                      for label, v in entry.inertia_traces}
+            item["inertia_traces"] = {label: str(v) for label, v in entry.inertia_traces}
         out.append(item)
     return out
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .fields import Field, NumberField, Poly, QQ, binary_power, squarefree_part
+from .fields import Field, NumberField, Poly, QQ, _poly, binary_power, squarefree_part
 
 
 class SingularMatrixError(ArithmeticError):
@@ -145,9 +145,11 @@ class Matrix:
 
     def __mul__(self, other):
         """A product skips the zero entries of both factors; over Q it runs
-        on the numerators, over den * other.den."""
+        on the numerators, over den * other.den.  A scalar factor goes
+        through `field.promote`, so anything it refuses gives TypeError."""
         if not isinstance(other, Matrix):
-            return self._scale(self.field.coerce(other))
+            s = self.field.promote(other)
+            return NotImplemented if s is None else self._scale(s)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         zero = _units(self.field)[1]
@@ -234,9 +236,6 @@ class Matrix:
                 break
         return _make(self.field, tuple(map(tuple, rows)), nc), tuple(pivots)
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
     def det(self):
         """(-1)^n times the constant term of `charpoly`, over every field
         (etale algebras included); the charpoly stays on the matrix for
@@ -262,7 +261,7 @@ class Matrix:
                 scale = -self.field.one / p[0]
             except ZeroDivisionError:
                 raise SingularMatrixError("its determinant divides zero") from None
-            return poly_eval_matrix(Poly(self.field, p[1:]), self)._scale(scale)
+            return poly_eval_matrix(_poly(self.field, list(p[1:])), self)._scale(scale)
         if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) != n:
             raise SingularMatrixError("matrix is singular")
         return red.select(cols=range(n, 2 * n))
@@ -489,7 +488,7 @@ def charpoly(M: Matrix) -> Poly:
                         new[k] = new[k] - coef * c
             polys.append(new)
         coeffs = polys[n]
-    M._charpoly = p = Poly(field, coeffs)
+    M._charpoly = p = _poly(field, coeffs)
     return p
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, inf, isqrt, lcm, log2, prod
 
-from .fields import Poly, QQ, squarefree_decomposition
+from .fields import Poly, QQ, _poly, squarefree_decomposition
 
 
 class CertificationFailed(ArithmeticError):
@@ -287,7 +287,7 @@ def root_moduli_certified(p, eps) -> list[ModulusInterval]:
         nzero += 1
     intervals.extend(ModulusInterval(Fraction(0), Fraction(0)) for _ in range(nzero))
     if nzero:
-        p = Poly(QQ, p.coeffs[nzero:])
+        p = _poly(QQ, list(p.coeffs[nzero:]))
     if p.degree >= 1:
         for factor, mult in squarefree_decomposition(p):
             per_factor = _certify_squarefree(factor, eps)

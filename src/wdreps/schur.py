@@ -86,20 +86,6 @@ class Partition:
         return ",".join(str(p) for p in self.parts)
 
 
-def partitions_of(d: int):
-    """All partitions of d, largest first part first (deterministic)."""
-
-    def rec(remaining, maximum):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, maximum), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    return [Partition(p) for p in rec(d, d)]
-
-
 def hook_content_dim(mu: Partition, n: int) -> int:
     """Dimension of the image of the symmetrizer on (F^n)^(tensor d):
     the hook content formula prod (n + j - i) / hook(i, j)."""
@@ -237,16 +223,6 @@ class SchurBasis:
     dim: int
     columns: tuple
     pivot_words: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def basis_matrix(self) -> Matrix:
-        """The dense n^d x dim matrix of the columns."""
-        den, columns = self.scaled_columns
-        zero = _units(self.field)[1]
-        cols = [dict(col) for col in columns]
-        words = itertools.product(range(self.n), repeat=self.mu.d)  # big-endian order
-        return _make(self.field, tuple(tuple(c.get(w, zero) for c in cols) for w in words),
-                     self.dim, den)
 
     @cached_property
     def scaled_columns(self) -> tuple:

@@ -442,9 +442,6 @@ class Signature:
     def total_dim(self) -> int:
         return sum(entry.t * entry.charpoly.degree for entry in self.entries)
 
-    def union(self, other: "Signature") -> "Signature":
-        return Signature(self.entries + other.entries)
-
 
 def frss_signature(rho: WDRep) -> Signature:
     """Signature of the Frobenius-semisimplification: for each k >= 0 the

@@ -1,9 +1,10 @@
 """Shared generators and independent oracles for the test suite."""
 
+import itertools
 from fractions import Fraction
 
-from wdreps import (Matrix, QQ, QT, WDRep, block_diagonal, column_echelon,
-                    mat_subspaces, sp_construct, wd_direct_sum)
+from wdreps import (Matrix, Partition, QQ, QT, Signature, WDRep, block_diagonal,
+                    column_echelon, mat_subspaces, sp_construct, wd_direct_sum)
 from wdreps.linalg import intersect_columns
 
 
@@ -19,6 +20,37 @@ def from_columns(field, cols, nrows: int) -> Matrix:
     if nrows == 0:
         return Matrix.zeros(field, 0, len(cols))
     return Matrix(field, [[col[i] for col in cols] for i in range(nrows)])
+
+
+def partitions_of(d: int):
+    """All partitions of d, largest first part first (deterministic)."""
+
+    def rec(remaining, maximum):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, maximum), 0, -1):
+            for rest in rec(remaining - first, first):
+                yield (first,) + rest
+
+    return [Partition(p) for p in rec(d, d)]
+
+
+def basis_matrix(basis) -> Matrix:
+    """The dense n^d x dim matrix of a Schur basis's sparse columns, rows
+    in big-endian word order."""
+    words = list(itertools.product(range(basis.n), repeat=basis.mu.d))
+    return from_columns(basis.field, [[col.get(w, basis.field.zero) for w in words]
+                                      for col in map(dict, basis.columns)], len(words))
+
+
+def rank(M: Matrix) -> int:
+    return len(M.rref()[1])
+
+
+def signature_union(a, b):
+    """The multiset union of two signatures."""
+    return Signature(a.entries + b.entries)
 
 
 def contains_half_power(iv, base: int, j: int) -> bool:

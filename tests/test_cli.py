@@ -387,6 +387,41 @@ def _one_dim_rep(tmp_path, field, phi):
     return str(path)
 
 
+class TestDocumentShapeErrors:
+    """A document whose matrices or q break a representation's shape
+    invariants is refused by `WDRep` itself: `validate` exits 2 with a
+    ParseError naming the problem."""
+
+    RIGHT = {"q": 5, "field": {"type": "Q"}, "phi": [["1", "0"], ["0", "5"]],
+             "nilp": [["0", "0"], ["0", "0"]], "inertia": []}
+
+    @pytest.mark.parametrize("change, message", [
+        ({"phi": [["1", "0"]]}, "phi and nilp must be square"),
+        ({"nilp": [["0"]]}, "phi and nilp must have equal size"),
+        ({"inertia": [{"label": "g", "matrix": [["-1"]]}]},
+         "inertia 'g' has wrong shape or field"),
+        ({"q": 1}, "q must be an integer >= 2"),
+        ({"q": "5"}, "q must be an integer >= 2"),
+        ({"q": True}, "q must be an integer >= 2"),
+    ], ids=["non-square phi", "unequal sizes", "inertia size", "q 1", "q string", "q bool"])
+    def test_validate_exits_2_naming_the_problem(self, tmp_path, change, message):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({**self.RIGHT, **change}))
+        code, env = run_command(CommandRequest("validate", str(path)))
+        assert code == 2 and env["result"] is None
+        assert env["diagnostics"] == [f"ParseError: {path}: {message}"]
+
+    def test_etale_frobenius_validates_through_the_adjugate(self, tmp_path):
+        """Both entries of phi's first column divide zero in Q[a]/(a^2-1),
+        so the inverse runs the Cayley-Hamilton adjugate over det 2."""
+        path = tmp_path / "etale.json"
+        path.write_text(json.dumps({
+            "q": 5, "field": {"type": "NumberField", "minpoly": [-1, 0, 1]},
+            "phi": [["a+1", "1"], ["a-1", "1"]], "nilp": [["0", "0"], ["0", "0"]]}))
+        code, env = run_command(CommandRequest("validate", str(path)))
+        assert code == 0 and env["result"] == {"ok": True, "violation": None}
+
+
 class TestHostileInput:
     """Oversized or degenerate input exits 2 quickly, without a traceback."""
 

@@ -19,7 +19,7 @@ from wdreps.jsonio import load_wdrep
 from wdreps.schur import Partition
 
 from support import (flagship_family, flagship_constant_partner, lift_to_field,
-                     random_unimodular, random_valid_wdrep, trivial_onedim)
+                     random_unimodular, random_valid_wdrep, signature_union, trivial_onedim)
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -237,7 +237,7 @@ class TestRigidity:
 class TestTraceLink:
     def test_flagship_pair_equal_and_rigid(self):
         fam1, fam2 = flagship_family(), flagship_constant_partner()
-        assert trace_link_check(fam1, fam2, 4).equal
+        assert trace_link_check(fam1, fam2).equal
         r1 = rigidity_check(purity_scan(fam1, Partition.of(1), range(-5, 6)))
         r2 = rigidity_check(purity_scan(fam2, Partition.of(1), range(-5, 6)))
         assert r1.verdict == r2.verdict == "pass"
@@ -249,11 +249,11 @@ class TestTraceLink:
     def test_first_differing_word(self):
         fam2 = WDRep(5, QT, Matrix(QT, [["1", "0"], ["0", "1/25"]]),
                      Matrix.zeros(QT, 2, 2))
-        res = trace_link_check(flagship_family(), fam2, 4)
+        res = trace_link_check(flagship_family(), fam2)
         assert not res.equal and res.first_difference == "phi^1"
 
     def test_self_link(self):
-        res = trace_link_check(flagship_family(), flagship_family(), 4)
+        res = trace_link_check(flagship_family(), flagship_family())
         assert res.equal and res.first_difference is None
 
     def test_inertia_words_compared(self):
@@ -263,7 +263,7 @@ class TestTraceLink:
                      (("g", g_minus),))
         fam2 = WDRep(5, QT, flagship_family().phi, flagship_family().nilp,
                      (("g", g_plus),))
-        res = trace_link_check(fam1, fam2, 2)
+        res = trace_link_check(fam1, fam2)
         assert not res.equal and res.first_difference == "phi^1*g"
 
     def test_two_labels_in_bfs_word_order(self):
@@ -275,7 +275,7 @@ class TestTraceLink:
                      (("h", Matrix.diagonal(QQ, [-1, 1])), ("g", Matrix.diagonal(QQ, [1, -1]))))
         fam2 = WDRep(5, QQ, Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 2),
                      (("g", swap), ("h", swap)))
-        res = trace_link_check(fam1, fam2, 3)
+        res = trace_link_check(fam1, fam2)
         assert not res.equal and res.first_difference == "phi^1*g*h"
 
     def test_agrees_with_a_pair_bfs(self):
@@ -307,10 +307,60 @@ class TestTraceLink:
                 inertia2 = [(label, P * g * Pinv) for label, g in inertia2]
             fam1 = WDRep(5, QQ, phi, Matrix.zeros(QQ, n, n), tuple(inertia))
             fam2 = WDRep(5, QQ, P * phi * Pinv, Matrix.zeros(QQ, n, n), tuple(inertia2))
-            got = trace_link_check(fam1, fam2, 3)
-            assert got == _pair_bfs_trace_link(fam1, fam2, 3)
+            got = trace_link_check(fam1, fam2)
+            assert got == _pair_bfs_trace_link(fam1, fam2, range(1, 2 * n + 1))
             outcomes.add(got.first_difference)
         assert None in outcomes and len(outcomes) > 2
+
+    def test_equal_traces_unequal_squares(self):
+        """diag(1, 4) and diag(2, 3) have equal traces and unequal squares
+        (17 against 13): a sample at k = 1 alone would call them linked."""
+        fam1 = WDRep(5, QQ, Matrix.diagonal(QQ, [1, 4]), Matrix.zeros(QQ, 2, 2))
+        fam2 = WDRep(5, QQ, Matrix.diagonal(QQ, [2, 3]), Matrix.zeros(QQ, 2, 2))
+        assert trace_link_check(fam1, fam2) == TraceLinkResult(False, "phi^2")
+
+    def test_first_n_powers_decide_every_power(self):
+        """Equality at k = 1..n, n = d1 + d2, agrees with equality at
+        k = -2n..3n.  Up to conjugation Frobenius is diagonal and inertia a
+        diagonal sign matrix, so the two commute.  The second family takes
+        a joint permutation of the first's eigenvalues and signs, that with
+        one eigenvalue moved by +1 and another by -1 (equal traces), or a
+        Prouhet-Tarry-Escott pair of spectra, whose power sums agree up to
+        k = d - 1, under trivial inertia."""
+        rng = random.Random(2026)
+        pte = [([1, 4], [2, 3]), ([1, 5, 6], [2, 3, 7]), ([1, 5, 8, 12], [2, 3, 10, 11])]
+        equal, late = 0, set()
+        for case in range(60):
+            if case % 3 == 2:
+                eigen, eigen2 = rng.choice(pte)
+                signs, signs2 = [1] * len(eigen), [1] * len(eigen)
+            else:
+                d = rng.randint(1, 3)
+                eigen = [rng.choice((-3, -2, -1, 1, 2, 3, 4, 5)) for _ in range(d)]
+                signs = [rng.choice((1, -1)) for _ in range(d)]
+                order = rng.sample(range(d), d)
+                eigen2, signs2 = [eigen[i] for i in order], [signs[i] for i in order]
+                if d > 1 and case % 3:
+                    i, j = rng.sample(range(d), 2)
+                    eigen2[i] += 1
+                    eigen2[j] -= 1
+                    if not all(eigen2):
+                        continue
+            fams = []
+            for values, sign in ((eigen, signs), (eigen2, signs2)):
+                d = len(values)
+                P = random_unimodular(rng, d)
+                Pinv = P.inverse()
+                fams.append(WDRep(5, QQ, P * Matrix.diagonal(QQ, values) * Pinv,
+                                  Matrix.zeros(QQ, d, d),
+                                  (("g", P * Matrix.diagonal(QQ, sign) * Pinv),)))
+            n = 2 * len(eigen)
+            got = trace_link_check(*fams)
+            assert got.equal == _pair_bfs_trace_link(*fams, range(-2 * n, 3 * n + 1)).equal
+            equal += got.equal
+            if not got.equal:
+                late.add(got.first_difference.split("*")[0])
+        assert equal >= 10 and {"phi^2", "phi^3", "phi^4"} <= late
 
     def test_invalid_family_is_named(self):
         """A unipotent inertia generator has infinite order: validation
@@ -319,26 +369,27 @@ class TestTraceLink:
                     (("g", Matrix(QQ, [[1, 1], [0, 1]])),))
         with pytest.raises(ValueError,
                            match="^invalid representation: inertia closure exceeds cap 64$"):
-            trace_link_check(fam, fam, 2)
+            trace_link_check(fam, fam)
         with pytest.raises(ValueError, match="inertia closure exceeds cap 64"):
-            trace_link_check(flagship_family(), fam, 2)
+            trace_link_check(flagship_family(), fam)
 
     def test_errors(self):
         fam_q7 = WDRep(7, QT, Matrix(QT, [["1"]]), Matrix.zeros(QT, 1, 1))
         with pytest.raises(ValueError):
-            trace_link_check(flagship_family(), fam_q7, 2)
+            trace_link_check(flagship_family(), fam_q7)
         labeled = WDRep(5, QT, Matrix(QT, [["1", "0"], ["0", "1/5"]]),
                         Matrix.zeros(QT, 2, 2), (("h", Matrix.identity(QT, 2)),))
         with pytest.raises(ValueError):
-            trace_link_check(flagship_family(), labeled, 2)
+            trace_link_check(flagship_family(), labeled)
         over_q = WDRep(5, QQ, Matrix.diagonal(QQ, [1, Fraction(1, 5)]), Matrix.zeros(QQ, 2, 2))
         with pytest.raises(ValueError, match="same coefficient field"):
-            trace_link_check(flagship_family(), over_q, 2)
+            trace_link_check(flagship_family(), over_q)
 
 
-def _pair_bfs_trace_link(fam1, fam2, max_word_len):
+def _pair_bfs_trace_link(fam1, fam2, powers):
     """Reference: breadth-first over pairs of inertia elements, labels in
-    sorted order, comparing tr(phi1^k m1) with tr(phi2^k m2) for each pair."""
+    sorted order, comparing tr(phi1^k m1) with tr(phi2^k m2) for each pair
+    and each k in `powers`."""
     labels = sorted(label for label, _ in fam1.inertia)
     gens1, gens2 = dict(fam1.inertia), dict(fam2.inertia)
     start = (Matrix.identity(fam1.field, fam1.dim), Matrix.identity(fam2.field, fam2.dim))
@@ -346,7 +397,7 @@ def _pair_bfs_trace_link(fam1, fam2, max_word_len):
     while queue:
         m1, m2 = pair = queue.pop(0)
         word = seen[pair]
-        for k in range(1, max_word_len + 1):
+        for k in powers:
             if ((fam1.phi ** k) * m1).trace() != ((fam2.phi ** k) * m2).trace():
                 return TraceLinkResult(False, f"phi^{k}" + (f"*{word}" if word else ""))
         for label in labels:
@@ -391,10 +442,10 @@ class TestDirectSumScan:
         r1 = purity_scan(fam1, mu, range(-3, 4))
         r2 = purity_scan(fam2, mu, range(-3, 4))
         assert r_total.generic_signature == \
-            r1.generic_signature.union(r2.generic_signature)
+            signature_union(r1.generic_signature, r2.generic_signature)
         for a in range(-3, 4):
             st, s1, s2 = point(r_total, a), point(r1, a), point(r2, a)
-            assert st.signature == s1.signature.union(s2.signature)
+            assert st.signature == signature_union(s1.signature, s2.signature)
 
 
 def test_scan_reads_fraction_rows_only_for_charpolys(monkeypatch):

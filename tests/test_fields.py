@@ -292,28 +292,28 @@ def test_polynomial_results_are_not_coerced_again(monkeypatch):
 class TestScalarStrings:
     @pytest.mark.parametrize("text", ["0", "1", "-3/5", "7"])
     def test_q_roundtrip(self, text):
-        assert QQ.format_scalar(QQ.parse_scalar(text)) == text
+        assert str(QQ.coerce(text)) == text
 
     @pytest.mark.parametrize("text", [
         "0", "1", "t", "-t", "t^2-1", "1/2*t+3",
         "(t^2-1)/(t+2)", "(t)/(t^2+1)", "(-1/25*t^2+1)/(t^3-2)",
     ])
     def test_qt_roundtrip(self, text):
-        assert QT.format_scalar(QT.parse_scalar(text)) == text
+        assert str(QT.coerce(text)) == text
 
     def test_qt_canonicalizes(self):
-        assert QT.format_scalar(QT.parse_scalar("(t-1)/(t-1)")) == "1"
-        assert QT.format_scalar(QT.parse_scalar("(2*t)/(4)")) == "1/2*t"
+        assert str(QT.coerce("(t-1)/(t-1)")) == "1"
+        assert str(QT.coerce("(2*t)/(4)")) == "1/2*t"
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
-            QT.parse_scalar("t +")
+            QT.coerce("t +")
         with pytest.raises(ParseError):
-            QT.parse_scalar("x^2")
+            QT.coerce("x^2")
         with pytest.raises(ParseError):
-            QQ.parse_scalar("t")
+            QQ.coerce("t")
         with pytest.raises(ParseError):
-            QT.parse_scalar("1/(t-t)")
+            QT.coerce("1/(t-t)")
 
     def test_format_qpoly(self):
         assert format_poly(qpoly(-1, 0, 1), "t") == "t^2-1"
@@ -337,7 +337,7 @@ class TestNumberField:
         i = K.gen()
         assert i * i == K.coerce(-1)
         assert (K.one + i) * (K.one - i) == K.coerce(2)
-        assert K.format_scalar(K.one / (K.one + i)) == "-1/2*a+1/2"
+        assert str(K.one / (K.one + i)) == "-1/2*a+1/2"
 
     def test_inverse_roundtrip(self):
         K = NumberField([-2, 0, 1])  # sqrt(2)
@@ -370,4 +370,4 @@ class TestNumberField:
     def test_string_roundtrip(self):
         K = NumberField([1, 0, 1])
         for text in ["a", "-a", "a+1", "-1/2*a+1/2"]:
-            assert K.format_scalar(K.parse_scalar(text)) == text
+            assert str(K.coerce(text)) == text

@@ -4,18 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from wdreps import (Matrix, Poly, QQ, QT, SingularMatrixError, WDRep,
+from wdreps import (Matrix, Partition, Poly, QQ, QT, SingularMatrixError, WDRep,
                     ZeroDivisorPivotError, charpoly,
                     column_echelon, frobenius_semisimplify, frss_signature,
                     mat_subspaces, mult_jordan_chevalley, poly_eval_matrix,
-                    scalar_restriction, sp_construct, squarefree_part,
-                    wd_direct_sum)
+                    root_moduli_certified, scalar_restriction, sp_construct,
+                    squarefree_part, wd_direct_sum, wd_schur)
 from wdreps import linalg
-from wdreps.fields import NumberField, poly_gcd
+from wdreps.families import specialize_signature
+from wdreps.fields import Field, NumberField, poly_gcd
 from wdreps.linalg import intersect_columns, kernel_basis, solve_in_span
 
-from support import (from_columns, generator_shear, random_fraction, random_matrix,
-                     random_unimodular)
+from support import (flagship_family, from_columns, generator_shear, random_fraction,
+                     random_matrix, random_unimodular, rank)
 
 
 class TestSubspaces:
@@ -144,7 +145,7 @@ class TestJordanChevalley:
             n = rng.randint(1, 4)
             J = [[K.zero] * n for _ in range(n)]
             for i in range(n):
-                J[i][i] = K.parse_scalar(rng.choice(units))
+                J[i][i] = K.coerce(rng.choice(units))
                 if i and rng.random() < 0.5:  # join block i-1 when the eigenvalue repeats
                     J[i][i] = J[i - 1][i - 1]
                     J[i][i - 1] = K.one
@@ -375,9 +376,9 @@ class TestQKernelOracle:
             s_red, s_pivots = S.rref()
             assert pivots == tuple(s_pivots)
             assert red == _from_sympy(s_red)
-            assert M.rank() == S.rank()
-            rank, kernel, image = mat_subspaces(M)
-            assert rank == S.rank()
+            assert rank(M) == S.rank()
+            r, kernel, image = mat_subspaces(M)
+            assert r == S.rank()
             assert kernel == _canonical_span_sympy(sp, S.nullspace(), M.ncols)
             assert image == _canonical_span_sympy(sp, S.columnspace(), M.nrows)
             if M.is_square():
@@ -479,7 +480,7 @@ class TestHessenbergCharpoly:
         M = Matrix(K, [["a+1", "1"], ["1", "0"]])
         assert M * M.inverse() == Matrix.identity(K, 2)
         assert M.det() == K.coerce(-1)
-        assert M.rank() == 2
+        assert rank(M) == 2
 
     def test_etale_algebra_column_of_zero_divisors(self):
         # a+1 and a-1 both divide zero, so no elimination can start; the
@@ -812,3 +813,46 @@ class TestKeptCharpoly:
         assert len(pivots) == reduction
         assert p is charpoly(M) and p == reference
         assert det == p[0]  # n = 4 is even
+
+
+def test_matrix_scalar_products_promote_never_parse():
+    """A scalar factor goes through `field.promote`: strings give
+    TypeError from either side, while ints, Fractions and the field's own
+    scalars scale."""
+    M = Matrix(QQ, [[1, 2]])
+    t = QT.gen()
+    for case in (lambda: M * "3", lambda: "3" * Matrix(QQ, [[1]]),
+                 lambda: Matrix(QT, [[1]]) * "t"):
+        with pytest.raises(TypeError):
+            case()
+    assert M * Fraction(1, 2) == Matrix(QQ, [[Fraction(1, 2), 1]])
+    assert 2 * M == Matrix(QQ, [[2, 4]])
+    assert Matrix(QT, [[1, t]]) * (1 / (t + 1)) == Matrix(QT, [[1 / (t + 1), t / (t + 1)]])
+
+
+def test_computed_polynomials_are_not_coerced_again(monkeypatch):
+    """charpoly on its Hessenberg path (over Q(t)) and its Berkowitz path
+    (over Q[a]/(a^2-1), where both candidate pivots divide zero),
+    `specialize_signature` and `root_moduli_certified` after it splits
+    off x^k build their polynomials from field scalars: no `coerce`."""
+    t = QT.gen()
+    A = Matrix(QT, [[t, 1, 0], [0, t + 1, 1], [1, 0, 2]])
+    K = NumberField([-1, 0, 1])
+    a = K.gen()
+    B = Matrix(K, [[1, 0, 0], [a + 1, 1, 0], [a - 1, 0, 1]])
+    generic = frss_signature(wd_schur(flagship_family(), Partition.of(2)))
+    p = Poly(QQ, [0, 0, -2, 0, 1])
+    calls, berkowitz = [], []
+    coerce, reference = Field.coerce, linalg._berkowitz
+    monkeypatch.setattr(Field, "coerce",
+                        lambda self, value: calls.append(value) or coerce(self, value))
+    monkeypatch.setattr(linalg, "_berkowitz",
+                        lambda *args: berkowitz.append(args) or reference(*args))
+    cp_A, cp_B = charpoly(A), charpoly(B)
+    specialized = specialize_signature(generic, 7)
+    moduli = root_moduli_certified(p, Fraction(1, 10 ** 30))
+    assert calls == [] and len(berkowitz) == 1
+    assert cp_A.coeffs == (-2 * t * t - 2 * t - 1, t * t + 5 * t + 2, -2 * t - 3, QT.one)
+    assert cp_B.coeffs == tuple(map(K.coerce, (-1, 3, -3, 1)))
+    assert specialized.entries[0].charpoly == Poly(QQ, [Fraction(-1, 25), 1])
+    assert [iv.hi for iv in moduli[:2]] == [0, 0] and len(moduli) == 4

@@ -81,3 +81,23 @@ def test_scalars_have_one_promotion_path():
         "RationalField", "RationalFunctionField", "NumberField"}
     assert without_promote == []
     assert qpoly_names == []
+
+
+def test_readme_cli_examples_name_every_command():
+    """The README's CLI example block runs exactly the commands of
+    `cli.COMMANDS`, each at least once."""
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("wdreps ")]
+    assert set(named) == set(cli.COMMANDS)
+
+
+def test_text_layer_pass_throughs_are_gone():
+    """Scalars print with `str` and parse through `parse_scalar_expression`;
+    no field method, JSON helper or table helper stands in between."""
+    gone = {"format_scalar", "parse_scalar", "_nf_from_array", "_purity_lines"}
+    found = [(path.name, node.name)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef) and node.name in gone]
+    assert found == []
