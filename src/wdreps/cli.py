@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
-import re
 import sys
 import traceback
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .families import (DenominatorVanishes, SingularFrobenius, default_scan_points,
                        purity_scan, rigidity_check, specialize)
-from .fields import ParseError, Poly, QQ, format_poly
+from .fields import ParseError, Poly, QQ, format_poly, parse_rational
 from .jsonio import (ValidationError, canonical_json_bytes, filtration_to_json, load_wdrep,
                      purity_report_to_json, rigidity_report_to_json, signature_to_json,
                      wdrep_to_json)
@@ -56,17 +55,6 @@ class CommandRequest:
     eps: str | None = None
     output: str | None = None
     format: str = "json"
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if max(map(len, re.findall(r"\d+", text)), default=0) > limit > 0:
-            raise ParseError(f"integer of more than {limit} digits (Python's int-conversion "
-                             "limit) in a rational; use exponent form, e.g. 1e-4000") from exc
-        raise ParseError(f"bad rational number {text!r}") from exc
 
 
 def parse_points(text: str | None) -> list[Fraction]:

@@ -16,6 +16,8 @@ polynomial arithmetic builds its results with `_poly`, which does not.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -693,7 +695,8 @@ class NumberField(Field):
 def poly_from_json(values, what: str) -> Poly:
     """The polynomial over Q of a JSON coefficient array, low degree first:
     every coefficient array of a document (`num`, `den`, `minpoly`, a
-    number-field scalar) holds integers or "a/b" strings, nothing else."""
+    number-field scalar) holds integers or rational literals as strings
+    (`parse_rational`), nothing else."""
     if not isinstance(values, list):
         raise ParseError(f"{what}: coefficients must be an array")
     coeffs = []
@@ -702,9 +705,9 @@ def poly_from_json(values, what: str) -> Poly:
             coeffs.append(Fraction(v))
         elif isinstance(v, str):
             try:
-                coeffs.append(Fraction(v))
-            except ValueError as exc:
-                raise ParseError(f"{what}: bad coefficient {v!r}") from exc
+                coeffs.append(parse_rational(v))
+            except ParseError as exc:
+                raise ParseError(f"{what}: {exc}") from exc
         else:
             raise ParseError(f"{what}: coefficients must be integers or 'a/b' strings")
     return Poly(QQ, coeffs)
@@ -784,6 +787,45 @@ def _tokenize(text: str):
 MAX_SCALAR_NESTING = 100
 MAX_SCALAR_EXPONENT = 1000
 MAX_SCALAR_BITS = 16384
+
+_DIGITS = r"\d+(?:_\d+)*"
+# a decimal literal with an exponent, as `Fraction` reads it
+_EXPONENT_FORM = re.compile(rf"\s*[-+]?(?=\d|\.\d)({_DIGITS})?(?:\.({_DIGITS})?)?"
+                            rf"[eE]([-+]?{_DIGITS})\s*")
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational literal as `Fraction` reads it ("-3/5", "0.001",
+    "1e-5"), refused when its numerator or denominator has more than
+    MAX_SCALAR_BITS bits.  An exponent form is sized before 10^k is
+    formed: with m its digits up to the last nonzero one, the literal is
+    m * 10^k, whose numerator (k > 0) or denominator (k < 0, as m is prime
+    to 2 or to 5) has at least |k| + 1 bits.  A digit string longer than
+    Python converts names that limit."""
+    match = _EXPONENT_FORM.fullmatch(text)
+    if match:
+        whole, frac, exp = [(g or "").replace("_", "") for g in match.groups()]
+        m = (whole + frac).rstrip("0")
+        if not m:
+            return Fraction(0)
+        if len(exp.lstrip("+-0")) > 18 or abs(int(exp) + len(whole) - len(m)) >= MAX_SCALAR_BITS:
+            raise ParseError(_beyond_bits(text))
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if max(map(len, re.findall(r"\d+", text)), default=0) > limit > 0:
+            raise ParseError(f"integer of more than {limit} digits (Python's int-conversion "
+                             "limit) in a rational; use exponent form, e.g. 1e-4000") from exc
+        raise ParseError(f"bad rational number {text!r}") from exc
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_SCALAR_BITS:
+        raise ParseError(_beyond_bits(text))
+    return value
+
+
+def _beyond_bits(text: str) -> str:
+    return (f"rational {text!r} has a numerator or denominator beyond "
+            f"{MAX_SCALAR_BITS} bits (MAX_SCALAR_BITS)")
 
 
 def parse_scalar_expression(text: str, field: Field):

@@ -8,11 +8,12 @@ this module emits is the unique canonical basis of its subspace.
 
 Every matrix has one stored form: rows `num` over a denominator `den`.
 Over Q they are Python ints over one int in canonical form, which every
-operation (products, sums, fraction-free elimination, Horner steps) reads
-and writes, and Fractions are built only when `Matrix.rows` is read; over
-any other field they are the scalars themselves and `den` is None.  `_make` builds every computed matrix.
-Over every field `det` is read off the characteristic polynomial, which
-`charpoly` keeps on the matrix.
+operation (products, sums, fraction-free elimination, the charpoly
+recurrence, Horner steps) reads and writes, and Fractions are built only
+when `Matrix.rows` is read; over any other field they are the scalars
+themselves and `den` is None.  `_make` builds every computed matrix.
+`charpoly` is Berkowitz's division-free recurrence on the stored form
+for every field; `det` is read off it, and it is kept on the matrix.
 """
 
 from __future__ import annotations
@@ -347,6 +348,27 @@ def _rref_q(num, ncols: int):
     return _make(QQ, tuple(out), ncols, den), tuple(pivots)
 
 
+def _pivot(rows, start: int, c: int, one):
+    """Row, at or below `start`, of the first invertible entry of column c,
+    and that entry's inverse; (None, None) when the column is zero there.
+    Over an etale algebra, a nonzero column of zero divisors raises."""
+    nonzero = False
+    for i in range(start, len(rows)):
+        x = rows[i][c]
+        if x == one:
+            return i, one
+        if x:
+            nonzero = True
+            try:
+                return i, one / x
+            except ZeroDivisionError:
+                pass
+    if nonzero:
+        raise ZeroDivisorPivotError(f"column {c + 1} has no invertible pivot: each of "
+                                    "its nonzero entries divides zero")
+    return None, None
+
+
 def block_diagonal(field: Field, blocks) -> Matrix:
     blocks = list(blocks)
     size = sum(b.ncols for b in blocks)
@@ -422,118 +444,51 @@ def intersect_columns(U: Matrix, V: Matrix) -> Matrix:
 
 
 def charpoly(M: Matrix) -> Poly:
-    """Characteristic polynomial det(xI - M), monic, by Hessenberg
-    reduction [Cohen, GTM 138, Alg. 2.2.9]: elementary similarity
-    transformations make M upper Hessenberg, then the characteristic
-    polynomials of its leading principal blocks follow by a recurrence.
-    O(n^3) field operations over any field.  Over an etale algebra a column
-    whose nonzero entries below the diagonal all divide zero cannot be
-    cleared by a similarity; the reduced matrix then goes to Berkowitz's
-    division-free algorithm.  The result is kept on M, so `M.det()` and a
-    later `charpoly(M)` reduce M once."""
+    """Characteristic polynomial det(xI - M), monic, by Berkowitz's
+    division-free recurrence on the stored form: over Q on the numerators
+    A = den * M, whose coefficient c_k of x^k gives M's as
+    c_k / den^(n-k); over every other field and etale algebra on the
+    stored scalars, so no zero divisor is ever inverted.  The result is
+    kept on M, so `M.det()` and a later `charpoly(M)` run it once."""
     if not M.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     kept = getattr(M, "_charpoly", None)
-    if kept is not None:
-        return kept
-    n = M.nrows
-    field = M.field
-    zero, one = field.zero, field.one
-    H = [list(row) for row in M.rows]
-    for m in range(1, n - 1):
-        nonzero = [i for i in range(m, n) if H[i][m - 1]]
-        if not nonzero:
-            continue
-        pr, inv = nonzero[0], None
-        if len(nonzero) > 1:
-            try:
-                pr, inv = _pivot(H, m, m - 1, one)
-            except ZeroDivisorPivotError:
-                # every candidate pivot divides zero: finish division-free
-                coeffs = _berkowitz(H, zero, one)
-                break
-        if pr != m:
-            H[pr], H[m] = H[m], H[pr]
-            for row in H:
-                row[pr], row[m] = row[m], row[pr]
-        if inv is None:
-            continue
-        pivot_row = H[m]
-        for i in range(m + 1, n):
-            if not H[i][m - 1]:
-                continue
-            u = H[i][m - 1] * inv
-            # row i -= u * row m, then column m += u * column i
-            H[i] = [x - u * y if y else x for x, y in zip(H[i], pivot_row)]
-            for row in H:
-                if row[i]:
-                    row[m] = row[m] + u * row[i]
-    else:
-        # polys[m] = charpoly of the leading m x m block, low degree first
-        polys = [[one]]
-        for m in range(1, n + 1):
-            prev = polys[m - 1]
-            h = H[m - 1][m - 1]
-            new = [zero] + prev
-            for k, c in enumerate(prev):
-                new[k] = new[k] - h * c
-            t = one
-            for i in range(m - 1, 0, -1):
-                t = t * H[i][i - 1]
-                if not t:
-                    break
-                coef = H[i - 1][m - 1] * t
-                if coef:
-                    for k, c in enumerate(polys[i - 1]):
-                        new[k] = new[k] - coef * c
-            polys.append(new)
-        coeffs = polys[n]
-    M._charpoly = p = _poly(field, coeffs)
-    return p
-
-
-def _pivot(rows, start: int, c: int, one):
-    """Row, at or below `start`, of the first invertible entry of column c,
-    and that entry's inverse; (None, None) when the column is zero there.
-    Over an etale algebra, a nonzero column of zero divisors raises."""
-    nonzero = False
-    for i in range(start, len(rows)):
-        x = rows[i][c]
-        if x == one:
-            return i, one
-        if x:
-            nonzero = True
-            try:
-                return i, one / x
-            except ZeroDivisionError:
-                pass
-    if nonzero:
-        raise ZeroDivisorPivotError(f"column {c + 1} has no invertible pivot: each of "
-                                    "its nonzero entries divides zero")
-    return None, None
+    if kept is None:
+        p = _berkowitz(M.num, *_units(M.field)[1:])
+        if M.den is not None:  # p[i] is c_(n-i)
+            p = [Fraction(c, M.den ** i) for i, c in enumerate(p)]
+        M._charpoly = kept = _poly(M.field, p[::-1])
+    return kept
 
 
 def _berkowitz(A, zero, one) -> list:
-    """Coefficients of det(xI - A), low degree first, by Berkowitz's
+    """Coefficients of det(xI - A), high degree first, by Berkowitz's
     division-free recurrence [Berkowitz 1984]: the leading (r+1) x (r+1)
     block [[A_r, C], [R, a]] has characteristic polynomial T * p_r, with T
     the lower-triangular Toeplitz matrix whose first column is
-    (1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C).  O(n^4) ring operations."""
-    def dot(u, v):
-        acc = zero
-        for x, y in zip(u, v):
-            acc = acc + x * y
-        return acc
+    (1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C).  O(n^4) ring operations,
+    none on a zero entry of A, of the vectors A_r^k C or of T."""
+    def dot(support, w):
+        return sum((x * w[j] for j, x in support if w[j]), zero)
 
-    p = [one]  # high degree first
+    p = [one]
     for r in range(len(A)):
-        col = [one, -A[r][r]]
-        w = [A[i][r] for i in range(r)]
-        for _ in range(r):
-            col.append(-dot(A[r][:r], w))
-            w = [dot(A[i][:r], w) for i in range(r)]
-        p = [dot([col[i - k] for k in range(min(i, r) + 1)], p) for i in range(r + 2)]
-    return p[::-1]
+        # the nonzero entries of the rows of A_r and of R
+        support = [[(j, x) for j, x in enumerate(row[:r]) if x] for row in A[:r + 1]]
+        R = support.pop()
+        col, w = [one, -A[r][r]], [row[r] for row in A[:r]]
+        for k in range(r):
+            col.append(-dot(R, w))
+            if k < r - 1:
+                w = [dot(row, w) for row in support]
+        new = p + [zero]
+        for j in range(1, r + 2):
+            if col[j]:
+                for k, y in enumerate(p[:r + 2 - j]):
+                    if y:
+                        new[j + k] = new[j + k] + col[j] * y
+        p = new
+    return p
 
 
 def poly_eval_matrix(p: Poly, M: Matrix) -> Matrix:

@@ -13,7 +13,6 @@ Conventions, fixed once for reproducibility:
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -24,18 +23,13 @@ from .linalg import Matrix, _make, _units
 
 
 class ResourceCapExceeded(RuntimeError):
-    """The tensor space n^d would exceed the configured cap, or the
+    """The tensor space n^d would exceed MAX_TENSOR_SIZE, or the
     symmetrizer would have more than MAX_SYMMETRIZER_TERMS terms."""
 
 
-DEFAULT_TENSOR_CAP = 4096
+MAX_TENSOR_SIZE = 4096
 # 6!: every partition of d <= 6 passes; verifying c*c = n*c costs |c|^2
 MAX_SYMMETRIZER_TERMS = 720
-
-
-def tensor_cap() -> int:
-    value = os.environ.get("WDREPS_TENSOR_CAP")
-    return int(value) if value else DEFAULT_TENSOR_CAP
 
 
 @dataclass(frozen=True)
@@ -300,12 +294,10 @@ def _build_rational_basis(mu: Partition, n: int):
 def schur_basis(mu: Partition, n: int, field: Field = QQ) -> SchurBasis:
     """Basis of the symmetrizer image, cached per (mu, n, field)."""
     d = mu.d
-    cap = tensor_cap()
+    cap = MAX_TENSOR_SIZE
     # for n >= 2 every d past the cap's bit length exceeds it: n^d is not formed
     if n >= 2 and (d > cap.bit_length() or n ** d > cap):
-        raise ResourceCapExceeded(
-            f"tensor space {n}^{d} exceeds the cap {cap}; "
-            "set WDREPS_TENSOR_CAP to override")
+        raise ResourceCapExceeded(f"tensor space {n}^{d} exceeds {cap} (MAX_TENSOR_SIZE)")
     key = (mu.parts, n)
     cached = _rational_basis_cache.get(key)
     if cached is None:

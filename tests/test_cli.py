@@ -13,7 +13,7 @@ import pytest
 import wdreps.cli as cli
 from wdreps.cli import (CommandRequest, main, parse_points, parse_rational,
                         render_table, run_command)
-from wdreps import wd
+from wdreps import schur, wd
 from wdreps.fields import MAX_SCALAR_BITS, ParseError
 from wdreps.roots import CertificationFailed
 
@@ -239,7 +239,7 @@ class TestCommands:
         assert env["result"]["report"]["verdict"] == "fail"
 
     def test_resource_cap_maps_to_exit_2(self, monkeypatch):
-        monkeypatch.setenv("WDREPS_TENSOR_CAP", "2")
+        monkeypatch.setattr(schur, "MAX_TENSOR_SIZE", 2)
         code, env = run_command(CommandRequest("schur", SP2, partition="2"))
         assert code == 2
         assert any("ResourceCapExceeded" in d for d in env["diagnostics"])
@@ -438,12 +438,18 @@ class TestHostileInput:
         path = tmp_path / "rep.json"
         path.write_text(json.dumps({"q": 2, "field": {"type": "Q"}, "phi": [["0", "2"], ["1", "0"]],
                                     "nilp": [["0", "0"], ["0", "0"]]}))
-        for eps in ("1e-200000", "1e-4817"):
-            start = time.perf_counter()
-            code, env = run_command(CommandRequest("purity", str(path), eps=eps))
-            assert time.perf_counter() - start < 1
-            assert code == 2 and env["diagnostics"] == [
-                "ParseError: eps below 2^-16000 cannot be certified"]
+        start = time.perf_counter()
+        code, env = run_command(CommandRequest("purity", str(path), eps="1e-4817"))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and env["diagnostics"] == [
+            "ParseError: eps below 2^-16000 cannot be certified"]
+        # 10^200000 is never formed: the literal parser sizes it first
+        start = time.perf_counter()
+        code, env = run_command(CommandRequest("purity", str(path), eps="1e-200000"))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and env["diagnostics"] == [
+            "ParseError: rational '1e-200000' has a numerator or denominator beyond "
+            f"{MAX_SCALAR_BITS} bits (MAX_SCALAR_BITS)"]
         # 2^-16000 lies between 10^-4817 and 10^-4816
         assert cli.parse_eps("1e-4816") == Fraction(1, 10 ** 4816)
         with pytest.raises(ParseError):
@@ -463,6 +469,46 @@ class TestHostileInput:
         code, err, _ = _run_cli("purity", "--eps", eps, path)
         assert code == 2 and "Traceback" not in err
         assert f"more than {limit} digits" in err and "exponent form" in err
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("purity", "eps", "1e-99999999"),
+        ("specialize", "point", "1e-9999999"),
+        ("scan", "points", "1,1e-9999999"),
+        ("scan", "points", "3,-2.5e16384"),
+    ])
+    def test_rational_literal_beyond_the_bit_bound(self, command, option, value):
+        """--eps, --point and --points refuse a literal whose numerator or
+        denominator would pass MAX_SCALAR_BITS before forming 10^k."""
+        start = time.perf_counter()
+        code, env = run_command(CommandRequest(command, FLAGSHIP, partition="1",
+                                               **{option: value}))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        (diagnostic,) = env["diagnostics"]
+        assert diagnostic.startswith("ParseError: rational ")
+        assert diagnostic.endswith(f"beyond {MAX_SCALAR_BITS} bits (MAX_SCALAR_BITS)")
+
+    def test_json_coefficient_beyond_the_bit_bound(self, tmp_path):
+        path = _one_dim_rep(tmp_path, {"type": "Qt"}, {"num": ["1e-3000000"], "den": [1]})
+        code, err, seconds = _run_cli("validate", path)
+        assert code == 2 and "Traceback" not in err and seconds < 10
+        assert "phi[0][0]: rational '1e-3000000'" in err and "(MAX_SCALAR_BITS)" in err
+        minpoly = _one_dim_rep(tmp_path, {"type": "NumberField",
+                                          "minpoly": ["-2e20000", 0, 1]}, "1")
+        code, env = run_command(CommandRequest("validate", minpoly))
+        assert code == 2 and "(MAX_SCALAR_BITS)" in env["diagnostics"][0]
+
+    def test_rational_literals_within_the_bit_bound(self):
+        # exponent forms are sized after their trailing zeros: 10^16383 /
+        # 10^16383 is 1, and a zero mantissa is 0 whatever its exponent
+        assert parse_rational("1" + "0" * 4000 + "e-4000") == 1
+        assert parse_rational("0e-99999999") == 0
+        assert parse_rational("-2.5e3") == -2500
+        assert parse_rational("1_000e-3") == 1
+        assert parse_rational("1e-4800") == Fraction(1, 10 ** 4800)
+        assert cli.parse_eps("1e-4800") == Fraction(1, 10 ** 4800)
+        with pytest.raises(ParseError, match="bad rational number"):
+            parse_rational("1__0")
 
     def test_float_minpoly(self, tmp_path):
         path = _one_dim_rep(tmp_path, {"type": "NumberField", "minpoly": [-2.0, 0, 1.0]}, "1")
@@ -544,8 +590,7 @@ class TestHostileInput:
         ("1,1,1,1,1,1,1", SP2, 0, None),
         # 3^(10^7) is not formed to be compared with the cap
         ("10000000", str(CORPUS / "sp3_chain.json"), 2,
-         "ResourceCapExceeded: tensor space 3^10000000 exceeds the cap 4096; "
-         "set WDREPS_TENSOR_CAP to override"),
+         "ResourceCapExceeded: tensor space 3^10000000 exceeds 4096 (MAX_TENSOR_SIZE)"),
     ])
     def test_oversized_partition(self, tmp_path, partition, document, code, diagnostic):
         path = document or _one_dim_rep(tmp_path, {"type": "Q"}, "1")

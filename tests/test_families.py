@@ -450,13 +450,9 @@ class TestDirectSumScan:
 
 def test_scan_reads_fraction_rows_only_for_charpolys(monkeypatch):
     """Over Q a Matrix stores ints over one denominator and builds its
-    Fraction rows only when they are read.  On the scan path the only
-    reader is `charpoly` (still on Fractions): once per signature layer
-    and graded piece of each distinct specialized input, since points
-    with equal phi, inertia and line of N share one analysis.
-    Jordan-Chevalley runs on the specialized input, whose rows are already
-    built, never on the image.  A count above that means a Fraction round
-    trip crept back into the scan."""
+    Fraction rows only when they are read.  The scan reads none: `charpoly`
+    runs on the numerators, and so does every other kernel.  A reader
+    means a Fraction round trip crept back into the scan."""
     rows = Matrix.rows
     readers = []
 
@@ -469,11 +465,7 @@ def test_scan_reads_fraction_rows_only_for_charpolys(monkeypatch):
     monkeypatch.setattr(Matrix, "rows", property(counting))
     report = purity_scan(fam, Partition.of(2, 1), range(5))
     assert [pr.purity.verdict for pr in report.points] == ["impure"] + ["pure"] * 4
-    assert set(readers) == {"charpoly"}
-    # t = 1..4 share one input up to the scalar on N, analyzed once: 2
-    # signature layers and 4 graded pieces; at t = 0, where N vanishes, one
-    # layer and one piece
-    assert len(readers) == 6 + 2
+    assert readers == []
 
 
 # every Q(t) corpus family with each partition its golden cases use
@@ -554,7 +546,7 @@ def test_scan_builds_one_flag_per_line_of_n(monkeypatch):
 def test_scan_reduces_each_specialized_phi_once(monkeypatch):
     """`specialize`'s singularity test and Jordan-Chevalley's `det` and
     squarefree part all read the one charpoly kept on the specialized phi:
-    one Hessenberg reduction per point, and no elimination of its own.
+    one Berkowitz run per point, and no elimination of its own.
     inertia_pair's phi is constant and N(t) = t * N0, so t = 2 and 3 reuse
     the analysis of t = 1: their phi is reduced only by the singularity
     test, and Jordan-Chevalley's `det` runs on the first phi alone."""
@@ -586,19 +578,14 @@ def test_scan_reduces_each_specialized_phi_once(monkeypatch):
 def test_jordan_chevalley_reduces_the_qt_schur_image_once(monkeypatch):
     """Over Q(t) det is read off the charpoly kept on the matrix, so
     Jordan-Chevalley's invertibility check and its charpoly share one
-    reduction: only `charpoly` reads the image's rows, and only once."""
+    Berkowitz run on the image's stored scalars."""
     fam = load_wdrep(str(Path(__file__).resolve().parents[1] / "corpus" / "inertia_pair.json"))
     S = wd_schur(fam, Partition.of(2, 1)).phi
     assert S.field == QT and S.nrows == 20
-    rows = Matrix.rows
-    readers = []
-
-    def counting(M):
-        if M is S:
-            readers.append(sys._getframe(1).f_code.co_name)
-        return rows.fget(M)
-
-    monkeypatch.setattr(Matrix, "rows", property(counting))
+    runs = []
+    berkowitz = linalg._berkowitz
+    monkeypatch.setattr(linalg, "_berkowitz",
+                        lambda *args: runs.append(args[0]) or berkowitz(*args))
     semisimple, unipotent = mult_jordan_chevalley(S)
-    assert readers == ["charpoly"]
+    assert sum(A is S.num for A in runs) == 1
     assert semisimple * unipotent == S

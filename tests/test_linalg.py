@@ -305,7 +305,7 @@ class TestKernelBasis:
 
 
 # ---------------------------------------------------------------------------
-# independent oracles for the integer Q kernel and the Hessenberg charpoly
+# independent oracles for the integer Q kernel and the Berkowitz charpoly
 # ---------------------------------------------------------------------------
 
 BIG = 10 ** 40
@@ -414,6 +414,39 @@ def _check_charpoly_identities(M):
     assert p[0] == (M.det() if n % 2 == 0 else -M.det())
 
 
+def _sympy_charpoly(sp, M):
+    """Coefficients of sympy's charpoly of a Q matrix, low degree first."""
+    x = sp.Symbol("x")
+    return Poly(QQ, [Fraction(int(c.p), int(c.q))
+                     for c in reversed(_to_sympy(sp, M).charpoly(x).all_coeffs())])
+
+
+def test_charpoly_of_a_dense_40x40_q_matrix_against_sympy():
+    """A size where elimination on Fraction entries was slow: a dense
+    random Q matrix over a common denominator."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(4040)
+    M = Matrix(QQ, [[random_fraction(rng) for _ in range(40)] for _ in range(40)])
+    assert charpoly(M) == _sympy_charpoly(sp, M)
+
+
+def test_charpoly_of_a_dense_8x8_qt_matrix_against_sympy():
+    """Over Q(t) the recurrence never divides, so a dense 8 x 8 matrix
+    with entries linear in t keeps polynomial coefficients; specialized
+    at three rational t they equal sympy's charpoly of the specialized
+    matrix."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(88)
+    t = QT.gen()
+    M = Matrix(QT, [[t * rng.randint(-5, 5) + rng.randint(-5, 5) for _ in range(8)]
+                    for _ in range(8)])
+    p = charpoly(M)
+    assert all(c.den == Poly(QQ, [1]) for c in p.coeffs)
+    for a in (Fraction(-2), Fraction(1, 3), Fraction(5, 2)):
+        specialized = M.map_entries(lambda x: x.eval(a), QQ)
+        assert Poly(QQ, [c.eval(a) for c in p.coeffs]) == _sympy_charpoly(sp, specialized)
+
+
 class TestHessenbergCharpoly:
     def test_function_field(self):
         rng = random.Random(7)
@@ -446,21 +479,22 @@ class TestHessenbergCharpoly:
                 _check_charpoly_identities(Matrix(K, rows))
 
     def test_needs_row_exchange(self):
-        # the subdiagonal entry below the first column is zero, so the
-        # reduction has to swap in a lower row
+        # the subdiagonal entry below the first column is zero: a
+        # similarity reduction would swap in a lower row, the division-free
+        # recurrence needs no exchange
         M = Matrix(QQ, [[1, 2, 3, 4], [0, 5, 6, 7], [8, 9, 1, 2], [3, 4, 5, 6]])
         _check_charpoly_identities(M)
         _check_charpoly_identities(Matrix(QT, [["t", "0", "1"], ["0", "1", "0"], ["1", "t", "0"]]))
 
     def test_etale_algebra_passes_over_zero_divisor_pivot(self):
-        # a+1 divides zero in Q[a]/(a^2-1); the reduction pivots on the 1
+        # a+1 divides zero in Q[a]/(a^2-1); the recurrence never divides
         K = NumberField([-1, 0, 1])
         M = Matrix(K, [["0", "0", "0"], ["a+1", "0", "0"], ["1", "0", "0"]])
         assert charpoly(M) == Poly(K, [0, 0, 0, 1])
 
     def test_etale_algebra_lone_zero_divisor_needs_no_inverse(self):
-        # a+1 is the only nonzero entry below the diagonal of column 0, so
-        # the column is already reduced and a+1 is never inverted
+        # a+1, a zero divisor, is the only nonzero entry below the diagonal
+        # of column 0; it is never inverted
         K = NumberField([-1, 0, 1])
         M = Matrix(K, [["1", "0", "0"], ["a+1", "1", "0"], ["0", "0", "1"]])
         assert charpoly(M) == Poly(K, [-1, 3, -3, 1])
@@ -469,7 +503,8 @@ class TestHessenbergCharpoly:
         assert entry.charpoly == Poly(K, [-1, 3, -3, 1])
 
     def test_etale_algebra_without_invertible_pivot(self):
-        # a+1 and a-1 both divide zero: no pivot exists in column 0
+        # a+1 and a-1 both divide zero: column 0 has no invertible pivot,
+        # and the division-free recurrence needs none
         K = NumberField([-1, 0, 1])
         M = Matrix(K, [["1", "0", "0"], ["a+1", "1", "0"], ["a-1", "0", "1"]])
         assert charpoly(M) == Poly(K, [-1, 3, -3, 1])
@@ -789,28 +824,22 @@ class TestKeptCharpoly:
     def test_det_then_charpoly_reduces_once(self, field, monkeypatch):
         """det reads the constant term of the charpoly it keeps on M, over
         every field; the later charpoly(M) returns that Poly and runs no
-        reduction."""
+        second Berkowitz recurrence."""
         rng = random.Random(1111)
         gen = Fraction(1, 3) if field == QQ else field.gen()
         rows = [[gen * rng.randint(-3, 3) + rng.randint(1, 4) for _ in range(4)]
                 for _ in range(4)]
-        pivots = []
-        pivot = linalg._pivot
-
-        def counting(*args):
-            pivots.append(args[2])
-            return pivot(*args)
-
-        monkeypatch.setattr(linalg, "_pivot", counting)
+        runs = []
+        berkowitz = linalg._berkowitz
+        monkeypatch.setattr(linalg, "_berkowitz",
+                            lambda *args: runs.append(args[0]) or berkowitz(*args))
         reference = charpoly(Matrix(field, rows))
-        reduction = len(pivots)
-        assert reduction > 0
+        assert len(runs) == 1
         M = Matrix(field, rows)
-        pivots.clear()
         det = M.det()
-        assert len(pivots) == reduction
+        assert len(runs) == 2 and runs[-1] is M.num
         p = charpoly(M)
-        assert len(pivots) == reduction
+        assert len(runs) == 2
         assert p is charpoly(M) and p == reference
         assert det == p[0]  # n = 4 is even
 
@@ -831,9 +860,8 @@ def test_matrix_scalar_products_promote_never_parse():
 
 
 def test_computed_polynomials_are_not_coerced_again(monkeypatch):
-    """charpoly on its Hessenberg path (over Q(t)) and its Berkowitz path
-    (over Q[a]/(a^2-1), where both candidate pivots divide zero),
-    `specialize_signature` and `root_moduli_certified` after it splits
+    """charpoly's Berkowitz recurrence over Q(t) and over Q[a]/(a^2-1)
+    (where a+1 and a-1 divide zero), `specialize_signature` and `root_moduli_certified` after it splits
     off x^k build their polynomials from field scalars: no `coerce`."""
     t = QT.gen()
     A = Matrix(QT, [[t, 1, 0], [0, t + 1, 1], [1, 0, 2]])
@@ -851,7 +879,7 @@ def test_computed_polynomials_are_not_coerced_again(monkeypatch):
     cp_A, cp_B = charpoly(A), charpoly(B)
     specialized = specialize_signature(generic, 7)
     moduli = root_moduli_certified(p, Fraction(1, 10 ** 30))
-    assert calls == [] and len(berkowitz) == 1
+    assert calls == [] and len(berkowitz) == 2
     assert cp_A.coeffs == (-2 * t * t - 2 * t - 1, t * t + 5 * t + 2, -2 * t - 3, QT.one)
     assert cp_B.coeffs == tuple(map(K.coerce, (-1, 3, -3, 1)))
     assert specialized.entries[0].charpoly == Poly(QQ, [Fraction(-1, 25), 1])

@@ -9,6 +9,7 @@ import pytest
 from wdreps import (Matrix, Poly, QQ, QT, ResourceCapExceeded, column_echelon,
                     hook_content_dim, schur_basis, schur_derivation,
                     schur_of_matrix, specht_dim, young_symmetrizer)
+from wdreps import schur
 from wdreps.fields import NumberField
 from wdreps.schur import Partition, perm_identity, perm_mul, perm_sign
 
@@ -107,10 +108,10 @@ class TestDimensions:
                     assert schur_basis(mu, n).dim == hook_content_dim(mu, n)
 
     def test_resource_cap(self, monkeypatch):
-        monkeypatch.setenv("WDREPS_TENSOR_CAP", "8")
-        with pytest.raises(ResourceCapExceeded):
+        monkeypatch.setattr(schur, "MAX_TENSOR_SIZE", 8)
+        with pytest.raises(ResourceCapExceeded, match=r"3\^2 exceeds 8 \(MAX_TENSOR_SIZE\)"):
             schur_basis(Partition.of(2), 3)
-        monkeypatch.delenv("WDREPS_TENSOR_CAP")
+        monkeypatch.undo()
         assert schur_basis(Partition.of(2), 3).dim == 6
 
 

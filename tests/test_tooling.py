@@ -30,6 +30,20 @@ def test_package_imports_only_the_standard_library():
     assert not foreign
 
 
+def test_package_reads_no_environment_variable():
+    """Every bound is a module constant: no module reads `os.environ` or
+    `os.getenv`, by attribute or by `from os import`."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                readers.add((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers.update((path.name, a.name) for a in node.names if a.name in names)
+    assert not readers
+
+
 def test_readme_states_the_bounds_in_force():
     """Each resource bound the README quotes is the constant in force."""
     readme = " ".join((SRC.parent.parent / "README.md").read_text(encoding="utf-8").split())
@@ -39,7 +53,7 @@ def test_readme_states_the_bounds_in_force():
         "MAX_SCALAR_NESTING": r"at most (\d+) nested parentheses or signs \(`MAX_SCALAR_NESTING`\)",
         "MAX_SCALAR_EXPONENT": r"no power beyond `x\^(\d+)` \(`MAX_SCALAR_EXPONENT`",
         "MAX_SCALAR_BITS": r"more than ([\d,]+) bits \(`MAX_SCALAR_BITS`",
-        "DEFAULT_TENSOR_CAP": r"`n\^d <= (\d+)` \(`DEFAULT_TENSOR_CAP`",
+        "MAX_TENSOR_SIZE": r"`n\^d <= (\d+)` \(`MAX_TENSOR_SIZE`",
         "MAX_SYMMETRIZER_TERMS": r"more than (\d+) terms \(`MAX_SYMMETRIZER_TERMS`",
         "INERTIA_CLOSURE_CAP": r"capped at (\d+) elements \(`INERTIA_CLOSURE_CAP`",
     }
@@ -53,7 +67,7 @@ def test_readme_states_the_bounds_in_force():
     assert values["MAX_SCALAR_NESTING"] == fields.MAX_SCALAR_NESTING
     assert values["MAX_SCALAR_EXPONENT"] == fields.MAX_SCALAR_EXPONENT
     assert values["MAX_SCALAR_BITS"] == fields.MAX_SCALAR_BITS
-    assert values["DEFAULT_TENSOR_CAP"] == schur.DEFAULT_TENSOR_CAP
+    assert values["MAX_TENSOR_SIZE"] == schur.MAX_TENSOR_SIZE
     assert values["MAX_SYMMETRIZER_TERMS"] == schur.MAX_SYMMETRIZER_TERMS
     assert values["INERTIA_CLOSURE_CAP"] == wd.INERTIA_CLOSURE_CAP
 
