@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .families import (DenominatorVanishes, SingularFrobenius, default_scan_points,
                        purity_scan, rigidity_check, specialize)
-from .fields import ParseError, Poly, QQ, format_poly, parse_rational
+from .fields import ParseError, Poly, QQ, _excerpt, format_poly, parse_rational
 from .jsonio import (ValidationError, canonical_json_bytes, filtration_to_json, load_wdrep,
                      purity_report_to_json, rigidity_report_to_json, signature_to_json,
                      wdrep_to_json)
@@ -66,9 +66,9 @@ def parse_points(text: str | None) -> list[Fraction]:
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError as exc:
-            raise ParseError(f"bad point range {text!r}") from exc
+            raise ParseError(f"bad point range {_excerpt(text)}") from exc
         if lo > hi:
-            raise ParseError(f"empty point range {text!r}")
+            raise ParseError(f"empty point range {_excerpt(text)}")
         _check_point_count(hi - lo + 1)
         return [Fraction(a) for a in range(lo, hi + 1)]
     tokens = [tok for tok in text.split(",") if tok.strip()]
@@ -90,7 +90,7 @@ def parse_weight(text: str):
     try:
         return int(text)
     except ValueError as exc:
-        raise ParseError(f"weight must be an integer or 'infer', got {text!r}") from exc
+        raise ParseError(f"weight must be an integer or 'infer', got {_excerpt(text)}") from exc
 
 
 def parse_eps(text: str | None) -> Fraction:

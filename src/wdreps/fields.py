@@ -777,7 +777,7 @@ def _tokenize(text: str):
             tokens.append(text[i:j])
             i = j
         else:
-            raise ParseError(f"unexpected character {ch!r} in scalar {text!r}")
+            raise ParseError(f"unexpected character {ch!r} in scalar {_excerpt(text)}")
     return tokens
 
 
@@ -817,14 +817,19 @@ def parse_rational(text: str) -> Fraction:
         if max(map(len, re.findall(r"\d+", text)), default=0) > limit > 0:
             raise ParseError(f"integer of more than {limit} digits (Python's int-conversion "
                              "limit) in a rational; use exponent form, e.g. 1e-4000") from exc
-        raise ParseError(f"bad rational number {text!r}") from exc
+        raise ParseError(f"bad rational number {_excerpt(text)}") from exc
     if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_SCALAR_BITS:
         raise ParseError(_beyond_bits(text))
     return value
 
 
+def _excerpt(text: str) -> str:
+    """text quoted for a diagnostic: its first 64 characters and its length when longer."""
+    return repr(text) if len(text) <= 64 else f"{text[:64]!r}… ({len(text)} characters)"
+
+
 def _beyond_bits(text: str) -> str:
-    return (f"rational {text!r} has a numerator or denominator beyond "
+    return (f"rational {_excerpt(text)} has a numerator or denominator beyond "
             f"{MAX_SCALAR_BITS} bits (MAX_SCALAR_BITS)")
 
 
@@ -847,7 +852,7 @@ def parse_scalar_expression(text: str, field: Field):
         if expo * max(max(c.numerator.bit_length(), c.denominator.bit_length())
                       for c in coeffs) > MAX_SCALAR_BITS:
             raise ParseError(f"scalar coefficient beyond {MAX_SCALAR_BITS} bits "
-                             f"(MAX_SCALAR_BITS) in {text!r}")
+                             f"(MAX_SCALAR_BITS) in {_excerpt(text)}")
         return node
 
     def peek():
@@ -875,7 +880,7 @@ def parse_scalar_expression(text: str, field: Field):
             try:
                 node = bounded(node * rhs if op == "*" else node / rhs)
             except ZeroDivisionError as exc:
-                raise ParseError(f"division by zero in {text!r}") from exc
+                raise ParseError(f"division by zero in {_excerpt(text)}") from exc
         return node
 
     def parse_factor():
@@ -892,7 +897,7 @@ def parse_scalar_expression(text: str, field: Field):
             node = parse_expr()
             power = groups.pop()
             if peek() != ")":
-                raise ParseError(f"unbalanced parentheses in {text!r}")
+                raise ParseError(f"unbalanced parentheses in {_excerpt(text)}")
             take()
         else:
             node = parse_atom()
@@ -900,11 +905,11 @@ def parse_scalar_expression(text: str, field: Field):
             take()
             expo = peek()
             if not isinstance(expo, int):
-                raise ParseError(f"exponent must be an integer in {text!r}")
+                raise ParseError(f"exponent must be an integer in {_excerpt(text)}")
             take()
             power *= expo
             if power > MAX_SCALAR_EXPONENT:
-                raise ParseError(f"power beyond x^{MAX_SCALAR_EXPONENT} in {text!r}")
+                raise ParseError(f"power beyond x^{MAX_SCALAR_EXPONENT} in {_excerpt(text)}")
             node = bounded(bounded(node, expo) ** expo)
         groups[-1] = max(groups[-1], power)
         depth -= 1
@@ -919,10 +924,10 @@ def parse_scalar_expression(text: str, field: Field):
             take()
             if var is not None and tok == var:
                 return field.gen()
-            raise ParseError(f"unknown symbol {tok!r} in scalar {text!r}")
-        raise ParseError(f"unexpected token {tok!r} in scalar {text!r}")
+            raise ParseError(f"unknown symbol {_excerpt(tok)} in scalar {_excerpt(text)}")
+        raise ParseError(f"unexpected token {tok!r} in scalar {_excerpt(text)}")
 
     value = parse_expr()
     if pos != len(tokens):
-        raise ParseError(f"trailing input in scalar {text!r}")
+        raise ParseError(f"trailing input in scalar {_excerpt(text)}")
     return field.coerce(value)

@@ -13,7 +13,8 @@ recurrence, Horner steps) reads and writes, and Fractions are built only
 when `Matrix.rows` is read; over any other field they are the scalars
 themselves and `den` is None.  `_make` builds every computed matrix.
 `charpoly` is Berkowitz's division-free recurrence on the stored form
-for every field; `det` is read off it, and it is kept on the matrix.
+for every field, kept on the matrix: `det`, `inverse` (the Cayley-Hamilton
+adjugate) and `wd_validate`'s nilpotency test read it; only `rref` eliminates.
 """
 
 from __future__ import annotations
@@ -247,25 +248,19 @@ class Matrix:
         return -p0 if self.nrows % 2 else p0
 
     def inverse(self) -> "Matrix":
-        """rref of [M | I]; over an etale algebra where that meets a column
-        of zero divisors, the Cayley-Hamilton adjugate over a unit det."""
+        """The Cayley-Hamilton adjugate: the kept charpoly p(x) = x r(x) + p(0)
+        gives M^-1 = -r(M) / p(0), over every field.  SingularMatrixError
+        when p(0) is zero or, over an etale algebra, divides zero."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        aug = self.hstack(Matrix.identity(self.field, n))
-        try:
-            red, pivots = aug.rref()
-        except ZeroDivisorPivotError:
-            # p(x) = x q(x) + p(0), so M q(M) = -p(0) I
-            p = charpoly(self).coeffs
-            try:
-                scale = -self.field.one / p[0]
-            except ZeroDivisionError:
-                raise SingularMatrixError("its determinant divides zero") from None
-            return poly_eval_matrix(_poly(self.field, list(p[1:])), self)._scale(scale)
-        if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) != n:
+        p = charpoly(self).coeffs
+        if not p[0]:
             raise SingularMatrixError("matrix is singular")
-        return red.select(cols=range(n, 2 * n))
+        try:
+            scale = -self.field.one / p[0]
+        except ZeroDivisionError:
+            raise SingularMatrixError("its determinant divides zero") from None
+        return poly_eval_matrix(_poly(self.field, list(p[1:])), self)._scale(scale)
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +545,6 @@ def mult_jordan_chevalley(M: Matrix):
     S = X
     U = S.inverse() * M
     return S, U
-
-
-def is_nilpotent(M: Matrix) -> bool:
-    return M.is_square() and (M ** M.nrows).is_zero()
 
 
 def scalar_restriction(M: Matrix) -> Matrix:

@@ -17,9 +17,8 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from .fields import Field, NumberField, Poly, QQ, QT
-from .linalg import (Matrix, SingularMatrixError, block_diagonal, charpoly,
-                     column_echelon, is_nilpotent, kernel_basis, mult_jordan_chevalley,
-                     pivot_rows, scalar_restriction)
+from .linalg import (Matrix, block_diagonal, charpoly, column_echelon, kernel_basis,
+                     mult_jordan_chevalley, pivot_rows, scalar_restriction)
 from .roots import (DEFAULT_EPS, MIN_EPS, CertificationFailed, ModulusInterval,
                     _q_log, root_moduli_certified)
 from .schur import Partition, schur_derivation, schur_of_matrix
@@ -103,15 +102,18 @@ def wd_validate(rho: WDRep):
 
 
 def _check_invariants(rho: WDRep):
-    n = rho.dim
+    """One charpoly per matrix, kept on it: phi is invertible when det is a
+    unit, so the relations are multiplied out by phi, and nilp^n = 0 exactly
+    when charpoly(nilp) = x^n (Cayley-Hamilton; each ring here is reduced)."""
+    n, phi = rho.dim, rho.phi
     try:
-        phi_inv = rho.phi.inverse()
-    except SingularMatrixError:
+        rho.field.one / phi.det()
+    except ZeroDivisionError:
         return "phi is singular"
-    if not is_nilpotent(rho.nilp):
+    if any(charpoly(rho.nilp).coeffs[:-1]):
         return f"nilp is not nilpotent (nilp^{n} != 0)"
     qinv = rho.field.coerce(Fraction(1, rho.q))
-    if rho.phi * rho.nilp * phi_inv != rho.nilp * qinv:
+    if phi * rho.nilp != rho.nilp * qinv * phi:
         return f"conjugation relation phi*nilp*phi^-1 = (1/{rho.q})*nilp violated"
     for idx, (label, g) in enumerate(rho.inertia):
         if g * rho.nilp != rho.nilp * g:
@@ -126,9 +128,10 @@ def _check_invariants(rho: WDRep):
     closure = inertia_closure(rho.inertia, rho.field, n)
     if closure is None:
         return f"inertia closure exceeds cap {INERTIA_CLOSURE_CAP}"
-    closure_set = {g for _, g in closure}
+    # phi g phi^-1 = h exactly when phi g = h phi
+    shifted = {h * phi for _, h in closure}
     for idx, (label, g) in enumerate(rho.inertia):
-        if rho.phi * g * phi_inv not in closure_set:
+        if phi * g not in shifted:
             return f"Frobenius does not normalize inertia (conjugate of [{idx}] {label!r} leaves the closure)"
     return None
 

@@ -3,8 +3,9 @@
 import itertools
 from fractions import Fraction
 
-from wdreps import (Matrix, Partition, QQ, QT, Signature, WDRep, block_diagonal,
-                    column_echelon, mat_subspaces, sp_construct, wd_direct_sum)
+from wdreps import (Matrix, Partition, QQ, QT, Signature, SingularMatrixError, WDRep,
+                    block_diagonal, column_echelon, mat_subspaces, sp_construct,
+                    wd_direct_sum)
 from wdreps.linalg import intersect_columns
 
 
@@ -20,6 +21,17 @@ def from_columns(field, cols, nrows: int) -> Matrix:
     if nrows == 0:
         return Matrix.zeros(field, 0, len(cols))
     return Matrix(field, [[col[i] for col in cols] for i in range(nrows)])
+
+
+def inverse_by_elimination(M: Matrix) -> Matrix:
+    """Independent inverse oracle: the reduced echelon form of [M | I].
+    SingularMatrixError when M's columns are not all pivots; over an etale
+    algebra, a column of zero divisors raises ZeroDivisorPivotError."""
+    n = M.nrows
+    red, pivots = M.hstack(Matrix.identity(M.field, n)).rref()
+    if tuple(pivots[:n]) != tuple(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return red.select(cols=range(n, 2 * n))
 
 
 def partitions_of(d: int):
@@ -85,7 +97,7 @@ def schur_trace_oracle(power_sums, mu, field=QQ):
     return Matrix(field, rows).det()
 
 
-def _companion(p) -> Matrix:
+def companion(p) -> Matrix:
     if not p.is_monic() or p.degree < 1:
         raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
     g, field = p.degree, p.field
@@ -102,7 +114,7 @@ def signature_reconstruct(sig, q: int, field=QQ) -> WDRep:
         raise NonSplitSpectrum("cannot reconstruct inertia actions from traces alone")
     total = None
     for entry in sig.entries:
-        top = _companion(entry.charpoly) * field.coerce(Fraction(q) ** (entry.t - 1))
+        top = companion(entry.charpoly) * field.coerce(Fraction(q) ** (entry.t - 1))
         size = entry.charpoly.degree
         piece = sp_construct(entry.t, WDRep(q, field, top, Matrix.zeros(field, size, size)))
         total = piece if total is None else wd_direct_sum(total, piece)

@@ -14,7 +14,7 @@ import wdreps.cli as cli
 from wdreps.cli import (CommandRequest, main, parse_points, parse_rational,
                         render_table, run_command)
 from wdreps import schur, wd
-from wdreps.fields import MAX_SCALAR_BITS, ParseError
+from wdreps.fields import MAX_SCALAR_BITS, QT, ParseError, parse_scalar_expression
 from wdreps.roots import CertificationFailed
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -509,6 +509,38 @@ class TestHostileInput:
         assert cli.parse_eps("1e-4800") == Fraction(1, 10 ** 4800)
         with pytest.raises(ParseError, match="bad rational number"):
             parse_rational("1__0")
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("purity", "eps", "1e-" + "9" * 5000),
+        ("specialize", "point", "1e-" + "9" * 5000),
+        ("scan", "points", "1," + "x" * 5000),
+        ("scan", "points", "-" + "1" * 5000 + "..2"),
+    ], ids=["eps", "point", "points-list", "points-range"])
+    def test_long_literal_diagnostic_is_an_excerpt(self, command, option, value):
+        """A refused literal is quoted by its first 64 characters, then its
+        length, so the diagnostic stays short however long the literal."""
+        code, env = run_command(CommandRequest(command, FLAGSHIP, partition="1",
+                                               **{option: value}))
+        assert code == 2
+        (diagnostic,) = env["diagnostics"]
+        assert len(diagnostic.encode()) < 300
+        literal = value.split(",")[-1]
+        assert f"{literal[:64]!r}… ({len(literal)} characters)" in diagnostic
+
+    def test_long_literal_diagnostic_on_stderr(self):
+        code, err, _ = _run_cli("purity", "--eps", "1e-" + "9" * 5000, FLAGSHIP)
+        assert code == 2 and "Traceback" not in err
+        assert len(err.encode()) < 300
+
+    def test_long_scalar_expression_diagnostic_is_an_excerpt(self):
+        text = "t" + "+t" * 3000 + ")"
+        with pytest.raises(ParseError) as info:
+            parse_scalar_expression(text, QT)
+        assert len(str(info.value)) < 300
+        assert str(info.value) == f"trailing input in scalar {text[:64]!r}… (6002 characters)"
+        # a short literal is quoted whole, as before
+        with pytest.raises(ParseError, match=r"^trailing input in scalar 't\)'$"):
+            parse_scalar_expression("t)", QT)
 
     def test_float_minpoly(self, tmp_path):
         path = _one_dim_rep(tmp_path, {"type": "NumberField", "minpoly": [-2.0, 0, 1.0]}, "1")

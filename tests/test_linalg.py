@@ -15,8 +15,8 @@ from wdreps.families import specialize_signature
 from wdreps.fields import Field, NumberField, poly_gcd
 from wdreps.linalg import intersect_columns, kernel_basis, solve_in_span
 
-from support import (flagship_family, from_columns, generator_shear, random_fraction,
-                     random_matrix, random_unimodular, rank)
+from support import (flagship_family, from_columns, generator_shear, inverse_by_elimination,
+                     random_fraction, random_matrix, random_unimodular, rank)
 
 
 class TestSubspaces:
@@ -842,6 +842,58 @@ class TestKeptCharpoly:
         assert len(runs) == 2
         assert p is charpoly(M) and p == reference
         assert det == p[0]  # n = 4 is even
+
+
+class TestOneInverse:
+    """`Matrix.inverse` is the Cayley-Hamilton adjugate over every field;
+    elimination on [M | I] (`inverse_by_elimination`) is its oracle."""
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_against_elimination(self, index):
+        field, entries = ([(QQ, [Fraction(x, y) for x in range(-3, 4) for y in (1, 2, 5)])]
+                          + _other_fields())[index]
+        rng = random.Random(2323 + index)
+        sizes = [0, 1, 1] + [rng.randint(1, 3 if field == QT else 4) for _ in range(40)]
+        counts = {"invertible": 0, "singular": 0, "divides zero": 0}
+        for n in sizes:
+            rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:  # a repeated row: det 0
+                rows[-1] = list(rows[0])
+            M = Matrix(field, rows)
+            M.ncols = n
+            det = _ref_cofactor_det(field, rows)
+            try:
+                oracle = inverse_by_elimination(M)
+            except SingularMatrixError:
+                oracle = "singular"
+            except ZeroDivisorPivotError:
+                oracle = None
+            # over Q[a]/(a^2-1), the zero divisors are the multiples of a+1 and of a-1
+            divides_zero = index == 3 and det and any(
+                det * (field.gen() + c) == field.zero for c in (1, -1))
+            if not det or divides_zero:
+                assert oracle in ("singular", None)
+                counts["singular" if not det else "divides zero"] += 1
+                with pytest.raises(SingularMatrixError):
+                    M.inverse()
+                continue
+            counts["invertible"] += 1
+            inv = M.inverse()
+            if oracle is not None:
+                assert inv == oracle
+            assert M * inv == Matrix.identity(field, n) == inv * M
+        assert counts["invertible"] >= 10 and counts["singular"] >= 3
+        assert (counts["divides zero"] > 0) == (index == 3)
+
+    def test_messages_name_the_cause(self):
+        K = NumberField([-1, 0, 1])
+        with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+            Matrix(QQ, [[1, 2], [2, 4]]).inverse()
+        with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+            Matrix(K, [["a+1", "a+1"], ["a+1", "a+1"]]).inverse()
+        with pytest.raises(SingularMatrixError, match="^its determinant divides zero$"):
+            Matrix(K, [["a+1", "0"], ["0", "1"]]).inverse()
+        assert Matrix.identity(QQ, 0).inverse() == Matrix.identity(QQ, 0)
 
 
 def test_matrix_scalar_products_promote_never_parse():

@@ -115,3 +115,30 @@ def test_text_layer_pass_throughs_are_gone():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.FunctionDef) and node.name in gone]
     assert found == []
+
+
+def test_one_characteristic_polynomial_decides_invertibility_and_nilpotency():
+    """`Matrix.inverse` eliminates nothing (it is the Cayley-Hamilton
+    adjugate), no module catches `ZeroDivisorPivotError`, and the separate
+    nilpotency test `is_nilpotent` is gone."""
+    handlers, inverse_calls, nilpotent_names = [], None, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                caught |= {n.attr for n in ast.walk(node.type) if isinstance(n, ast.Attribute)}
+                if "ZeroDivisorPivotError" in caught:
+                    handlers.append(path.name)
+            if isinstance(node, ast.ClassDef) and node.name == "Matrix":
+                (inverse,) = [m for m in node.body
+                              if isinstance(m, ast.FunctionDef) and m.name == "inverse"]
+                inverse_calls = {getattr(c.func, "attr", getattr(c.func, "id", None))
+                                 for c in ast.walk(inverse) if isinstance(c, ast.Call)}
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "name", "asname")}
+            if "is_nilpotent" in names:
+                nilpotent_names.append(path.name)
+    assert handlers == []
+    assert inverse_calls is not None and "charpoly" in inverse_calls
+    assert not inverse_calls & {"rref", "_rref_q", "_pivot", "hstack"}
+    assert nilpotent_names == []

@@ -8,17 +8,17 @@ import pytest
 from wdreps import (DEFAULT_EPS, Matrix, ModulusInterval, NonIntegralWeight,
                     NumberField, Poly, QQ, QT, Signature, SignatureEntry, WDRep,
                     charpoly, column_echelon, frobenius_semisimplify, frss_signature,
-                    mat_subspaces, monodromy_filtration, purity_check,
+                    mat_subspaces, monodromy_filtration, mult_jordan_chevalley, purity_check,
                     sp_construct, wd_direct_sum, wd_schur, wd_tensor, wd_validate)
 from wdreps import cli, roots, wd
 from wdreps.families import purity_scan, specialize
 from wdreps.jsonio import load_wdrep
 from wdreps import linalg
-from wdreps.linalg import intersect_columns, solve_in_span
+from wdreps.linalg import intersect_columns, scalar_restriction, solve_in_span
 from wdreps.schur import Partition
 
-from support import (NonSplitSpectrum, flagship_family, from_columns, graded_dim,
-                     kernel_sum_filtration_step, lift_to_field, partitions_of, rank,
+from support import (NonSplitSpectrum, companion, flagship_family, from_columns,
+                     graded_dim, kernel_sum_filtration_step, lift_to_field, partitions_of, rank,
                      signature_reconstruct, signature_union, random_nilpotent,
                      random_pure_rep, random_unimodular, random_valid_wdrep,
                      subspaces_equal, trivial_onedim)
@@ -129,6 +129,41 @@ class TestValidate:
     def test_non_nilpotent(self):
         rho = WDRep(5, QQ, Matrix.identity(QQ, 1), Matrix.identity(QQ, 1))
         assert "not nilpotent" in wd_validate(rho)
+
+    @pytest.mark.parametrize("field", [QQ, QT, NumberField([-2, 0, 1]),
+                                       NumberField([-1, 0, 1])],
+                             ids=["Q", "Qt", "Qsqrt2", "etale"])
+    def test_nilpotency_read_off_the_charpoly(self, field):
+        """nilp passes exactly when nilp^n = 0: a representation lifted to
+        the field passes, and trace and det 0 are not enough (x^3 - x)."""
+        rng = random.Random(77)
+        for _ in range(5):
+            rho = lift_to_field(rng, random_valid_wdrep(rng, 5, max_dim=4), field)
+            assert (rho.nilp ** rho.dim).is_zero() and wd._check_invariants(rho) is None
+        eye = Matrix.identity(field, 3)
+        M = Matrix(field, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        assert charpoly(M) == Poly(field, [0, -1, 0, 1])
+        assert wd_validate(WDRep(5, field, eye, M)) == "nilp is not nilpotent (nilp^3 != 0)"
+
+    def test_validation_shares_the_charpoly_of_phi(self, monkeypatch):
+        """Validation computes phi's charpoly once, for its det, and keeps
+        it: Jordan-Chevalley's invertibility check, squarefree part and
+        inverse of phi's semisimple part read it again.  Nilpotency takes
+        no power of nilp."""
+        runs, powers = [], []
+        berkowitz, power = linalg._berkowitz, Matrix.__pow__
+        monkeypatch.setattr(linalg, "_berkowitz",
+                            lambda *args: runs.append(args[0]) or berkowitz(*args))
+        monkeypatch.setattr(Matrix, "__pow__", lambda M, n: powers.append(n) or power(M, n))
+        # loading validates
+        fam = load_wdrep(str(Path(__file__).resolve().parent.parent / "corpus" / "flagship.json"))
+        assert fam.field == QT and not fam.inertia
+        assert wd_validate(fam) is None
+        assert powers == []
+        assert len(runs) == 2 and runs[0] is fam.phi.num and runs[1] is fam.nilp.num
+        S, U = mult_jordan_chevalley(fam.phi)
+        assert S is fam.phi and U == Matrix.identity(QT, 2)  # S.inverse() reads it too
+        assert sum(A is fam.phi.num for A in runs) == 1
 
     def test_inertia_must_commute_with_nilp(self):
         rho = WDRep(5, QQ, Matrix.diagonal(QQ, [1, Fraction(1, 5)]),
@@ -846,6 +881,25 @@ class TestLefschetzIdentity:
         for i in range(120):
             self.check(random_valid_wdrep(rng, rng.choice((2, 3, 5)), max_dim=4,
                                           with_inertia=i % 3 == 0))
+
+    @pytest.mark.parametrize("minpoly", [[-2, 0, 1], [-1, 0, 1]], ids=["Qsqrt2", "etale"])
+    def test_random_representations_over_number_fields(self, minpoly):
+        """Over a number field purity takes charpolys after restriction of
+        scalars to Q, so each signature entry enters by its norm to Q: the
+        charpoly of the restriction of scalars of its companion matrix."""
+        field = NumberField(minpoly)
+
+        def norm(entry):
+            restricted = scalar_restriction(companion(entry.charpoly))
+            return SignatureEntry(entry.t, charpoly(restricted))
+
+        rng = random.Random(1729)
+        for i in range(40):
+            rho = lift_to_field(rng, random_valid_wdrep(rng, rng.choice((2, 3, 5)), max_dim=4,
+                                                        with_inertia=i % 3 == 0), field)
+            graded = {g.k: g.charpoly for g in purity_check(rho, 0).per_graded}
+            normed = Signature(tuple(map(norm, frss_signature(rho).entries)))
+            assert graded == _lefschetz_graded_charpolys(normed, rho.q)
 
 
 class TestRelationPreservation:
