@@ -768,7 +768,10 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j] in _TOKEN_CHARS:
                 j += 1
-            tokens.append(int(text[i:j]))
+            try:
+                tokens.append(int(text[i:j]))
+            except ValueError as exc:
+                raise ParseError(_beyond_digits(f"scalar {_excerpt(text)}")) from exc
             i = j
         elif ch.isalpha():
             j = i
@@ -815,12 +818,17 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if max(map(len, re.findall(r"\d+", text)), default=0) > limit > 0:
-            raise ParseError(f"integer of more than {limit} digits (Python's int-conversion "
-                             "limit) in a rational; use exponent form, e.g. 1e-4000") from exc
+            raise ParseError(_beyond_digits("a rational")
+                             + "; use exponent form, e.g. 1e-4000") from exc
         raise ParseError(f"bad rational number {_excerpt(text)}") from exc
     if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_SCALAR_BITS:
         raise ParseError(_beyond_bits(text))
     return value
+
+
+def _beyond_digits(where: str) -> str:
+    return (f"integer of more than {sys.get_int_max_str_digits()} digits (Python's "
+            f"int-conversion limit) in {where}")
 
 
 def _excerpt(text: str) -> str:

@@ -2,16 +2,17 @@
 
 Scalars travel as strings ("a/b", "(t^2-1)/(t+2)", "a^2-1"); rational
 functions are also accepted as {num, den} coefficient arrays (low degree
-first).  Output is canonical: reduced fractions, monic denominators,
-sorted keys, one trailing newline -- identical inputs give byte-identical
-documents.
+first).  Output is canonical: reduced fractions, monic denominators, the bytes
+of `json.dumps(..., sort_keys=True, indent=2)` plus a newline, identical for
+identical inputs, with each distinct point analysis converted and written once.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
-from .families import PointResult, RigidityReport
+from .families import RigidityReport
 from .fields import (Field, NFElem, NumberField, ParseError, Poly, QT, RatFunc,
                      field_from_json, parse_scalar_expression, poly_from_json)
 from .linalg import Matrix
@@ -163,19 +164,13 @@ def interval_to_json(iv: ModulusInterval, digits: int = 15):
 
 
 def purity_report_to_json(report: PurityReport):
-    graded = []
-    for piece in report.per_graded:
-        graded.append({
-            "k": piece.k,
-            "dim": piece.dim,
-            "charpoly": poly_to_json(piece.charpoly),
-            "roots": [{"modulus": interval_to_json(iv), "match": match}
-                      for iv, match in zip(piece.intervals, piece.matches)],
-        })
     return {
         "weight": report.weight if report.weight is not None else "none",
         "verdict": report.verdict,
-        "graded": graded,
+        "graded": [{"k": piece.k, "dim": piece.dim, "charpoly": poly_to_json(piece.charpoly),
+                    "roots": [{"modulus": interval_to_json(iv), "match": match}
+                              for iv, match in zip(piece.intervals, piece.matches)]}
+                   for piece in report.per_graded],
     }
 
 
@@ -184,25 +179,51 @@ def filtration_to_json(filt: Filtration):
             for k in filt.indices()]
 
 
-def point_result_to_json(pr: PointResult):
-    return {
-        "a": str(pr.a),
-        "defined": pr.defined,
-        "error": pr.error,
-        "purity": purity_report_to_json(pr.purity) if pr.purity is not None else None,
-        "signature": signature_to_json(pr.signature) if pr.signature is not None else None,
-    }
-
-
 def rigidity_report_to_json(report: RigidityReport):
+    """Each distinct purity report and signature (`purity_scan` shares them) is converted once."""
+    parts = {}
+
+    def part(obj, to_json):
+        if obj is not None and id(obj) not in parts:
+            parts[id(obj)] = to_json(obj)
+        return parts.get(id(obj))
+
     return {
         "mu": str(report.mu),
         "generic_signature": signature_to_json(report.generic_signature),
-        "points": [point_result_to_json(pr) for pr in report.points],
+        "points": [{"a": str(pr.a), "defined": pr.defined, "error": pr.error,
+                    "purity": part(pr.purity, purity_report_to_json),
+                    "signature": part(pr.signature, signature_to_json)}
+                   for pr in report.points],
         "verdict": report.verdict,
         "failures": [str(a) for a in report.failures],
     }
 
 
 def canonical_json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """`json.dumps(obj, sort_keys=True, indent=2)` and a newline, as bytes, for str,
+    int, bool, None, list, tuple and str-keyed dict (else TypeError), each
+    container object written once per indent and its text reused."""
+    memo = {}
+
+    def emit(value, indent):
+        if isinstance(value, str):
+            return _quote(value)
+        if value is None or isinstance(value, bool):
+            return "null" if value is None else "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        key = (id(value), indent)
+        if key in memo:
+            return memo[key]
+        inner = indent + "  "
+        if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+            items, ends = [f"{_quote(k)}: {emit(value[k], inner)}" for k in sorted(value)], "{}"
+        elif isinstance(value, (list, tuple)):
+            items, ends = [emit(item, inner) for item in value], "[]"
+        else:
+            raise TypeError(f"{type(value).__name__} is not canonical JSON (or has non-str keys)")
+        memo[key] = ends[0] + inner + f",{inner}".join(items) + indent + ends[1] if items else ends
+        return memo[key]
+
+    return (emit(obj, "\n") + "\n").encode("ascii")

@@ -291,6 +291,25 @@ class TestEnvelope:
         assert cold[0] == 0 and cold[1] and cold[2] == ""
         assert cold == warm == other
 
+    def test_rigidity_converts_each_point_analysis_once(self, monkeypatch):
+        """inertia_pair's 51 default points share 2 analyses (`purity_scan`'s
+        memo), so the report converts 2 purity reports and 3 signatures:
+        one per analysis plus the generic one, not 51 and 52 as per point."""
+        from wdreps import jsonio
+        calls = []
+
+        def counting(name):
+            original = getattr(jsonio, name)
+            monkeypatch.setattr(jsonio, name, lambda obj: calls.append(name) or original(obj))
+
+        counting("purity_report_to_json")
+        counting("signature_to_json")
+        code, out, _ = _main_in_process(["rigidity", "--partition", "2,1",
+                                         str(CORPUS / "inertia_pair.json")])
+        assert code == 0 and len(json.loads(out)["result"]["report"]["points"]) == 51
+        assert calls.count("purity_report_to_json") == 2
+        assert calls.count("signature_to_json") == 3
+
     def test_digest_tracks_content(self):
         _, env = run_command(CommandRequest("validate", SP2))
         assert env["input_digest"].startswith("sha256:")
@@ -541,6 +560,20 @@ class TestHostileInput:
         # a short literal is quoted whole, as before
         with pytest.raises(ParseError, match=r"^trailing input in scalar 't\)'$"):
             parse_scalar_expression("t)", QT)
+
+    @pytest.mark.parametrize("field, phi", [({"type": "Q"}, "1" * 5000),
+                                            ({"type": "Qt"}, "t+" + "1" * 5000)],
+                             ids=["Q", "Qt"])
+    def test_scalar_beyond_the_int_conversion_limit(self, tmp_path, field, phi):
+        """A digit run longer than Python converts from a string is refused
+        with the limit named, as for a rational literal."""
+        path = _one_dim_rep(tmp_path, field, phi)
+        code, env = run_command(CommandRequest("validate", path))
+        assert code == 2
+        assert env["diagnostics"] == [
+            f"ParseError: {path}: phi[0][0]: integer of more than {sys.get_int_max_str_digits()} "
+            f"digits (Python's int-conversion limit) in scalar {phi[:64]!r}… "
+            f"({len(phi)} characters)"]
 
     def test_float_minpoly(self, tmp_path):
         path = _one_dim_rep(tmp_path, {"type": "NumberField", "minpoly": [-2.0, 0, 1.0]}, "1")

@@ -170,6 +170,53 @@ class TestReports:
 
 
 # ---------------------------------------------------------------------------
+# the canonical emitter against json.dumps(sort_keys=True, indent=2)
+# ---------------------------------------------------------------------------
+
+def _json_values():
+    """Nested dicts, lists and tuples of None, booleans, big ints and strings
+    with non-ASCII characters, control characters, quotes and backslashes;
+    plus documents holding one container object twice at one depth and at
+    two further depths."""
+    st = pytest.importorskip("hypothesis.strategies")
+    strings = st.one_of(st.text(max_size=5), st.sampled_from(
+        ["", '"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é", "€ß", "\U0001d11e", "\u2028"]))
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.integers(-10 ** 80, 10 ** 80), strings)
+    values = st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(strings, inner, max_size=4)), max_leaves=16)
+
+    @st.composite
+    def sharing(draw):
+        shared = draw(st.one_of(st.lists(values, min_size=1, max_size=3),
+                                st.dictionaries(strings, values, min_size=1, max_size=3)))
+        return {"a": shared, "b": [shared, {"c": (shared,)}], "d": shared,
+                "e": draw(values), "f": [shared, shared]}
+
+    return st.one_of(values, sharing())
+
+
+def test_canonical_bytes_equal_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(_json_values())
+    def check(obj):
+        expected = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+        assert canonical_json_bytes(obj) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, b"x", {1: "a"}, [{"k": [0.0]}]],
+                         ids=["float", "set", "bytes", "int key", "nested float"])
+def test_canonical_bytes_refuse_other_values(value):
+    with pytest.raises(TypeError):
+        canonical_json_bytes({"value": value})
+
+
+# ---------------------------------------------------------------------------
 # loader fuzzing: any document either loads or is refused as an input error
 # ---------------------------------------------------------------------------
 

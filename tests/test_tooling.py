@@ -30,6 +30,20 @@ def test_package_imports_only_the_standard_library():
     assert not foreign
 
 
+def test_package_calls_no_json_dumps():
+    """Envelopes are written by `jsonio.canonical_json_bytes` alone: with
+    `indent` set, `json.dumps` runs the pure-Python encoder."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("dumps", "dump"):
+                callers.add((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                callers.update((path.name, a.name) for a in node.names
+                               if a.name in ("dumps", "dump"))
+    assert SRC.joinpath("jsonio.py").exists() and not callers
+
+
 def test_package_reads_no_environment_variable():
     """Every bound is a module constant: no module reads `os.environ` or
     `os.getenv`, by attribute or by `from os import`."""
