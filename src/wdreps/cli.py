@@ -16,14 +16,12 @@ import argparse
 import hashlib
 import os
 import sys
-import traceback
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
 from .families import (DenominatorVanishes, SingularFrobenius, default_scan_points,
                        purity_scan, rigidity_check, specialize)
-from .fields import ParseError, Poly, QQ, _excerpt, format_poly, parse_rational
+from .fields import ParseError, Poly, QQ, Record, _excerpt, format_poly, parse_rational
 from .jsonio import (ValidationError, canonical_json_bytes, filtration_to_json, load_wdrep,
                      purity_report_to_json, rigidity_report_to_json, signature_to_json,
                      wdrep_to_json)
@@ -44,8 +42,7 @@ EXIT_INTERNAL = 4
 MAX_SCAN_POINTS = 10_000
 
 
-@dataclass
-class CommandRequest:
+class CommandRequest(Record):
     command: str
     input_path: str
     partition: str | None = None
@@ -104,11 +101,6 @@ def parse_eps(text: str | None) -> Fraction:
     return eps
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as handle:
-        return "sha256:" + hashlib.sha256(handle.read()).hexdigest()
-
-
 def run_command(req: CommandRequest):
     """Dispatch a request; returns (exit_code, envelope dict)."""
     diagnostics: list[str] = []
@@ -125,12 +117,15 @@ def run_command(req: CommandRequest):
     }
     code = EXIT_OK
     try:
-        envelope["input_digest"] = _digest(req.input_path)
+        # digest and parse the same bytes, read once
+        with open(req.input_path, "rb") as handle:
+            raw = handle.read()
+        envelope["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
         eps = parse_eps(req.eps)
-        rho = load_wdrep(req.input_path) if req.command != "validate" else None
+        rho = load_wdrep(req.input_path, raw) if req.command != "validate" else None
         if req.command == "validate":
             try:
-                load_wdrep(req.input_path)
+                load_wdrep(req.input_path, raw)
                 envelope["result"] = {"ok": True, "violation": None}
             except ValidationError as exc:
                 envelope["result"] = {"ok": False, "violation": str(exc)}
@@ -179,9 +174,12 @@ def run_command(req: CommandRequest):
     except Exception as exc:
         # anything else is a fault of the program: name where it was raised,
         # so that it reads neither as a verdict nor as a traceback
-        where = traceback.extract_tb(exc.__traceback__)[-1]
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = tb.tb_frame.f_code
         diagnostics.append(f"internal error: {type(exc).__name__}: {exc} (raised in "
-                           f"{where.name}, {os.path.basename(where.filename)}:{where.lineno})")
+                           f"{where.co_name}, {os.path.basename(where.co_filename)}:{tb.tb_lineno})")
         code = EXIT_INTERNAL
     return code, envelope
 

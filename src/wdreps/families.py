@@ -9,11 +9,10 @@ statement quantifies only over pure specializations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 
-from .fields import QQ, QT, _poly
+from .fields import QQ, QT, Record, _poly
 from .linalg import Matrix, block_diagonal
 from .roots import DEFAULT_EPS, CertificationFailed
 from .schur import Partition
@@ -83,8 +82,7 @@ def specialize_signature(sig: Signature, point) -> Signature:
     return Signature(tuple(entries))
 
 
-@dataclass(frozen=True)
-class PointResult:
+class PointResult(Record):
     a: Fraction
     defined: bool
     error: str | None
@@ -92,8 +90,7 @@ class PointResult:
     signature: Signature | None
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(Record):
     mu: Partition
     generic_signature: Signature
     points: tuple[PointResult, ...]
@@ -169,11 +166,10 @@ def rigidity_check(report: RigidityReport) -> RigidityReport:
         verdict = "vacuous"
     else:
         verdict = "pass" if not failures else "fail"
-    return replace(report, verdict=verdict, failures=tuple(failures))
+    return report.replace(verdict=verdict, failures=tuple(failures))
 
 
-@dataclass(frozen=True)
-class TraceLinkResult:
+class TraceLinkResult(Record):
     equal: bool
     first_difference: str | None
 

@@ -26,6 +26,52 @@ class ParseError(ValueError):
     """A scalar or field description could not be parsed."""
 
 
+class Record:
+    """Immutable value class: the fields are the subclass's own annotations in
+    order, a class attribute giving the default, and `__post_init__` runs
+    last.  Equality and hash go by the tuple of field values within one class.
+    Assignment is refused; `cached_property` and `object.__setattr__` still write."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        given = {**dict(zip(self._fields, args)), **kwargs}
+        values = {**self._defaults, **given}
+        if len(given) < len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {self._fields}, not {args} {kwargs}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, built by the constructor."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
 # ---------------------------------------------------------------------------
 # field descriptors
 # ---------------------------------------------------------------------------

@@ -117,9 +117,11 @@ def wdrep_to_json(rho: WDRep) -> dict:
     }
 
 
-def load_wdrep(path: str) -> WDRep:
-    with open(path, "rb") as handle:
-        raw = handle.read()
+def load_wdrep(path: str, raw: bytes | None = None) -> WDRep:
+    """The representation in the document at `path`, parsed from `raw` if given."""
+    if raw is None:
+        with open(path, "rb") as handle:
+            raw = handle.read()
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -14,11 +14,10 @@ round, so the resulting modulus intervals are mathematically guaranteed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, inf, isqrt, lcm, log2, prod
 
-from .fields import Poly, QQ, _poly, squarefree_decomposition
+from .fields import Poly, QQ, Record, _poly, squarefree_decomposition
 
 
 class CertificationFailed(ArithmeticError):
@@ -26,8 +25,7 @@ class CertificationFailed(ArithmeticError):
     configured iteration budget."""
 
 
-@dataclass(frozen=True)
-class ModulusInterval:
+class ModulusInterval(Record):
     """Certified enclosure lo <= |root| <= hi for one root (counted with
     multiplicity)."""
 

@@ -13,12 +13,11 @@ Conventions, fixed once for reproducibility:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import factorial, lcm
 
-from .fields import Field, QQ
+from .fields import Field, QQ, Record
 from .linalg import Matrix, _make, _units
 
 
@@ -32,8 +31,7 @@ MAX_TENSOR_SIZE = 4096
 MAX_SYMMETRIZER_TERMS = 720
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """A weakly decreasing tuple of positive integers."""
 
     parts: tuple[int, ...]
@@ -202,8 +200,7 @@ def young_symmetrizer(mu: Partition) -> tuple[dict, int]:
 # the functor on matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SchurBasis:
+class SchurBasis(Record):
     """Canonical basis of the symmetrizer image inside (F^n)^(tensor d).
 
     Each column is sparse: the (word, coefficient) pairs of its support, a

@@ -11,12 +11,11 @@ weight -(t-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .fields import Field, NumberField, Poly, QQ, QT
+from .fields import Field, NumberField, Poly, QQ, QT, Record
 from .linalg import (Matrix, block_diagonal, charpoly, column_echelon, kernel_basis,
                      mult_jordan_chevalley, pivot_rows, scalar_restriction)
 from .roots import (DEFAULT_EPS, MIN_EPS, CertificationFailed, ModulusInterval,
@@ -30,8 +29,7 @@ class NonIntegralWeight(ArithmeticError):
     """Weight inference produced a non-integral or inconsistent weight."""
 
 
-@dataclass(frozen=True)
-class WDRep:
+class WDRep(Record):
     """A Weil-Deligne representation over an exact coefficient field:
     residue cardinality q, invertible Frobenius matrix phi, nilpotent
     monodromy nilp, and a finite list of labeled inertia generators."""
@@ -94,7 +92,7 @@ def wd_validate(rho: WDRep):
     description of the first violated invariant.
 
     A WDRep is immutable, so the verdict is computed once and kept on the
-    object itself (outside its dataclass fields: equality, hash and repr
+    object itself (outside its record fields: equality, hash and repr
     do not see it)."""
     if "_verdict" not in rho.__dict__:
         object.__setattr__(rho, "_verdict", _check_invariants(rho))
@@ -267,8 +265,7 @@ def frobenius_semisimplify(rho: WDRep) -> WDRep:
 # monodromy filtration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Filtration:
+class Filtration(Record):
     """Increasing filtration M_k, stored as canonical bases per index;
     keys run from one below the lowest jump (the zero subspace) to the
     top weight (the full space)."""
@@ -391,8 +388,7 @@ def _quotient_actions(flag, operators):
 # signatures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SignatureEntry:
+class SignatureEntry(Record):
     """One special-representation constituent: chain length t and the
     characteristic polynomial of Frobenius on the chain bottoms, plus
     inertia generator traces on the same space when inertia is present."""
@@ -419,8 +415,7 @@ def _merge_entries(a: SignatureEntry, b: SignatureEntry) -> SignatureEntry:
     return SignatureEntry(a.t, poly, traces)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Multiset of (t, charpoly) pairs encoding the Frobenius-semisimple
     decomposition into special representations, without eigenvalue
     splitting.
@@ -475,8 +470,7 @@ def frss_signature(rho: WDRep) -> Signature:
 # purity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradedPurity:
+class GradedPurity(Record):
     """Frobenius data on one graded piece of the monodromy filtration
     (after restriction of scalars to Q when over a number field)."""
 
@@ -487,8 +481,7 @@ class GradedPurity:
     matches: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class PurityReport:
+class PurityReport(Record):
     weight: int | None
     verdict: str  # pure | impure | uncertifiable
     per_graded: tuple[GradedPurity, ...]

@@ -1,4 +1,6 @@
+import builtins
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -223,14 +225,12 @@ class TestCommands:
     def test_rigidity_fail_maps_to_exit_1(self, monkeypatch):
         # an honest fail verdict contradicts the rigidity statement, so the
         # exit mapping is exercised by stubbing the verdict
-        from dataclasses import replace
         import wdreps.cli as cli_module
         real = cli_module.rigidity_check
 
         def forced_fail(report):
             checked = real(report)
-            return replace(checked, verdict="fail",
-                           failures=(checked.points[0].a,))
+            return checked.replace(verdict="fail", failures=(checked.points[0].a,))
 
         monkeypatch.setattr(cli_module, "rigidity_check", forced_fail)
         code, env = run_command(CommandRequest(
@@ -313,6 +313,30 @@ class TestEnvelope:
     def test_digest_tracks_content(self):
         _, env = run_command(CommandRequest("validate", SP2))
         assert env["input_digest"].startswith("sha256:")
+
+    @pytest.mark.parametrize("command", ["validate", "frss"])
+    def test_input_is_read_once(self, monkeypatch, command):
+        """The digest names the very bytes that were parsed: the input is
+        opened once, so a rewrite between digest and parse cannot split them."""
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, env = run_command(CommandRequest(command, SP2))
+        assert code == 0 and opened.count(SP2) == 1
+        digest = hashlib.sha256(Path(SP2).read_bytes()).hexdigest()
+        assert env["input_digest"] == "sha256:" + digest
+
+    def test_missing_input_names_the_path(self, tmp_path):
+        path = str(tmp_path / "absent.json")
+        code, env = run_command(CommandRequest("frss", path))
+        assert code == 2 and env["input_digest"] is None
+        assert env["diagnostics"] == [
+            f"FileNotFoundError: [Errno 2] No such file or directory: {path!r}"]
 
     def test_main_writes_output_file(self, tmp_path):
         out = tmp_path / "report.json"

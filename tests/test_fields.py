@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
-from wdreps import (Matrix, NFElem, NumberField, ParseError, Poly, QQ, QT, RatFunc,
-                    field_from_json, squarefree_decomposition, squarefree_part)
+from wdreps import (Matrix, ModulusInterval, NFElem, NumberField, ParseError, Partition, Poly,
+                    QQ, QT, RatFunc, Signature, SignatureEntry, field_from_json,
+                    squarefree_decomposition, squarefree_part)
 from wdreps import fields
-from wdreps.fields import format_poly, poly_gcd, poly_xgcd
+from wdreps.cli import CommandRequest
+from wdreps.fields import Record, format_poly, poly_gcd, poly_xgcd
 from wdreps.linalg import charpoly
 
 
@@ -371,3 +374,90 @@ class TestNumberField:
         K = NumberField([1, 0, 1])
         for text in ["a", "-a", "a+1", "-1/2*a+1/2"]:
             assert str(K.coerce(text)) == text
+
+
+class _Interval(Record):
+    """ModulusInterval's fields on another record class."""
+
+    lo: Fraction
+    hi: Fraction
+
+
+class _Square(Record):
+    side: int
+    unit: str = "cm"
+
+    @cached_property
+    def area(self):
+        return self.side ** 2
+
+
+class TestRecord:
+    def test_construction_by_position_keyword_and_default(self):
+        half, three_quarters = Fraction(1, 2), Fraction(3, 4)
+        by_position = ModulusInterval(half, three_quarters)
+        assert (by_position.lo, by_position.hi) == (half, three_quarters)
+        assert ModulusInterval(hi=three_quarters, lo=half) == by_position
+        assert ModulusInterval(half, hi=three_quarters) == by_position
+        req = CommandRequest("validate", "x.json")
+        assert (req.partition, req.weight, req.format) == (None, "infer", "json")
+        assert CommandRequest("scan", "x.json", weight="-1").weight == "-1"
+        assert _Square(3).unit == "cm" and _Square(3, "mm").unit == "mm"
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((Fraction(1), Fraction(2), Fraction(3)), {}),
+        ((Fraction(1), Fraction(2)), {"width": Fraction(1)}),
+        ((Fraction(1),), {"lo": Fraction(1)}),
+        ((Fraction(1),), {}),
+        ((), {}),
+    ], ids=["extra", "unknown", "repeated", "missing", "none"])
+    def test_bad_arguments_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            ModulusInterval(*args, **kwargs)
+
+    def test_post_init_normalises(self):
+        mu = Partition((Fraction(2), True))
+        assert mu.parts == (2, 1) and [type(p) for p in mu.parts] == [int, int]
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            Partition.of(1, 2)
+        sig = Signature((SignatureEntry(1, qpoly(-1, 1)), SignatureEntry(2, qpoly(-2, 1)),
+                         SignatureEntry(1, qpoly(-3, 1))))
+        assert [entry.t for entry in sig.entries] == [1, 2]
+        assert sig.entries[0].charpoly == qpoly(-1, 1) * qpoly(-3, 1)
+
+    def test_equality_and_hash_within_one_class(self):
+        half, one = Fraction(1, 2), Fraction(1)
+        assert ModulusInterval(half, one) == ModulusInterval(half, one)
+        assert ModulusInterval(half, one) != ModulusInterval(half, half)
+        assert ModulusInterval(half, one) != _Interval(half, one)
+        assert ModulusInterval(half, one) != (half, one)
+        assert hash(ModulusInterval(half, one)) == hash((half, one))
+        assert hash(Partition.of(2, 1)) == hash(((2, 1),))
+        assert len({Partition.of(2, 1), Partition((2, 1)), Partition.of(2)}) == 2
+
+    def test_assignment_refused_and_replace(self):
+        iv = ModulusInterval(Fraction(1, 2), Fraction(1))
+        with pytest.raises(AttributeError):
+            iv.lo = Fraction(0)
+        with pytest.raises(AttributeError):
+            del iv.hi
+        with pytest.raises(AttributeError):
+            iv.note = "x"
+        wider = iv.replace(lo=Fraction(0))
+        assert wider == ModulusInterval(Fraction(0), Fraction(1))
+        assert iv.lo == Fraction(1, 2)
+        with pytest.raises(ValueError):
+            iv.replace(hi=Fraction(1, 4))  # the constructor checks the copy too
+        with pytest.raises(TypeError):
+            iv.replace(width=Fraction(1))
+
+    def test_instances_keep_a_dict(self):
+        square = _Square(3)
+        assert square.area == 9 and square.__dict__["area"] == 9
+        object.__setattr__(square, "_mark", True)
+        assert square._mark and square == _Square(3) and repr(square) == "_Square(side=3, unit='cm')"
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(Partition.of(2, 1)) == "Partition(parts=(2, 1))"
+        assert repr(ModulusInterval(Fraction(1, 2), Fraction(3, 4))) == \
+            "ModulusInterval(lo=Fraction(1, 2), hi=Fraction(3, 4))"

@@ -1,7 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +44,30 @@ def test_package_calls_no_json_dumps():
                 callers.update((path.name, a.name) for a in node.names
                                if a.name in ("dumps", "dump"))
     assert SRC.joinpath("jsonio.py").exists() and not callers
+
+
+def test_package_imports_no_dataclasses_or_traceback():
+    """Every process pays for what `import wdreps.cli` loads: value classes
+    derive from `fields.Record`, and the internal-error diagnostic walks the
+    exception's traceback itself."""
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        importers.update((path.name, name)
+                         for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+                         if name in ("dataclasses", "traceback"))
+    assert SRC.joinpath("fields.py").exists() and not importers
+
+
+def test_cli_import_floor():
+    """The modules `import wdreps.cli` loads, in a fresh interpreter: none of
+    `dataclasses`, `inspect`, `traceback`, `ast` or `dis`."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, wdreps.cli; print(sorted(sys.modules))"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "wdreps.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "traceback", "ast", "dis"}
 
 
 def test_package_reads_no_environment_variable():
