@@ -16,7 +16,7 @@ from .linalg import (Matrix, SingularMatrixError, ZeroDivisorPivotError, block_d
                      charpoly, column_echelon, mat_subspaces, mult_jordan_chevalley,
                      poly_eval_matrix, scalar_restriction)
 from .roots import (DEFAULT_EPS, CertificationFailed, ModulusInterval,
-                    root_moduli_certified, sqrt_bounds)
+                    root_moduli_certified)
 from .schur import (Partition, ResourceCapExceeded, SchurBasis, hook_content_dim,
                     schur_basis, schur_derivation, schur_of_matrix, specht_dim,
                     young_symmetrizer)

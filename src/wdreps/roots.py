@@ -10,11 +10,15 @@ root each.  The one correction w_i seeds the approximations in floats
 (Durand-Kerner), then refines them (z_i - w_i) and bounds the disks exactly,
 on Gaussian integers over one denominator shared by the approximations of a
 round, so the resulting modulus intervals are mathematically guaranteed.
+A round passes when each radius, rounded up to the output's 2^-shift, is at
+most 3 eps / 8 (bit lengths refute most failing rounds before any root is
+taken) and the disks are disjoint at 2^-shift, or else at 2^-bits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import floor, inf, isqrt, lcm, log2, prod
 
 from .fields import Poly, QQ, Record, _poly, squarefree_decomposition
@@ -65,7 +69,7 @@ def _q_log(x: Fraction, q: int):
 
 
 def _shift(tol: Fraction) -> int:
-    """Bits of the resolution 2^-shift that sqrt_bounds uses for tol."""
+    """Bits of the resolution 2^-shift < tol / 2 of radii and moduli for tol."""
     return max(1, (tol.denominator // tol.numerator).bit_length() + 1)
 
 
@@ -75,17 +79,10 @@ def _floor_sqrt(n: int, d: int, shift: int) -> int:
     return isqrt((n << (2 * shift)) // d)
 
 
-def sqrt_bounds(a: Fraction, tol: Fraction):
-    """Rational (lo, hi) with lo^2 <= a <= hi^2 and hi - lo <= tol."""
-    if a < 0:
-        raise ValueError("square root of a negative number")
-    if a == 0:
-        return Fraction(0), Fraction(0)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    shift = _shift(tol)
-    r = _floor_sqrt(a.numerator, a.denominator, shift)
-    return Fraction(r, 1 << shift), Fraction(r + 1, 1 << shift)
+def _disjoint(zs, radii, den: int, shift: int) -> bool:
+    """Are the disks D(Z_i / den, r_i / 2^shift) pairwise disjoint?"""
+    return all(((x - u) ** 2 + (y - v) ** 2 << 2 * shift) > ((r + s) * den) ** 2
+               for ((x, y), r), ((u, v), s) in combinations(zip(zs, radii), 2))
 
 
 # Gaussian integers as (re, im) pairs of ints; a point z is Z / den for a
@@ -197,7 +194,13 @@ def _certify_squarefree(f: Poly, eps: Fraction):
     shift = _shift(eps / 8)
     # radii are integers R meaning R / 2^shift; R <= cap iff R / 2^shift <= 3 eps / 8
     cap = (3 * eps.numerator << shift) // (8 * eps.denominator)
+    slack = (2 * cap * cap).bit_length() - (m * m).bit_length()
     bits = 128
+
+    def radii(fps, den, res):  # the radii rounded up to 2^-res, 0 where F_i = 0
+        return [any(F) and 1 + _floor_sqrt(m * m * (F[0] ** 2 + F[1] ** 2),
+                                           (D * den) ** 2 * (P[0] ** 2 + P[1] ** 2), res)
+                for F, P in fps]
 
     for _ in range(_MAX_REFINE_ROUNDS):
         # nudge equal approximations apart by 2^-8 i, so the corrections exist
@@ -211,42 +214,39 @@ def _certify_squarefree(f: Poly, eps: Fraction):
                 zs[i] = (x, y)
 
         # F_i = den^m D f(z_i), P_i = den^(m-1) prod_{j!=i} (z_i - z_j), so the
-        # Weierstrass correction is w_i = F_i / (D den P_i); the Gershgorin
-        # radius m |w_i| is bounded above at the finer resolution 2^-fine
+        # Weierstrass correction is w_i = F_i / (D den P_i)
         scaled = _homogeneous(fa, den)
-        fine = max(shift, bits)
-        fs, ps, radii = [], [], []
+        fps = []
         for i, (x, y) in enumerate(zs):
             fr, fi = _horner(scaled, (x, y))
             pr, pi = 1, 0
             for j, (u, v) in enumerate(zs):
                 if j != i:
                     pr, pi = pr * (x - u) - pi * (y - v), pr * (y - v) + pi * (x - u)
-            fs.append((fr, fi))
-            ps.append((pr, pi))
-            radii.append(0 if fr == fi == 0 else 1 + _floor_sqrt(
-                m * m * (fr * fr + fi * fi), (D * den) ** 2 * (pr * pr + pi * pi), fine))
-        # the same bounds at resolution 2^-shift, never below the fine ones, for
-        # the cap and the intervals: floor(a 2^shift) = floor(a 2^fine) >> (fine - shift)
-        coarse = [r and 1 + ((r - 1) >> (fine - shift)) for r in radii]
-
-        # disks D(z_i, r_i) pairwise disjoint: |z_i - z_j|^2 > (r_i + r_j)^2
-        if all(r <= cap for r in coarse) and all(
-                ((zs[i][0] - zs[j][0]) ** 2 + (zs[i][1] - zs[j][1]) ** 2 << 2 * fine)
-                > ((radii[i] + radii[j]) * den) ** 2
-                for i in range(m) for j in range(i + 1, m)):
-            intervals = []
-            for (x, y), r in zip(zs, coarse):
-                n = x * x + y * y
-                c = _floor_sqrt(n, den * den, shift)
-                intervals.append(ModulusInterval(Fraction(max(c - r, 0), 1 << shift),
-                                                 Fraction(c + (n != 0) + r, 1 << shift)))
-            return intervals
+            fps.append(((fr, fi), (pr, pi)))
+        # m|w_i| = sqrt(n_i / d_i), n_i = m^2 |F_i|^2, d_i = (D den)^2 |P_i|^2, rounds up
+        # past cap once n_i 4^shift >= cap^2 d_i.  If F_i != 0, the bit lengths a, b, e of
+        # F_i, P_i, D den give n_i >= m^2 4^(a-1) and d_i < 2 4^(b+e): the round fails if
+        # 2(a - 1 + shift - b - e) > slack, and else n_i 4^shift / d_i < 512 cap^2
+        e = (D * den).bit_length()
+        if not any(any(F) and 2 * (max(map(int.bit_length, F)) - max(map(int.bit_length, P))
+                                   + shift - e - 1) > slack for F, P in fps):
+            # a coarse disk contains the fine one: close roots need fine radii
+            coarse, fine = radii(fps, den, shift), max(shift, bits)
+            if all(r <= cap for r in coarse) and (_disjoint(zs, coarse, den, shift) or (
+                    fine > shift and _disjoint(zs, radii(fps, den, fine), den, fine))):
+                intervals = []
+                for (x, y), r in zip(zs, coarse):
+                    n = x * x + y * y
+                    c = _floor_sqrt(n, den * den, shift)
+                    intervals.append(ModulusInterval(Fraction(max(c - r, 0), 1 << shift),
+                                                     Fraction(c + (n != 0) + r, 1 << shift)))
+                return intervals
 
         # Weierstrass step z - w = (Z G - F) / (den G) with G = D P, times
         # conj(G)/conj(G), rounded to 1/2^bits with ties to even
         new_zs = []
-        for (x, y), (fr, fi), (pr, pi) in zip(zs, fs, ps):
+        for (x, y), ((fr, fi), (pr, pi)) in zip(zs, fps):
             gr, gi = D * pr, D * pi
             nr, ni = x * gr - y * gi - fr, x * gi + y * gr - fi
             q = den * (gr * gr + gi * gi)

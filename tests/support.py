@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 from wdreps import (Matrix, Partition, QQ, QT, Signature, SingularMatrixError, WDRep,
                     block_diagonal, column_echelon, mat_subspaces, sp_construct,
@@ -69,6 +70,21 @@ def contains_half_power(iv, base: int, j: int) -> bool:
     """Does the modulus interval iv contain base**(j/2)?"""
     a, b = iv.half_power_range(base)
     return a <= j <= b
+
+
+def sqrt_bounds(a: Fraction, tol: Fraction):
+    """Rational (lo, hi) with lo^2 <= a <= hi^2 and hi - lo <= tol: consecutive
+    multiples of 2^-shift for the least power of two 2^shift >= 2 above 2 / tol
+    (so a tolerance 2^-(k-2) is resolved to 2^-k)."""
+    if a < 0:
+        raise ValueError("square root of a negative number")
+    if a == 0:
+        return Fraction(0), Fraction(0)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    shift = max(1, (tol.denominator // tol.numerator).bit_length() + 1)
+    r = isqrt((a.numerator << 2 * shift) // a.denominator)
+    return Fraction(r, 1 << shift), Fraction(r + 1, 1 << shift)
 
 
 def graded_dim(filt, k: int) -> int:

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from wdreps import (DEFAULT_EPS, CertificationFailed, ModulusInterval, Poly,
-                    QQ, root_moduli_certified, sqrt_bounds)
+                    QQ, root_moduli_certified)
 from wdreps import roots
 from wdreps.fields import poly_gcd
 
-from support import contains_half_power
+from support import contains_half_power, sqrt_bounds
 
 
 def assert_enclosure(intervals, true_moduli, eps):
@@ -245,6 +245,41 @@ class TestReferenceOracle:
             no_step += steps == 0
         assert exact_radius and no_step
 
+    def test_resolution_of_each_decision_against_reference(self, monkeypatch):
+        """Rounds are decided as the reference decides them, with square roots
+        only at the output's resolution 2^-shift where the disks there are
+        disjoint: always at eps = 10^-2000, where the approximations are finer
+        than 2^-shift.  Close roots at a wide eps overlap at 2^-shift and fall
+        back to the radii at the approximations' finer resolution."""
+        shifts = []
+        floor_sqrt = roots._floor_sqrt
+        monkeypatch.setattr(roots, "_floor_sqrt",
+                            lambda n, d, s: shifts.append(s) or floor_sqrt(n, d, s))
+        rng = random.Random(26)
+        narrow = Fraction(1, 10 ** 2000)
+        close = Poly(QQ, [Fraction(-1, 10 ** 6), 0, 1])   # roots +-10^-3
+        cases = [(_random_squarefree(rng, d), narrow) for d in (2, 3, 4, 5, 2, 3)]
+        cases += [(close, Fraction(1)), (close, Fraction(1000))]
+        for f, eps in cases:
+            shifts.clear()
+            assert roots._certify_squarefree(f, eps) == _reference_certify(f, eps)[0], (f, eps)
+            assert bool(set(shifts) - {roots._shift(eps / 8)}) == (eps != narrow), (f, eps)
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10 ** 30), Fraction(1, 10 ** 2000)])
+    def test_exact_roots_against_reference(self, monkeypatch, eps):
+        """An approximation on an exact root has f(z_i) = 0 and radius 0, so the
+        bit-length bound on |f(z_i)| from below does not hold for it: its
+        round still gets the reference's intervals and round count."""
+        rounds = []
+        homogeneous = roots._homogeneous
+        monkeypatch.setattr(roots, "_homogeneous",
+                            lambda *a: rounds.append(a) or homogeneous(*a))
+        for f in (Poly(QQ, [-2, 1]) * Poly(QQ, [1, 1, 1]), Poly(QQ, [Fraction(-1, 4), 0, 1])):
+            rounds.clear()
+            expected, steps, zero_radius = _reference_certify(f, eps)
+            assert roots._certify_squarefree(f, eps) == expected, f
+            assert zero_radius and len(rounds) == steps + 1, f
+
     def test_rare_paths_against_reference(self, monkeypatch):
         """Two equal seeds: the imaginary distinctness nudge of 2^-8 keeps
         the corrections defined and lets them push the two approximations
@@ -337,6 +372,23 @@ def test_certifies_down_to_the_reach_of_the_bit_cap(p):
         assert p[0] != 5 or iv.lo ** m <= 5 <= iv.hi ** m
 
 
+@pytest.mark.parametrize("p", [
+    [-2, 0, 0, 0, 0, 1],        # x^5 - 2
+    [3, -1, 2, 0, 1],           # x^4 + 2x^2 - x + 3
+])
+def test_square_roots_only_at_the_output_resolution(monkeypatch, p):
+    """At eps = 10^-2000 bit lengths refute every failing round before any
+    square root.  The last round takes 2m, one radius and one modulus per
+    root, all at the resolution 2^-shift of the intervals."""
+    eps = Fraction(1, 10 ** 2000)
+    shifts = []
+    floor_sqrt = roots._floor_sqrt
+    monkeypatch.setattr(roots, "_floor_sqrt",
+                        lambda n, d, s: shifts.append(s) or floor_sqrt(n, d, s))
+    assert len(roots._certify_squarefree(Poly(QQ, p), eps)) == len(p) - 1
+    assert shifts == [roots._shift(eps / 8)] * 2 * (len(p) - 1)
+
+
 def test_refinement_loop_runs_without_gcd(monkeypatch):
     """Every approximation of a round lives on Gaussian integers over one
     denominator, so no Fraction is normalized inside the refinement loop:
@@ -353,6 +405,33 @@ def test_refinement_loop_runs_without_gcd(monkeypatch):
             assert all(contains_half_power(iv, 5, 1) for iv in intervals)
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 20 * f.degree
+
+
+_fails = pytest.mark.xfail(raises=CertificationFailed, strict=True)
+
+
+class TestKnownFailures:
+    """Inputs the certifier cannot yet certify at DEFAULT_EPS.  Each is a
+    strict expected failure, so a fix that certifies one shows as a pass."""
+
+    @_fails
+    @pytest.mark.parametrize("p", [
+        [1 + Fraction(1, 2 ** 60), -2 - Fraction(1, 2 ** 60), 1],  # (x-1)(x-1-2^-60)
+        [25 + Fraction(1, 2 ** 56), -10, 1],                       # (x-5)^2 + 2^-56
+        [-Fraction(1, 2 ** 259), 0, 1],                             # x^2 - 2^-259
+    ])
+    def test_close_roots_and_tiny_moduli(self, p):
+        root_moduli_certified(p, DEFAULT_EPS)
+
+    @_fails
+    @pytest.mark.parametrize("p, seed", [
+        ([-2, 0, 1], 0.5),          # x^2 - 2
+        ([-3, 1, 1], 0.3),          # x^2 + x - 3
+        ([-6, 11, -6, 1], 2.5),     # (x-1)(x-2)(x-3)
+    ])
+    def test_equal_seeds(self, monkeypatch, p, seed):
+        monkeypatch.setattr(roots, "_durand_kerner", lambda c: [seed + 0j] * (len(p) - 1))
+        root_moduli_certified(p, DEFAULT_EPS)
 
 
 class TestMpmathOracle:
