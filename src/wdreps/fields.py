@@ -2,9 +2,9 @@
 number fields Q[a]/(m(a)).
 
 Every scalar is immutable and hashable, arithmetic is exact, and equality
-is canonical (fractions reduced, denominators monic, residues reduced mod
-the minimal polynomial).  Field descriptors double as coercion points;
-scalars print themselves with `str`, which the scalar parser reads back.
+is canonical (fractions reduced, denominators monic, Q(t) on integer
+polynomials, residues reduced mod the minimal polynomial).  Field descriptors
+double as coercion points; scalars print with `str`, which the parser reads.
 
 Each field's `promote` is the one promotion path of operands: its own
 scalars and lifts of ints and Fractions, never strings, which enter only
@@ -19,7 +19,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
+from operator import mul
 
 
 class ParseError(ValueError):
@@ -133,16 +134,16 @@ class RationalField(Field):
 QQ = RationalField()
 
 
-def binary_power(x, n: int, one):
+def binary_power(x, n: int, one, times=mul):
     """x^n for an integer n >= 0 by repeated squaring; `one` is the
-    identity of x's multiplication."""
+    identity of the multiplication `times`."""
     result = one
     while n:
         if n & 1:
-            result = result * x
+            result = times(result, x)
         n >>= 1
         if n:
-            x = x * x
+            x = times(x, x)
     return result
 
 
@@ -439,106 +440,171 @@ class Scalar:
 # rational functions in t
 # ---------------------------------------------------------------------------
 
-_QONE = Poly.one(QQ)
+def _zmul(A: tuple, B: tuple) -> tuple:
+    """A*B, for integer polynomials: int tuples, low degree first, no trailing zeros."""
+    if len(A) < len(B):
+        A, B = B, A
+    if len(B) <= 1:
+        return () if not B else A if B[0] == 1 else tuple([x * B[0] for x in A])
+    out = [0] * (len(A) + len(B) - 1)
+    for i, x in enumerate(A):
+        if x:
+            for j, y in enumerate(B, i):
+                out[j] += x * y
+    return tuple(out)
 
 
-def _canonical(num: Poly, den: Poly, coprime: bool = False) -> "RatFunc":
-    """num/den in canonical form: reduced, denominator monic, zero as 0/1.
+def _zcomb(A: tuple, x: int, B: tuple, y: int) -> tuple:
+    """A*x + B*y."""
+    if len(A) < len(B):
+        A, x, B, y = B, y, A, x
+    out = [a * x for a in A]
+    for i, b in enumerate(B):
+        out[i] += b * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
-    The gcd runs only when a common factor can exist: never when den is
-    constant, nor when the caller knows num and den to be coprime
-    (`coprime`); then only den's leading coefficient is divided out."""
-    if den.is_zero():
-        raise ZeroDivisionError("rational function with zero denominator")
+
+def _zprim(A: tuple) -> tuple:
+    """The primitive part of a nonzero A, with a positive leading coefficient."""
+    g = gcd(*A) if A[-1] > 0 else -gcd(*A)
+    return A if g == 1 else tuple([x // g for x in A])
+
+
+def _zdiv(A: tuple, B: tuple, exact: bool = True):
+    """(quotient, remainder) of A by B over Z: exact when B divides A, else
+    the pseudo-division of lead(B)^(deg A - deg B + 1) * A (Knuth, TAOCP
+    vol. 2, 4.6.1), of which only the remainder is used."""
+    R, n, lead = list(A), len(B) - 1, B[-1]
+    out = [0] * max(len(A) - n, 0)
+    for i in range(len(out) - 1, -1, -1):
+        if exact:
+            q = out[i] = R[i + n] // lead
+        else:
+            q, R = R[i + n], [x * lead for x in R]
+        for j, y in enumerate(B, i):
+            R[j] -= q * y
+    while R and not R[-1]:
+        R.pop()
+    return tuple(out), tuple(R)
+
+
+def _zgcd(A: tuple, B: tuple) -> tuple:
+    """The primitive gcd, leading coefficient positive, of nonzero A and B:
+    Euclid on primitive pseudo-remainders."""
+    A, B = _zprim(A), _zprim(B)
+    if len(A) < len(B):
+        A, B = B, A
+    while len(B) > 1:
+        R = _zdiv(A, B, False)[1]
+        if not R:
+            return B
+        A, B = B, _zprim(R)
+    return (1,)
+
+
+def _zeval(A: tuple, r: int, s: int):
+    """(s^(len A - 1) * A(r/s), s^len A) by homogeneous Horner."""
+    acc, power = 0, 1
+    for c in reversed(A):
+        acc, power = acc * r + c * power, power * s
+    return acc, power
+
+
+def _canonical(N: tuple, n: int, D: tuple) -> "RatFunc":
+    """The scalar with numerator N/n and denominator D made monic, for int
+    polynomials N and D != 0 coprime over Q and an int n != 0."""
+    if not N:
+        n, D = 1, (1,)
+    g = gcd(n, *N) if n > 0 else -gcd(n, *N)
     out = RatFunc.__new__(RatFunc)
-    if num.is_zero():
-        out.num, out.den = num, _QONE
-        return out
-    if not coprime and den.degree > 0:
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = num // g, den // g
-    lead = den.coeffs[-1]
-    if lead != 1:
-        inv = 1 / lead
-        num, den = num * inv, den * inv
-    out.num, out.den = num, den
+    out.P, out.p, out.Q = N if g == 1 else tuple([x // g for x in N]), n // g, _zprim(D)
     return out
 
 
+def _lift(f) -> "RatFunc":
+    """A Poly over Q, or a Q-coefficient read by `Poly(QQ, ...)`, in Q(t)."""
+    cs = (f if isinstance(f, Poly) else Poly(QQ, (f,))).coeffs
+    n = lcm(*[c.denominator for c in cs])
+    return _canonical(tuple([c.numerator * (n // c.denominator) for c in cs]), n, (1,))
+
+
 class RatFunc(Scalar):
-    """Element of Q(t): a reduced fraction of Q-polynomials with monic
-    denominator, so structural equality is semantic equality.
+    """Element of Q(t) on integer polynomials: the reduced numerator P/p,
+    with gcd(content P, p) = 1 and p > 0, over the monic denominator Q/c,
+    with Q primitive and c its leading coefficient > 0; zero is ((), 1,
+    (1,)).  So structural equality is semantic equality.
 
-    Every scalar comes from one normalizer, `_canonical`, which runs a
-    polynomial gcd only where a common factor can exist.  `RatFunc(num,
-    den)` takes gcd(num, den) unless den is constant.  For reduced a/b
-    and c/d:
-      * a product cancels across, gcd(a, d) and gcd(c, b), each skipped
-        when one of its arguments is constant; a quotient is the product
-        with d/c, c scaled monic;
-      * a sum over two constant denominators adds the numerators; otherwise
-        it takes g = gcd(b, d) (none when b or d is constant) and, when
-        g != 1, gcd(a*(d/g) + c*(b/g), g) (Henrici; Knuth, TAOCP vol. 2,
-        4.5.1);
-      * powers and negation take none.
-    Each of these results is already reduced, so it is the canonical form
-    a gcd of the whole fraction gives, and prints and compares alike.
-    A constant hashes as the `Fraction` it equals.  A bare `Poly` is not
-    a scalar of Q(t): `RatFunc(p)` lifts it."""
+    Every result comes from one normalizer, `_canonical`, and a gcd runs
+    only where a common factor can exist; it is primitive and divides
+    exactly over Z (Gauss's lemma).  `RatFunc(num, den)` takes gcd(num,
+    den) unless one is constant.  For reduced a/b and c/d, a product
+    cancels across, gcd(a, d) and gcd(c, b), each skipped when one side is
+    constant; a quotient is the product with d/c; a sum takes g = gcd(b, d)
+    unless b or d is constant and, when g != 1, gcd(a*(d/g) + c*(b/g), g)
+    (Henrici; Knuth, TAOCP vol. 2, 4.5.1); powers and negation take none.
+    Each result is already reduced.  `num` and `den` are `Poly` views over
+    Q, built on each read, for printing.  A constant hashes as the
+    `Fraction` it equals.  A bare `Poly` is not a scalar: `RatFunc(p)`
+    lifts it."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("P", "p", "Q")
 
     def __init__(self, num, den=None):
-        if isinstance(num, RatFunc):
-            x = num if den is None else num / RatFunc(den)
-        else:
-            num = num if isinstance(num, Poly) else Poly(QQ, (num,))
-            den = _QONE if den is None else den if isinstance(den, Poly) else Poly(QQ, (den,))
-            x = _canonical(num, den)
-        self.num, self.den = x.num, x.den
+        x = num if isinstance(num, RatFunc) else _lift(num)
+        if den is not None:
+            y = den if isinstance(den, RatFunc) else _lift(den)
+            if not y.P:
+                raise ZeroDivisionError("rational function with zero denominator")
+            x = x * y._inverse()
+        self.P, self.p, self.Q = x.P, x.p, x.Q
 
     @classmethod
     def t(cls):
-        return cls(Poly.x(QQ))
+        return _canonical((0, 1), 1, (1,))
+
+    @property
+    def num(self) -> Poly:
+        return _poly(QQ, [Fraction(c, self.p) for c in self.P])
+
+    @property
+    def den(self) -> Poly:
+        return _poly(QQ, [Fraction(c, self.Q[-1]) for c in self.Q])
 
     def is_zero(self) -> bool:
-        return not self.num.coeffs
+        return not self.P
 
     def __eq__(self, other):
         o = QT.promote(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.P == o.P and self.p == o.p and self.Q == o.Q
 
     def __hash__(self):
-        if self.den.degree == 0 and self.num.degree <= 0:
-            return hash(self.num[0])
-        return hash((self.num.coeffs, self.den.coeffs))
+        if len(self.Q) == 1 and len(self.P) <= 1:
+            return hash(Fraction(self.P[0] if self.P else 0, self.p))
+        return hash((self.P, self.p, self.Q))
 
     def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num, out.den = -self.num, self.den
-        return out
+        return _canonical(tuple([-x for x in self.P]), self.p, self.Q)
 
     def __add__(self, other):
         o = QT.promote(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.num, self.den, o.num, o.den
-        if b.degree == 0:
-            return _canonical(a * d + c if d.degree else a + c, d, True)
-        if d.degree == 0:
-            return _canonical(a + c * b, b, True)
-        g = poly_gcd(b, d)
-        if g.degree == 0:
-            return _canonical(a * d + c * b, b * d, True)
-        b = b // g
-        s = a * (d // g) + c * b
-        g = poly_gcd(s, g)
-        if g.degree > 0:
-            s, d = s // g, d // g
-        return _canonical(s, b * d, True)
+        a, p, b, c, q, d = self.P, self.p, self.Q, o.P, o.p, o.Q
+        if len(b) == 1 and len(d) == 1:
+            return _canonical(_zcomb(a, q, c, p), p * q, b)
+        g = _zgcd(b, d) if len(b) > 1 and len(d) > 1 else (1,)
+        b1, d1 = (_zdiv(b, g)[0], _zdiv(d, g)[0]) if len(g) > 1 else (b, d)
+        e, f = b1[-1], d1[-1]
+        s = _zcomb(_zmul(a, d1), q * e, _zmul(c, b1), p * f)
+        if len(g) > 1 and len(s) > 1:
+            h = _zgcd(s, g)
+            if len(h) > 1:
+                s, d = _zmul(_zdiv(s, h)[0], (h[-1],)), _zdiv(d, h)[0]
+        return _canonical(s, p * q * e * f, _zmul(b1, d))
 
     __radd__ = __add__
 
@@ -546,46 +612,45 @@ class RatFunc(Scalar):
         o = QT.promote(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.num, self.den, o.num, o.den
-        if a.degree > 0 and d.degree > 0:
-            g = poly_gcd(a, d)
-            if g.degree > 0:
-                a, d = a // g, d // g
-        if c.degree > 0 and b.degree > 0:
-            g = poly_gcd(c, b)
-            if g.degree > 0:
-                c, b = c // g, b // g
-        # a constant denominator is 1
-        return _canonical(a * c, d if b.degree == 0 else b if d.degree == 0 else b * d, True)
+        a, b, c, d = self.P, self.Q, o.P, o.Q
+        k = 1  # a/g over d/g monic carries lead(g) into the numerator
+        if len(a) > 1 and len(d) > 1:
+            g = _zgcd(a, d)
+            if len(g) > 1:
+                a, d, k = _zdiv(a, g)[0], _zdiv(d, g)[0], g[-1]
+        if len(c) > 1 and len(b) > 1:
+            g = _zgcd(c, b)
+            if len(g) > 1:
+                c, b, k = _zdiv(c, g)[0], _zdiv(b, g)[0], k * g[-1]
+        return _canonical(_zmul(_zmul(a, c), (k,)), self.p * o.p, _zmul(b, d))
 
     __rmul__ = __mul__
 
     def _inverse(self) -> "RatFunc":
-        if self.is_zero():
+        if not self.P:
             raise ZeroDivisionError("division by zero rational function")
-        return _canonical(self.den, self.num, True)
+        return _canonical(_zmul(self.Q, (self.p,)), self.Q[-1] * self.P[-1], self.P)
 
     def _power(self, n: int) -> "RatFunc":
-        return _canonical(self.num ** n, self.den ** n, True)
+        P, Q = (binary_power(A, n, (1,), _zmul) for A in (self.P, self.Q))
+        return _canonical(P, self.p ** n, Q)
 
     def eval(self, a) -> Fraction:
         """Evaluate at t = a (a rational number).  Raises
         ZeroDivisionError when the denominator vanishes at a."""
-        if len(self.den.coeffs) == 1 and len(self.num.coeffs) <= 1:
-            return self.num[0]  # a constant: the denominator is monic
+        P, Q = self.P, self.Q
+        if len(Q) == 1 and len(P) <= 1:
+            return Fraction(P[0] if P else 0, self.p)
         a = Fraction(a)
-        d = self.den.eval(a)
-        if d == 0:
+        hq, sq = _zeval(Q, a.numerator, a.denominator)
+        if not hq:
             raise ZeroDivisionError(f"denominator vanishes at t = {a}")
-        return self.num.eval(a) / d
+        hp, sp = _zeval(P, a.numerator, a.denominator)
+        return Fraction(hp * Q[-1] * sq, self.p * hq * sp)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
         num = format_poly(self.num, "t")
-        if self.den.degree == 0:
-            return num
-        return f"({num})/({format_poly(self.den, 't')})"
+        return num if len(self.Q) == 1 else f"({num})/({format_poly(self.den, 't')})"
 
 
 class RationalFunctionField(Field):
@@ -597,7 +662,8 @@ class RationalFunctionField(Field):
         if isinstance(value, RatFunc):
             return value
         if isinstance(value, (int, Fraction)):
-            return _canonical(_poly(QQ, [Fraction(value)]), _QONE, True)
+            n, d = value.as_integer_ratio()
+            return _canonical((n,) if n else (), d, (1,))
         return None
 
     def gen(self):
@@ -901,10 +967,12 @@ def parse_scalar_expression(text: str, field: Field):
     def bounded(node, expo=1):
         """node, unless its largest coefficient bit length times expo (checked
         before node**expo is formed) passes MAX_SCALAR_BITS."""
-        coeffs = (node.num.coeffs + node.den.coeffs if isinstance(node, RatFunc)
-                  else node.coeffs if isinstance(node, NFElem) else (node,))
-        if expo * max(max(c.numerator.bit_length(), c.denominator.bit_length())
-                      for c in coeffs) > MAX_SCALAR_BITS:
+        if isinstance(node, RatFunc):  # num's and den's coefficients, as Fractions reduce them
+            pairs = [(c, node.p) for c in node.P] + [(c, node.Q[-1]) for c in node.Q]
+        else:  # a Fraction, or the residue of a number field
+            pairs = [c.as_integer_ratio() for c in getattr(node, "coeffs", (node,))]
+        if expo * max(max((a // g).bit_length(), (b // g).bit_length())
+                      for a, b in pairs for g in (gcd(a, b),)) > MAX_SCALAR_BITS:
             raise ParseError(f"scalar coefficient beyond {MAX_SCALAR_BITS} bits "
                              f"(MAX_SCALAR_BITS) in {_excerpt(text)}")
         return node

@@ -252,12 +252,25 @@ _rational_basis_cache: dict = {}
 _field_basis_cache: dict = {}
 
 
+def _candidate_words(mu: Partition, n: int):
+    """The words c is applied to: first the semistandard fillings of the
+    canonical tableau by digits < n (rows weakly, columns strictly
+    increasing), in lexicographic order, then every word."""
+    words = [()]
+    for k, (i, j) in enumerate(mu.cells()):
+        words = [w + (x,) for w in words for x in range(
+            max(w[k - 1] if j else 0, w[k - mu.parts[i - 1]] + 1 if i else 0), n)]
+    return itertools.chain(words, itertools.product(range(n), repeat=mu.d))
+
+
 def _build_rational_basis(mu: Partition, n: int):
     """Pivot words and sparse columns of the canonical basis over Q: c is
-    applied to each word in turn, the result reduced against the pivot
-    columns so far and, if nonzero, scaled to a new pivot column that the
-    earlier columns are reduced against.  With more rows than n the image
-    is zero, and c is not formed."""
+    applied to each candidate word in turn, the result reduced against the
+    pivot columns so far and, if nonzero, scaled to a new pivot column that
+    the earlier columns are reduced against, until the hook content count
+    is reached, by the semistandard words (the reduced echelon basis does
+    not depend on their order).  With more rows than n the image is zero,
+    and c is not formed."""
     if len(mu.parts) > n:
         return (), ()
     c, _ = young_symmetrizer(mu)
@@ -265,7 +278,7 @@ def _build_rational_basis(mu: Partition, n: int):
     terms = sorted(c.items())
     # pivot word -> sparse column, mutually reduced; words sort as their indices do
     pivot_cols: dict[tuple, dict[tuple, Fraction]] = {}
-    for word in itertools.product(range(n), repeat=mu.d):
+    for word in _candidate_words(mu, n):
         vec: dict = {}
         _add_scaled(vec, ((tuple(word[i] for i in perm), coeff) for perm, coeff in terms), 1)
         for prow in [r for r in vec if r in pivot_cols]:

@@ -120,8 +120,7 @@ def _check_invariants(rho: WDRep):
         # a g of finite order has roots of unity as eigenvalues, so over
         # Q(t) its charpoly is constant in t; otherwise its powers only grow
         # in degree, and the closure is refused before any is formed
-        if rho.field == QT and any(c.num.degree > 0 or c.den.degree > 0
-                                   for c in charpoly(g).coeffs):
+        if rho.field == QT and any(len(c.P) > 1 or len(c.Q) > 1 for c in charpoly(g).coeffs):
             return f"inertia[{idx}] {label!r}: order exceeds bound {INERTIA_CLOSURE_CAP}"
     closure = inertia_closure(rho.inertia, rho.field, n)
     if closure is None:

@@ -5,8 +5,8 @@ from fractions import Fraction
 from math import isqrt
 
 from wdreps import (Matrix, Partition, QQ, QT, Signature, SingularMatrixError, WDRep,
-                    block_diagonal, column_echelon, mat_subspaces, sp_construct,
-                    wd_direct_sum)
+                    block_diagonal, column_echelon, hook_content_dim, mat_subspaces,
+                    sp_construct, wd_direct_sum, young_symmetrizer)
 from wdreps.linalg import intersect_columns
 
 
@@ -47,6 +47,45 @@ def partitions_of(d: int):
                 yield (first,) + rest
 
     return [Partition(p) for p in rec(d, d)]
+
+
+def full_product_basis(mu, n: int):
+    """The canonical Schur basis over Q as (pivot words, sparse columns),
+    from c applied to every word of the full product in lexicographic
+    order, each result reduced against the pivot columns so far: an oracle
+    for `schur._build_rational_basis`, which takes the semistandard words
+    first and shares no reduction code with this loop."""
+    if len(mu.parts) > n:
+        return (), ()
+    terms = sorted(young_symmetrizer(mu)[0].items())
+    expected = hook_content_dim(mu, n)
+    pivots = {}
+    for word in itertools.product(range(n), repeat=mu.d):
+        vec = {}
+        for perm, coeff in terms:
+            key = tuple(word[i] for i in perm)
+            vec[key] = vec.get(key, 0) + coeff
+        for prow in [r for r in vec if r in pivots and vec[r]]:
+            scale = vec[prow]
+            for r, v in pivots[prow].items():
+                vec[r] = vec.get(r, 0) - scale * v
+        vec = {r: v for r, v in vec.items() if v}
+        if not vec:
+            continue
+        prow = min(vec)
+        new = {r: Fraction(v, vec[prow]) for r, v in vec.items()}
+        for col in pivots.values():
+            if col.get(prow):
+                scale = col[prow]
+                for r, v in new.items():
+                    col[r] = col.get(r, 0) - scale * v
+                    if not col[r]:
+                        del col[r]
+        pivots[prow] = new
+        if len(pivots) == expected:
+            break
+    words = tuple(sorted(pivots))
+    return words, tuple(tuple(sorted(pivots[w].items())) for w in words)
 
 
 def basis_matrix(basis) -> Matrix:

@@ -1,3 +1,4 @@
+import importlib.util
 import random
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ from wdreps import (CertificationFailed, DenominatorVanishes, Matrix, NonIntegra
                     purity_scan, rigidity_check, sp_construct, specialize,
                     specialize_signature, trace_link_check, wd_direct_sum,
                     wd_schur, wd_tensor, wd_validate)
-from wdreps import families, linalg, wd
+from wdreps import families, fields, linalg, wd
 from wdreps.families import TraceLinkResult
 from wdreps.jsonio import load_wdrep
 from wdreps.schur import Partition
@@ -588,3 +589,28 @@ def test_jordan_chevalley_reduces_the_qt_schur_image_once(monkeypatch):
     semisimple, unipotent = mult_jordan_chevalley(S)
     assert sum(A is S.num for A in runs) == 1
     assert semisimple * unipotent == S
+
+
+def test_scan_builds_no_polynomial_view(monkeypatch, tmp_path):
+    """Loading, validating and scanning a Q(t) family read each scalar's
+    integer form alone: neither `RatFunc.num` nor `RatFunc.den` builds a
+    `Poly` view before the report is emitted, on the flagship family, on
+    the family with an inertia generator and on bench/gen.py's dense
+    family."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", CORPUS.parent / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    dense = tmp_path / "dense.json"
+    dense.write_bytes(gen.document_bytes(gen.dense_qt(1)))
+    views = []
+    for name in ("num", "den"):
+        view = getattr(fields.RatFunc, name).fget
+        monkeypatch.setattr(fields.RatFunc, name,
+                            property(lambda x, view=view: views.append(x) or view(x)))
+    for path, mu, points in ((CORPUS / "flagship.json", Partition.of(2, 1), range(-25, 26)),
+                             (CORPUS / "inertia_pair.json", Partition.of(2, 1), range(-25, 26)),
+                             (dense, Partition.of(2), range(-3, 4))):
+        report = rigidity_check(purity_scan(load_wdrep(str(path)), mu, points))
+        assert report.verdict == "pass" and views == [], path
+    assert str(QT.gen() / 2) == "1/2*t" and len(views) == 1

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -229,14 +230,46 @@ def test_arithmetic_matches_sympy_cancel():
     check()
 
 
+def test_integer_form_properties():
+    """Each Q(t) scalar stores P over p > 0 with gcd(content P, p) = 1 and a
+    primitive Q with a positive leading coefficient, zero as ((), 1, (1,)),
+    and its views num = P/p and den = Q/lead(Q) rebuild it.  A constant
+    hashes as its Fraction, `str` reads back through the parser, and a pole
+    raises ZeroDivisionError naming the point."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # the roots of the pool's factors, and points off them
+    points = st.sampled_from([0, 1, -1, Fraction(-2, 3), 2, Fraction(1, 2), Fraction(-7, 3)])
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(_qt_operands(), points)
+    def check(pair, a):
+        for x in (*pair, pair[0] * pair[1], pair[0] - pair[0]):
+            P, p, Q = x.P, x.p, x.Q
+            assert all(type(c) is int for c in (*P, p, *Q)) and p > 0 and Q[-1] > 0
+            assert (not P or P[-1]) and math.gcd(p, *P) == 1 and math.gcd(*Q) == 1
+            assert P or (p, Q) == (1, (1,))
+            assert x.num == Poly(QQ, [Fraction(c, p) for c in P]) and x.den.is_monic()
+            assert RatFunc(x.num, x.den) == x and QT.coerce(str(x)) == x
+            if x.den.degree == 0 and x.num.degree <= 0:
+                assert hash(x) == hash(x.num[0]) == hash(x.eval(a))
+            if x.den.eval(Fraction(a)):
+                assert x.eval(a) == x.num.eval(Fraction(a)) / x.den.eval(Fraction(a))
+            else:
+                with pytest.raises(ZeroDivisionError, match=rf"^denominator vanishes at t = {a}$"):
+                    x.eval(a)
+
+    check()
+
+
 def test_polynomial_arithmetic_runs_no_gcd(monkeypatch):
     """Sums, differences, products, powers and quotients by constants of
-    Q(t) polynomials, and a product of Q(t) matrices of polynomials, call
-    `poly_gcd` zero times; a sum over two non-constant denominators
-    still takes one."""
+    Q(t) polynomials, and a product of Q(t) matrices of polynomials, run
+    the integer polynomial gcd `_zgcd` zero times; a sum over two
+    non-constant denominators still takes one."""
     gcd_calls = []
-    gcd = fields.poly_gcd
-    monkeypatch.setattr(fields, "poly_gcd", lambda a, b: gcd_calls.append((a, b)) or gcd(a, b))
+    gcd = fields._zgcd
+    monkeypatch.setattr(fields, "_zgcd", lambda a, b: gcd_calls.append((a, b)) or gcd(a, b))
     t = QT.gen()
     p, q = 3 * t * t - 1, Fraction(1, 2) * t + 5
     values = [p + q, p - q, p * q, -p, p ** 3, p / 3, p / Fraction(-2, 5), 7 / RatFunc(2),

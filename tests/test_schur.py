@@ -13,8 +13,8 @@ from wdreps import schur
 from wdreps.fields import NumberField
 from wdreps.schur import Partition, perm_identity, perm_mul, perm_sign
 
-from support import (basis_matrix, from_columns, partitions_of, random_matrix, rank,
-                     schur_trace_oracle)
+from support import (basis_matrix, from_columns, full_product_basis, partitions_of,
+                     random_matrix, rank, schur_trace_oracle)
 
 
 def prod_entries(A, w, u):
@@ -395,3 +395,31 @@ def test_sparse_basis_is_the_dense_column_echelon_of_c():
             for n in range(1, 5):
                 assert basis_matrix(schur_basis(mu, n)) == \
                     column_echelon(_action_matrix(c, n, d)), (mu, n)
+
+
+def test_semistandard_words_first_give_the_full_product_basis(monkeypatch):
+    """For every partition with d <= 5 and n <= 6 where n^d <= 4096, the
+    build equals the full-product loop of `support`, and c is applied to
+    exactly `dim` words: the semistandard fillings of the canonical tableau,
+    as many as the hook content formula counts, span the image."""
+    applied = []
+    candidates = schur._candidate_words
+
+    def counted(mu, n):
+        for word in candidates(mu, n):
+            applied.append(word)
+            yield word
+
+    monkeypatch.setattr(schur, "_candidate_words", counted)
+    cases = 0
+    for d in range(1, 6):
+        for mu in partitions_of(d):
+            for n in range(1, 7):
+                if n ** d > schur.MAX_TENSOR_SIZE:
+                    continue
+                applied.clear()
+                assert schur._build_rational_basis(mu, n) == full_product_basis(mu, n), (mu, n)
+                dim = hook_content_dim(mu, n)
+                assert len(applied) == dim, (mu, n)
+                cases += 1
+    assert cases == 101
