@@ -8,8 +8,8 @@ w_i = f(z_i) / prod_{j!=i}(z_i - z_j); column Gershgorin disks D(z_i, m*|w_i|)
 therefore cover all roots, and pairwise disjoint disks isolate exactly one
 root each.  The one correction w_i seeds the approximations in floats
 (Durand-Kerner), then refines them (z_i - w_i) and bounds the disks exactly,
-on Gaussian integers over one denominator shared by the approximations of a
-round, so the resulting modulus intervals are mathematically guaranteed.
+on Gaussian integers over one denominator 2^e (kept as e, so scaling is a
+shift) shared by a round's approximations: the intervals are guaranteed.
 A round passes when each radius, rounded up to the output's 2^-shift, is at
 most 3 eps / 8 (bit lengths refute most failing rounds before any root is
 taken) and the disks are disjoint at 2^-shift, or else at 2^-bits.
@@ -45,27 +45,28 @@ class ModulusInterval(Record):
 
     def half_power_range(self, q: int):
         """(a, b) with q**(j/2) in [lo, hi] exactly when a <= j <= b: one
-        exact bracket of powers of q per nonzero endpoint, -inf for a zero."""
-        a = b = -inf
-        if self.lo:
-            i, exact = _q_log(self.lo * self.lo, q)
+        exact bracket of powers of q per nonzero endpoint, -inf for a zero.
+        The square of a reduced fraction is reduced, so it is taken on ints."""
+        lo, hi, a, b = self.lo, self.hi, -inf, -inf
+        if lo:
+            i, exact = _q_log(lo.numerator ** 2, lo.denominator ** 2, q)
             a = i + (not exact)
-        if self.hi:
-            b = _q_log(self.hi * self.hi, q)[0]
+        if hi:
+            b = _q_log(hi.numerator ** 2, hi.denominator ** 2, q)[0]
         return a, b
 
 
-def _q_log(x: Fraction, q: int):
-    """(i, x == q**i) for the i with q**i <= x < q**(i+1), for x > 0 and
-    q >= 2.  Bit lengths guess i, one power near x is formed, and exact
-    steps by q move it until it brackets x; the guess affects only the cost."""
-    i = floor((x.numerator.bit_length() - x.denominator.bit_length()) / log2(q))
-    power = Fraction(q) ** i
-    while power > x:
-        power, i = power / q, i - 1
-    while power * q <= x:
-        power, i = power * q, i + 1
-    return i, power == x
+def _q_log(n: int, d: int, q: int):
+    """(i, n/d == q**i) for the i with q**i <= n/d < q**(i+1), for ints n, d > 0
+    and q >= 2.  Bit lengths guess i, and exact steps by q move it until
+    n q^max(-i,0) and d q^max(i,0) bracket it; the guess affects only the cost."""
+    i = floor((n.bit_length() - d.bit_length()) / log2(q))
+    n, d = n * q ** max(-i, 0), d * q ** max(i, 0)
+    while n < d:
+        n, i = n * q, i - 1
+    while n >= d * q:
+        d, i = d * q, i + 1
+    return i, n == d
 
 
 def _shift(tol: Fraction) -> int:
@@ -73,28 +74,26 @@ def _shift(tol: Fraction) -> int:
     return max(1, (tol.denominator // tol.numerator).bit_length() + 1)
 
 
-def _floor_sqrt(n: int, d: int, shift: int) -> int:
-    """floor(sqrt(n/d) * 2^shift) for integers n >= 0, d > 0.  It depends
-    only on the value n/d, since floor(n * 4^shift / d) does."""
-    return isqrt((n << (2 * shift)) // d)
+def _floor_sqrt(n: int, d: int, e: int, shift: int) -> int:
+    """floor(sqrt(n / (d 4^e)) * 2^shift) for ints n >= 0, d > 0: isqrt of
+    floor(n 4^(shift-e) / d), shifting first, as floor(floor(x/2^k)/d) = floor(x/(2^k d))."""
+    k = 2 * (shift - e)
+    return isqrt((n << k if k >= 0 else n >> -k) // d)
 
 
-def _disjoint(zs, radii, den: int, shift: int) -> bool:
-    """Are the disks D(Z_i / den, r_i / 2^shift) pairwise disjoint?"""
-    return all(((x - u) ** 2 + (y - v) ** 2 << 2 * shift) > ((r + s) * den) ** 2
+def _disjoint(zs, radii, e: int, shift: int) -> bool:
+    """Are the disks D(Z_i / 2^e, r_i / 2^shift) pairwise disjoint?"""
+    return all(((x - u) ** 2 + (y - v) ** 2 << 2 * shift) > ((r + s) ** 2 << 2 * e)
                for ((x, y), r), ((u, v), s) in combinations(zip(zs, radii), 2))
 
 
-# Gaussian integers as (re, im) pairs of ints; a point z is Z / den for a
-# denominator den shared by all points of a round.
+# Gaussian integers as (re, im) pairs of ints; a point z is Z / 2^e for a
+# denominator 2^e shared by all points of a round, kept as e.
 
-def _homogeneous(coeffs, den: int):
-    """[c_k * den^(m-k)]: Horner on these at Z gives den^m * p(Z / den)."""
-    out, power = [], 1
-    for c in reversed(coeffs):
-        out.append(c * power)
-        power *= den
-    return out[::-1]
+def _homogeneous(coeffs, e: int):
+    """[c_k * 2^(e(m-k))]: Horner on these at Z gives 2^(em) * p(Z / 2^e)."""
+    m = len(coeffs) - 1
+    return [c << e * (m - k) for k, c in enumerate(coeffs)]
 
 
 def _horner(scaled, z):
@@ -106,11 +105,10 @@ def _horner(scaled, z):
     return re, im
 
 
-def _rescale(den: int, zs, unit: int):
-    """The same points over lcm(den, unit)."""
-    new = lcm(den, unit)
-    k = new // den
-    return new, [(x * k, y * k) for x, y in zs]
+def _rescale(e: int, zs, unit: int):
+    """The same points over 2^max(e, unit), the lcm of 2^e and 2^unit."""
+    k = max(unit - e, 0)
+    return e + k, [(x << k, y << k) for x, y in zs]
 
 
 def _round_div(n: int, d: int) -> int:
@@ -182,13 +180,13 @@ def _certify_squarefree(f: Poly, eps: Fraction):
         return [ModulusInterval(abs(coeffs[0]), abs(coeffs[0]))]
 
     try:
-        # floats are dyadic rationals, so the seeds convert exactly
-        zs = [(Fraction(z.real), Fraction(z.imag)) for z in _durand_kerner(coeffs)]
+        # floats are dyadic rationals, so the seeds convert exactly, over 2^e
+        zs = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio())
+              for z in _durand_kerner(coeffs)]
     except OverflowError as exc:
         raise CertificationFailed(f"coefficients too large for seeding: {exc}") from exc
-    den = lcm(*(c.denominator for z in zs for c in z))
-    zs = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-          for x, y in zs]
+    e = max(d.bit_length() for z in zs for _, d in z) - 1
+    zs = [tuple(n << e + 1 - d.bit_length() for n, d in z) for z in zs]
     D = lcm(*(c.denominator for c in coeffs))
     fa = [c.numerator * (D // c.denominator) for c in coeffs]
     shift = _shift(eps / 8)
@@ -197,25 +195,25 @@ def _certify_squarefree(f: Poly, eps: Fraction):
     slack = (2 * cap * cap).bit_length() - (m * m).bit_length()
     bits = 128
 
-    def radii(fps, den, res):  # the radii rounded up to 2^-res, 0 where F_i = 0
+    def radii(fps, e, res):  # the radii rounded up to 2^-res, 0 where F_i = 0
         return [any(F) and 1 + _floor_sqrt(m * m * (F[0] ** 2 + F[1] ** 2),
-                                           (D * den) ** 2 * (P[0] ** 2 + P[1] ** 2), res)
+                                           D * D * (P[0] ** 2 + P[1] ** 2), e, res)
                 for F, P in fps]
 
     for _ in range(_MAX_REFINE_ROUNDS):
         # nudge equal approximations apart by 2^-8 i, so the corrections exist
         if len(set(zs)) < m:
-            den, zs = _rescale(den, zs, 1 << 8)
+            e, zs = _rescale(e, zs, 8)
             seen = set()
             for i, (x, y) in enumerate(zs):
                 while (x, y) in seen:
-                    y += den >> 8
+                    y += 1 << e - 8
                 seen.add((x, y))
                 zs[i] = (x, y)
 
-        # F_i = den^m D f(z_i), P_i = den^(m-1) prod_{j!=i} (z_i - z_j), so the
-        # Weierstrass correction is w_i = F_i / (D den P_i)
-        scaled = _homogeneous(fa, den)
+        # F_i = 2^(em) D f(z_i), P_i = 2^(e(m-1)) prod_{j!=i} (z_i - z_j), so the
+        # Weierstrass correction is w_i = F_i / (D 2^e P_i)
+        scaled = _homogeneous(fa, e)
         fps = []
         for i, (x, y) in enumerate(zs):
             fr, fi = _horner(scaled, (x, y))
@@ -224,35 +222,35 @@ def _certify_squarefree(f: Poly, eps: Fraction):
                 if j != i:
                     pr, pi = pr * (x - u) - pi * (y - v), pr * (y - v) + pi * (x - u)
             fps.append(((fr, fi), (pr, pi)))
-        # m|w_i| = sqrt(n_i / d_i), n_i = m^2 |F_i|^2, d_i = (D den)^2 |P_i|^2, rounds up
-        # past cap once n_i 4^shift >= cap^2 d_i.  If F_i != 0, the bit lengths a, b, e of
-        # F_i, P_i, D den give n_i >= m^2 4^(a-1) and d_i < 2 4^(b+e): the round fails if
-        # 2(a - 1 + shift - b - e) > slack, and else n_i 4^shift / d_i < 512 cap^2
-        e = (D * den).bit_length()
+        # m|w_i| = sqrt(n_i / d_i), n_i = m^2 |F_i|^2, d_i = (D 2^e)^2 |P_i|^2, rounds up
+        # past cap once n_i 4^shift >= cap^2 d_i.  If F_i != 0, the bit lengths a, b, g of
+        # F_i, P_i, D 2^e give n_i >= m^2 4^(a-1) and d_i < 2 4^(b+g): the round fails if
+        # 2(a - 1 + shift - b - g) > slack, and else n_i 4^shift / d_i < 512 cap^2
+        g = D.bit_length() + e
         if not any(any(F) and 2 * (max(map(int.bit_length, F)) - max(map(int.bit_length, P))
-                                   + shift - e - 1) > slack for F, P in fps):
+                                   + shift - g - 1) > slack for F, P in fps):
             # a coarse disk contains the fine one: close roots need fine radii
-            coarse, fine = radii(fps, den, shift), max(shift, bits)
-            if all(r <= cap for r in coarse) and (_disjoint(zs, coarse, den, shift) or (
-                    fine > shift and _disjoint(zs, radii(fps, den, fine), den, fine))):
+            coarse, fine = radii(fps, e, shift), max(shift, bits)
+            if all(r <= cap for r in coarse) and (_disjoint(zs, coarse, e, shift) or (
+                    fine > shift and _disjoint(zs, radii(fps, e, fine), e, fine))):
                 intervals = []
                 for (x, y), r in zip(zs, coarse):
                     n = x * x + y * y
-                    c = _floor_sqrt(n, den * den, shift)
+                    c = _floor_sqrt(n, 1, e, shift)
                     intervals.append(ModulusInterval(Fraction(max(c - r, 0), 1 << shift),
                                                      Fraction(c + (n != 0) + r, 1 << shift)))
                 return intervals
 
-        # Weierstrass step z - w = (Z G - F) / (den G) with G = D P, times
+        # Weierstrass step z - w = (Z G - F) / (2^e G) with G = D P, times
         # conj(G)/conj(G), rounded to 1/2^bits with ties to even
         new_zs = []
         for (x, y), ((fr, fi), (pr, pi)) in zip(zs, fps):
             gr, gi = D * pr, D * pi
             nr, ni = x * gr - y * gi - fr, x * gi + y * gr - fi
-            q = den * (gr * gr + gi * gi)
+            q = gr * gr + gi * gi << e
             new_zs.append((_round_div(nr * gr + ni * gi << bits, q),
                            _round_div(ni * gr - nr * gi << bits, q)))
-        zs, den = new_zs, 1 << bits
+        zs, e = new_zs, bits
         bits = min(bits * 2, _MAX_BITS)
 
     raise CertificationFailed(

@@ -531,8 +531,10 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
     if weight == "infer":
         candidates = []
         for k, p in pieces:
-            # det^2 = p(0)^2: the charpoly's constant term is (-1)^dim * det
-            j, exact = _q_log(p[0] ** 2, rho.q)
+            # det^2 = p(0)^2: the charpoly's constant term is (-1)^dim * det,
+            # and the square of its reduced numerator and denominator is reduced
+            det = p[0]
+            j, exact = _q_log(det.numerator ** 2, det.denominator ** 2, rho.q)
             if not exact:
                 raise NonIntegralWeight(
                     f"|det|^2 on graded piece {k} is not a power of q = {rho.q}")

@@ -6,7 +6,7 @@ import pytest
 
 from wdreps import (DEFAULT_EPS, CertificationFailed, ModulusInterval, Poly,
                     QQ, root_moduli_certified)
-from wdreps import roots
+from wdreps import roots, wd
 from wdreps.fields import poly_gcd
 
 from support import contains_half_power, sqrt_bounds
@@ -146,7 +146,7 @@ class TestProperties:
             for x in (lo * lo, hi * hi, target, target * (1 + Fraction(1, 2 ** 400)),
                       target * (1 - Fraction(1, 2 ** 400))):
                 if x:
-                    i, exact = roots._q_log(x, base)
+                    i, exact = roots._q_log(x.numerator, x.denominator, base)
                     assert Fraction(base) ** i <= x < Fraction(base) ** (i + 1)
                     assert exact == (x == Fraction(base) ** i)
                     brackets += 1
@@ -254,7 +254,7 @@ class TestReferenceOracle:
         shifts = []
         floor_sqrt = roots._floor_sqrt
         monkeypatch.setattr(roots, "_floor_sqrt",
-                            lambda n, d, s: shifts.append(s) or floor_sqrt(n, d, s))
+                            lambda n, d, e, s: shifts.append(s) or floor_sqrt(n, d, e, s))
         rng = random.Random(26)
         narrow = Fraction(1, 10 ** 2000)
         close = Poly(QQ, [Fraction(-1, 10 ** 6), 0, 1])   # roots +-10^-3
@@ -283,10 +283,12 @@ class TestReferenceOracle:
     def test_rare_paths_against_reference(self, monkeypatch):
         """Two equal seeds: the imaginary distinctness nudge of 2^-8 keeps
         the corrections defined and lets them push the two approximations
-        apart, onto sqrt(2) and -sqrt(2)."""
+        apart, onto sqrt(2) and -sqrt(2).  `_rescale` takes the exponent of
+        its unit."""
         units = []
         rescale = roots._rescale
-        monkeypatch.setattr(roots, "_rescale", lambda *a: units.append(a[2]) or rescale(*a))
+        monkeypatch.setattr(roots, "_rescale",
+                            lambda *a: units.append(1 << a[2]) or rescale(*a))
         f = Poly(QQ, [-2, 0, 1])
         for seed in (1.5, -1.5):
             monkeypatch.setattr(roots, "_durand_kerner", lambda c, s=seed: [s + 0j, s + 0j])
@@ -384,7 +386,7 @@ def test_square_roots_only_at_the_output_resolution(monkeypatch, p):
     shifts = []
     floor_sqrt = roots._floor_sqrt
     monkeypatch.setattr(roots, "_floor_sqrt",
-                        lambda n, d, s: shifts.append(s) or floor_sqrt(n, d, s))
+                        lambda n, d, e, s: shifts.append(s) or floor_sqrt(n, d, e, s))
     assert len(roots._certify_squarefree(Poly(QQ, p), eps)) == len(p) - 1
     assert shifts == [roots._shift(eps / 8)] * 2 * (len(p) - 1)
 
@@ -405,6 +407,28 @@ def test_refinement_loop_runs_without_gcd(monkeypatch):
             assert all(contains_half_power(iv, 5, 1) for iv in intervals)
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 20 * f.degree
+
+
+def test_half_power_brackets_run_without_gcd(monkeypatch):
+    """`half_power_range` and `wd._matches` decide on the squares of the
+    endpoints' reduced numerators and denominators, which are reduced, so at
+    eps 10^-2000 (endpoints over 2^6644) they normalize no Fraction: no
+    math.gcd call, counted as in `test_refinement_loop_runs_without_gcd`."""
+    gcd = math.gcd
+    eps = Fraction(1, 10 ** 2000)
+    cases = [(5, Poly(QQ, [5, -3, 1]) * Poly(QQ, [5, 1, 1])),
+             (5, Poly(QQ, [Fraction(-1, 15625), Fraction(-6, 3125), 0, Fraction(6, 25), 1])),
+             (3, Poly(QQ, [3, 0, 1]) * Poly(QQ, [-3, 0, 1]))]
+    for q, f in cases:
+        intervals = roots._certify_squarefree(f, eps)
+        calls = []
+        monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or gcd(*a))
+        ranges = [iv.half_power_range(q) for iv in intervals]
+        decided = [wd._matches(iv, q, j) for iv in intervals for j in range(-6, 3)]
+        monkeypatch.setattr(math, "gcd", gcd)
+        assert calls == [], f
+        # every |root|^2 here is a power of q, so each bracket is one exponent
+        assert all(a == b for a, b in ranges) and None not in decided, f
 
 
 _fails = pytest.mark.xfail(raises=CertificationFailed, strict=True)
@@ -435,36 +459,68 @@ class TestKnownFailures:
 
 
 class TestMpmathOracle:
-    """An independent check: mpmath's polyroots at 100 digits."""
+    """An independent check: mpmath's polyroots at 100 digits, and at 2,100
+    digits for eps = 10^-2000."""
 
-    def _check(self, p, eps):
+    def _check(self, p, eps, dps=100, q=None):
         mpmath = pytest.importorskip("mpmath")
         intervals = root_moduli_certified(p, eps)
-        with mpmath.workdps(100):
+        with mpmath.workdps(dps):
             found = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
                                       for c in reversed(p.coeffs)],
                                      maxsteps=400, extraprec=400)
-            slack = mpmath.mpf(10) ** -80
+            slack = mpmath.mpf(10) ** (20 - dps)
             assert len(intervals) == len(found)
             for iv, modulus in zip(intervals, sorted(abs(r) for r in found)):
                 lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
                 hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
                 assert lo - slack <= modulus <= hi + slack
                 assert iv.width() <= eps
+                if q is None:
+                    continue
+                # `_matches` decides each j near log_q |root|^2, and says True
+                # exactly where |root|^2 = q^j to the working precision
+                near = int(mpmath.nint(2 * mpmath.log(modulus, q)))
+                for j in range(near - 2, near + 3):
+                    power = mpmath.mpf(q) ** j
+                    assert wd._matches(iv, q, j) == (abs(modulus ** 2 - power) <= slack * power)
 
     def test_random_polynomials(self):
         rng = random.Random(11)
         for _ in range(12):
             self._check(_random_squarefree(rng, rng.randint(2, 8)), Fraction(1, 10 ** 30))
 
-    def test_weil_type_products(self):
+    @staticmethod
+    def _weil_type_product(rng):
         # x^2 - a x + q with |a| < 2 sqrt(q) has both roots on |z| = sqrt(q)
+        q = rng.choice([2, 3, 5, 7])
+        bound = math.isqrt(4 * q - 1)
+        traces = rng.sample(range(-bound, bound + 1), rng.randint(1, 3))
+        p = Poly.one(QQ)
+        for a in traces:
+            p = p * Poly(QQ, [q, -a, 1])
+        return q, p * Poly(QQ, [-q, 0, 1])
+
+    def test_weil_type_products(self):
         rng = random.Random(12)
         for _ in range(8):
-            q = rng.choice([2, 3, 5, 7])
-            bound = math.isqrt(4 * q - 1)
-            traces = rng.sample(range(-bound, bound + 1), rng.randint(1, 3))
-            p = Poly.one(QQ)
-            for a in traces:
-                p = p * Poly(QQ, [q, -a, 1])
-            self._check(p * Poly(QQ, [-q, 0, 1]), Fraction(1, 10 ** 30))
+            self._check(self._weil_type_product(rng)[1], Fraction(1, 10 ** 30))
+
+    @pytest.mark.parametrize("p", [
+        [Fraction(-1, 3125), 0, 1],
+        [Fraction(-1, 125), 0, 1],
+        [Fraction(-1, 15625), Fraction(-6, 3125), 0, Fraction(6, 25), 1],
+        [Fraction(-1, 9765625), Fraction(-6, 390625), 0, Fraction(6, 125), 1],
+        [Fraction(-1, 9765625), Fraction(1, 390625), Fraction(26, 78125),
+         Fraction(-26, 3125), Fraction(-1, 25), 1],
+    ])
+    def test_wedge_tight_inputs_at_2000_digits(self, p):
+        """The benchmark's non-linear certifier inputs (q = 5, eps = 10^-2000),
+        with mixed weights: some |root|^2 are q^j, the others miss every q^j."""
+        self._check(Poly(QQ, p), Fraction(1, 10 ** 2000), 2100, q=5)
+
+    def test_weil_type_products_at_2000_digits(self):
+        rng = random.Random(2000)
+        for _ in range(2):
+            q, p = self._weil_type_product(rng)
+            self._check(p, Fraction(1, 10 ** 2000), 2100, q=q)

@@ -793,7 +793,7 @@ class TestQPowerExponent:
 
     @staticmethod
     def _exponent(value: Fraction, q: int):
-        i, exact = roots._q_log(value, q)
+        i, exact = roots._q_log(value.numerator, value.denominator, q)
         return i if exact else None
 
     def test_against_repeated_division(self):
@@ -811,7 +811,7 @@ class TestQPowerExponent:
                     Fraction(rng.randint(1, 10 ** 12)), Fraction(1, rng.randint(1, 10 ** 12)),
                     power + 1))
                 assert self._exponent(value, q) == _divmod_q_power_exponent(value, q)
-                i = roots._q_log(value, q)[0]
+                i = roots._q_log(value.numerator, value.denominator, q)[0]
                 assert Fraction(q) ** i <= value < Fraction(q) ** (i + 1)
                 checked += 1
         assert checked == 2800
