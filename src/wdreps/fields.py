@@ -193,6 +193,10 @@ class Poly:
             return self.coeffs[i]
         return self.field.zero
 
+    def __iter__(self):
+        """The coefficients; without it iteration would run on `p[i]`, which never ends."""
+        return iter(self.coeffs)
+
     def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")

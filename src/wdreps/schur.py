@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
-from .fields import Field, QQ, Record
+from .fields import Record
 from .linalg import Matrix, _make, _units
 
 
@@ -85,11 +85,12 @@ def hook_content_dim(mu: Partition, n: int) -> int:
         raise ValueError("negative dimension")
     if len(mu.parts) > n:
         return 0
-    acc = Fraction(1)
+    num = den = 1
     for i, j in mu.cells():
-        acc *= Fraction(n + j - i, mu.hook(i, j))
-    assert acc.denominator == 1
-    return int(acc)
+        num, den = num * (n + j - i), den * mu.hook(i, j)
+    acc, rem = divmod(num, den)
+    assert rem == 0
+    return acc
 
 
 def specht_dim(mu: Partition) -> int:
@@ -201,7 +202,8 @@ def young_symmetrizer(mu: Partition) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 class SchurBasis(Record):
-    """Canonical basis of the symmetrizer image inside (F^n)^(tensor d).
+    """Canonical basis of the symmetrizer image inside (F^n)^(tensor d),
+    one for every field F: its coefficients are ints.
 
     Each column is sparse: the (word, coefficient) pairs of its support, a
     word being the tuple of its d digits.  The columns are in reduced column
@@ -210,27 +212,16 @@ class SchurBasis(Record):
 
     mu: Partition
     n: int
-    field: Field
     dim: int
     columns: tuple
     pivot_words: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def scaled_columns(self) -> tuple:
-        """(den, columns): over Q the columns times the lcm den of their
-        coefficient denominators, so on ints; otherwise (None, columns)."""
-        if self.field != QQ:
-            return None, self.columns
-        den = lcm(*[c.denominator for col in self.columns for _, c in col])
-        return den, tuple(tuple((w, int(c * den)) for w, c in col) for col in self.columns)
-
-    @cached_property
     def support_trie(self) -> dict:
         """The support words of all columns as nested dicts keyed by digit;
-        the leaf reached by word u lists the pairs (j, b_j[u]), with b_j the
-        scaled columns."""
+        the leaf reached by word u lists the pairs (j, b_j[u])."""
         trie: dict = {}
-        for j, col in enumerate(self.scaled_columns[1]):
+        for j, col in enumerate(self.columns):
             for word, coeff in col:
                 node = trie
                 for x in word[:-1]:
@@ -248,29 +239,28 @@ class SchurBasis(Record):
         return index
 
 
-_rational_basis_cache: dict = {}
-_field_basis_cache: dict = {}
+_basis_cache: dict = {}
 
 
 def _candidate_words(mu: Partition, n: int):
-    """The words c is applied to: first the semistandard fillings of the
-    canonical tableau by digits < n (rows weakly, columns strictly
-    increasing), in lexicographic order, then every word."""
+    """The words c is applied to: the semistandard fillings of the canonical
+    tableau by digits < n (rows weakly, columns strictly increasing), in
+    lexicographic order.  They index a basis of the image (Fulton, Young
+    Tableaux, 8.1), so there are as many as the hook content formula counts."""
     words = [()]
     for k, (i, j) in enumerate(mu.cells()):
         words = [w + (x,) for w in words for x in range(
             max(w[k - 1] if j else 0, w[k - mu.parts[i - 1]] + 1 if i else 0), n)]
-    return itertools.chain(words, itertools.product(range(n), repeat=mu.d))
+    return words
 
 
 def _build_rational_basis(mu: Partition, n: int):
-    """Pivot words and sparse columns of the canonical basis over Q: c is
+    """Pivot words and sparse int columns of the canonical basis: c is
     applied to each candidate word in turn, the result reduced against the
     pivot columns so far and, if nonzero, scaled to a new pivot column that
-    the earlier columns are reduced against, until the hook content count
-    is reached, by the semistandard words (the reduced echelon basis does
-    not depend on their order).  With more rows than n the image is zero,
-    and c is not formed."""
+    the earlier columns are reduced against (the reduced echelon basis does
+    not depend on the words' order).  With more rows than n the image is
+    zero, and c is not formed."""
     if len(mu.parts) > n:
         return (), ()
     c, _ = young_symmetrizer(mu)
@@ -292,36 +282,29 @@ def _build_rational_basis(mu: Partition, n: int):
             if prow in col:
                 _add_scaled(col, newcol.items(), -col[prow])
         pivot_cols[prow] = newcol
-        if len(pivot_cols) == expected:
-            break
     if len(pivot_cols) != expected:
         raise AssertionError(
             f"symmetrizer image dimension {len(pivot_cols)} != hook content {expected}")
+    if any(v.denominator != 1 for col in pivot_cols.values() for v in col.values()):
+        raise AssertionError(f"the canonical basis of {mu} at n = {n} is not integral")
     pivot_words = tuple(sorted(pivot_cols))
-    return pivot_words, tuple(tuple(sorted(pivot_cols[w].items())) for w in pivot_words)
+    return pivot_words, tuple(tuple(sorted((u, int(v)) for u, v in pivot_cols[w].items()))
+                              for w in pivot_words)
 
 
-def schur_basis(mu: Partition, n: int, field: Field = QQ) -> SchurBasis:
-    """Basis of the symmetrizer image, cached per (mu, n, field)."""
+def schur_basis(mu: Partition, n: int) -> SchurBasis:
+    """Basis of the symmetrizer image, cached per (mu, n)."""
     d = mu.d
     cap = MAX_TENSOR_SIZE
     # for n >= 2 every d past the cap's bit length exceeds it: n^d is not formed
     if n >= 2 and (d > cap.bit_length() or n ** d > cap):
         raise ResourceCapExceeded(f"tensor space {n}^{d} exceeds {cap} (MAX_TENSOR_SIZE)")
     key = (mu.parts, n)
-    cached = _rational_basis_cache.get(key)
-    if cached is None:
-        cached = _build_rational_basis(mu, n)
-        _rational_basis_cache[key] = cached
-    pivot_words, columns = cached
-    fkey = (mu.parts, n, field)
-    basis = _field_basis_cache.get(fkey)
+    basis = _basis_cache.get(key)
     if basis is None:
-        if field != QQ:
-            columns = tuple(tuple((w, field.coerce(v)) for w, v in col) for col in columns)
-        basis = SchurBasis(mu=mu, n=n, field=field, dim=len(pivot_words), columns=columns,
-                           pivot_words=pivot_words)
-        _field_basis_cache[fkey] = basis
+        pivot_words, columns = _build_rational_basis(mu, n)
+        basis = _basis_cache[key] = SchurBasis(mu=mu, n=n, dim=len(pivot_words),
+                                               columns=columns, pivot_words=pivot_words)
     return basis
 
 
@@ -330,12 +313,11 @@ def schur_of_matrix(A: Matrix, mu: Partition) -> Matrix:
     image, in the canonical basis.  Functorial in A.  Entry (i, j) sums
     b_j[u] * prod_k A[w_i[k]][u[k]] over the support words u of column j,
     taking each prefix product once down the support trie; a zero factor
-    prunes its subtree.  Over Q the sums run on A's numerators and the
-    scaled columns, over den * A.den^d."""
+    prunes its subtree.  The coefficients b_j[u] are ints; over Q the sums
+    run on A's numerators, over A.den^d."""
     if not A.is_square():
         raise ValueError("schur_of_matrix needs a square matrix")
-    basis = schur_basis(mu, A.nrows, A.field)
-    den, grid = basis.scaled_columns[0], A.num
+    basis, grid = schur_basis(mu, A.nrows), A.num
     zero = _units(A.field)[1]
     last = mu.d - 1
     out = []
@@ -357,7 +339,7 @@ def schur_of_matrix(A: Matrix, mu: Partition) -> Matrix:
                 for j, coeff in child:
                     acc[j] = acc[j] + coeff * f
         out.append(tuple(acc))
-    return _make(A.field, tuple(out), basis.dim, den and den * A.den ** mu.d)
+    return _make(A.field, tuple(out), basis.dim, A.den and A.den ** mu.d)
 
 
 def schur_derivation(N: Matrix, mu: Partition) -> Matrix:
@@ -366,21 +348,19 @@ def schur_derivation(N: Matrix, mu: Partition) -> Matrix:
 
     Slot k sends a word u only to the words that differ from u at most in
     slot k, so each support word meets only the pivot words of its shape
-    with slot k removed.  Over Q the sums run on N's numerators and the
-    scaled columns, over den * N.den."""
+    with slot k removed.  The coefficients are ints; over Q the sums run on
+    N's numerators, over N.den."""
     if not N.is_square():
         raise ValueError("schur_derivation needs a square matrix")
-    basis = schur_basis(mu, N.nrows, N.field)
-    index = basis.slot_index
-    words = basis.pivot_words
-    (den, columns), grid = basis.scaled_columns, N.num
+    basis, grid = schur_basis(mu, N.nrows), N.num
+    index, words = basis.slot_index, basis.pivot_words
     out = [[_units(N.field)[1]] * basis.dim for _ in range(basis.dim)]
-    for j, col in enumerate(columns):
+    for j, col in enumerate(basis.columns):
         for u, coeff in col:
             for k in range(len(u)):
                 for i in index.get((k, u[:k] + u[k + 1:]), ()):
                     f = grid[words[i][k]][u[k]]
                     if f:
                         out[i][j] = out[i][j] + coeff * f
-    return _make(N.field, tuple(map(tuple, out)), basis.dim, den and den * N.den)
+    return _make(N.field, tuple(map(tuple, out)), basis.dim, N.den)
 

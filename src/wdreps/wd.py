@@ -497,9 +497,9 @@ def _matches(iv: ModulusInterval, q: int, j: int):
 
 
 @lru_cache(maxsize=256)
-def _certified_moduli(coeffs: tuple, eps: Fraction) -> tuple[ModulusInterval, ...]:
+def _certified_moduli(p: Poly, eps: Fraction) -> tuple[ModulusInterval, ...]:
     """`root_moduli_certified`, memoized: a scan meets each charpoly at many points."""
-    return tuple(root_moduli_certified(coeffs, eps))
+    return tuple(root_moduli_certified(p, eps))
 
 
 def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
@@ -557,7 +557,7 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
         j = w + k
         current = eps
         for attempt in range(5):
-            intervals = _certified_moduli(p.coeffs, current)
+            intervals = _certified_moduli(p, current)
             matches = [_matches(iv, rho.q, j) for iv in intervals]
             if None not in matches:
                 break

@@ -53,8 +53,8 @@ def full_product_basis(mu, n: int):
     """The canonical Schur basis over Q as (pivot words, sparse columns),
     from c applied to every word of the full product in lexicographic
     order, each result reduced against the pivot columns so far: an oracle
-    for `schur._build_rational_basis`, which takes the semistandard words
-    first and shares no reduction code with this loop."""
+    for `schur._build_rational_basis`, which takes only the semistandard
+    words and shares no reduction code with this loop."""
     if len(mu.parts) > n:
         return (), ()
     terms = sorted(young_symmetrizer(mu)[0].items())
@@ -88,12 +88,12 @@ def full_product_basis(mu, n: int):
     return words, tuple(tuple(sorted(pivots[w].items())) for w in words)
 
 
-def basis_matrix(basis) -> Matrix:
-    """The dense n^d x dim matrix of a Schur basis's sparse columns, rows
-    in big-endian word order."""
+def basis_matrix(basis, field=QQ) -> Matrix:
+    """The dense n^d x dim matrix over `field` of a Schur basis's sparse
+    columns, rows in big-endian word order."""
     words = list(itertools.product(range(basis.n), repeat=basis.mu.d))
-    return from_columns(basis.field, [[col.get(w, basis.field.zero) for w in words]
-                                      for col in map(dict, basis.columns)], len(words))
+    return from_columns(field, [[field.coerce(col.get(w, 0)) for w in words]
+                                for col in map(dict, basis.columns)], len(words))
 
 
 def rank(M: Matrix) -> int:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 import math
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +11,12 @@ from wdreps import (Matrix, Poly, QQ, QT, ResourceCapExceeded, column_echelon,
                     hook_content_dim, schur_basis, schur_derivation,
                     schur_of_matrix, specht_dim, young_symmetrizer)
 from wdreps import schur
+from wdreps.cli import CommandRequest, run_command
 from wdreps.fields import NumberField
 from wdreps.schur import Partition, perm_identity, perm_mul, perm_sign
 
 from support import (basis_matrix, from_columns, full_product_basis, partitions_of,
-                     random_matrix, rank, schur_trace_oracle)
+                     random_matrix, random_nilpotent, rank, schur_trace_oracle)
 
 
 def prod_entries(A, w, u):
@@ -226,7 +228,7 @@ class TestSparseFunctorOracle:
 
     def _oracles(self, A, mu):
         field, n = A.field, A.nrows
-        basis = schur_basis(mu, n, field)
+        basis = schur_basis(mu, n)
         if not basis.dim:
             return Matrix(field, []), Matrix(field, [])
         eye = Matrix.identity(field, n)
@@ -236,7 +238,7 @@ class TestSparseFunctorOracle:
             terms = [self._kron_row([(A if j == k else eye).rows[x] for j, x in enumerate(w)],
                                     field) for k in range(len(w))]
             derivation.append([sum(col, field.zero) for col in zip(*terms)])
-        B = basis_matrix(basis)
+        B = basis_matrix(basis, field)
         return Matrix(field, power) * B, Matrix(field, derivation) * B
 
     @staticmethod
@@ -265,13 +267,13 @@ class TestSparseFunctorOracle:
                         assert schur_derivation(A, mu) == derivation
 
     def test_integer_path_equals_fraction_arithmetic(self):
-        # over Q the functor runs on A's numerators and the basis scaled to
-        # ints; here every entry is summed over Fractions from its definition
+        # over Q the functor runs on A's numerators and the basis's int
+        # coefficients; here every entry is summed over Fractions from its definition
         rng = random.Random(72)
         for n in range(1, 5):
             for d in range(1, 4):
                 for mu in partitions_of(d):
-                    basis = schur_basis(mu, n, QQ)
+                    basis = schur_basis(mu, n)
                     A = Matrix(QQ, [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                                      if rng.random() < 0.7 else 0 for _ in range(n)]
                                     for _ in range(n)])
@@ -295,8 +297,8 @@ class TestSparseFunctorOracle:
                     assert (S, S) == self._oracles(M, mu)
 
     def test_basis_matrix_is_the_sparse_columns(self):
-        b = schur_basis(Partition.of(2, 1), 3, QT)
-        B = basis_matrix(b)
+        b = schur_basis(Partition.of(2, 1), 3)
+        B = basis_matrix(b, QT)
         assert B.field == QT
         assert (B.nrows, B.ncols) == (27, b.dim)
         for j, col in enumerate(b.columns):
@@ -399,9 +401,10 @@ def test_sparse_basis_is_the_dense_column_echelon_of_c():
 
 def test_semistandard_words_first_give_the_full_product_basis(monkeypatch):
     """For every partition with d <= 5 and n <= 6 where n^d <= 4096, the
-    build equals the full-product loop of `support`, and c is applied to
-    exactly `dim` words: the semistandard fillings of the canonical tableau,
-    as many as the hook content formula counts, span the image."""
+    build equals the full-product loop of `support`, c is applied to
+    exactly `dim` words (the semistandard fillings of the canonical tableau,
+    as many as the hook content formula counts, span the image) and every
+    coefficient is an int."""
     applied = []
     candidates = schur._candidate_words
 
@@ -418,8 +421,50 @@ def test_semistandard_words_first_give_the_full_product_basis(monkeypatch):
                 if n ** d > schur.MAX_TENSOR_SIZE:
                     continue
                 applied.clear()
-                assert schur._build_rational_basis(mu, n) == full_product_basis(mu, n), (mu, n)
+                built = schur._build_rational_basis(mu, n)
+                assert built == full_product_basis(mu, n), (mu, n)
                 dim = hook_content_dim(mu, n)
                 assert len(applied) == dim, (mu, n)
+                assert all(type(c) is int for col in built[1] for _, c in col), (mu, n)
                 cases += 1
     assert cases == 101
+
+
+def test_functor_commutes_with_specialization():
+    """For seeded Q(t) matrices A (with poles) and nilpotent N of dimension
+    2-4 and every partition with d <= 3, the functor and the derivation
+    evaluated at five rational points a, where every entry is defined,
+    equal the functor and the derivation of A(a) and N(a) over Q: the int
+    basis times Q(t) scalars agrees with the Q path."""
+    rng = random.Random(89)
+    t = QT.gen()
+
+    def at(M, a):
+        return M.map_entries(lambda x: x.eval(a), QQ)
+
+    for n in (2, 3, 4):
+        Y = random_matrix(rng, n, field=QT) + Matrix.identity(QT, n) * t
+        A = (random_matrix(rng, n, field=QT) + random_matrix(rng, n, field=QT) * t) * Y.inverse()
+        N = random_nilpotent(rng, n, QT)
+        assert any(len(x.Q) > 1 for row in A.rows for x in row)
+        for d in range(1, 4):
+            for mu in partitions_of(d):
+                SA, DN = schur_of_matrix(A, mu), schur_derivation(N, mu)
+                for a in (Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(3)):
+                    assert at(SA, a) == schur_of_matrix(at(A, a), mu), (n, mu, a)
+                    assert at(DN, a) == schur_derivation(at(N, a), mu), (n, mu, a)
+
+
+def test_one_basis_per_partition_and_dimension(monkeypatch):
+    """A Q(t) rigidity scan applies the functor over Q(t) and over Q at
+    every point, and both share one basis: one `SchurBasis` is constructed,
+    so its support trie and slot index (cached properties) are each built
+    once."""
+    monkeypatch.setattr(schur, "_basis_cache", {})
+    built = []
+    init = schur.SchurBasis.__post_init__
+    monkeypatch.setattr(schur.SchurBasis, "__post_init__", lambda b: built.append(b) or init(b))
+    flagship = str(Path(__file__).resolve().parents[1] / "corpus" / "flagship.json")
+    code, env = run_command(CommandRequest("rigidity", flagship, partition="2", points="-3..3"))
+    assert code in (0, 1) and env["diagnostics"] == []
+    assert len(built) == 1 and {"support_trie", "slot_index"} <= vars(built[0]).keys()
