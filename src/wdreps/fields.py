@@ -2,9 +2,10 @@
 number fields Q[a]/(m(a)).
 
 Every scalar is immutable and hashable, arithmetic is exact, and equality
-is canonical (fractions reduced, denominators monic, Q(t) on integer
-polynomials, residues reduced mod the minimal polynomial).  Field descriptors
-double as coercion points; scalars print with `str`, which the parser reads.
+is canonical (fractions reduced, denominators monic, residues reduced mod
+the minimal polynomial; Q(t) and number fields on integer polynomials, a
+residue being its representative in Q[t] ⊂ Q(t)).  Field descriptors double
+as coercion points; scalars print with `str`, which the parser reads.
 
 Each field's `promote` is the one promotion path of operands: its own
 scalars and lifts of ints and Fractions, never strings, which enter only
@@ -340,24 +341,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_xgcd(a: Poly, b: Poly):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(field), Poly.zero(field)
-    t0, t1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lead = r0.leading()
-    inv = field.one / lead
-    return r0.monic(), s0 * inv, t0 * inv
-
-
 def squarefree_part(p: Poly) -> Poly:
     """The product of the factors of `squarefree_decomposition`: monic,
     with the roots of p, each once.  Rejects the zero polynomial."""
@@ -686,40 +669,46 @@ QT = RatFunc.field = RationalFunctionField()
 # ---------------------------------------------------------------------------
 
 class NFElem(Scalar):
-    """Residue of a Q-polynomial in `a` modulo the defining polynomial."""
+    """Residue of a Q-polynomial in `a` modulo the monic minimal polynomial
+    m, stored as its representative `rep` of degree < deg m in Q[t] ⊂ Q(t)
+    (a `RatFunc` with denominator 1): `+`, `-`, `*`, equality and the hash
+    are those of Q(t) on integers, a product reduced by one exact division
+    by m over Z.  The inverse is column 0 of `Matrix.inverse` of the
+    regular matrix (x -> R(x) is an injective ring homomorphism).
+    `NFElem(field, coeffs)` reads each coefficient with `Fraction`;
+    `coeffs` is the padded Fraction view."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "rep")
 
     def __init__(self, field: "NumberField", coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) >= field.degree:
-            cs = list((_poly(QQ, cs) % field.minpoly).coeffs)
-        cs += [Fraction(0)] * (field.degree - len(cs))
         self.field = field
-        self.coeffs = tuple(cs)
+        self.rep = _residue(field, _lift(_poly(QQ, [Fraction(c) for c in coeffs]))).rep
+
+    @property
+    def coeffs(self) -> tuple:
+        P, p = self.rep.P, self.rep.p
+        return tuple([Fraction(c, p) for c in P] + [Fraction(0)] * (self.field.degree - len(P)))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.rep.P
 
     def __eq__(self, other):
         o = self.field.promote(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.rep == o.rep
 
     def __hash__(self):
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])  # a constant hashes as its Fraction
-        return hash((self.field, self.coeffs))
+        return hash(self.rep)
 
     def __neg__(self):
-        return NFElem(self.field, [-c for c in self.coeffs])
+        return _residue(self.field, -self.rep)
 
     def __add__(self, other):
         o = self.field.promote(other)
         if o is None:
             return NotImplemented
-        return NFElem(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return _residue(self.field, self.rep + o.rep)
 
     __radd__ = __add__
 
@@ -727,39 +716,47 @@ class NFElem(Scalar):
         o = self.field.promote(other)
         if o is None:
             return NotImplemented
-        prod = _poly(QQ, list(self.coeffs)) * _poly(QQ, list(o.coeffs))
-        return NFElem(self.field, (prod % self.field.minpoly).coeffs)
+        return _residue(self.field, self.rep * o.rep)
 
     __rmul__ = __mul__
 
     def _inverse(self) -> "NFElem":
+        from .linalg import Matrix, SingularMatrixError
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = poly_xgcd(_poly(QQ, list(self.coeffs)), self.field.minpoly)
-        if g.degree != 0:
-            # squarefree but reducible minimal polynomial: zero divisors exist
+        try:
+            inverse = Matrix(QQ, self.regular_matrix()).inverse()
+        except SingularMatrixError:  # m squarefree but reducible: a zero divisor
             raise ZeroDivisionError(
-                f"zero divisor in Q[a]/({format_poly(self.field.minpoly, 'a')})")
-        return NFElem(self.field, (s * (QQ.one / g[0])).coeffs)
+                f"zero divisor in Q[a]/({format_poly(self.field.minpoly, 'a')})") from None
+        return NFElem(self.field, inverse.column(0))
 
     def regular_matrix(self):
         """Multiplication-by-self matrix on the Q-basis 1, a, ..., a^(m-1),
         as a list of rows of Fractions (column j = self * a^j)."""
-        m = self.field.degree
-        cols = []
-        acc = self
-        gen = self.field.gen()
-        for _ in range(m):
-            cols.append(acc.coeffs)
+        cols, acc, gen = [self.coeffs], self, self.field.gen()
+        for _ in range(self.field.degree - 1):
             acc = acc * gen
-        return [[cols[j][i] for j in range(m)] for i in range(m)]
+            cols.append(acc.coeffs)
+        return [list(row) for row in zip(*cols)]
 
     def __str__(self):
-        return format_poly(_poly(QQ, list(self.coeffs)), "a")
+        return format_poly(self.rep.num, "a")
+
+
+def _residue(field: "NumberField", r: RatFunc) -> NFElem:
+    """The residue of r, a polynomial of Q(t), mod the monic m: one exact
+    division of its integer numerator by m over Z when deg r >= deg m."""
+    if len(r.P) > field.degree:
+        r = _canonical(_zdiv(r.P, field.m)[1], r.p, (1,))
+    x = NFElem.__new__(NFElem)
+    x.field, x.rep = field, r
+    return x
 
 
 class NumberField(Field):
-    """Q[a]/(m(a)) for a monic squarefree integer polynomial m, deg >= 2.
+    """Q[a]/(m(a)) for a monic squarefree integer polynomial m, deg >= 2:
+    `minpoly` over Q, and `m`, its int coefficients, which reduce products.
 
     Squarefree (rather than irreducible) is the validity requirement, so
     this may be an etale algebra; division then raises on zero divisors.
@@ -778,6 +775,7 @@ class NumberField(Field):
         if poly_gcd(m, m.derivative()).degree != 0:
             raise ValueError("number field minimal polynomial must be squarefree")
         self.minpoly = m
+        self.m = tuple([c.numerator for c in m.coeffs])
         self.degree = m.degree
         super().__init__()
 
@@ -785,18 +783,17 @@ class NumberField(Field):
         if isinstance(value, NFElem):
             return value if value.field == self else None
         if isinstance(value, (int, Fraction)):
-            return NFElem(self, (value,))
+            return _residue(self, QT.promote(value))
         return None
 
     def gen(self):
-        return NFElem(self, (0, 1))
+        return _residue(self, RatFunc.t())
 
     def variable_name(self):
         return "a"
 
     def to_json(self):
-        return {"type": "NumberField",
-                "minpoly": [int(c) for c in self.minpoly.coeffs]}
+        return {"type": "NumberField", "minpoly": list(self.m)}
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly.coeffs == other.minpoly.coeffs
@@ -971,10 +968,11 @@ def parse_scalar_expression(text: str, field: Field):
     def bounded(node, expo=1):
         """node, unless its largest coefficient bit length times expo (checked
         before node**expo is formed) passes MAX_SCALAR_BITS."""
-        if isinstance(node, RatFunc):  # num's and den's coefficients, as Fractions reduce them
-            pairs = [(c, node.p) for c in node.P] + [(c, node.Q[-1]) for c in node.Q]
-        else:  # a Fraction, or the residue of a number field
-            pairs = [c.as_integer_ratio() for c in getattr(node, "coeffs", (node,))]
+        r = getattr(node, "rep", node)  # a residue mod m reads as its Q(t) representative
+        if isinstance(r, RatFunc):  # num's and den's coefficients, as Fractions reduce them
+            pairs = [(c, r.p) for c in r.P] + [(c, r.Q[-1]) for c in r.Q]
+        else:
+            pairs = [r.as_integer_ratio()]
         if expo * max(max((a // g).bit_length(), (b // g).bit_length())
                       for a, b in pairs for g in (gcd(a, b),)) > MAX_SCALAR_BITS:
             raise ParseError(f"scalar coefficient beyond {MAX_SCALAR_BITS} bits "

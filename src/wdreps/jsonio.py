@@ -150,19 +150,17 @@ def signature_to_json(sig: Signature):
     return out
 
 
-def _decimal(n: int, digits: int) -> str:
-    """n / 10^digits written with exactly `digits` decimals."""
-    sign = "-" if n < 0 else ""
-    whole, frac = divmod(abs(n), 10 ** digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+def _decimal(n: int) -> str:
+    """n / 10^15, for an int n >= 0, written with exactly 15 decimals."""
+    whole, frac = divmod(n, 10 ** 15)
+    return f"{whole}.{frac:015d}"
 
 
-def interval_to_json(iv: ModulusInterval, digits: int = 15):
-    """The interval widened outward to `digits` decimals."""
-    scale = 10 ** digits
-    lo = iv.lo.numerator * scale // iv.lo.denominator
-    hi = -(-iv.hi.numerator * scale // iv.hi.denominator)
-    return {"lo": _decimal(lo, digits), "hi": _decimal(hi, digits)}
+def interval_to_json(iv: ModulusInterval):
+    """The interval (0 <= lo <= hi) widened outward to 15 decimals."""
+    lo = iv.lo.numerator * 10 ** 15 // iv.lo.denominator
+    hi = -(-iv.hi.numerator * 10 ** 15 // iv.hi.denominator)
+    return {"lo": _decimal(lo), "hi": _decimal(hi)}
 
 
 def purity_report_to_json(report: PurityReport):

@@ -4,9 +4,10 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from wdreps import (Matrix, Partition, QQ, QT, Signature, SingularMatrixError, WDRep,
+from wdreps import (Matrix, Partition, Poly, QQ, QT, Signature, SingularMatrixError, WDRep,
                     block_diagonal, column_echelon, hook_content_dim, mat_subspaces,
                     sp_construct, wd_direct_sum, young_symmetrizer)
+from wdreps.fields import format_poly
 from wdreps.linalg import intersect_columns
 
 
@@ -33,6 +34,80 @@ def inverse_by_elimination(M: Matrix) -> Matrix:
     if tuple(pivots[:n]) != tuple(range(n)):
         raise SingularMatrixError("matrix is singular")
     return red.select(cols=range(n, 2 * n))
+
+
+def poly_xgcd(a: Poly, b: Poly):
+    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
+    field = a.field
+    r0, r1 = a, b
+    s0, s1 = Poly.one(field), Poly.zero(field)
+    t0, t1 = Poly.zero(field), Poly.one(field)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero():
+        return r0, s0, t0
+    inv = field.one / r0.leading()
+    return r0.monic(), s0 * inv, t0 * inv
+
+
+class FractionResidue:
+    """Independent number-field oracle for `NFElem`: a residue mod the monic
+    minimal polynomial m kept as deg m Fraction coefficients, a product
+    formed as the product of two `Poly`s over Q reduced by `%`, an inverse
+    by extended Euclid, which meets a zero divisor as a nonconstant gcd."""
+
+    def __init__(self, m: Poly, coeffs):
+        cs = list((Poly(QQ, [Fraction(c) for c in coeffs]) % m).coeffs)
+        self.m, self.coeffs = m, tuple(cs + [Fraction(0)] * (m.degree - len(cs)))
+
+    def poly(self) -> Poly:
+        return Poly(QQ, self.coeffs)
+
+    def __add__(self, other):
+        return FractionResidue(self.m, [x + y for x, y in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return FractionResidue(self.m, [-x for x in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        return FractionResidue(self.m, (self.poly() * other.poly() % self.m).coeffs)
+
+    def inverse(self):
+        if not any(self.coeffs):
+            raise ZeroDivisionError("inverse of zero")
+        g, s, _ = poly_xgcd(self.poly(), self.m)
+        if g.degree != 0:
+            raise ZeroDivisionError(f"zero divisor in Q[a]/({format_poly(self.m, 'a')})")
+        return FractionResidue(self.m, (s * (1 / g[0])).coeffs)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
+        return hash(self.coeffs)
+
+    def regular_matrix(self):
+        """Rows of the multiplication-by-self matrix on 1, a, ..., a^(m-1)."""
+        gen = FractionResidue(self.m, [0, 1])
+        cols, acc = [], self
+        for _ in range(self.m.degree):
+            cols.append(acc.coeffs)
+            acc = acc * gen
+        return [list(row) for row in zip(*cols)]
+
+    def __str__(self):
+        return format_poly(self.poly(), "a")
 
 
 def partitions_of(d: int):

@@ -1,5 +1,8 @@
+import itertools
 import math
+import operator
 import random
+import re
 from fractions import Fraction
 from functools import cached_property
 
@@ -10,8 +13,11 @@ from wdreps import (Matrix, ModulusInterval, NFElem, NumberField, ParseError, Pa
                     squarefree_decomposition, squarefree_part)
 from wdreps import fields
 from wdreps.cli import CommandRequest
-from wdreps.fields import Record, format_poly, poly_gcd, poly_xgcd
+from wdreps.fields import (MAX_SCALAR_BITS, Record, format_poly, parse_scalar_expression,
+                           poly_gcd)
 from wdreps.linalg import charpoly
+
+from support import FractionResidue, poly_xgcd, random_fraction
 
 
 def qpoly(*coeffs):
@@ -384,8 +390,13 @@ class TestNumberField:
     def test_zero_divisor_detected(self):
         K = NumberField([-1, 0, 1])  # x^2 - 1 is squarefree but reducible
         zd = K.gen() - 1
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match=r"^zero divisor in Q\[a\]/\(a\^2-1\)$"):
             K.one / zd
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            K.one / K.zero
+        with pytest.raises(ParseError, match=r"^division by zero in '1/\(a-1\)'$"):
+            K.coerce("1/(a-1)")
+        assert K.coerce("1/(a+2)") == (2 - K.gen()) / 3
 
     def test_regular_matrix_is_multiplication(self):
         K = NumberField([1, 0, 1])
@@ -407,6 +418,58 @@ class TestNumberField:
         K = NumberField([1, 0, 1])
         for text in ["a", "-a", "a+1", "-1/2*a+1/2"]:
             assert str(K.coerce(text)) == text
+
+    @pytest.mark.parametrize("minpoly", [[-2, 0, 1], [-2, 0, 0, 0, 1], [-1, 0, 1]],
+                             ids=["sqrt2", "a4-2", "etale-a2-1"])
+    def test_matches_the_fraction_residue_oracle(self, minpoly):
+        """Seeded: sums, differences, products, quotients, equality, constant
+        hashes, `str`, `coeffs` and `regular_matrix` agree with residues of
+        Fraction polynomials inverted by extended Euclid, and so do the
+        errors of dividing by zero and by a zero divisor."""
+        K, m = NumberField(minpoly), qpoly(*minpoly)
+        rng = random.Random(30 + len(minpoly))
+        values = [[0], [1], [0, 1], [-1, 1], [1, 1], [Fraction(-3, 4)]]
+        values += [[random_fraction(rng) if rng.random() < 0.8 else 0 for _ in range(K.degree + 2)]
+                   for _ in range(14)]
+        pairs = [(NFElem(K, cs), FractionResidue(m, cs)) for cs in values]
+        for (x, ox), (y, oy) in itertools.product(pairs, repeat=2):
+            for op in (operator.add, operator.sub, operator.mul):
+                z, oz = op(x, y), op(ox, oy)
+                assert z.coeffs == oz.coeffs and str(z) == str(oz)
+            assert (x == y) == (ox == oy) and (x - y == 0) == (ox == oy)
+            try:
+                expected = ox / oy
+            except ZeroDivisionError as exc:
+                with pytest.raises(ZeroDivisionError, match=re.escape(str(exc))):
+                    x / y
+            else:
+                assert (x / y).coeffs == expected.coeffs
+        for x, ox in pairs:
+            assert x.coeffs == ox.coeffs and str(x) == str(ox)
+            assert x.regular_matrix() == ox.regular_matrix()
+            assert (hash(x) == hash(x.coeffs[0])) == (not any(x.coeffs[1:]))
+            assert NFElem(K, x.coeffs) == x and hash(NFElem(K, x.coeffs)) == hash(x)
+        for c in (0, 5, Fraction(-2, 7)):
+            assert hash(K.coerce(c)) == hash(FractionResidue(m, [c])) == hash(Fraction(c))
+
+    def test_public_constructor_reads_coefficients_with_fraction(self):
+        K = NumberField([-2, 0, 1])
+        assert NFElem(K, ["0.5", 1, 3, 4]) == 9 * K.gen() + Fraction(13, 2)
+        assert NFElem(K, []) == 0 and NFElem(K, [0, 0, 0]).coeffs == (0, 0)
+
+    def test_literal_near_the_bit_bound(self):
+        """A number-field literal is bounded by its coefficients' integers,
+        as a Q(t) literal is: 2^16383 (MAX_SCALAR_BITS bits) passes in
+        either coefficient, 2^16384 is refused, also when it only appears as
+        a^2 * 2^16383 reduced by a^2 = 2."""
+        K = NumberField([-2, 0, 1])
+        chain = "*".join(["2^1000"] * 16)
+        big = K.coerce(f"{chain}*2^383*a")
+        assert big.coeffs == (0, 2 ** 16383) and MAX_SCALAR_BITS == 16384
+        assert K.coerce(f"1/({chain}*2^383)+a").coeffs == (Fraction(1, 2 ** 16383), 1)
+        for text in [f"{chain}*2^384*a", f"a*{chain}*2^383*a", f"1/({chain}*2^384)"]:
+            with pytest.raises(ParseError, match=r"beyond 16384 bits \(MAX_SCALAR_BITS\)"):
+                parse_scalar_expression(text, K)
 
 
 class _Interval(Record):

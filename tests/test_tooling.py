@@ -182,3 +182,33 @@ def test_one_characteristic_polynomial_decides_invertibility_and_nilpotency():
     assert inverse_calls is not None and "charpoly" in inverse_calls
     assert not inverse_calls & {"rref", "_rref_q", "_pivot", "hstack"}
     assert nilpotent_names == []
+
+
+def test_number_field_scalars_run_on_the_integer_kernel(monkeypatch):
+    """No module defines `poly_xgcd`: a number-field inverse is column 0 of
+    `Matrix.inverse` of the regular matrix.  `NFElem`'s `+`, `-`, `*` and
+    negation build no `Poly`; they run on Q(t)'s integer polynomials."""
+    defined = [(path.name, node.name)
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name == "poly_xgcd"]
+    assert defined == []
+    tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
+    (nfelem,) = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == "NFElem"]
+    (inverse,) = [m for m in nfelem.body
+                  if isinstance(m, ast.FunctionDef) and m.name == "_inverse"]
+    assert "inverse" in {getattr(c.func, "attr", None) for c in ast.walk(inverse)
+                         if isinstance(c, ast.Call)}
+    built = []
+    number_fields = [fields.NumberField([-2, 0, 1]),
+                     fields.NumberField([-2, 0, 0, 0, 1])]
+    poly, init = fields._poly, fields.Poly.__init__
+    monkeypatch.setattr(fields, "_poly", lambda *args: built.append(args) or poly(*args))
+    monkeypatch.setattr(fields.Poly, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    for K in number_fields:
+        a = K.gen()
+        x = a * a * a + Fraction(1, 3) * a - 2
+        x = -(x * x - a) + 5 * x
+        assert x - x == 0 and x * 0 == 0
+    assert built == []
