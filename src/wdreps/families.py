@@ -141,7 +141,8 @@ def purity_scan(fam: WDRep, mu: Partition, points, weight="infer",
 
 
 def _charpoly_multiset(sig: Signature):
-    return sorted((entry.t, entry.charpoly.coeffs) for entry in sig.entries)
+    """The (t, charpoly) pairs: a signature keeps one entry per t, sorted by t."""
+    return [(entry.t, entry.charpoly) for entry in sig.entries]
 
 
 def rigidity_check(report: RigidityReport) -> RigidityReport:

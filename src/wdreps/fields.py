@@ -3,9 +3,11 @@ number fields Q[a]/(m(a)).
 
 Every scalar is immutable and hashable, arithmetic is exact, and equality
 is canonical (fractions reduced, denominators monic, residues reduced mod
-the minimal polynomial; Q(t) and number fields on integer polynomials, a
-residue being its representative in Q[t] ⊂ Q(t)).  Field descriptors double
-as coercion points; scalars print with `str`, which the parser reads.
+the minimal polynomial).  One integer polynomial kernel (`_zmul`, `_zcomb`,
+`_zdiv`, `_zgcd`) carries Q(t), number fields (a residue is its
+representative in Q[t] ⊂ Q(t)) and `Poly`, whose coefficients over Q are
+ints over one denominator.  Field descriptors double as coercion points;
+scalars print with `str`, which the parser reads.
 
 Each field's `promote` is the one promotion path of operands: its own
 scalars and lifts of ints and Fractions, never strings, which enter only
@@ -20,7 +22,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 
@@ -153,19 +155,20 @@ def binary_power(x, n: int, one, times=mul):
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Dense univariate polynomial with coefficients in a `Field`.
+    """Dense univariate polynomial over a `Field`, stored as `Matrix` is:
+    coefficients `num`, low degree first, no trailing zeros (zero is `()`,
+    degree -1), over `den`: over Q ints over one int den > 0 with gcd(den,
+    num) = 1 (den = 1 for zero), elsewhere the scalars over den = None.
+    `coeffs` and indexing are the Fraction view for the edges (JSON,
+    `format_poly`, `eval`).  `+`, `-` and `*` run on `_zcomb` and `_zmul`
+    for every field; over Q `divmod` and `poly_gcd` run on `_zdiv` and
+    `_zgcd`.  The constructor coerces; arithmetic builds with `_poly`."""
 
-    Coefficients are stored low degree first with no trailing zeros; the
-    zero polynomial has an empty coefficient tuple and degree -1.  The
-    constructor coerces each coefficient; arithmetic builds its results
-    with `_poly`, from coefficients that are field scalars already.
-    """
-
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: Field, coeffs):
-        self.field = field
-        self.coeffs = _poly(field, [field.coerce(c) for c in coeffs]).coeffs
+        p = _poly(field, [field.coerce(c) for c in coeffs])
+        self.field, self.num, self.den = field, p.num, p.den
 
     @classmethod
     def zero(cls, field):
@@ -180,18 +183,22 @@ class Poly:
         return _poly(field, [field.zero, field.one])
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple([Fraction(c, self.den) for c in self.num]) if self.den else self.num
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __getitem__(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.num):
+            return Fraction(self.num[i], self.den) if self.den else self.num[i]
         return self.field.zero
 
     def __iter__(self):
@@ -199,28 +206,29 @@ class Poly:
         return iter(self.coeffs)
 
     def leading(self):
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self[self.degree]
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return bool(self.num) and self.num[-1] == (self.den or self.field.one)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
-        lead = self.coeffs[-1]
-        if lead == self.field.one:
+        if self.is_monic():
             return self
-        return _poly(self.field, [c / lead for c in self.coeffs])
+        lead = self.num[-1]  # over Q, num / den over lead / den is num over lead
+        cs = self.num if self.den else [c / lead for c in self.num]
+        return _poly(self.field, cs, self.den and lead)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.field == other.field and self.den == other.den and self.num == other.num
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.den, self.num))
 
     def _operand(self, other):
         """other as a polynomial over this field: a Poly, or a constant
@@ -231,19 +239,15 @@ class Poly:
         return None if s is None else _poly(self.field, [s])
 
     def __neg__(self):
-        return _poly(self.field, [-c for c in self.coeffs])
+        return _poly(self.field, [-c for c in self.num], self.den)
 
     def __add__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return _poly(self.field, out)
+        den = self.den and lcm(self.den, other.den)
+        x, y = (den // self.den, den // other.den) if den else (1, 1)
+        return _poly(self.field, _zcomb(self.num, x, other.num, y), den)
 
     __radd__ = __add__
 
@@ -257,22 +261,12 @@ class Poly:
         return -self + other
 
     def __mul__(self, other):
-        field = self.field
-        if not isinstance(other, Poly):
-            s = field.promote(other)
-            if s is None:
-                return NotImplemented
-            return _poly(field, [c * s for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return _poly(field, [])
-        out = [field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return _poly(field, out)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        zero = 0 if self.den else self.field.zero
+        return _poly(self.field, _zmul(self.num, other.num, zero),
+                     self.den and self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -287,18 +281,17 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        rem = list(self.coeffs)
-        quo = [field.zero] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = other.coeffs[-1]
-        dd = other.degree
+        field, B, dd = self.field, other.num, other.degree
+        if self.den:  # lead^k A = Q B + R, k = len Q: self = (Q den(B) B + R) / (den lead^k)
+            Q, R = _zdiv(self.num, B, False)
+            den = self.den * B[-1] ** len(Q)
+            return _poly(field, _zmul(Q, (other.den,)), den), _poly(field, R, den)
+        rem, quo = list(self.num), [field.zero] * max(0, len(self.num) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
-            if not rem[i]:
-                continue
-            q = rem[i] / dlead
-            quo[i - dd] = q
-            for j, c in enumerate(other.coeffs):
-                rem[i - dd + j] = rem[i - dd + j] - q * c
+            if rem[i]:
+                q = quo[i - dd] = rem[i] / B[-1]
+                for j, c in enumerate(B, i - dd):
+                    rem[j] = rem[j] - q * c
         return _poly(field, quo), _poly(field, rem)
 
     def __floordiv__(self, other):
@@ -308,7 +301,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def derivative(self) -> "Poly":
-        return _poly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly(self.field, [i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def eval(self, x):
         """Horner evaluation at a scalar of the coefficient field."""
@@ -321,57 +314,61 @@ class Poly:
         return f"Poly({self.field!r}, {list(self.coeffs)!r})"
 
 
-def _poly(field: Field, cs: list) -> Poly:
-    """The polynomial with coefficients `cs`, a list of scalars of `field`
-    low degree first (its trailing zeros popped), coerced no further: for
-    results this module computed."""
+def _poly(field: Field, cs, den=None) -> Poly:
+    """The polynomial with coefficients `cs`, low degree first, trailing
+    zeros dropped and coerced no further: for computed results.  Over Q `cs`
+    holds ints over `den`, or rationals when `den` is None, put in canonical
+    form (the one place a Fraction becomes an int); elsewhere scalars."""
+    cs = list(cs)
     while cs and not cs[-1]:
         cs.pop()
+    if field == QQ:
+        if den is None:
+            den = lcm(*[c.denominator for c in cs])
+            cs = [c.numerator * (den // c.denominator) for c in cs]
+        g = gcd(den, *cs) if den > 0 else -gcd(den, *cs)
+        if g != 1:
+            den //= g
+            cs = [c // g for c in cs]
     p = object.__new__(Poly)
-    p.field, p.coeffs = field, tuple(cs)
+    p.field, p.num, p.den = field, tuple(cs), den
     return p
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm (coefficients in a field)."""
-    while not b.is_zero():
+    """Monic gcd: over Q `_zgcd` of the numerators, made monic; over Q(t)
+    and number fields the Euclidean algorithm."""
+    if a.den and a and b:
+        g = _zgcd(a.num, b.num)
+        return _poly(QQ, g, g[-1])
+    while b:
         a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    return a.monic() if a else a
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """The product of the factors of `squarefree_decomposition`: monic,
-    with the roots of p, each once.  Rejects the zero polynomial."""
-    return prod((f for f, _ in squarefree_decomposition(p)), start=Poly.one(p.field))
+    """Yun's first quotient p / gcd(p, p'), monic: the roots of p, each
+    once.  Rejects the zero polynomial."""
+    if p.is_zero():
+        raise ValueError("squarefree decomposition of the zero polynomial")
+    return p.monic() // poly_gcd(p, p.derivative())
 
 
 def squarefree_decomposition(p: Poly):
     """Yun's algorithm: returns [(f_1, 1), (f_2, 2), ...] with the f_i
     squarefree, pairwise coprime, monic, and p ~ prod f_i^i.  Requires
-    characteristic zero (true for every field here)."""
+    characteristic zero (true for every field here).  Its step on (b, d)
+    = (p, p') gives gcd(p, p') and the first quotient, no factor."""
     if p.is_zero():
         raise ValueError("squarefree decomposition of the zero polynomial")
-    p = p.monic()
-    if p.degree == 0:
-        return []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p // a
-    c = dp // a
-    d = c - b.derivative()
-    factors = []
-    i = 1
+    b, factors, i = p.monic(), [], 0
+    d = b.derivative()
     while b.degree > 0:
         f = poly_gcd(b, d)
-        if f.degree > 0:
+        if i and f.degree > 0:
             factors.append((f, i))
-        b2 = b // f
-        c2 = d // f
-        d = c2 - b2.derivative()
-        b = b2
-        i += 1
+        b, c = b // f, d // f
+        d, i = c - b.derivative(), i + 1
     return factors
 
 
@@ -427,13 +424,15 @@ class Scalar:
 # rational functions in t
 # ---------------------------------------------------------------------------
 
-def _zmul(A: tuple, B: tuple) -> tuple:
-    """A*B, for integer polynomials: int tuples, low degree first, no trailing zeros."""
+def _zmul(A: tuple, B: tuple, zero=0) -> tuple:
+    """A*B, for integer polynomials: int tuples, low degree first, no
+    trailing zeros; or for tuples of the scalars of a field whose zero is
+    `zero`."""
     if len(A) < len(B):
         A, B = B, A
     if len(B) <= 1:
         return () if not B else A if B[0] == 1 else tuple([x * B[0] for x in A])
-    out = [0] * (len(A) + len(B) - 1)
+    out = [zero] * (len(A) + len(B) - 1)
     for i, x in enumerate(A):
         if x:
             for j, y in enumerate(B, i):
@@ -442,12 +441,13 @@ def _zmul(A: tuple, B: tuple) -> tuple:
 
 
 def _zcomb(A: tuple, x: int, B: tuple, y: int) -> tuple:
-    """A*x + B*y."""
+    """A*x + B*y for ints x and y; a factor 1 multiplies nothing, so A and B
+    may hold the scalars of any field."""
     if len(A) < len(B):
         A, x, B, y = B, y, A, x
-    out = [a * x for a in A]
-    for i, b in enumerate(B):
-        out[i] += b * y
+    out = list(A) if x == 1 else [a * x for a in A]
+    for i, b in enumerate(B if y == 1 else [b * y for b in B]):
+        out[i] += b
     while out and not out[-1]:
         out.pop()
     return tuple(out)
@@ -460,16 +460,17 @@ def _zprim(A: tuple) -> tuple:
 
 
 def _zdiv(A: tuple, B: tuple, exact: bool = True):
-    """(quotient, remainder) of A by B over Z: exact when B divides A, else
-    the pseudo-division of lead(B)^(deg A - deg B + 1) * A (Knuth, TAOCP
-    vol. 2, 4.6.1), of which only the remainder is used."""
+    """(quotient Q, remainder R) of A by B over Z: exact when B divides A;
+    else the pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), the exact
+    division of lead(B)^k * A for k = len(Q) = max(deg A - deg B + 1, 0),
+    so lead(B)^k A = Q B + R with deg R < deg B."""
     R, n, lead = list(A), len(B) - 1, B[-1]
     out = [0] * max(len(A) - n, 0)
+    if not exact and out and lead != 1:
+        f = lead ** len(out)
+        R = [x * f for x in R]
     for i in range(len(out) - 1, -1, -1):
-        if exact:
-            q = out[i] = R[i + n] // lead
-        else:
-            q, R = R[i + n], [x * lead for x in R]
+        q = out[i] = R[i + n] // lead
         for j, y in enumerate(B, i):
             R[j] -= q * y
     while R and not R[-1]:
@@ -512,9 +513,8 @@ def _canonical(N: tuple, n: int, D: tuple) -> "RatFunc":
 
 def _lift(f) -> "RatFunc":
     """A Poly over Q, or a Q-coefficient read by `Poly(QQ, ...)`, in Q(t)."""
-    cs = (f if isinstance(f, Poly) else Poly(QQ, (f,))).coeffs
-    n = lcm(*[c.denominator for c in cs])
-    return _canonical(tuple([c.numerator * (n // c.denominator) for c in cs]), n, (1,))
+    f = f if isinstance(f, Poly) else Poly(QQ, (f,))
+    return _canonical(f.num, f.den, (1,))
 
 
 class RatFunc(Scalar):
@@ -553,11 +553,11 @@ class RatFunc(Scalar):
 
     @property
     def num(self) -> Poly:
-        return _poly(QQ, [Fraction(c, self.p) for c in self.P])
+        return _poly(QQ, self.P, self.p)
 
     @property
     def den(self) -> Poly:
-        return _poly(QQ, [Fraction(c, self.Q[-1]) for c in self.Q])
+        return _poly(QQ, self.Q, self.Q[-1])
 
     def is_zero(self) -> bool:
         return not self.P
@@ -770,13 +770,11 @@ class NumberField(Field):
             raise ValueError("number field minimal polynomial must have degree >= 2")
         if not m.is_monic():
             raise ValueError("number field minimal polynomial must be monic")
-        if any(c.denominator != 1 for c in m.coeffs):
+        if m.den != 1:
             raise ValueError("number field minimal polynomial must have integer coefficients")
         if poly_gcd(m, m.derivative()).degree != 0:
             raise ValueError("number field minimal polynomial must be squarefree")
-        self.minpoly = m
-        self.m = tuple([c.numerator for c in m.coeffs])
-        self.degree = m.degree
+        self.minpoly, self.m, self.degree = m, m.num, m.degree
         super().__init__()
 
     def promote(self, value):
@@ -796,10 +794,10 @@ class NumberField(Field):
         return {"type": "NumberField", "minpoly": list(self.m)}
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.minpoly.coeffs == other.minpoly.coeffs
+        return isinstance(other, NumberField) and self.m == other.m
 
     def __hash__(self):
-        return hash(("NumberField", self.minpoly.coeffs))
+        return hash(("NumberField", self.m))
 
     def __repr__(self):
         return f"NumberField({format_poly(self.minpoly, 'a')})"

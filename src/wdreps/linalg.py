@@ -253,14 +253,15 @@ class Matrix:
         when p(0) is zero or, over an etale algebra, divides zero."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
-        p = charpoly(self).coeffs
+        p = charpoly(self).num  # over Q p's denominator cancels in r / p(0)
         if not p[0]:
             raise SingularMatrixError("matrix is singular")
         try:
             scale = -self.field.one / p[0]
         except ZeroDivisionError:
             raise SingularMatrixError("its determinant divides zero") from None
-        return poly_eval_matrix(_poly(self.field, list(p[1:])), self)._scale(scale)
+        return poly_eval_matrix(_poly(self.field, p[1:], _units(self.field)[0]),
+                                self)._scale(scale)
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +443,18 @@ def charpoly(M: Matrix) -> Poly:
     """Characteristic polynomial det(xI - M), monic, by Berkowitz's
     division-free recurrence on the stored form: over Q on the numerators
     A = den * M, whose coefficient c_k of x^k gives M's as
-    c_k / den^(n-k); over every other field and etale algebra on the
-    stored scalars, so no zero divisor is ever inverted.  The result is
-    kept on M, so `M.det()` and a later `charpoly(M)` run it once."""
+    c_k den^k / den^n, the stored form of the result; over every other
+    field and etale algebra on the stored scalars, so no zero divisor is
+    ever inverted.  The result is kept on M, so `M.det()` and a later
+    `charpoly(M)` run it once."""
     if not M.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     kept = getattr(M, "_charpoly", None)
     if kept is None:
-        p = _berkowitz(M.num, *_units(M.field)[1:])
-        if M.den is not None:  # p[i] is c_(n-i)
-            p = [Fraction(c, M.den ** i) for i, c in enumerate(p)]
-        M._charpoly = kept = _poly(M.field, p[::-1])
+        p, den = _berkowitz(M.num, *_units(M.field)[1:])[::-1], M.den
+        if den is not None and den != 1:
+            p = [c * den ** k for k, c in enumerate(p)]
+        M._charpoly = kept = _poly(M.field, p, den and den ** M.nrows)
     return kept
 
 
@@ -487,25 +489,28 @@ def _berkowitz(A, zero, one) -> list:
 
 
 def poly_eval_matrix(p: Poly, M: Matrix) -> Matrix:
-    """Horner evaluation of a polynomial at a square matrix.  Each Horner
-    constant goes onto the diagonal of the stored rows alone, with no I*c
-    built and added."""
+    """Horner evaluation of a polynomial at a square matrix, on the stored
+    forms: over Q, for p = P / d of degree k and M = A / e, Horner on the
+    int matrix A with the constants P_i e^(k-i) gives d e^k p(M), scaled
+    once at the end.  Each Horner constant goes onto the diagonal of the
+    stored rows alone, with no I*c built and added.  A polynomial over
+    another field is first read into M's."""
     if not M.is_square():
         raise ValueError("polynomial evaluation needs a square matrix")
-    n = M.nrows
+    if p.field != M.field:
+        p = Poly(M.field, p.coeffs)
+    n, cs, e, k = M.nrows, p.num, M.den, p.degree
     if p.is_zero():
         return Matrix.zeros(M.field, n, n)
-    acc = Matrix.identity(M.field, n) * p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
+    if e is not None:
+        cs, M = [c * e ** (k - i) for i, c in enumerate(cs)], _make(QQ, M.num, n, 1)
+    acc = Matrix.identity(M.field, n)._scale(cs[-1])
+    for c in reversed(cs[:-1]):
         acc = acc * M
         if c:
-            # over Q, c joins the numerators over the lcm of the denominators
-            den = acc.den and lcm(acc.den, c.denominator)
-            if den:
-                c = c.numerator * (den // c.denominator)
             acc = _make(M.field, tuple(row[:i] + (row[i] + c,) + row[i + 1:]
-                                       for i, row in enumerate(_over(acc, den))), n, den)
-    return acc
+                                       for i, row in enumerate(acc.num)), n, acc.den)
+    return acc if e is None else _make(QQ, acc.num, n, p.den * e ** k)
 
 
 def mult_jordan_chevalley(M: Matrix):
@@ -526,10 +531,7 @@ def mult_jordan_chevalley(M: Matrix):
     n = M.nrows
     if not M.det():
         raise SingularMatrixError("multiplicative decomposition needs an invertible matrix")
-    if isinstance(M.field, NumberField):
-        f = Poly(M.field, squarefree_part(charpoly(scalar_restriction(M))).coeffs)
-    else:
-        f = squarefree_part(charpoly(M))
+    f = squarefree_part(charpoly(scalar_restriction(M) if isinstance(M.field, NumberField) else M))
     fp = f.derivative()
     X = M
     budget = max(1, n.bit_length() + 1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import floor, inf, isqrt, lcm, log2, prod
+from math import floor, inf, isqrt, log2, prod
 
 from .fields import Poly, QQ, Record, _poly, squarefree_decomposition
 
@@ -175,20 +175,18 @@ def _certify_squarefree(f: Poly, eps: Fraction):
     m = f.degree
     if m == 0:
         return []
-    coeffs = list(f.coeffs)
     if m == 1:
-        return [ModulusInterval(abs(coeffs[0]), abs(coeffs[0]))]
+        return [ModulusInterval(abs(f[0]), abs(f[0]))]
 
     try:
         # floats are dyadic rationals, so the seeds convert exactly, over 2^e
         zs = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio())
-              for z in _durand_kerner(coeffs)]
+              for z in _durand_kerner(list(f.coeffs))]
     except OverflowError as exc:
         raise CertificationFailed(f"coefficients too large for seeding: {exc}") from exc
     e = max(d.bit_length() for z in zs for _, d in z) - 1
     zs = [tuple(n << e + 1 - d.bit_length() for n, d in z) for z in zs]
-    D = lcm(*(c.denominator for c in coeffs))
-    fa = [c.numerator * (D // c.denominator) for c in coeffs]
+    fa, D = f.num, f.den
     shift = _shift(eps / 8)
     # radii are integers R meaning R / 2^shift; R <= cap iff R / 2^shift <= 3 eps / 8
     cap = (3 * eps.numerator << shift) // (8 * eps.denominator)
@@ -278,12 +276,10 @@ def root_moduli_certified(p, eps) -> list[ModulusInterval]:
 
     intervals: list[ModulusInterval] = []
     # split off the exact power of x
-    nzero = 0
-    while p[nzero] == 0 and nzero <= p.degree:
-        nzero += 1
+    nzero = next(i for i, c in enumerate(p.num) if c)
     intervals.extend(ModulusInterval(Fraction(0), Fraction(0)) for _ in range(nzero))
     if nzero:
-        p = _poly(QQ, list(p.coeffs[nzero:]))
+        p = _poly(QQ, p.num[nzero:], p.den)
     if p.degree >= 1:
         for factor, mult in squarefree_decomposition(p):
             per_factor = _certify_squarefree(factor, eps)

@@ -108,7 +108,7 @@ def _check_invariants(rho: WDRep):
         rho.field.one / phi.det()
     except ZeroDivisionError:
         return "phi is singular"
-    if any(charpoly(rho.nilp).coeffs[:-1]):
+    if any(charpoly(rho.nilp).num[:-1]):
         return f"nilp is not nilpotent (nilp^{n} != 0)"
     qinv = rho.field.coerce(Fraction(1, rho.q))
     if phi * rho.nilp != rho.nilp * qinv * phi:
@@ -120,7 +120,7 @@ def _check_invariants(rho: WDRep):
         # a g of finite order has roots of unity as eigenvalues, so over
         # Q(t) its charpoly is constant in t; otherwise its powers only grow
         # in degree, and the closure is refused before any is formed
-        if rho.field == QT and any(len(c.P) > 1 or len(c.Q) > 1 for c in charpoly(g).coeffs):
+        if rho.field == QT and any(len(c.P) > 1 or len(c.Q) > 1 for c in charpoly(g).num):
             return f"inertia[{idx}] {label!r}: order exceeds bound {INERTIA_CLOSURE_CAP}"
     closure = inertia_closure(rho.inertia, rho.field, n)
     if closure is None:
@@ -531,10 +531,8 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
     if weight == "infer":
         candidates = []
         for k, p in pieces:
-            # det^2 = p(0)^2: the charpoly's constant term is (-1)^dim * det,
-            # and the square of its reduced numerator and denominator is reduced
-            det = p[0]
-            j, exact = _q_log(det.numerator ** 2, det.denominator ** 2, rho.q)
+            # det^2 = p(0)^2: the charpoly's constant term is (-1)^dim * det
+            j, exact = _q_log(p.num[0] ** 2, p.den ** 2, rho.q)
             if not exact:
                 raise NonIntegralWeight(
                     f"|det|^2 on graded piece {k} is not a power of q = {rho.q}")

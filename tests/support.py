@@ -110,6 +110,145 @@ class FractionResidue:
         return format_poly(self.poly(), "a")
 
 
+class FractionPoly:
+    """Independent oracle for `Poly` over Q: the arithmetic `Poly` ran on
+    Fraction coefficients before it stored ints over one denominator,
+    copied here.  Coefficients low degree first, no trailing zeros; school
+    sum, product and long division over Q, Euclid's gcd, Yun's algorithm,
+    and the squarefree part as the product of Yun's factors."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return self.coeffs == FractionPoly.lift(other).coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    @staticmethod
+    def lift(other):
+        return other if isinstance(other, FractionPoly) else FractionPoly([other])
+
+    def __add__(self, other):
+        a, b = self.coeffs, FractionPoly.lift(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return FractionPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -FractionPoly.lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        a, b = self.coeffs, FractionPoly.lift(other).coeffs
+        if not a or not b:
+            return FractionPoly()
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return FractionPoly(out)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other):
+        b = FractionPoly.lift(other).coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, dd = list(self.coeffs), len(b) - 1
+        quo = [Fraction(0)] * max(0, len(rem) - dd)
+        for i in range(len(rem) - 1, dd - 1, -1):
+            q = quo[i - dd] = rem[i] / b[-1]
+            for j, c in enumerate(b):
+                rem[i - dd + j] -= q * c
+        return FractionPoly(quo), FractionPoly(rem)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def monic(self):
+        if not self.coeffs:
+            raise ValueError("cannot normalize the zero polynomial")
+        return FractionPoly([c / self.coeffs[-1] for c in self.coeffs])
+
+    def derivative(self):
+        return FractionPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def eval(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def gcd(self, other):
+        a, b = self, other
+        while b:
+            a, b = b, a % b
+        return a.monic() if a else a
+
+    def squarefree_decomposition(self):
+        if not self:
+            raise ValueError("squarefree decomposition of the zero polynomial")
+        p = self.monic()
+        if p.degree == 0:
+            return []
+        dp = p.derivative()
+        a = p.gcd(dp)
+        b, c = p // a, dp // a
+        d = c - b.derivative()
+        factors, i = [], 1
+        while b.degree > 0:
+            f = b.gcd(d)
+            if f.degree > 0:
+                factors.append((f, i))
+            b, c = b // f, d // f
+            d = c - b.derivative()
+            i += 1
+        return factors
+
+    def squarefree_part(self):
+        out = FractionPoly([1])
+        for f, _ in self.squarefree_decomposition():
+            out = out * f
+        return out
+
+    def format(self, var: str = "x") -> str:
+        pieces = []
+        for i in range(self.degree, -1, -1):
+            c = self.coeffs[i]
+            if not c:
+                continue
+            mag = str(abs(c))
+            xpow = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
+            body = mag if not xpow else xpow if mag == "1" else f"{mag}*{xpow}"
+            pieces.append(("-" if c < 0 else "+" if pieces else "") + body)
+        return "".join(pieces) or "0"
+
+
 def partitions_of(d: int):
     """All partitions of d, largest first part first (deterministic)."""
 

@@ -17,7 +17,7 @@ from wdreps.fields import (MAX_SCALAR_BITS, Record, format_poly, parse_scalar_ex
                            poly_gcd)
 from wdreps.linalg import charpoly
 
-from support import FractionResidue, poly_xgcd, random_fraction
+from support import FractionPoly, FractionResidue, poly_xgcd, random_fraction
 
 
 def qpoly(*coeffs):
@@ -266,6 +266,131 @@ def test_integer_form_properties():
                     x.eval(a)
 
     check()
+
+
+def _q_polys():
+    """Coefficient lists of polynomials over Q: zero, constants, negative
+    leading coefficients, coefficients of 200+ bits over small and 206-bit
+    denominators, and products of linear factors with repeated roots,
+    multiplied out by the oracle."""
+    st = pytest.importorskip("hypothesis.strategies")
+    big = st.builds(lambda s, n: s * (2 ** 200 + n), st.sampled_from([1, -1]),
+                    st.integers(0, 2 ** 40))
+    coeffs = st.builds(Fraction, st.one_of(st.integers(-6, 6), big),
+                       st.sampled_from([1, 1, 2, 3, 4, 3 ** 130]))
+    roots = st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-3, 7), 2 ** 201])
+
+    def with_roots(lead, rs):
+        p = FractionPoly([lead])
+        for r in rs:
+            p = p * FractionPoly([-r, 1])
+        return list(p.coeffs)
+
+    return st.one_of(st.lists(coeffs, max_size=5),
+                     st.builds(with_roots, coeffs.filter(bool),
+                               st.lists(roots, min_size=1, max_size=6)))
+
+
+def test_rational_polynomials_match_the_fraction_oracle():
+    """`Poly` over Q agrees with `FractionPoly`, a copy of the Fraction
+    arithmetic it ran on before: sums, differences and products, also by
+    constants; divmod, // and % by polynomials and constants; poly_gcd,
+    monic, derivative and eval; Yun's decomposition and the squarefree
+    part; format_poly; and == with hash."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    constants = st.sampled_from([0, 1, -1, 3, Fraction(-2, 5), Fraction(2 ** 210 + 1, 3 ** 40)])
+
+    def same(got, want):
+        assert isinstance(got, Poly) and got.field == QQ and got.coeffs == want.coeffs
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(_q_polys(), _q_polys(), constants)
+    def check(a, b, c):
+        A, B, FA, FB = Poly(QQ, a), Poly(QQ, b), FractionPoly(a), FractionPoly(b)
+        for got, want in ((A + B, FA + FB), (A - B, FA - FB), (A * B, FA * FB), (-A, -FA),
+                          (A * c, FA * c), (c * A, FA * c), (A + c, FA + c), (c - A, c - FA),
+                          (A.derivative(), FA.derivative()), (poly_gcd(A, B), FA.gcd(FB))):
+            same(got, want)
+        for divisor, want in ((B, FB), (Poly(QQ, [c]), FractionPoly([c]))):
+            if not want:
+                with pytest.raises(ZeroDivisionError):
+                    divmod(A, divisor)
+                continue
+            q, r = divmod(A, divisor)
+            fq, fr = divmod(FA, want)
+            for got, expected in ((q, fq), (r, fr), (A // divisor, fq), (A % divisor, fr)):
+                same(got, expected)
+        for x in (Fraction(0), Fraction(-3, 2), Fraction(2 ** 100, 7)):
+            assert A.eval(x) == FA.eval(x)
+        assert format_poly(A, "t") == FA.format("t")
+        if FA:
+            same(A.monic(), FA.monic())
+            assert ([(f.coeffs, m) for f, m in squarefree_decomposition(A)]
+                    == [(f.coeffs, m) for f, m in FA.squarefree_decomposition()])
+            same(squarefree_part(A), FA.squarefree_part())
+        else:
+            for fn in (squarefree_decomposition, squarefree_part):
+                with pytest.raises(ValueError, match="zero polynomial"):
+                    fn(A)
+        again = Poly(QQ, [*FA.coeffs, 0, Fraction(0, 5)])
+        assert again == A and hash(again) == hash(A)
+        assert (A == B) == (FA == FB) and (A != B) == (FA != FB)
+        assert A != B or hash(A) == hash(B)
+
+    check()
+
+
+def _trim(cs) -> tuple:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def test_pseudo_division_identity():
+    """`_zdiv` in pseudo mode on int polynomials: lead(B)^k A = Q B + R,
+    k = len(Q) = max(deg A - deg B + 1, 0), deg R < deg B; in exact mode
+    it divides the product A B by B back to (A, ())."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ints = st.one_of(st.integers(-9, 9), st.integers(-2 ** 210, 2 ** 210))
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.lists(ints, max_size=8).map(_trim),
+                      st.lists(ints, min_size=1, max_size=5).map(_trim).filter(bool))
+    def check(A, B):
+        Q, R = fields._zdiv(A, B, False)
+        k = max(len(A) - len(B) + 1, 0)
+        assert len(Q) == k and len(R) < len(B) and (not R or R[-1])
+        assert all(type(x) is int for x in Q + R)
+        assert FractionPoly(Q) * FractionPoly(B) + FractionPoly(R) == FractionPoly(A) * B[-1] ** k
+        product = tuple(int(c) for c in (FractionPoly(A) * FractionPoly(B)).coeffs)
+        assert fields._zdiv(product, B) == (A, ())
+
+    check()
+
+
+def test_integer_gcd_is_the_primitive_part_of_sympys():
+    """`_zgcd` of nonzero int polynomials sharing random factors is the
+    primitive part of sympy's gcd over Z, leading coefficient positive."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(32)
+    factors = [(1, 1), (-1, 1), (2, 3), (1, 0, 1), (-5, 0, 0, 2), (7,), (-4,), (2 ** 200 + 1, 6)]
+
+    def draw():
+        p = FractionPoly([rng.choice([1, -1, 2, -6, 2 ** 201 + 3])])
+        for _ in range(rng.randint(0, 4)):
+            p = p * FractionPoly(rng.choice(factors))
+        return tuple(int(c) for c in p.coeffs)
+
+    for _ in range(150):
+        A, B = draw(), draw()
+        _, g = sympy.Poly(A[::-1], x).gcd(sympy.Poly(B[::-1], x)).primitive()
+        want = tuple(int(c) for c in g.all_coeffs()[::-1])
+        assert fields._zgcd(A, B) == (want if want[-1] > 0 else tuple(-c for c in want))
 
 
 def test_polynomial_arithmetic_runs_no_gcd(monkeypatch):

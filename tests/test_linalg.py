@@ -583,6 +583,11 @@ def test_poly_eval_matrix_horner():
     t = QT.gen()
     N = Matrix(QT, [["t", "1"], ["0", "1/t"]])
     assert poly_eval_matrix(Poly(QT, [t, 0, 1]), N) == N * N + Matrix.identity(QT, 2) * t
+    # rational coefficients over a matrix with a denominator, and a Q polynomial at a Q(t) matrix
+    half, p = Fraction(1, 2), Poly(QQ, [Fraction(1, 2), Fraction(-3, 5), Fraction(7, 3)])
+    assert poly_eval_matrix(p, M) == M * M * Fraction(7, 3) - M * Fraction(3, 5) + eye * half
+    assert poly_eval_matrix(p, N) == (N * N * Fraction(7, 3) - N * Fraction(3, 5)
+                                      + Matrix.identity(QT, 2) * half)
 
 
 # ---------------------------------------------------------------------------

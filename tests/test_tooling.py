@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -212,3 +213,77 @@ def test_number_field_scalars_run_on_the_integer_kernel(monkeypatch):
         x = -(x * x - a) + 5 * x
         assert x - x == 0 and x * 0 == 0
     assert built == []
+
+
+def test_rational_polynomials_run_on_the_integer_kernel(monkeypatch):
+    """`Poly` over Q runs `+ - * divmod poly_gcd monic derivative` without
+    constructing a `Fraction`: sums go through `_zcomb`, products through
+    `_zmul`, `divmod` through `_zdiv` and `poly_gcd` through `_zgcd`, and
+    neither `Poly.__add__` nor `Poly.__mul__` has a loop of its own."""
+    tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
+    (poly,) = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == "Poly"]
+    loops = [m.name for m in poly.body if isinstance(m, ast.FunctionDef)
+             and m.name in ("__add__", "__mul__")
+             for n in ast.walk(m) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert loops == []
+    p = fields.Poly(fields.QQ, [Fraction(1, 2), -3, 0, Fraction(-5, 7)])
+    q = fields.Poly(fields.QQ, [2, Fraction(-1, 3), 4])
+    r = p * p * q
+    kernel = []
+    for name in ("_zcomb", "_zmul", "_zdiv", "_zgcd"):
+        monkeypatch.setattr(fields, name, lambda *args, f=getattr(fields, name), name=name:
+                            kernel.append(name) or f(*args))
+    operations = {"+": lambda: p + q, "-": lambda: p - q, "*": lambda: p * q,
+                  "divmod": lambda: divmod(r, q), "poly_gcd": lambda: fields.poly_gcd(r, p),
+                  "monic": p.monic, "derivative": q.derivative}
+    built, calls = [], {}
+    new = vars(Fraction)["__new__"]
+    Fraction.__new__ = staticmethod(lambda cls, *args, **kw:
+                                    built.append(args) or new.__func__(cls, *args, **kw))
+    try:
+        for name, operation in operations.items():
+            kernel.clear()
+            operation()
+            calls[name] = set(kernel)
+    finally:
+        Fraction.__new__ = new
+    assert built == []
+    assert "_zcomb" in calls["+"] & calls["-"] and "_zmul" in calls["*"]
+    assert "_zdiv" in calls["divmod"] and "_zgcd" in calls["poly_gcd"]
+    assert divmod(r, q) == (p * p, fields.Poly.zero(fields.QQ))
+    assert fields.poly_gcd(r, p) == p.monic()
+
+
+def test_scan_path_reads_the_fraction_view_only_at_the_edges(monkeypatch, tmp_path):
+    """In-process `rigidity` of inertia_pair at (2,1), points 1..2, and of
+    bench/gen.py's seed-1 dense Q(t) family at (2), point 1: the `src/`
+    functions outside `Poly` that read the Fraction view of a `Poly` over Q
+    (`coeffs` or indexing) are the output edges (JSON, `format_poly`, the
+    scalar `det`) and the float seeds of the root certifier."""
+    spec = importlib.util.spec_from_file_location("bench_gen", SRC.parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    dense = tmp_path / "dense.json"
+    dense.write_bytes(gen.document_bytes(gen.dense_qt(1)))
+    readers = set()
+
+    def record(p):
+        frame = sys._getframe(2)
+        while frame.f_code.co_qualname.startswith("Poly."):
+            frame = frame.f_back
+        path = Path(frame.f_code.co_filename)
+        if p.field == fields.QQ and path.parent == SRC:
+            readers.add(f"{path.stem}.{frame.f_code.co_qualname.split('.<locals>')[0]}")
+
+    coeffs, getitem = fields.Poly.coeffs.fget, fields.Poly.__getitem__
+    monkeypatch.setattr(fields.Poly, "coeffs", property(lambda p: record(p) or coeffs(p)))
+    monkeypatch.setattr(fields.Poly, "__getitem__", lambda p, i: record(p) or getitem(p, i))
+    wd._certified_moduli.cache_clear()
+    for argv in (["rigidity", "--partition", "2,1", "--points", "1..2",
+                  str(SRC.parents[1] / "corpus" / "inertia_pair.json")],
+                 ["rigidity", "--partition", "2", "--points", "1..1", str(dense)]):
+        request = cli.parse_request(argv)
+        code, envelope = cli.run_command(request)
+        assert code == 0 and cli.render(request, envelope)
+    assert readers == {"fields.format_poly", "jsonio.poly_to_json", "linalg.Matrix.det",
+                       "roots._certify_squarefree"}
