@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from .fields import QQ, QT, Record, _poly
 from .linalg import Matrix, block_diagonal
@@ -71,14 +72,16 @@ def specialize(fam: WDRep, point) -> WDRep:
 
 
 def specialize_signature(sig: Signature, point) -> Signature:
-    """Entrywise evaluation of a Q(t) signature at t = a."""
-    a = Fraction(point)
+    """Entrywise evaluation of a Q(t) signature at a rational t: each charpoly
+    coefficient on ints, as `RatFunc.eval` takes it, and the charpoly built
+    on them over one denominator."""
     entries = []
     for entry in sig.entries:
-        coeffs = [c.eval(a) for c in entry.charpoly.coeffs]
-        traces = tuple((label, v.eval(a)) for label, v in entry.inertia_traces)
-        entries.append(SignatureEntry(t=entry.t, charpoly=_poly(QQ, coeffs),
-                                      inertia_traces=traces))
+        terms = [c._at(point.numerator, point.denominator) for c in entry.charpoly.coeffs]
+        den = lcm(*[d for _, d in terms])
+        traces = tuple((label, v.eval(point)) for label, v in entry.inertia_traces)
+        entries.append(SignatureEntry(t=entry.t, inertia_traces=traces, charpoly=_poly(
+            QQ, [n * (den // d) for n, d in terms], den)))
     return Signature(tuple(entries))
 
 

@@ -629,11 +629,15 @@ class RatFunc(Scalar):
         if len(Q) == 1 and len(P) <= 1:
             return Fraction(P[0] if P else 0, self.p)
         a = Fraction(a)
-        hq, sq = _zeval(Q, a.numerator, a.denominator)
+        return Fraction(*self._at(a.numerator, a.denominator))
+
+    def _at(self, r: int, s: int):
+        """(n, d), ints with n / d the value at t = r/s, homogeneously."""
+        hq, sq = _zeval(self.Q, r, s)
         if not hq:
-            raise ZeroDivisionError(f"denominator vanishes at t = {a}")
-        hp, sp = _zeval(P, a.numerator, a.denominator)
-        return Fraction(hp * Q[-1] * sq, self.p * hq * sp)
+            raise ZeroDivisionError(f"denominator vanishes at t = {Fraction(r, s)}")
+        hp, sp = _zeval(self.P, r, s)
+        return hp * self.Q[-1] * sq, self.p * hq * sp
 
     def __str__(self):
         num = format_poly(self.num, "t")
@@ -674,7 +678,8 @@ class NFElem(Scalar):
     (a `RatFunc` with denominator 1): `+`, `-`, `*`, equality and the hash
     are those of Q(t) on integers, a product reduced by one exact division
     by m over Z.  The inverse is column 0 of `Matrix.inverse` of the
-    regular matrix (x -> R(x) is an injective ring homomorphism).
+    regular matrix (x -> R(x) is an injective ring homomorphism), both on
+    ints over one denominator.
     `NFElem(field, coeffs)` reads each coefficient with `Fraction`;
     `coeffs` is the padded Fraction view."""
 
@@ -721,24 +726,30 @@ class NFElem(Scalar):
     __rmul__ = __mul__
 
     def _inverse(self) -> "NFElem":
-        from .linalg import Matrix, SingularMatrixError
+        from .linalg import SingularMatrixError
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         try:
-            inverse = Matrix(QQ, self.regular_matrix()).inverse()
+            inverse = self._regular().inverse()
         except SingularMatrixError:  # m squarefree but reducible: a zero divisor
             raise ZeroDivisionError(
                 f"zero divisor in Q[a]/({format_poly(self.field.minpoly, 'a')})") from None
-        return NFElem(self.field, inverse.column(0))
+        return _residue(self.field, _lift(_poly(QQ, [row[0] for row in inverse.num], inverse.den)))
+
+    def _regular(self):
+        """The regular matrix over Q, on ints over the representative's
+        denominator: column j + 1 is a times column j, reduced by the monic m."""
+        from .linalg import _make
+        col, cols = list(self.rep.P) + [0] * (self.field.degree - len(self.rep.P)), []
+        for _ in range(self.field.degree):
+            cols.append(col)
+            col = [c - col[-1] * k for c, k in zip([0] + col[:-1], self.field.m)]
+        return _make(QQ, tuple(zip(*cols)), self.field.degree, self.rep.p)
 
     def regular_matrix(self):
         """Multiplication-by-self matrix on the Q-basis 1, a, ..., a^(m-1),
         as a list of rows of Fractions (column j = self * a^j)."""
-        cols, acc, gen = [self.coeffs], self, self.field.gen()
-        for _ in range(self.field.degree - 1):
-            acc = acc * gen
-            cols.append(acc.coeffs)
-        return [list(row) for row in zip(*cols)]
+        return [list(row) for row in self._regular().rows]
 
     def __str__(self):
         return format_poly(self.rep.num, "a")

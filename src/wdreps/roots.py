@@ -6,13 +6,15 @@ z_1..z_m, f is the characteristic polynomial of the generalized companion
 matrix diag(z_i) - e * w^T with the Weierstrass corrections
 w_i = f(z_i) / prod_{j!=i}(z_i - z_j); column Gershgorin disks D(z_i, m*|w_i|)
 therefore cover all roots, and pairwise disjoint disks isolate exactly one
-root each.  The one correction w_i seeds the approximations in floats
-(Durand-Kerner), then refines them (z_i - w_i) and bounds the disks exactly,
-on Gaussian integers over one denominator 2^e (kept as e, so scaling is a
-shift) shared by a round's approximations: the intervals are guaranteed.
-A round passes when each radius, rounded up to the output's 2^-shift, is at
-most 3 eps / 8 (bit lengths refute most failing rounds before any root is
-taken) and the disks are disjoint at 2^-shift, or else at 2^-bits.
+root each (Petkovic, LNM 1387).  The one correction w_i seeds the
+approximations in floats (Durand-Kerner), then refines them (z_i - w_i), on
+Gaussian integers over one denominator 2^e shared by a round's
+approximations.  A round passes when each radius, rounded up to the output's
+2^-shift, is at most 3 eps / 8 and the disks are disjoint at 2^-shift, or
+else at 2^-bits.  Each round evaluates f(z_i) and the products in fixed point
+at the precision its decisions need, with integer error bounds (Higham,
+5.1), and each decision read off a bound is the exact one: the intervals are
+guaranteed.  Exact evaluation runs only where a bound leaves one open.
 """
 
 from __future__ import annotations
@@ -90,19 +92,33 @@ def _disjoint(zs, radii, e: int, shift: int) -> bool:
 # Gaussian integers as (re, im) pairs of ints; a point z is Z / 2^e for a
 # denominator 2^e shared by all points of a round, kept as e.
 
-def _homogeneous(coeffs, e: int):
-    """[c_k * 2^(e(m-k))]: Horner on these at Z gives 2^(em) * p(Z / 2^e)."""
-    m = len(coeffs) - 1
-    return [c << e * (m - k) for k, c in enumerate(coeffs)]
+def _evaluate(ga, zs, s: int, t: int):
+    """[(2^u g(z_i), 2^u prod_{j!=i} (z_i - z_j))] at z_i = Z_i / 2^s for g's
+    int coefficients ga, each Gaussian product floored by t bits: exact for t = 0
+    (u = ms); at 2^-s for t = s, within 2 sum_{k<m-1} R^k and 2 sum_{k<m-2} (2R)^k
+    units for R >= |z_i|, as each floor is off by < sqrt 2 and later factors grow it."""
+    out = []
+    for i, (x, y) in enumerate(zs):
+        gr, gi, u = ga[-1] << t, 0, t
+        for c in reversed(ga[:-1]):
+            u += s - t
+            gr, gi = (gr * x - gi * y >> t) + (c << u), gr * y + gi * x >> t
+        pr, pi = 1 << t, 0
+        for j, (a, b) in enumerate(zs):
+            if j != i:
+                a, b = x - a, y - b
+                pr, pi = pr * a - pi * b >> t, pr * b + pi * a >> t
+        out.append(((gr, gi), (pr << s - t, pi << s - t)))
+    return out
 
 
-def _horner(scaled, z):
-    """sum scaled[k] * z^k for a Gaussian integer z."""
-    x, y = z
-    re, im = scaled[-1], 0
-    for c in reversed(scaled[:-1]):
-        re, im = re * x - im * y + c, re * y + im * x
-    return re, im
+def _abs2_bounds(a, err: int, t):
+    """(lo, hi, k) with lo <= |v / 2^k|^2 <= hi for v within err of the Gaussian
+    integer a, cut to about t bits: (|a| -+ err)^2, |a| <= |re a| + |im a| in 2|a|err."""
+    k = max(max(a[0].bit_length(), a[1].bit_length()) - t, 0)
+    x, y, err = a[0] >> k, a[1] >> k, (err >> k) + 3 if k else err
+    n, c = x * x + y * y, 2 * err * (abs(x) + abs(y))
+    return n - c, n + c + err * err, k
 
 
 def _rescale(e: int, zs, unit: int):
@@ -190,13 +206,78 @@ def _certify_squarefree(f: Poly, eps: Fraction):
     shift = _shift(eps / 8)
     # radii are integers R meaning R / 2^shift; R <= cap iff R / 2^shift <= 3 eps / 8
     cap = (3 * eps.numerator << shift) // (8 * eps.denominator)
-    slack = (2 * cap * cap).bit_length() - (m * m).bit_length()
     bits = 128
 
-    def radii(fps, e, res):  # the radii rounded up to 2^-res, 0 where F_i = 0
-        return [any(F) and 1 + _floor_sqrt(m * m * (F[0] ** 2 + F[1] ** 2),
-                                           D * D * (P[0] ** 2 + P[1] ** 2), e, res)
-                for F, P in fps]
+    def radius(n, d, k, res):
+        """1 + floor(sqrt(n / (d 4^k)) 2^res) for n > 0, else 0; cap + 1 stands
+        for one that bit lengths show past cap at res = shift."""
+        b = n.bit_length() - d.bit_length() + 2 * (res - k)
+        if n <= 0 or b < 0:  # below 1 when n 4^(res-k) < d
+            return int(n > 0)
+        if res == shift and b > 2 * cap.bit_length():
+            return cap + 1
+        return 1 + _floor_sqrt(n, d, k, res)
+
+    def radii(fps, al, be, res):
+        """The radii 1 + floor(m |w_i| 2^res), w_i = G_i / (D P_i), 0 where G_i = 0:
+        [r] for a lower bound r past cap, None where the bounds leave one open."""
+        t, out = cap.bit_length() + 64 if al else inf, []
+        for G, P in fps:
+            (gl, gu, kg), (pl, pu, kp) = _abs2_bounds(G, al, t), _abs2_bounds(P, be, t)
+            lo = radius(m * m * gl, D * D * pu, kp - kg, res)
+            if lo > cap and res == shift:
+                return [lo]
+            out.append(lo if pl > 0 and radius(m * m * gu, D * D * pl, kp - kg, res) == lo
+                       else None)
+        return None if None in out else out
+
+    def outcome(fps, al, be):
+        """(intervals, None) if the round passes, else (None, the next z_i), from
+        G_i and P_i within al and be units; None where a bound leaves it open."""
+        coarse = radii(fps, al, be, shift)
+        if coarse is None:
+            return None
+        if all(r <= cap for r in coarse):
+            # a coarse disk contains the fine one: close roots need fine radii
+            passed, fine = _disjoint(zs, coarse, e, shift), max(shift, bits)
+            if not passed and fine > shift:
+                if al:
+                    return None
+                passed = _disjoint(zs, radii(fps, 0, 0, fine), e, fine)
+            if passed:
+                intervals = []
+                for (x, y), r in zip(zs, coarse):
+                    n = x * x + y * y
+                    c = _floor_sqrt(n, 1, e, shift)
+                    intervals.append(ModulusInterval(Fraction(max(c - r, 0), 1 << shift),
+                                                     Fraction(c + (n != 0) + r, 1 << shift)))
+                return intervals, None
+
+        # z - w to 2^-bits, ties to even, w = G conj(Q) / |Q|^2 for Q = D P: exactly,
+        # or from W = floor(w 2^s) if no half-integer is within delta: P' = P / 2^k
+        # within bk, cut to the bits of W and 64 more, has |P'| >= 2^(b-1) > 2 bk, so
+        # |w 2^s - W| <= (2^(s-k) al / D + |W| bk) / (|P'| - bk) + 1
+        new_zs, s = [], bits + 40
+        for (x, y), ((fr, fi), (pr, pi)) in zip(zs, fps):
+            b, bg = max(pr.bit_length(), pi.bit_length()), max(fr.bit_length(), fi.bit_length())
+            k = al and min(max(min(2 * b - s - bg, b) - 64, 0), s)
+            pr, pi, bk = pr >> k, pi >> k, (be >> k) + 3 if k else be
+            gr, gi = D * pr, D * pi
+            q, num = gr * gr + gi * gi, (fr * gr + fi * gi, fi * gr - fr * gi)
+            if not al:
+                new_zs.append(tuple(_round_div(c * q - (n << e) << bits, q << e)
+                                    for c, n in zip((x, y), num)))
+                continue
+            b = max(pr.bit_length(), pi.bit_length())
+            if 4 * bk + 3 >= 1 << b:
+                return None
+            w = [(n << s - k) // q for n in num]
+            delta = ((al << s - k) // D + 1 + (abs(w[0]) + abs(w[1]) + 2) * bk >> b - 2) + 3
+            z = [(c << s >> e) - wc + (1 << 39) for c, wc in zip((x, y), w)]
+            if any(c + delta >> 40 != c - delta - 1 >> 40 for c in z):
+                return None
+            new_zs.append(tuple(c + delta >> 40 for c in z))
+        return None, new_zs
 
     for _ in range(_MAX_REFINE_ROUNDS):
         # nudge equal approximations apart by 2^-8 i, so the corrections exist
@@ -209,45 +290,16 @@ def _certify_squarefree(f: Poly, eps: Fraction):
                 seen.add((x, y))
                 zs[i] = (x, y)
 
-        # F_i = 2^(em) D f(z_i), P_i = 2^(e(m-1)) prod_{j!=i} (z_i - z_j), so the
-        # Weierstrass correction is w_i = F_i / (D 2^e P_i)
-        scaled = _homogeneous(fa, e)
-        fps = []
-        for i, (x, y) in enumerate(zs):
-            fr, fi = _horner(scaled, (x, y))
-            pr, pi = 1, 0
-            for j, (u, v) in enumerate(zs):
-                if j != i:
-                    pr, pi = pr * (x - u) - pi * (y - v), pr * (y - v) + pi * (x - u)
-            fps.append(((fr, fi), (pr, pi)))
-        # m|w_i| = sqrt(n_i / d_i), n_i = m^2 |F_i|^2, d_i = (D 2^e)^2 |P_i|^2, rounds up
-        # past cap once n_i 4^shift >= cap^2 d_i.  If F_i != 0, the bit lengths a, b, g of
-        # F_i, P_i, D 2^e give n_i >= m^2 4^(a-1) and d_i < 2 4^(b+g): the round fails if
-        # 2(a - 1 + shift - b - g) > slack, and else n_i 4^shift / d_i < 512 cap^2
-        g = D.bit_length() + e
-        if not any(any(F) and 2 * (max(map(int.bit_length, F)) - max(map(int.bit_length, P))
-                                   + shift - g - 1) > slack for F, P in fps):
-            # a coarse disk contains the fine one: close roots need fine radii
-            coarse, fine = radii(fps, e, shift), max(shift, bits)
-            if all(r <= cap for r in coarse) and (_disjoint(zs, coarse, e, shift) or (
-                    fine > shift and _disjoint(zs, radii(fps, e, fine), e, fine))):
-                intervals = []
-                for (x, y), r in zip(zs, coarse):
-                    n = x * x + y * y
-                    c = _floor_sqrt(n, 1, e, shift)
-                    intervals.append(ModulusInterval(Fraction(max(c - r, 0), 1 << shift),
-                                                     Fraction(c + (n != 0) + r, 1 << shift)))
-                return intervals
-
-        # Weierstrass step z - w = (Z G - F) / (2^e G) with G = D P, times
-        # conj(G)/conj(G), rounded to 1/2^bits with ties to even
-        new_zs = []
-        for (x, y), ((fr, fi), (pr, pi)) in zip(zs, fps):
-            gr, gi = D * pr, D * pi
-            nr, ni = x * gr - y * gi - fr, x * gi + y * gr - fi
-            q = gr * gr + gi * gi << e
-            new_zs.append((_round_div(nr * gr + ni * gi << bits, q),
-                           _round_div(ni * gr - nr * gi << bits, q)))
+        # g = D f at 2^-p, the z_i exact: for the step while e < shift, then the
+        # radii, with room for the bounds al and be of R = 2^rb >= |z_i|
+        rb = max(max(v.bit_length() for z in zs for v in z) + 1 - e, 0)
+        p = max(e, shift if e >= shift else bits) + 64 + m * (rb + 1) + m.bit_length()
+        al = 2 * sum(1 << rb * k for k in range(m - 1))
+        be = 2 * sum(1 << (rb + 1) * k for k in range(m - 2))
+        decided = outcome(_evaluate(fa, [(x << p - e, y << p - e) for x, y in zs], p, p), al, be)
+        intervals, new_zs = decided or outcome(_evaluate(fa, zs, e, 0), 0, 0)
+        if intervals:
+            return intervals
         zs, e = new_zs, bits
         bits = min(bits * 2, _MAX_BITS)
 

@@ -497,9 +497,13 @@ def _matches(iv: ModulusInterval, q: int, j: int):
 
 
 @lru_cache(maxsize=256)
-def _certified_moduli(p: Poly, eps: Fraction) -> tuple[ModulusInterval, ...]:
-    """`root_moduli_certified`, memoized: a scan meets each charpoly at many points."""
-    return tuple(root_moduli_certified(p, eps))
+def _certified_matches(p: Poly, eps: Fraction, q: int, j: int):
+    """`root_moduli_certified` and `_matches` of each interval, memoized: a scan
+    meets each (charpoly, width, q, j) at many points, and equal intervals
+    (a conjugate pair's) share one decision."""
+    intervals = tuple(root_moduli_certified(p, eps))
+    decided = {iv: _matches(iv, q, j) for iv in set(intervals)}
+    return intervals, tuple(decided[iv] for iv in intervals)
 
 
 def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
@@ -553,18 +557,15 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
     verdict = "pure"
     for k, p in pieces:
         j = w + k
-        current = eps
         for attempt in range(5):
-            intervals = _certified_moduli(p, current)
-            matches = [_matches(iv, rho.q, j) for iv in intervals]
+            intervals, matches = _certified_matches(p, eps / 2 ** attempt, rho.q, j)
             if None not in matches:
                 break
-            current = current / 2
         else:
             raise CertificationFailed(
                 f"graded piece {k}: root enclosures remain ambiguous after escalation")
         if not all(matches):
             verdict = "impure"
         graded.append(GradedPurity(k=k, dim=p.degree, charpoly=p,
-                                   intervals=intervals, matches=tuple(matches)))
+                                   intervals=intervals, matches=matches))
     return PurityReport(weight=w, verdict=verdict, per_graded=tuple(graded))

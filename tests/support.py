@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 
@@ -9,6 +10,18 @@ from wdreps import (Matrix, Partition, Poly, QQ, QT, Signature, SingularMatrixEr
                     sp_construct, wd_direct_sum, young_symmetrizer)
 from wdreps.fields import format_poly
 from wdreps.linalg import intersect_columns
+
+
+@contextmanager
+def fractions_built():
+    """The argument tuples of every `Fraction` constructed inside the block."""
+    built, new = [], vars(Fraction)["__new__"]
+    Fraction.__new__ = staticmethod(lambda cls, *args, **kw:
+                                    built.append(args) or new.__func__(cls, *args, **kw))
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = new
 
 
 class NonSplitSpectrum(RuntimeError):

@@ -144,24 +144,24 @@ class TestCommands:
         certify = wd.root_moduli_certified
         monkeypatch.setattr(wd, "root_moduli_certified",
                             lambda p, eps: keys.append((tuple(p), eps)) or certify(p, eps))
-        wd._certified_moduli.cache_clear()
+        wd._certified_matches.cache_clear()
         code, env = run_command(CommandRequest("rigidity", str(CORPUS / "inertia_pair.json"),
                                                partition="2,1", points="-3..3"))
         assert code in (0, 1) and env["diagnostics"] == []
         assert keys and len(keys) == len(set(keys))
         # the points t != 0 share one analysis, so no graded charpoly is met twice:
         # 4 pieces at t != 0 and 1 at t = 0
-        assert wd._certified_moduli.cache_info()[:2] == (0, 5)
+        assert wd._certified_matches.cache_info()[:2] == (0, 5)
         # conjugated_irrational's phi moves with t, so each point is analyzed,
         # but its one graded charpoly does not: certified once, read 6 times more
         keys.clear()
-        wd._certified_moduli.cache_clear()
+        wd._certified_matches.cache_clear()
         code, env = run_command(CommandRequest("rigidity",
                                                str(CORPUS / "conjugated_irrational.json"),
                                                partition="2", points="-3..3"))
         assert code == 0 and env["diagnostics"] == []
         assert len(keys) == len(set(keys)) == 1
-        assert wd._certified_moduli.cache_info()[:2] == (6, 1)
+        assert wd._certified_matches.cache_info()[:2] == (6, 1)
 
     def test_uncertifiable_point_is_recorded_not_fatal(self, monkeypatch):
         """A point whose graded charpoly fails certification keeps its
@@ -176,12 +176,12 @@ class TestCommands:
             return certify(p, eps)
 
         monkeypatch.setattr(wd, "root_moduli_certified", failing)
-        wd._certified_moduli.cache_clear()
+        wd._certified_matches.cache_clear()
         try:
             req = CommandRequest("rigidity", FLAGSHIP, partition="1", points="-2..2")
             code, env = run_command(req)
         finally:
-            wd._certified_moduli.cache_clear()
+            wd._certified_matches.cache_clear()
         assert code == 0
         report = env["result"]["report"]
         assert report["verdict"] == "pass" and report["failures"] == []

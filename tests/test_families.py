@@ -18,7 +18,7 @@ from wdreps.families import TraceLinkResult
 from wdreps.jsonio import load_wdrep
 from wdreps.schur import Partition
 
-from support import (flagship_family, flagship_constant_partner, lift_to_field,
+from support import (flagship_family, flagship_constant_partner, fractions_built, lift_to_field,
                      random_unimodular, random_valid_wdrep, signature_union, trivial_onedim)
 
 
@@ -232,6 +232,33 @@ class TestRigidity:
         generic = purity_scan(fam, Partition.of(1), [1]).generic_signature
         spec = specialize_signature(generic, 7)
         assert sig_pairs(spec) == [(2, ("-1/5", "1"))]
+
+
+    @pytest.mark.parametrize("name, parts", [("flagship", (2,)), ("inertia_pair", (2, 1)),
+                                             ("conjugated_irrational", (2,))])
+    def test_specialize_signature_on_ints(self, name, parts):
+        """Each charpoly coefficient is evaluated on `RatFunc`'s ints and the
+        charpoly is built on ints over one denominator: equal to `RatFunc.eval`
+        of each coefficient at random rationals, poles included, and without
+        a `Fraction` where the entries carry no inertia traces."""
+        generic = purity_scan(load_wdrep(CORPUS / f"{name}.json"), Partition.of(*parts),
+                              [1]).generic_signature
+        rng = random.Random(35)
+        points = [Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(30)]
+        for a in points + list(range(-3, 4)):
+            try:
+                expected = [(e.t, Poly(QQ, [c.eval(a) for c in e.charpoly.coeffs]),
+                             tuple((label, v.eval(a)) for label, v in e.inertia_traces))
+                            for e in generic.entries]
+            except ZeroDivisionError as exc:
+                with pytest.raises(ZeroDivisionError, match=str(exc)):
+                    specialize_signature(generic, a)
+                continue
+            got = specialize_signature(generic, a)
+            assert [(e.t, e.charpoly, e.inertia_traces) for e in got.entries] == expected
+        with fractions_built() as built:
+            specialize_signature(generic, points[0])
+        assert bool(built) == any(e.inertia_traces for e in generic.entries)
 
 
 class TestTraceLink:

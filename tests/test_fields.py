@@ -17,7 +17,8 @@ from wdreps.fields import (MAX_SCALAR_BITS, Record, format_poly, parse_scalar_ex
                            poly_gcd)
 from wdreps.linalg import charpoly
 
-from support import FractionPoly, FractionResidue, poly_xgcd, random_fraction
+from support import (FractionPoly, FractionResidue, fractions_built, poly_xgcd,
+                     random_fraction)
 
 
 def qpoly(*coeffs):
@@ -522,6 +523,19 @@ class TestNumberField:
         with pytest.raises(ParseError, match=r"^division by zero in '1/\(a-1\)'$"):
             K.coerce("1/(a-1)")
         assert K.coerce("1/(a+2)") == (2 - K.gen()) / 3
+
+    @pytest.mark.parametrize("minpoly", [[-2, 0, 1], [-2, 0, 0, 0, 1], [-1, 0, 1]],
+                             ids=["sqrt2", "a4-2", "etale-a2-1"])
+    def test_inverse_on_ints(self, minpoly):
+        """The inverse reads the regular matrix and column 0 of its inverse on
+        ints over one denominator: the only Fractions built are the two of
+        `Matrix.inverse`'s scale -1/p(0), at every degree."""
+        K, m = NumberField(minpoly), qpoly(*minpoly)
+        for cs in ([Fraction(3, 4), 2, -1, 5], [0, Fraction(-7, 3)], [5]):
+            x, ox = NFElem(K, cs), FractionResidue(m, cs)
+            with fractions_built() as built:
+                inverse = x._inverse()
+            assert inverse.coeffs == ox.inverse().coeffs and len(built) == 2
 
     def test_regular_matrix_is_multiplication(self):
         K = NumberField([1, 0, 1])

@@ -131,3 +131,26 @@ def test_traced_workloads_call_every_layer_row(tmp_path, monkeypatch):
             for key, (calls, _, _) in json.loads(stats.read_text())["spans"].items():
                 spans[key] = [spans.get(key, [0])[0] + calls]
         assert run.check_bindings(name, spans) == [], name
+
+
+def test_wedge_tight_brackets_each_purity_decision_once(tmp_path, monkeypatch):
+    """A scan meets the same (charpoly, eps, q, j) at many points; purity
+    brackets the interval ends of each once per process, and equal intervals
+    (a conjugate pair's) once per charpoly: the wedge-tight run matches 75
+    intervals over its points, and brackets 15, the distinct intervals of
+    its 8 distinct keys (12 distinct decisions, as 3 intervals recur under
+    a second charpoly)."""
+    from wdreps import wd
+    from wdreps.roots import ModulusInterval
+
+    gen = _load_generator()
+    generator, options = GENERATED["wedge-tight"]
+    path = tmp_path / "wedge-tight.json"
+    path.write_bytes(gen.document_bytes(getattr(gen, generator)(1)))
+    calls = []
+    half_power_range = ModulusInterval.half_power_range
+    monkeypatch.setattr(ModulusInterval, "half_power_range",
+                        lambda iv, q: calls.append(q) or half_power_range(iv, q))
+    wd._certified_matches.cache_clear()
+    check(["rigidity", *options, str(path)], GOLDEN / "wedge-tight" / "00.out", monkeypatch)
+    assert len(calls) == 15

@@ -222,6 +222,31 @@ def _reference_certify(f, eps):
     raise CertificationFailed("reference did not certify")
 
 
+def _evaluations(monkeypatch):
+    """The truncation t of each `_evaluate` call from now on (0 = exact)."""
+    calls = []
+    evaluate = roots._evaluate
+    monkeypatch.setattr(roots, "_evaluate", lambda ga, zs, s, t: calls.append(t) or
+                        evaluate(ga, zs, s, t))
+    return calls
+
+
+def _rounds(truncations):
+    """Refinement rounds: each starts with one fixed-point evaluation."""
+    return sum(t > 0 for t in truncations)
+
+
+# the benchmark's non-linear certifier inputs on wedge-tight (q = 5, eps = 10^-2000)
+WEDGE_TIGHT_INPUTS = [
+    [Fraction(-1, 3125), 0, 1],
+    [Fraction(-1, 125), 0, 1],
+    [Fraction(-1, 15625), Fraction(-6, 3125), 0, Fraction(6, 25), 1],
+    [Fraction(-1, 9765625), Fraction(-6, 390625), 0, Fraction(6, 125), 1],
+    [Fraction(-1, 9765625), Fraction(1, 390625), Fraction(26, 78125),
+     Fraction(-26, 3125), Fraction(-1, 25), 1],
+]
+
+
 def _random_squarefree(rng, degree):
     while True:
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)]
@@ -267,18 +292,48 @@ class TestReferenceOracle:
 
     @pytest.mark.parametrize("eps", [Fraction(1, 10 ** 30), Fraction(1, 10 ** 2000)])
     def test_exact_roots_against_reference(self, monkeypatch, eps):
-        """An approximation on an exact root has f(z_i) = 0 and radius 0, so the
-        bit-length bound on |f(z_i)| from below does not hold for it: its
-        round still gets the reference's intervals and round count."""
-        rounds = []
-        homogeneous = roots._homogeneous
-        monkeypatch.setattr(roots, "_homogeneous",
-                            lambda *a: rounds.append(a) or homogeneous(*a))
+        """An approximation on an exact root has f(z_i) = 0 and radius 0, and
+        no error bound of the fixed-point round shows F_i != 0 or F_i = 0 for
+        it: its last round is evaluated exactly, and gets the reference's
+        intervals and round count."""
         for f in (Poly(QQ, [-2, 1]) * Poly(QQ, [1, 1, 1]), Poly(QQ, [Fraction(-1, 4), 0, 1])):
-            rounds.clear()
             expected, steps, zero_radius = _reference_certify(f, eps)
+            truncations = _evaluations(monkeypatch)
             assert roots._certify_squarefree(f, eps) == expected, f
-            assert zero_radius and len(rounds) == steps + 1, f
+            assert zero_radius and _rounds(truncations) == steps + 1, f
+            assert truncations[-1] == 0, f
+
+    def test_narrow_widths_exact_roots_and_wedge_inputs_against_reference(self, monkeypatch):
+        """The fixed-point rounds decide as the reference decides, with equal
+        round counts: at eps = 10^-2000 for degrees 2-6 (the Fraction reference
+        takes 5-10 s per polynomial of degree 7-9 there), on exact dyadic roots
+        at 10^-30 and 10^-2000, and on the benchmark's wedge-tight inputs."""
+        rng = random.Random(33)
+        narrow = Fraction(1, 10 ** 2000)
+        dyadic = Poly(QQ, [Fraction(-3, 4), 1]) * Poly(QQ, [Fraction(-1, 4), 0, 1])
+        cases = [(_random_squarefree(rng, d), narrow) for d in range(2, 7)]
+        cases += [(f, eps) for eps in (Fraction(1, 10 ** 30), narrow)
+                  for f in (dyadic * Poly(QQ, [-2, 1]), dyadic * Poly(QQ, [1, 1, 1]))]
+        cases += [(Poly(QQ, p), narrow) for p in WEDGE_TIGHT_INPUTS]
+        for f, eps in cases:
+            expected, steps, _ = _reference_certify(f, eps)
+            truncations = _evaluations(monkeypatch)
+            assert roots._certify_squarefree(f, eps) == expected, (f, eps)
+            assert _rounds(truncations) == steps + 1, (f, eps)
+
+    def test_exact_evaluation_only_where_a_bound_leaves_a_decision_open(self, monkeypatch):
+        """Every round evaluates in fixed point first.  The five wedge-tight
+        inputs are decided in fixed point throughout, over rounds of up to
+        2^-8300; an exact root takes one exact evaluation, in its last round."""
+        narrow = Fraction(1, 10 ** 2000)
+        for p in WEDGE_TIGHT_INPUTS:
+            truncations = _evaluations(monkeypatch)
+            roots._certify_squarefree(Poly(QQ, p), narrow)
+            assert 0 not in truncations and max(truncations) < 8300, p
+        f = Poly(QQ, [-2, 1]) * Poly(QQ, [1, 1, 1])
+        truncations = _evaluations(monkeypatch)
+        roots._certify_squarefree(f, narrow)
+        assert truncations.count(0) == 1 and truncations[-1] == 0
 
     def test_rare_paths_against_reference(self, monkeypatch):
         """Two equal seeds: the imaginary distinctness nudge of 2^-8 keeps
@@ -380,15 +435,16 @@ def test_certifies_down_to_the_reach_of_the_bit_cap(p):
 ])
 def test_square_roots_only_at_the_output_resolution(monkeypatch, p):
     """At eps = 10^-2000 bit lengths refute every failing round before any
-    square root.  The last round takes 2m, one radius and one modulus per
-    root, all at the resolution 2^-shift of the intervals."""
+    square root, and bound every radius of the last round to 1 from above:
+    it takes m, one modulus per root, at the resolution 2^-shift of the
+    intervals."""
     eps = Fraction(1, 10 ** 2000)
     shifts = []
     floor_sqrt = roots._floor_sqrt
     monkeypatch.setattr(roots, "_floor_sqrt",
                         lambda n, d, e, s: shifts.append(s) or floor_sqrt(n, d, e, s))
     assert len(roots._certify_squarefree(Poly(QQ, p), eps)) == len(p) - 1
-    assert shifts == [roots._shift(eps / 8)] * 2 * (len(p) - 1)
+    assert shifts == [roots._shift(eps / 8)] * (len(p) - 1)
 
 
 def test_refinement_loop_runs_without_gcd(monkeypatch):
@@ -506,14 +562,7 @@ class TestMpmathOracle:
         for _ in range(8):
             self._check(self._weil_type_product(rng)[1], Fraction(1, 10 ** 30))
 
-    @pytest.mark.parametrize("p", [
-        [Fraction(-1, 3125), 0, 1],
-        [Fraction(-1, 125), 0, 1],
-        [Fraction(-1, 15625), Fraction(-6, 3125), 0, Fraction(6, 25), 1],
-        [Fraction(-1, 9765625), Fraction(-6, 390625), 0, Fraction(6, 125), 1],
-        [Fraction(-1, 9765625), Fraction(1, 390625), Fraction(26, 78125),
-         Fraction(-26, 3125), Fraction(-1, 25), 1],
-    ])
+    @pytest.mark.parametrize("p", WEDGE_TIGHT_INPUTS)
     def test_wedge_tight_inputs_at_2000_digits(self, p):
         """The benchmark's non-linear certifier inputs (q = 5, eps = 10^-2000),
         with mixed weights: some |root|^2 are q^j, the others miss every q^j."""

@@ -11,6 +11,8 @@ from pathlib import Path
 
 from wdreps import cli, fields, roots, schur, wd
 
+from support import fractions_built
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "wdreps"
 
 
@@ -236,17 +238,12 @@ def test_rational_polynomials_run_on_the_integer_kernel(monkeypatch):
     operations = {"+": lambda: p + q, "-": lambda: p - q, "*": lambda: p * q,
                   "divmod": lambda: divmod(r, q), "poly_gcd": lambda: fields.poly_gcd(r, p),
                   "monic": p.monic, "derivative": q.derivative}
-    built, calls = [], {}
-    new = vars(Fraction)["__new__"]
-    Fraction.__new__ = staticmethod(lambda cls, *args, **kw:
-                                    built.append(args) or new.__func__(cls, *args, **kw))
-    try:
+    calls = {}
+    with fractions_built() as built:
         for name, operation in operations.items():
             kernel.clear()
             operation()
             calls[name] = set(kernel)
-    finally:
-        Fraction.__new__ = new
     assert built == []
     assert "_zcomb" in calls["+"] & calls["-"] and "_zmul" in calls["*"]
     assert "_zdiv" in calls["divmod"] and "_zgcd" in calls["poly_gcd"]
@@ -278,7 +275,7 @@ def test_scan_path_reads_the_fraction_view_only_at_the_edges(monkeypatch, tmp_pa
     coeffs, getitem = fields.Poly.coeffs.fget, fields.Poly.__getitem__
     monkeypatch.setattr(fields.Poly, "coeffs", property(lambda p: record(p) or coeffs(p)))
     monkeypatch.setattr(fields.Poly, "__getitem__", lambda p, i: record(p) or getitem(p, i))
-    wd._certified_moduli.cache_clear()
+    wd._certified_matches.cache_clear()
     for argv in (["rigidity", "--partition", "2,1", "--points", "1..2",
                   str(SRC.parents[1] / "corpus" / "inertia_pair.json")],
                  ["rigidity", "--partition", "2", "--points", "1..1", str(dense)]):

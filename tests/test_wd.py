@@ -698,7 +698,7 @@ class TestPurity:
         certify = wd.root_moduli_certified
         monkeypatch.setattr(wd, "root_moduli_certified",
                             lambda p, eps: tried.append(eps) or certify(p, eps))
-        wd._certified_moduli.cache_clear()
+        wd._certified_matches.cache_clear()
         rho = WDRep(2, QQ, Matrix(QQ, [[0, Fraction(1, 2 ** k)], [1, 0]]),
                     Matrix.zeros(QQ, 2, 2))
         report = purity_check(rho, "infer")
@@ -713,7 +713,7 @@ class TestPurity:
         certify = wd.root_moduli_certified
         monkeypatch.setattr(wd, "root_moduli_certified",
                             lambda p, eps: tried.append(eps) or certify(p, eps))
-        wd._certified_moduli.cache_clear()
+        wd._certified_matches.cache_clear()
         rho = WDRep(2, QQ, Matrix(QQ, [[0, 2], [1, 0]]), Matrix.zeros(QQ, 2, 2))
         report = purity_check(rho, "infer", Fraction(16))
         assert report.verdict == "pure" and report.weight == 1
