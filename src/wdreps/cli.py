@@ -12,23 +12,28 @@ diagnostic naming where it was raised, never as a traceback).
 
 from __future__ import annotations
 
+# `fields` first: its compile sets the peak resident set, lowest with few modules loaded
+from .fields import (DEFAULT_EPS, MIN_EPS, CertificationFailed, DenominatorVanishes,
+                     ParseError, Poly, QQ, Record, ResourceCapExceeded, SingularFrobenius,
+                     _excerpt, format_poly, parse_rational)
+
 import argparse
+import atexit
+import gc
 import hashlib
 import os
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .families import (DenominatorVanishes, SingularFrobenius, default_scan_points,
-                       purity_scan, rigidity_check, specialize)
-from .fields import ParseError, Poly, QQ, Record, _excerpt, format_poly, parse_rational
 from .jsonio import (ValidationError, canonical_json_bytes, filtration_to_json, load_wdrep,
                      purity_report_to_json, rigidity_report_to_json, signature_to_json,
                      wdrep_to_json)
-from .roots import DEFAULT_EPS, MIN_EPS, CertificationFailed
-from .schur import Partition, ResourceCapExceeded
 from .wd import (NonIntegralWeight, frobenius_semisimplify, frss_signature,
                  monodromy_filtration, purity_check, wd_schur)
+
+# by exit the report is written: the final collections need not free what the OS reclaims
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_RIGIDITY_FAIL = 1
@@ -56,6 +61,7 @@ class CommandRequest(Record):
 
 def parse_points(text: str | None) -> list[Fraction]:
     if text is None:
+        from .families import default_scan_points
         return default_scan_points()
     text = text.strip()
     if ".." in text:
@@ -146,9 +152,11 @@ def run_command(req: CommandRequest):
         elif req.command == "specialize":
             if req.point is None:
                 raise ParseError("specialize requires --point")
+            from .families import specialize
             out = specialize(rho, parse_rational(req.point))
             envelope["result"] = {"representation": wdrep_to_json(out)}
         elif req.command in ("scan", "rigidity"):
+            from .families import purity_scan, rigidity_check
             mu = _required_partition(req)
             report = purity_scan(rho, mu, parse_points(req.points),
                                  parse_weight(req.weight), eps)
@@ -185,6 +193,7 @@ def run_command(req: CommandRequest):
 
 
 def _required_partition(req: CommandRequest) -> Partition:
+    from .schur import Partition
     if req.partition is None:
         raise ParseError(f"{req.command} requires --partition")
     try:

@@ -13,25 +13,12 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .fields import QQ, QT, Record, _poly
+from .fields import (DEFAULT_EPS, QQ, QT, CertificationFailed, DenominatorVanishes, Record,
+                     SingularFrobenius, _poly)
 from .linalg import Matrix, block_diagonal
-from .roots import DEFAULT_EPS, CertificationFailed
-from .schur import Partition
 from .wd import (INERTIA_CLOSURE_CAP, NonIntegralWeight, PurityReport, Signature,
                  SignatureEntry, WDRep, _line, _require_valid, frss_signature,
                  inertia_closure, purity_check, wd_schur)
-
-
-class DenominatorVanishes(ArithmeticError):
-    def __init__(self, point: Fraction):
-        super().__init__(f"a denominator vanishes at t = {point}")
-        self.point = point
-
-
-class SingularFrobenius(ArithmeticError):
-    def __init__(self, point: Fraction):
-        super().__init__(f"Frobenius specializes to a singular matrix at t = {point}")
-        self.point = point
 
 
 def default_scan_points() -> list[Fraction]:

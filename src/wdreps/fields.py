@@ -30,6 +30,33 @@ class ParseError(ValueError):
     """A scalar or field description could not be parsed."""
 
 
+# errors and eps bounds the CLI needs before it imports `roots`, `schur` or `families`
+class CertificationFailed(ArithmeticError):
+    """The requested enclosure width could not be certified within the
+    configured iteration budget."""
+
+
+class ResourceCapExceeded(RuntimeError):
+    """The tensor space n^d would exceed MAX_TENSOR_SIZE, or the
+    symmetrizer would have more than MAX_SYMMETRIZER_TERMS terms."""
+
+
+class DenominatorVanishes(ArithmeticError):
+    def __init__(self, point: Fraction):
+        super().__init__(f"a denominator vanishes at t = {point}")
+        self.point = point
+
+
+class SingularFrobenius(ArithmeticError):
+    def __init__(self, point: Fraction):
+        super().__init__(f"Frobenius specializes to a singular matrix at t = {point}")
+        self.point = point
+
+
+DEFAULT_EPS = Fraction(1, 10 ** 30)
+MIN_EPS = Fraction(1, 1 << 16000)
+
+
 class Record:
     """Immutable value class: the fields are the subclass's own annotations in
     order, a class attribute giving the default, and `__post_init__` runs

@@ -12,11 +12,9 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .families import RigidityReport
 from .fields import (Field, NFElem, NumberField, ParseError, Poly, QT, RatFunc,
                      field_from_json, parse_scalar_expression, poly_from_json)
 from .linalg import Matrix
-from .roots import ModulusInterval
 from .wd import Filtration, PurityReport, Signature, WDRep, wd_validate
 
 

@@ -23,12 +23,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor, inf, isqrt, log2, prod
 
-from .fields import Poly, QQ, Record, _poly, squarefree_decomposition
-
-
-class CertificationFailed(ArithmeticError):
-    """The requested enclosure width could not be certified within the
-    configured iteration budget."""
+from .fields import (DEFAULT_EPS, MIN_EPS, CertificationFailed, Poly, QQ, Record, _poly,
+                     squarefree_decomposition)
 
 
 class ModulusInterval(Record):
@@ -182,7 +178,6 @@ _MAX_REFINE_ROUNDS = 24
 # refuse a width under MIN_EPS at once, before any refinement round, and
 # every width purity_check tries down to MIN_EPS / 16 is within reach.
 _MAX_BITS = 1 << 14
-MIN_EPS = Fraction(1, 1 << 16000)
 
 
 def _certify_squarefree(f: Poly, eps: Fraction):
@@ -340,5 +335,3 @@ def root_moduli_certified(p, eps) -> list[ModulusInterval]:
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
     return intervals
 
-
-DEFAULT_EPS = Fraction(1, 10 ** 30)

@@ -17,14 +17,8 @@ from functools import cached_property
 from fractions import Fraction
 from math import factorial
 
-from .fields import Record
+from .fields import Record, ResourceCapExceeded
 from .linalg import Matrix, _make, _units
-
-
-class ResourceCapExceeded(RuntimeError):
-    """The tensor space n^d would exceed MAX_TENSOR_SIZE, or the
-    symmetrizer would have more than MAX_SYMMETRIZER_TERMS terms."""
-
 
 MAX_TENSOR_SIZE = 4096
 # 6!: every partition of d <= 6 passes; verifying c*c = n*c costs |c|^2

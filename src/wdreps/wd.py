@@ -15,12 +15,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .fields import Field, NumberField, Poly, QQ, QT, Record
+from .fields import DEFAULT_EPS, MIN_EPS, CertificationFailed, NumberField, Poly, QQ, QT, Record
 from .linalg import (Matrix, block_diagonal, charpoly, column_echelon, kernel_basis,
                      mult_jordan_chevalley, pivot_rows, scalar_restriction)
-from .roots import (DEFAULT_EPS, MIN_EPS, CertificationFailed, ModulusInterval,
-                    _q_log, root_moduli_certified)
-from .schur import Partition, schur_derivation, schur_of_matrix
 
 INERTIA_CLOSURE_CAP = 64
 
@@ -217,6 +214,7 @@ def wd_schur(rho: WDRep, mu: Partition) -> WDRep:
       closure stays under the cap, and S_mu(phi) S_mu(g) S_mu(phi)^-1 =
       S_mu(phi g phi^-1) keeps Frobenius normalizing it.
     The image also keeps its input and mu, for `_semisimple_part`."""
+    from .schur import schur_derivation, schur_of_matrix
     _require_valid(rho)
     phi = schur_of_matrix(rho.phi, mu)
     nilp = schur_derivation(rho.nilp, mu)
@@ -244,6 +242,7 @@ def _semisimple_part(rho: WDRep) -> Matrix:
         return mult_jordan_chevalley(rho.phi)[0]
     source, mu = rho._schur_of
     S = _semisimple_part(source)
+    from .schur import schur_of_matrix
     return rho.phi if S is source.phi else schur_of_matrix(S, mu)
 
 
@@ -486,6 +485,7 @@ class PurityReport(Record):
     per_graded: tuple[GradedPurity, ...]
 
 
+@lru_cache(maxsize=4096)
 def _matches(iv: ModulusInterval, q: int, j: int):
     """Whether the root enclosed by iv has modulus q^(j/2): False when iv
     misses it, None (undecided) when iv also meets q^((j-1)/2) or
@@ -500,10 +500,10 @@ def _matches(iv: ModulusInterval, q: int, j: int):
 def _certified_matches(p: Poly, eps: Fraction, q: int, j: int):
     """`root_moduli_certified` and `_matches` of each interval, memoized: a scan
     meets each (charpoly, width, q, j) at many points, and equal intervals
-    (a conjugate pair's) share one decision."""
+    (a conjugate pair's, or one shared by two charpolys) share one decision."""
+    from .roots import root_moduli_certified
     intervals = tuple(root_moduli_certified(p, eps))
-    decided = {iv: _matches(iv, q, j) for iv in set(intervals)}
-    return intervals, tuple(decided[iv] for iv in intervals)
+    return intervals, tuple(_matches(iv, q, j) for iv in intervals)
 
 
 def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
@@ -514,7 +514,7 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
     With weight="infer" the candidate w is read off per piece from
     |det| = q^((w+k)*dim/2) and must be a consistent integer.  Interval
     ambiguity escalates by halving eps up to 4 times before raising
-    CertificationFailed.  An eps below `roots.MIN_EPS` raises ValueError.
+    CertificationFailed.  An eps below `MIN_EPS` raises ValueError.
     """
     eps = Fraction(eps)
     if eps < MIN_EPS:
@@ -533,6 +533,7 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
         return PurityReport(weight=w, verdict="pure", per_graded=())
 
     if weight == "infer":
+        from .roots import _q_log
         candidates = []
         for k, p in pieces:
             # det^2 = p(0)^2: the charpoly's constant term is (-1)^dim * det

@@ -15,7 +15,7 @@ import pytest
 import wdreps.cli as cli
 from wdreps.cli import (CommandRequest, main, parse_points, parse_rational,
                         render_table, run_command)
-from wdreps import schur, wd
+from wdreps import families, roots, schur, wd
 from wdreps.fields import MAX_SCALAR_BITS, QT, ParseError, parse_scalar_expression
 from wdreps.roots import CertificationFailed
 
@@ -141,8 +141,8 @@ class TestCommands:
 
     def test_each_graded_charpoly_certified_once(self, monkeypatch):
         keys = []
-        certify = wd.root_moduli_certified
-        monkeypatch.setattr(wd, "root_moduli_certified",
+        certify = roots.root_moduli_certified
+        monkeypatch.setattr(roots, "root_moduli_certified",
                             lambda p, eps: keys.append((tuple(p), eps)) or certify(p, eps))
         wd._certified_matches.cache_clear()
         code, env = run_command(CommandRequest("rigidity", str(CORPUS / "inertia_pair.json"),
@@ -168,14 +168,14 @@ class TestCommands:
         signature, is exempt from the verdict and is named in the
         diagnostics; the run still exits 0, and the table shows it."""
         target = (Fraction(1, 5), Fraction(-6, 5), 1)  # (x - 1)(x - 1/5), flagship at t = 0
-        certify = wd.root_moduli_certified
+        certify = roots.root_moduli_certified
 
         def failing(p, eps):
             if tuple(p) == target:
                 raise CertificationFailed("stubbed: enclosures stay ambiguous")
             return certify(p, eps)
 
-        monkeypatch.setattr(wd, "root_moduli_certified", failing)
+        monkeypatch.setattr(roots, "root_moduli_certified", failing)
         wd._certified_matches.cache_clear()
         try:
             req = CommandRequest("rigidity", FLAGSHIP, partition="1", points="-2..2")
@@ -225,14 +225,13 @@ class TestCommands:
     def test_rigidity_fail_maps_to_exit_1(self, monkeypatch):
         # an honest fail verdict contradicts the rigidity statement, so the
         # exit mapping is exercised by stubbing the verdict
-        import wdreps.cli as cli_module
-        real = cli_module.rigidity_check
+        real = families.rigidity_check
 
         def forced_fail(report):
             checked = real(report)
             return checked.replace(verdict="fail", failures=(checked.points[0].a,))
 
-        monkeypatch.setattr(cli_module, "rigidity_check", forced_fail)
+        monkeypatch.setattr(families, "rigidity_check", forced_fail)
         code, env = run_command(CommandRequest(
             "rigidity", FLAGSHIP, partition="1", points="1..2"))
         assert code == 1

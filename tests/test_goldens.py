@@ -66,6 +66,33 @@ def test_inertia21_matches_golden(monkeypatch):
           monkeypatch)
 
 
+def _readme_examples():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("wdreps ")]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
+def test_fresh_process_writes_the_in_process_report(argv, tmp_path, monkeypatch):
+    """Each README example in a fresh `wdreps` process, once to stdout and
+    once to --output, gives the exit code and bytes of the in-process run:
+    the exit hook that spares the interpreter its final collections runs
+    after the report is written."""
+    monkeypatch.chdir(ROOT)
+    req = parse_request(argv)
+    code, envelope = run_command(req)
+    expected = render(req, envelope)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    entry = [sys.executable, "-c", "import sys; from wdreps.cli import main; sys.exit(main())"]
+    report = tmp_path / "report"
+    to_stdout = subprocess.run([*entry, *argv], cwd=ROOT, env=env, capture_output=True,
+                               timeout=120)
+    to_file = subprocess.run([*entry, *argv, "--output", str(report)], cwd=ROOT, env=env,
+                             capture_output=True, timeout=120)
+    assert (to_stdout.returncode, to_stdout.stdout) == (code, expected)
+    assert (to_file.returncode, to_file.stdout, report.read_bytes()) == (code, b"", expected)
+
+
 def _load_generator():
     spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
     module = importlib.util.module_from_spec(spec)
@@ -135,11 +162,11 @@ def test_traced_workloads_call_every_layer_row(tmp_path, monkeypatch):
 
 def test_wedge_tight_brackets_each_purity_decision_once(tmp_path, monkeypatch):
     """A scan meets the same (charpoly, eps, q, j) at many points; purity
-    brackets the interval ends of each once per process, and equal intervals
-    (a conjugate pair's) once per charpoly: the wedge-tight run matches 75
-    intervals over its points, and brackets 15, the distinct intervals of
-    its 8 distinct keys (12 distinct decisions, as 3 intervals recur under
-    a second charpoly)."""
+    brackets the interval ends of each (interval, q, j) once per process,
+    whichever charpoly it comes from: the wedge-tight run matches 75
+    intervals over its points, and brackets 12, its distinct decisions (the
+    15 distinct intervals of its 8 distinct keys, of which 3 recur under a
+    second charpoly)."""
     from wdreps import wd
     from wdreps.roots import ModulusInterval
 
@@ -152,5 +179,6 @@ def test_wedge_tight_brackets_each_purity_decision_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ModulusInterval, "half_power_range",
                         lambda iv, q: calls.append(q) or half_power_range(iv, q))
     wd._certified_matches.cache_clear()
+    wd._matches.cache_clear()
     check(["rigidity", *options, str(path)], GOLDEN / "wedge-tight" / "00.out", monkeypatch)
-    assert len(calls) == 15
+    assert len(calls) == 12

@@ -480,6 +480,7 @@ def test_half_power_brackets_run_without_gcd(monkeypatch):
         calls = []
         monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or gcd(*a))
         ranges = [iv.half_power_range(q) for iv in intervals]
+        wd._matches.cache_clear()  # decide afresh, not from an earlier test's memo
         decided = [wd._matches(iv, q, j) for iv in intervals for j in range(-6, 3)]
         monkeypatch.setattr(math, "gcd", gcd)
         assert calls == [], f

@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from wdreps import cli, fields, roots, schur, wd
 
 from support import fractions_built
@@ -61,16 +63,88 @@ def test_package_imports_no_dataclasses_or_traceback():
     assert SRC.joinpath("fields.py").exists() and not importers
 
 
-def test_cli_import_floor():
-    """The modules `import wdreps.cli` loads, in a fresh interpreter: none of
-    `dataclasses`, `inspect`, `traceback`, `ast` or `dis`."""
+def _modules_loaded(*code):
+    """`sys.modules` at the end of a fresh interpreter that runs `code`."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c",
-                          "import sys, wdreps.cli; print(sorted(sys.modules))"],
+    out = subprocess.run([sys.executable, "-c", "\n".join([*code, "print(sorted(sys.modules))"])],
                          env=env, capture_output=True, text=True, check=True).stdout
-    loaded = set(ast.literal_eval(out))
-    assert "wdreps.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "traceback", "ast", "dis"}
+    return set(ast.literal_eval(out))
+
+
+def test_cli_import_floor(tmp_path):
+    """The modules each command loads, one fresh interpreter per command:
+    none of `dataclasses`, `inspect`, `traceback`, `ast` or `dis`; and of
+    `schur`, `roots` and `families`, only those the command runs.  Importing
+    `wdreps.cli` and `validate`, `frss` and `filtration` load none of them,
+    `schur` loads `schur` alone, and `rigidity` all three."""
+    corpus = SRC.parents[1] / "corpus"
+    sp2, flagship = str(corpus / "sp2.json"), str(corpus / "flagship.json")
+    deferred = {"wdreps.schur", "wdreps.roots", "wdreps.families"}
+    cases = [(None, set()),
+             (["validate", sp2], set()),
+             (["schur", "--partition", "2,1", sp2], {"wdreps.schur"}),
+             (["frss", sp2], set()),
+             (["filtration", sp2], set()),
+             (["rigidity", "--partition", "2", "--points", "1..2", flagship], deferred)]
+    for argv, expected in cases:
+        run = [] if argv is None else [
+            f"assert wdreps.cli.main({[*argv, '--output', str(tmp_path / 'report')]!r}) == 0"]
+        loaded = _modules_loaded("import sys, wdreps.cli", *run)
+        assert "wdreps.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "traceback", "ast", "dis"}
+        assert loaded & deferred == expected, argv
+
+
+# `wdreps.__all__` as the package listed it when it imported every module
+PACKAGE_NAMES = [
+    "CertificationFailed", "DEFAULT_EPS", "DenominatorVanishes", "Field", "Filtration",
+    "GradedPurity", "Matrix", "ModulusInterval", "NFElem", "NonIntegralWeight", "NumberField",
+    "ParseError", "Partition", "PointResult", "Poly", "PurityReport", "QQ", "QT", "RatFunc",
+    "RationalField", "RationalFunctionField", "ResourceCapExceeded", "RigidityReport",
+    "SchurBasis", "Signature", "SignatureEntry", "SingularFrobenius", "SingularMatrixError",
+    "TraceLinkResult", "WDRep", "ZeroDivisorPivotError", "block_diagonal", "charpoly",
+    "column_echelon", "default_scan_points", "families", "field_from_json", "fields",
+    "frobenius_semisimplify", "frss_signature", "hook_content_dim", "inertia_closure", "linalg",
+    "mat_subspaces", "monodromy_filtration", "mult_jordan_chevalley", "poly_eval_matrix",
+    "purity_check", "purity_scan", "rigidity_check", "root_moduli_certified", "roots",
+    "scalar_restriction", "schur", "schur_basis", "schur_derivation", "schur_of_matrix",
+    "sp_construct", "specht_dim", "specialize", "specialize_signature",
+    "squarefree_decomposition", "squarefree_part", "trace_link_check", "wd", "wd_direct_sum",
+    "wd_schur", "wd_tensor", "wd_validate", "young_symmetrizer",
+]
+
+
+def test_package_resolves_its_names_on_first_access():
+    """`wdreps` exports the same 70 names, each the object its home module
+    binds (a name several modules bind is one object in all of them);
+    `dir` and `import *` see every name, an unknown one raises
+    AttributeError, and importing the package loads none of its modules."""
+    import wdreps
+    submodules = ["families", "fields", "linalg", "roots", "schur", "wd"]
+    assert len(PACKAGE_NAMES) == 70 and wdreps.__all__ == PACKAGE_NAMES
+    for name in PACKAGE_NAMES:
+        value = getattr(wdreps, name)
+        if name in submodules:
+            assert value is sys.modules[f"wdreps.{name}"]
+            continue
+        binders = [m for m in submodules if name in vars(getattr(wdreps, m))]
+        assert binders and all(getattr(wdreps, m).__dict__[name] is value for m in binders), name
+    for name, homes in {"CertificationFailed": ["roots", "families", "wd"],
+                        "DEFAULT_EPS": ["roots", "families", "wd"],
+                        "MIN_EPS": ["roots", "wd"],
+                        "ResourceCapExceeded": ["schur"],
+                        "DenominatorVanishes": ["families"],
+                        "SingularFrobenius": ["families"]}.items():
+        assert all(getattr(getattr(wdreps, m), name) is getattr(fields, name) for m in homes)
+    assert set(PACKAGE_NAMES) <= set(dir(wdreps))
+    namespace = {}
+    exec("from wdreps import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(PACKAGE_NAMES)
+    assert all(namespace[name] is getattr(wdreps, name) for name in PACKAGE_NAMES)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wdreps.no_such_name  # noqa: B018
+    loaded = _modules_loaded("import sys, wdreps", "wdreps.CertificationFailed, wdreps.QQ")
+    assert {m for m in loaded if m.startswith("wdreps")} == {"wdreps", "wdreps.fields"}
 
 
 def test_package_reads_no_environment_variable():

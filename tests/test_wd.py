@@ -695,8 +695,8 @@ class TestPurity:
         halved until the intervals separate them; the seeds are accurate
         relative to the roots' size, however small."""
         tried = []
-        certify = wd.root_moduli_certified
-        monkeypatch.setattr(wd, "root_moduli_certified",
+        certify = roots.root_moduli_certified
+        monkeypatch.setattr(roots, "root_moduli_certified",
                             lambda p, eps: tried.append(eps) or certify(p, eps))
         wd._certified_matches.cache_clear()
         rho = WDRep(2, QQ, Matrix(QQ, [[0, Fraction(1, 2 ** k)], [1, 0]]),
@@ -710,8 +710,8 @@ class TestPurity:
         holds 2^0 (and at 16 also 2^(2/2)), so `_matches` leaves it
         undecided and eps is halved until only 2^(1/2) remains."""
         tried = []
-        certify = wd.root_moduli_certified
-        monkeypatch.setattr(wd, "root_moduli_certified",
+        certify = roots.root_moduli_certified
+        monkeypatch.setattr(roots, "root_moduli_certified",
                             lambda p, eps: tried.append(eps) or certify(p, eps))
         wd._certified_matches.cache_clear()
         rho = WDRep(2, QQ, Matrix(QQ, [[0, 2], [1, 0]]), Matrix.zeros(QQ, 2, 2))
