@@ -28,7 +28,7 @@ def default_scan_points() -> list[Fraction]:
 
 def _evaluate_matrix(M: Matrix, a: Fraction) -> Matrix:
     try:
-        return M.map_entries(lambda x: x.eval(a), QQ)
+        return Matrix(QQ, [[x.eval(a) for x in row] for row in M.num])
     except ZeroDivisionError as exc:
         raise DenominatorVanishes(a) from exc
 
@@ -38,7 +38,9 @@ def specialize(fam: WDRep, point) -> WDRep:
     constructor.  The family is validated (once per object; an invalid one
     raises ValueError) and the point inherits its verdict unchecked.
     Evaluation at a is a ring homomorphism on the entries without a pole
-    at a, and det(phi)(a) != 0 is checked, so phi^-1 = adj(phi)/det(phi)
+    at a, so det(phi(a)) is det(phi)(a), kept on the family: it is checked
+    once phi(a) is defined (it has no pole where the entries have none)
+    and phi(a) is not reduced here.  So phi^-1 = adj(phi)/det(phi)
     evaluates to phi(a)^-1 and every invariant carries over: N(a)^n = 0,
     phi(a) N(a) phi(a)^-1 = q^-1 N(a), each g(a) commutes with N(a), g^m = I
     gives g(a)^m = I, and the point's inertia group is a quotient of the
@@ -49,7 +51,7 @@ def specialize(fam: WDRep, point) -> WDRep:
     _require_valid(fam)
     a = Fraction(point)
     phi = _evaluate_matrix(fam.phi, a)
-    if not phi.det():
+    if not fam.phi.det().eval(a):
         raise SingularFrobenius(a)
     nilp = _evaluate_matrix(fam.nilp, a)
     inertia = tuple((label, _evaluate_matrix(g, a)) for label, g in fam.inertia)

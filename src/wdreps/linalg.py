@@ -191,11 +191,6 @@ class Matrix:
         s = sum((row[i] for i, row in enumerate(self.num)), _units(self.field)[1])
         return Fraction(s, self.den) if self.den else s
 
-    def map_entries(self, fn, field: Field) -> "Matrix":
-        M = Matrix(field, [[fn(x) for x in row] for row in self.rows])
-        M.ncols = self.ncols
-        return M
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
@@ -551,14 +546,16 @@ def mult_jordan_chevalley(M: Matrix):
 
 def scalar_restriction(M: Matrix) -> Matrix:
     """Restriction of scalars to Q.  Over a number field of degree m each
-    entry becomes its m x m multiplication matrix; over Q this is the
-    identity operation.  The characteristic polynomial of the result is
-    the product of the entry-wise embeddings' characteristic polynomials.
-    """
+    entry becomes its m x m multiplication matrix (its int regular matrix,
+    over the entries' lcm); over Q this is the identity operation.  The
+    characteristic polynomial of the result is the product of the
+    entry-wise embeddings' characteristic polynomials."""
     if M.field == QQ:
         return M
     if not isinstance(M.field, NumberField):
         raise ValueError("scalar restriction is defined over Q and number fields only")
-    blocks = [[x.regular_matrix() for x in row] for row in M.rows]
-    return Matrix(QQ, [[b[bi][bj] for b in brow for bj in range(M.field.degree)]
-                       for brow in blocks for bi in range(M.field.degree)])
+    m = M.field.degree
+    blocks = [[x._regular() for x in row] for row in M.num]
+    den = lcm(*[b.den for brow in blocks for b in brow])
+    return _make(QQ, tuple(tuple([x * (den // b.den) for b in brow for x in b.num[bi]])
+                           for brow in blocks for bi in range(m)), M.ncols * m, den)

@@ -92,6 +92,60 @@ class TestSpecialize:
             assert lhs.phi == rhs.phi and lhs.nilp == rhs.nilp
 
 
+class TestSpecializeDeterminant:
+    """`specialize` decides a singular Frobenius by det(phi)(a), the
+    determinant kept on the family, after phi(a) is defined."""
+
+    def test_singular_at_a_non_integer_point(self):
+        fam = WDRep(5, QT, Matrix(QT, [["2*t+1", "1"], ["0", "t^2+1"]]),
+                    Matrix.zeros(QT, 2, 2))
+        with pytest.raises(SingularFrobenius, match="singular matrix at t = -1/2"):
+            specialize(fam, Fraction(-1, 2))
+        assert specialize(fam, Fraction(1, 2)).phi.det() == Fraction(5, 2)
+
+    def test_pole_comes_before_a_vanishing_det(self):
+        # det phi = t is 0 at t = 0, where the entry 1/t has a pole
+        fam = WDRep(5, QT, Matrix(QT, [["1/t", "1"], ["0", "t^2"]]), Matrix.zeros(QT, 2, 2))
+        with pytest.raises(DenominatorVanishes, match="vanishes at t = 0"):
+            specialize(fam, 0)
+
+    def test_singular_phi_comes_before_a_pole_of_nilp(self):
+        # phi N = q^-1 N phi with phi = diag(t/5, t), singular at 0, where N has a pole
+        fam = WDRep(5, QT, Matrix(QT, [["t/5", "0"], ["0", "t"]]),
+                    Matrix(QT, [["0", "1/t"], ["0", "0"]]))
+        with pytest.raises(SingularFrobenius):
+            specialize(fam, 0)
+        with pytest.raises(DenominatorVanishes):  # a regular phi: the pole of N decides
+            specialize(WDRep(5, QT, Matrix(QT, [["1/5", "0"], ["0", "1"]]), fam.nilp), 0)
+
+    def test_point_det_is_the_family_det_at_the_point(self):
+        """On the corpus families and bench/gen.py's seed-1 families, at
+        random rationals, det of the specialized phi (a fresh Berkowitz run
+        over Q) equals det(phi) of the family evaluated there."""
+        spec = importlib.util.spec_from_file_location("bench_gen", CORPUS.parent / "bench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        fams = [load_wdrep(str(path)) for path in sorted(CORPUS.glob("*.json"))]
+        fams = [f for f in fams if f.field == QT]
+        fams += [load_wdrep(name, gen.document_bytes(getattr(gen, name)(1)))
+                 for name in ("dense_qt", "wedge_tight")]
+        rng = random.Random(35)
+        checked = 0
+        for fam in fams:
+            for _ in range(6):
+                a = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                try:
+                    rho = specialize(fam, a)
+                except DenominatorVanishes:
+                    continue
+                except SingularFrobenius:
+                    assert not fam.phi.det().eval(a)
+                    continue
+                assert rho.phi.det() == fam.phi.det().eval(a)
+                checked += 1
+        assert len(fams) == 7 and checked >= 40
+
+
 def _random_qt_family(rng):
     """A valid Q(t) family with poles and singular points: a random valid
     representation over Q carried to Q(t), conjugated by diag(t - c, 1, ...)
@@ -570,20 +624,18 @@ def test_scan_builds_one_flag_per_line_of_n(monkeypatch):
     assert lines == [2, 2, 3]
 
 
-def test_scan_reduces_each_specialized_phi_once(monkeypatch):
-    """`specialize`'s singularity test and Jordan-Chevalley's `det` and
-    squarefree part all read the one charpoly kept on the specialized phi:
-    one Berkowitz run per point, and no elimination of its own.
-    inertia_pair's phi is constant and N(t) = t * N0, so t = 2 and 3 reuse
-    the analysis of t = 1: their phi is reduced only by the singularity
-    test, and Jordan-Chevalley's `det` runs on the first phi alone."""
+def test_scan_reduces_only_the_analysed_phi(monkeypatch):
+    """`specialize` reads its singularity test off the determinant kept on
+    the family and reduces no phi; Jordan-Chevalley's `det` and squarefree
+    part share one Berkowitz run on each analysed phi.  inertia_pair's phi
+    is constant and N(t) = t * N0, so t = 2 and 3 reuse the analysis of
+    t = 1, and their phi is reduced by nothing."""
     specialized, dets, reductions = [], [], []
     specialize_, det, charpoly_ = families.specialize, Matrix.det, linalg.charpoly
 
     def keep(fam, a):
         rho = specialize_(fam, a)
-        # the singularity test has already reduced phi and kept its charpoly
-        assert getattr(rho.phi, "_charpoly", None) is not None and reductions[-1] is rho.phi
+        assert getattr(rho.phi, "_charpoly", None) is None
         specialized.append(rho.phi)
         return rho
 
@@ -598,8 +650,8 @@ def test_scan_reduces_each_specialized_phi_once(monkeypatch):
     monkeypatch.setattr(Matrix, "det", lambda M: dets.append(M) or det(M))
     purity_scan(fam, Partition.of(2, 1), range(1, 4))
     assert len(specialized) == 3
-    assert [sum(M is phi for M in dets) for phi in specialized] == [2, 1, 1]
-    assert [sum(M is phi for M in reductions) for phi in specialized] == [1, 1, 1]
+    assert [sum(M is phi for M in dets) for phi in specialized] == [1, 0, 0]
+    assert [sum(M is phi for M in reductions) for phi in specialized] == [1, 0, 0]
 
 
 def test_jordan_chevalley_reduces_the_qt_schur_image_once(monkeypatch):

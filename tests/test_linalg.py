@@ -12,7 +12,7 @@ from wdreps import (Matrix, Partition, Poly, QQ, QT, SingularMatrixError, WDRep,
                     squarefree_part, wd_direct_sum, wd_schur)
 from wdreps import linalg
 from wdreps.families import specialize_signature
-from wdreps.fields import Field, NumberField, poly_gcd
+from wdreps.fields import Field, NFElem, NumberField, poly_gcd
 from wdreps.linalg import intersect_columns, kernel_basis, solve_in_span
 
 from support import (flagship_family, from_columns, generator_shear, inverse_by_elimination,
@@ -229,6 +229,29 @@ class TestHelpers:
         M2 = Matrix(QQ, [[1, 2], [3, 4]])
         assert scalar_restriction(M2) is M2
 
+    def test_scalar_restriction_matches_the_fraction_blocks(self):
+        """The restriction built on the entries' int regular matrices over
+        one denominator equals the one built from the Fraction view
+        `regular_matrix`, over Q(sqrt 2), the etale Q[a]/(a^2 - 1) and a
+        cubic field, on random rectangular matrices."""
+        def by_fractions(M):
+            m = M.field.degree
+            blocks = [[x.regular_matrix() for x in row] for row in M.rows]
+            return Matrix(QQ, [[b[bi][bj] for b in brow for bj in range(m)]
+                               for brow in blocks for bi in range(m)])
+
+        rng = random.Random(70)
+        for minpoly in ([-2, 0, 1], [-1, 0, 1], [-3, 1, 0, 1]):
+            K = NumberField(minpoly)
+            for _ in range(25):
+                nr, nc = rng.randint(1, 3), rng.randint(1, 3)
+                M = Matrix(K, [[NFElem(K, [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 10]))
+                                   if rng.random() < 0.8 else 0 for _ in range(K.degree)])
+                                for _ in range(nc)] for _ in range(nr)])
+                R = scalar_restriction(M)
+                assert R == by_fractions(M)
+                assert (R.nrows, R.ncols) == (nr * K.degree, nc * K.degree)
+
 
 class TestShapes:
     def test_matrix_without_rows_keeps_its_width(self):
@@ -443,7 +466,7 @@ def test_charpoly_of_a_dense_8x8_qt_matrix_against_sympy():
     p = charpoly(M)
     assert all(c.den == Poly(QQ, [1]) for c in p.coeffs)
     for a in (Fraction(-2), Fraction(1, 3), Fraction(5, 2)):
-        specialized = M.map_entries(lambda x: x.eval(a), QQ)
+        specialized = Matrix(QQ, [[x.eval(a) for x in row] for row in M.rows])
         assert Poly(QQ, [c.eval(a) for c in p.coeffs]) == _sympy_charpoly(sp, specialized)
 
 
@@ -557,7 +580,8 @@ class TestHessenbergCharpoly:
             p = charpoly(M)
             assert poly_eval_matrix(p, M).is_zero()  # Cayley-Hamilton
             for root in (1, -1):
-                image = M.map_entries(lambda x: x.coeffs[0] + root * x.coeffs[1], QQ)
+                image = Matrix(QQ, [[x.coeffs[0] + root * x.coeffs[1] for x in row]
+                                     for row in M.rows])
                 assert [c.coeffs[0] + root * c.coeffs[1] for c in p.coeffs] == \
                     list(charpoly(image).coeffs)
 

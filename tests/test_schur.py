@@ -191,7 +191,7 @@ class TestDerivation:
             mus = partitions_of(d)
             mu = mus[rng.randrange(len(mus))]
             N = random_matrix(rng, n)
-            A = Matrix.identity(QT, n) + N.map_entries(QT.coerce, QT) * t
+            A = Matrix.identity(QT, n) + Matrix(QT, N.rows) * t
             S = schur_of_matrix(A, mu)
             dim = hook_content_dim(mu, n)
             first_order = Matrix(QQ, [[_linear_coeff(S[i, j]) for j in range(dim)]
@@ -440,7 +440,7 @@ def test_functor_commutes_with_specialization():
     t = QT.gen()
 
     def at(M, a):
-        return M.map_entries(lambda x: x.eval(a), QQ)
+        return Matrix(QQ, [[x.eval(a) for x in row] for row in M.rows])
 
     for n in (2, 3, 4):
         Y = random_matrix(rng, n, field=QT) + Matrix.identity(QT, n) * t

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from wdreps import cli, fields, roots, schur, wd
+from wdreps import cli, fields, linalg, roots, schur, wd
 
 from support import fractions_built
 
@@ -358,3 +358,52 @@ def test_scan_path_reads_the_fraction_view_only_at_the_edges(monkeypatch, tmp_pa
         assert code == 0 and cli.render(request, envelope)
     assert readers == {"fields.format_poly", "jsonio.poly_to_json", "linalg.Matrix.det",
                        "roots._certify_squarefree"}
+
+
+def test_commands_read_a_q_matrix_fraction_view_only_in_json(monkeypatch, tmp_path):
+    """In-process, the README's commands, `rigidity` over inertia_pair and
+    over bench/gen.py's seed-1 dense Q(t) family, and `purity` and `frss` on
+    a Q(sqrt 2) document: the one `src/` function outside `Matrix` that
+    reads the Fraction view of a Q `Matrix` (`rows`, indexing or `column`)
+    is the JSON writer.  Scalar restriction and specialization build their
+    Q matrices on ints."""
+    root = SRC.parents[1]
+    spec = importlib.util.spec_from_file_location("bench_gen", root / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    dense = tmp_path / "dense.json"
+    dense.write_bytes(gen.document_bytes(gen.dense_qt(1)))
+    sqrt2 = tmp_path / "sqrt2.json"
+    sqrt2.write_text('{"q": 5, "field": {"type": "NumberField", "minpoly": [-2, 0, 1]}, '
+                     '"phi": [["a", "0"], ["0", "a/5"]], "nilp": [["0", "0"], ["1", "0"]], '
+                     '"inertia": []}', encoding="utf-8")
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("wdreps ")]
+    commands += [["rigidity", "--partition", "2,1", "corpus/inertia_pair.json"],
+                 ["rigidity", "--partition", "2", "--points", "-3..3", str(dense)],
+                 ["purity", str(sqrt2)], ["frss", str(sqrt2)]]
+    readers = set()
+
+    def record(M):
+        frame = sys._getframe(2)
+        while frame.f_code.co_qualname.startswith("Matrix."):
+            frame = frame.f_back
+        path = Path(frame.f_code.co_filename)
+        if M.field == fields.QQ and path.parent == SRC:
+            readers.add(f"{path.stem}.{frame.f_code.co_qualname.split('.<locals>')[0]}")
+
+    Matrix = linalg.Matrix
+    rows, getitem, column = Matrix.rows.fget, Matrix.__getitem__, Matrix.column
+    monkeypatch.setattr(Matrix, "rows", property(lambda M: record(M) or rows(M)))
+    monkeypatch.setattr(Matrix, "__getitem__", lambda M, key: record(M) or getitem(M, key))
+    monkeypatch.setattr(Matrix, "column", lambda M, j: record(M) or column(M, j))
+    monkeypatch.chdir(root)
+    codes = []
+    for argv in commands:
+        request = cli.parse_request(argv)
+        code, envelope = cli.run_command(request)
+        codes.append(code)
+        assert cli.render(request, envelope)
+    assert codes[:-2] == [0] * (len(commands) - 2)
+    assert readers == {"jsonio.matrix_to_json"}
