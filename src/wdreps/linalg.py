@@ -11,17 +11,18 @@ Over Q they are Python ints over one int in canonical form, which every
 operation (products, sums, fraction-free elimination, the charpoly
 recurrence, Horner steps) reads and writes, and Fractions are built only
 when `Matrix.rows` is read; over any other field they are the scalars
-themselves and `den` is None.  `_make` builds every computed matrix.
-`charpoly` is Berkowitz's division-free recurrence on the stored form
-for every field, kept on the matrix: `det`, `inverse` (the Cayley-Hamilton
-adjugate) and `wd_validate`'s nilpotency test read it; only `rref` eliminates.
+themselves and `den` is None.  `_make` builds every computed matrix and
+`_blocks` every block matrix.  `charpoly` is Berkowitz's division-free
+recurrence on the stored form for every field, kept on the matrix: `det`,
+`inverse` (the Cayley-Hamilton adjugate) and `wd_validate`'s nilpotency
+test read it; only `rref` eliminates.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
 
 from .fields import Field, NumberField, Poly, QQ, _poly, binary_power, squarefree_part
@@ -70,8 +71,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        den, zero, _ = _units(field)
-        return _make(field, ((zero,) * ncols,) * nrows, ncols, den)
+        return _blocks(field, [(nrows, [])], ncols)
 
     @classmethod
     def diagonal(cls, field: Field, entries) -> "Matrix":
@@ -194,9 +194,8 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        den = self.den and lcm(self.den, other.den)
-        rows = tuple(ra + rb for ra, rb in zip(_over(self, den), _over(other, den)))
-        return _make(self.field, rows, self.ncols + other.ncols, den)
+        return _blocks(self.field, [(self.nrows, [(0, self), (self.ncols, other)])],
+                       self.ncols + other.ncols)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, first factor most significant."""
@@ -360,15 +359,26 @@ def _pivot(rows, start: int, c: int, one):
     return None, None
 
 
+def _blocks(field: Field, grid, ncols: int) -> Matrix:
+    """The ncols-column matrix of `grid`'s block rows, each a height and
+    (column offset, block) pairs, zero elsewhere: the stored rows of blocks
+    over `field`, over Q over the lcm of their denominators."""
+    den, zero, _ = _units(field)
+    den = den and lcm(*[M.den for _, row in grid for _, M in row])
+    out = []
+    for height, row in grid:
+        lines = [[zero] * ncols for _ in range(height)]
+        for off, M in row:
+            for line, r in zip(lines, _over(M, den)):
+                line[off:off + M.ncols] = r
+        out += map(tuple, lines)
+    return _make(field, tuple(out), ncols, den)
+
+
 def block_diagonal(field: Field, blocks) -> Matrix:
     blocks = list(blocks)
-    size = sum(b.ncols for b in blocks)
-    rows, off = [], 0
-    for b in blocks:
-        rows.extend((field.zero,) * off + row + (field.zero,) * (size - off - b.ncols)
-                    for row in b.rows)
-        off += b.ncols
-    return Matrix(field, rows)
+    offsets = list(accumulate([b.ncols for b in blocks], initial=0))
+    return _blocks(field, [(b.nrows, [(o, b)]) for b, o in zip(blocks, offsets)], offsets[-1])
 
 
 def column_echelon(M: Matrix) -> Matrix:
@@ -523,25 +533,17 @@ def mult_jordan_chevalley(M: Matrix):
     """
     if not M.is_square():
         raise ValueError("decomposition of a non-square matrix")
-    n = M.nrows
     if not M.det():
         raise SingularMatrixError("multiplicative decomposition needs an invertible matrix")
     f = squarefree_part(charpoly(scalar_restriction(M) if isinstance(M.field, NumberField) else M))
     fp = f.derivative()
     X = M
-    budget = max(1, n.bit_length() + 1)
-    for _ in range(budget):
+    for _ in range(max(1, M.nrows.bit_length() + 1) + 1):
         FX = poly_eval_matrix(f, X)
         if FX.is_zero():
-            break
+            return X, X.inverse() * M
         X = X - poly_eval_matrix(fp, X).inverse() * FX
-    else:
-        FX = poly_eval_matrix(f, X)
-        if not FX.is_zero():
-            raise ArithmeticError("Jordan-Chevalley iteration failed to converge")
-    S = X
-    U = S.inverse() * M
-    return S, U
+    raise ArithmeticError("Jordan-Chevalley iteration failed to converge")
 
 
 def scalar_restriction(M: Matrix) -> Matrix:
@@ -555,7 +557,5 @@ def scalar_restriction(M: Matrix) -> Matrix:
     if not isinstance(M.field, NumberField):
         raise ValueError("scalar restriction is defined over Q and number fields only")
     m = M.field.degree
-    blocks = [[x._regular() for x in row] for row in M.num]
-    den = lcm(*[b.den for brow in blocks for b in brow])
-    return _make(QQ, tuple(tuple([x * (den // b.den) for b in brow for x in b.num[bi]])
-                           for brow in blocks for bi in range(m)), M.ncols * m, den)
+    return _blocks(QQ, [(m, [(j * m, x._regular()) for j, x in enumerate(row)])
+                        for row in M.num], M.ncols * m)

@@ -16,8 +16,8 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from .fields import DEFAULT_EPS, MIN_EPS, CertificationFailed, NumberField, Poly, QQ, QT, Record
-from .linalg import (Matrix, block_diagonal, charpoly, column_echelon, kernel_basis,
-                     mult_jordan_chevalley, pivot_rows, scalar_restriction)
+from .linalg import (Matrix, _blocks, block_diagonal, charpoly, column_echelon,
+                     kernel_basis, mult_jordan_chevalley, pivot_rows, scalar_restriction)
 
 INERTIA_CLOSURE_CAP = 64
 
@@ -60,27 +60,23 @@ class WDRep(Record):
 
 def inertia_closure(generators, field: Field, dim: int, cap: int = INERTIA_CLOSURE_CAP):
     """BFS enumeration of the group generated by the labeled inertia
-    matrices.  Returns a list of (word, matrix) in deterministic BFS
-    order (identity first, generators in label order); None if the
-    closure exceeds the cap.  A closure within the cap contains g, g^2,
-    ... for each generator g, so it also bounds every generator's order."""
+    matrices, walking the list it returns as the list grows: (word, matrix)
+    in deterministic BFS order (identity first, generators in label order);
+    None if the closure exceeds the cap.  A closure within the cap contains
+    g, g^2, ... for each generator g, so it also bounds every generator's order."""
     eye = Matrix.identity(field, dim)
-    elements = {eye: ""}
+    seen = {eye}
     order = [("", eye)]
-    queue = [eye]
     gens = sorted(generators, key=lambda item: item[0])
-    while queue:
-        current = queue.pop(0)
+    for word, current in order:
         for label, g in gens:
             nxt = current * g
-            if nxt in elements:
+            if nxt in seen:
                 continue
-            word = (elements[current] + "*" + label).lstrip("*")
-            if len(elements) + 1 > cap:
+            if len(seen) + 1 > cap:
                 return None
-            elements[nxt] = word
-            order.append((word, nxt))
-            queue.append(nxt)
+            seen.add(nxt)
+            order.append(((word + "*" + label).lstrip("*"), nxt))
     return order
 
 
@@ -152,11 +148,10 @@ def sp_construct(t: int, r: WDRep) -> WDRep:
         raise ValueError("t must be a positive integer")
     if not r.nilp.is_zero():
         raise ValueError("sp_construct needs a representation with zero monodromy")
-    field, n0, size = r.field, r.dim, t * r.dim
+    field, n0, eye = r.field, r.dim, Matrix.identity(r.field, r.dim)
     phi = block_diagonal(field, [r.phi * field.coerce(Fraction(1, r.q) ** i) for i in range(t)])
-    # entry (i, j) is 1 exactly when i lies one block below j, at the same place
-    nilp = Matrix(field, [[field.one if i == j + n0 else field.zero for j in range(size)]
-                          for i in range(size)])
+    # identity blocks on the block subdiagonal: (i, j) is 1 exactly when i = j + n0
+    nilp = _blocks(field, [(n0, [])] + [(n0, [(i * n0, eye)]) for i in range(t - 1)], t * n0)
     inertia = tuple((label, block_diagonal(field, [g] * t)) for label, g in r.inertia)
     return _require_valid(WDRep(r.q, field, phi, nilp, inertia), "sp_construct")
 

@@ -836,3 +836,105 @@ def test_cli_fuzz(tmp_path):
                 assert json.loads(out)["result"]["report"]["verdict"] == "fail"
 
     run()
+
+
+def _document(tmp_path, name, field, phi, nilp, inertia=()):
+    path = tmp_path / name
+    path.write_text(json.dumps({"q": 5, "field": {"type": field}, "phi": phi, "nilp": nilp,
+                                "inertia": list(inertia)}))
+    return str(path)
+
+
+class TestRareBranches:
+    """User-visible branches that no golden reaches, each pinned by its exit
+    code and its text."""
+
+    def test_table_violation_line(self, tmp_path):
+        path = _document(tmp_path, "singular.json", "Q", [["0"]], [["0"]])
+        req = CommandRequest("validate", path, format="table")
+        code, env = run_command(req)
+        assert code == 2
+        lines = cli.render(req, env).decode().splitlines()
+        assert lines[3:] == ["ok: false", "violation: phi is singular",
+                             "note: validation: phi is singular"]
+
+    def test_table_failures_line(self, monkeypatch):
+        real = families.rigidity_check
+        monkeypatch.setattr(families, "rigidity_check", lambda report: real(report).replace(
+            verdict="fail", failures=(Fraction(1), Fraction(2))))
+        req = CommandRequest("rigidity", FLAGSHIP, partition="1", points="1..2", format="table")
+        code, env = run_command(req)
+        assert code == 1
+        lines = cli.render(req, env).decode().splitlines()
+        assert lines[4:6] == ["verdict: fail", "failures: 1, 2"]
+        assert "note: rigidity fail at points: 1, 2" in lines
+
+    def test_table_undefined_and_unweighted_points(self, tmp_path):
+        """A pole at 0, an inferred weight that is no power of q at 2, and a
+        generic charpoly with Q(t) coefficients, shown as its raw array."""
+        path = _document(tmp_path, "pole.json", "Qt", [["1/t"]], [["0"]])
+        req = CommandRequest("scan", path, partition="1", points="-1..2", format="table")
+        code, env = run_command(req)
+        assert code == 0
+        undefined = "DenominatorVanishes: a denominator vanishes at t = 0"
+        unweighted = "NonIntegralWeight: |det|^2 on graded piece 0 is not a power of q = 5"
+        assert cli.render(req, env).decode().splitlines()[3:] == [
+            "partition: 1",
+            "generic signature:",
+            "  Sp_1 of [(-1)/(t), 1]",
+            "point -1: pure (weight 0); signature: Sp_1 of x+1",
+            f"point 0: undefined ({undefined})",
+            "point 1: pure (weight 0); signature: Sp_1 of x-1",
+            f"point 2: no purity verdict ({unweighted})",
+            f"note: point 0: {undefined}",
+            f"note: point 2: {unweighted}"]
+
+    @pytest.mark.parametrize("request_, diagnostic", [
+        (CommandRequest("scan", FLAGSHIP, partition="1", points=" , "),
+         "ParseError: empty point list"),
+        (CommandRequest("purity", SP2, weight="x"),
+         "ParseError: weight must be an integer or 'infer', got 'x'"),
+        (CommandRequest("schur", SP2), "ParseError: schur requires --partition"),
+        (CommandRequest("rigidity", FLAGSHIP), "ParseError: rigidity requires --partition"),
+        (CommandRequest("transpose", SP2), "ParseError: unknown command 'transpose'"),
+    ], ids=["empty points", "weight", "schur partition", "rigidity partition", "command"])
+    def test_request_errors_exit_2(self, request_, diagnostic):
+        code, env = run_command(request_)
+        assert code == 2 and env["result"] is None
+        assert env["diagnostics"] == [diagnostic]
+
+    @pytest.mark.parametrize("phi, nilp, inertia, diagnostic", [
+        ([["(1+2"]], [["0"]], [], "ParseError: {}: phi[0][0]: unbalanced parentheses in '(1+2'"),
+        ([["1"]], [["0"]], [{"label": "", "matrix": [["1"]]}],
+         "ParseError: {}: inertia[0]: label must be a nonempty string"),
+        ([["2"]], [["0"]], [],
+         "NonIntegralWeight: |det|^2 on graded piece 0 is not a power of q = 5"),
+        ([["1", "0", "0"], ["0", "1/5", "0"], ["0", "0", "25"]],
+         [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "0"]], [],
+         "NonIntegralWeight: inconsistent inferred weights [-1, 4]"),
+    ], ids=["parentheses", "label", "weight not a power of q", "inconsistent weights"])
+    def test_document_errors_exit_2(self, tmp_path, phi, nilp, inertia, diagnostic):
+        path = _document(tmp_path, "rep.json", "Q", phi, nilp, inertia)
+        code, env = run_command(CommandRequest("purity", path))
+        assert code == 2 and env["result"] is None
+        assert env["diagnostics"] == [diagnostic.format(path)]
+
+    def test_purity_check_refuses_a_weight_of_another_kind(self):
+        from wdreps.jsonio import load_wdrep
+        with pytest.raises(ValueError, match="weight must be an integer or 'infer'"):
+            wd.purity_check(load_wdrep(SP2), "-1")
+
+    def test_unspecializable_generic_signature_is_an_internal_error(self, monkeypatch):
+        """The generic signature specializes at every pure point (see
+        `rigidity_check`), so an exception there is a fault of the program:
+        exit 4, never a fail verdict."""
+        def broken(sig, point):
+            raise ZeroDivisionError(f"denominator vanishes at t = {point}")
+
+        monkeypatch.setattr(families, "specialize_signature", broken)
+        code, env = run_command(CommandRequest("rigidity", FLAGSHIP, partition="1",
+                                               points="1..2"))
+        assert code == cli.EXIT_INTERNAL == 4 and env["result"] is None
+        [diagnostic] = env["diagnostics"]
+        assert diagnostic.startswith("internal error: ZeroDivisionError: denominator "
+                                     "vanishes at t = 1 (raised in broken, test_cli.py:")

@@ -314,6 +314,41 @@ class TestRigidity:
             specialize_signature(generic, points[0])
         assert bool(built) == any(e.inertia_traces for e in generic.entries)
 
+    def test_generic_signature_specializes_wherever_the_family_does(self):
+        """Why `rigidity_check` has no exception path: on the corpus
+        families and bench/gen.py's seed-1 families, at the integers -3..3
+        and random rationals where `specialize` succeeds, the generic
+        signature of each small partition specializes without error, to
+        pieces whose dimensions add up to dim S_mu."""
+        spec = importlib.util.spec_from_file_location("bench_gen", CORPUS.parent / "bench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        fams = [load_wdrep(str(path)) for path in sorted(CORPUS.glob("*.json"))]
+        fams = [f for f in fams if f.field == QT]
+        fams += [load_wdrep(name, gen.document_bytes(getattr(gen, name)(1)))
+                 for name in ("dense_qt", "wedge_tight")]
+        rng = random.Random(36)
+        checked = 0
+        for fam in fams:
+            points = list(range(-3, 4)) + [Fraction(rng.randint(-40, 40), rng.randint(2, 9))
+                                           for _ in range(6)]
+            defined = []
+            for a in points:
+                try:
+                    specialize(fam, a)
+                except (DenominatorVanishes, SingularFrobenius):
+                    continue
+                defined.append(Fraction(a))
+            for parts in ((1,), (2,), (1, 1), (2, 1)):
+                mu = Partition.of(*parts)
+                generic = frss_signature(wd_schur(fam, mu))
+                for a in defined:
+                    entries = specialize_signature(generic, a).entries
+                    assert sum(e.t * e.charpoly.degree for e in entries) == hook_content_dim(
+                        mu, fam.dim)
+                    checked += 1
+        assert len(fams) == 7 and checked >= 150
+
 
 class TestTraceLink:
     def test_flagship_pair_equal_and_rigid(self):

@@ -253,6 +253,89 @@ class TestHelpers:
                 assert (R.nrows, R.ncols) == (nr * K.degree, nc * K.degree)
 
 
+def _from_rows(field, rows, ncols):
+    """The coercing constructor on rows, keeping ncols when there are none."""
+    return Matrix(field, rows) if rows else Matrix.zeros(field, 0, ncols)
+
+
+def _random_scalar(rng, field):
+    """A random scalar of field, zero one time in four."""
+    if rng.random() < 0.25:
+        return field.zero
+    if isinstance(field, NumberField):
+        return NFElem(field, [random_fraction(rng, -9, 9, 10) for _ in range(field.degree)])
+    x = field.coerce(random_fraction(rng, -9, 9, 10))
+    if field == QT:
+        t = field.gen()
+        x = x + t * random_fraction(rng) / (t - rng.randint(-3, 3))
+    return x
+
+
+def _random_block(rng, field, nrows, ncols):
+    return _from_rows(field, [[_random_scalar(rng, field) for _ in range(ncols)]
+                              for _ in range(nrows)], ncols)
+
+
+class TestBlockAssembly:
+    """`block_diagonal`, `hstack`, `scalar_restriction` and the monodromy of
+    `sp_construct`, all laid out by `linalg._blocks` on the stored form,
+    against the same matrices built from the Fraction view (the scalars
+    themselves off Q) through the coercing constructor."""
+
+    FIELDS = [QQ, QT, NumberField([-2, 0, 1]), NumberField([-1, 0, 1])]
+    SHAPES = [(0, 0), (2, 0), (0, 2), (1, 1), (2, 3), (3, 2), (3, 3)]
+
+    def test_block_diagonal_and_hstack(self):
+        rng = random.Random(36)
+        for field in self.FIELDS:
+            for _ in range(12):
+                blocks = [_random_block(rng, field, *rng.choice(self.SHAPES))
+                          for _ in range(rng.randint(0, 4))]
+                size = sum(b.ncols for b in blocks)
+                rows, off = [], 0
+                for b in blocks:
+                    rows += [[field.zero] * off + list(row) + [field.zero] * (size - off - b.ncols)
+                             for row in b.rows]
+                    off += b.ncols
+                assert linalg.block_diagonal(field, blocks) == _from_rows(field, rows, size)
+            for nrows, ncols in self.SHAPES:
+                A = _random_block(rng, field, nrows, ncols)
+                B = _random_block(rng, field, nrows, rng.randint(0, 3))
+                stacked = A.hstack(B)
+                assert stacked == _from_rows(field, [list(r) + list(s)
+                                                     for r, s in zip(A.rows, B.rows)],
+                                             A.ncols + B.ncols)
+                assert (stacked.nrows, stacked.ncols) == (nrows, A.ncols + B.ncols)
+
+    def test_scalar_restriction(self):
+        """Each entry becomes its regular matrix `regular_matrix`; an n x 0
+        matrix keeps its n*m empty rows and a 0 x n one its n*m columns."""
+        rng = random.Random(37)
+        for K in self.FIELDS[2:]:
+            m = K.degree
+            for nrows, ncols in self.SHAPES * 3:
+                M = _random_block(rng, K, nrows, ncols)
+                blocks = [[x.regular_matrix() for x in row] for row in M.rows]
+                R = scalar_restriction(M)
+                assert R == _from_rows(QQ, [[b[bi][bj] for b in brow for bj in range(m)]
+                                            for brow in blocks for bi in range(m)], ncols * m)
+                assert (R.nrows, R.ncols) == (nrows * m, ncols * m)
+        assert scalar_restriction(Matrix(NumberField([-2, 0, 1]), [[], []])).nrows == 4
+
+    def test_sp_construct_monodromy(self):
+        """The rule sp_construct has always used: entry (i, j) of N is 1
+        exactly when i = j + n0, with n0 the dimension of the input."""
+        rng = random.Random(38)
+        for field in self.FIELDS:
+            for n0 in (1, 2, 3):
+                r = WDRep(5, field, random_unimodular(rng, n0, field), Matrix.zeros(field, n0, n0))
+                for t in (1, 2, 3):
+                    size = t * n0
+                    N = sp_construct(t, r).nilp
+                    assert N == Matrix(field, [[field.one if i == j + n0 else field.zero
+                                                for j in range(size)] for i in range(size)])
+
+
 class TestShapes:
     def test_matrix_without_rows_keeps_its_width(self):
         Z = Matrix.zeros(QQ, 0, 3)

@@ -407,3 +407,63 @@ def test_commands_read_a_q_matrix_fraction_view_only_in_json(monkeypatch, tmp_pa
         assert cli.render(request, envelope)
     assert codes[:-2] == [0] * (len(commands) - 2)
     assert readers == {"jsonio.matrix_to_json"}
+
+
+def test_only_the_input_edges_call_the_coercing_matrix_constructor():
+    """`Matrix(field, rows)` coerces every entry: in `src/` only the JSON
+    reader, specialization and `Matrix.diagonal` call it.  Every other
+    matrix is built on the stored form by `linalg._make` or `linalg._blocks`."""
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            # inside class Matrix, `cls(...)` is the constructor too
+            constructor = "cls" if scope[1:2] == ["Matrix"] else "Matrix"
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("Matrix", constructor)):
+                callers.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    assert callers == {"jsonio.matrix_from_json", "families._evaluate_matrix",
+                       "linalg.Matrix.diagonal"}
+
+
+def test_constructions_read_no_q_matrix_fraction_view(monkeypatch):
+    """`sp_construct`, `wd_direct_sum`, `wd_tensor`, `trace_link_check` and
+    `scalar_restriction`, over Q and over Q(sqrt 2), read the Fraction view
+    of no Q `Matrix` (`rows`, indexing or `column`) outside `Matrix`: every
+    block matrix is laid out on the stored rows."""
+    from wdreps import families
+    K = fields.NumberField([-2, 0, 1])
+    reps = []
+    for field, x in ((fields.QQ, Fraction(4, 3)), (K, K.gen() / 3)):
+        swap = linalg.Matrix(field, [[0, 1], [1, 0]])
+        phi = linalg.Matrix(field, [[x, 1], [1, x]])  # commutes with the swap
+        reps.append(wd.WDRep(5, field, phi, linalg.Matrix.zeros(field, 2, 2), (("s", swap),)))
+    readers = set()
+
+    def record(M):
+        frame = sys._getframe(2)
+        while frame.f_code.co_qualname.startswith("Matrix."):
+            frame = frame.f_back
+        path = Path(frame.f_code.co_filename)
+        if M.field == fields.QQ and path.parent == SRC:
+            readers.add(f"{path.stem}.{frame.f_code.co_qualname.split('.<locals>')[0]}")
+
+    Matrix = linalg.Matrix
+    rows, getitem, column = Matrix.rows.fget, Matrix.__getitem__, Matrix.column
+    monkeypatch.setattr(Matrix, "rows", property(lambda M: record(M) or rows(M)))
+    monkeypatch.setattr(Matrix, "__getitem__", lambda M, key: record(M) or getitem(M, key))
+    monkeypatch.setattr(Matrix, "column", lambda M, j: record(M) or column(M, j))
+    for r in reps:
+        sp = wd.sp_construct(3, r)
+        total = wd.wd_direct_sum(sp, r)
+        assert wd.wd_tensor(r, sp).dim == 12 and total.dim == 8
+        assert families.trace_link_check(sp, sp).equal
+        assert linalg.scalar_restriction(total.phi).nrows == 8 * getattr(r.field, "degree", 1)
+    assert readers == set()
