@@ -132,24 +132,20 @@ def purity_scan(fam: WDRep, mu: Partition, points, weight="infer",
     return RigidityReport(mu=mu, generic_signature=generic, points=tuple(results))
 
 
-def _charpoly_multiset(sig: Signature):
-    """The (t, charpoly) pairs: a signature keeps one entry per t, sorted by t."""
-    return [(entry.t, entry.charpoly) for entry in sig.entries]
-
-
 def rigidity_check(report: RigidityReport) -> RigidityReport:
     """Verdict: pass when at every pure point the specialized generic
-    signature equals the point signature as a multiset of (t, charpoly)
-    pairs; vacuous when there is no pure point; impure and undefined
-    points are exempt.  A fail is a signature mismatch: at a pure point a,
-    the entries of phi, N and the inertia have no pole (`specialize` took
-    them); each generic charpoly, a monic factor over Q(t) of
-    charpoly(S_mu(phi)), has none since Q[t]_(t-a) is integrally closed;
-    inertia traces, sums of roots of unity, are constants."""
+    signature equals the point signature, entry for entry: chain length,
+    charpoly and inertia traces; vacuous when there is no pure point;
+    impure and undefined points are exempt.  A fail is a signature
+    mismatch: at a pure point a, the entries of phi, N and the inertia
+    have no pole (`specialize` took them); each generic charpoly, a monic
+    factor over Q(t) of charpoly(S_mu(phi)), has none since Q[t]_(t-a) is
+    integrally closed; inertia traces, sums of roots of unity, are
+    constants."""
     pure = [pr for pr in report.points
             if pr.defined and pr.purity is not None and pr.purity.verdict == "pure"]
-    failures = tuple(pr.a for pr in pure if _charpoly_multiset(specialize_signature(
-        report.generic_signature, pr.a)) != _charpoly_multiset(pr.signature))
+    failures = tuple(pr.a for pr in pure
+                     if specialize_signature(report.generic_signature, pr.a) != pr.signature)
     verdict = "fail" if failures else "pass" if pure else "vacuous"
     return report.replace(verdict=verdict, failures=failures)
 

@@ -76,7 +76,7 @@ def inertia_closure(generators, field: Field, dim: int, cap: int = INERTIA_CLOSU
             if len(seen) + 1 > cap:
                 return None
             seen.add(nxt)
-            order.append(((word + "*" + label).lstrip("*"), nxt))
+            order.append((f"{word}*{label}" if word else label, nxt))
     return order
 
 
@@ -316,10 +316,8 @@ class _LineFlag:
         return steps
 
 
-@lru_cache(maxsize=32)
-def _line_flag(line: Matrix) -> _LineFlag:
-    """`_LineFlag`, memoized: a scan meets one line of N at many points."""
-    return _LineFlag(line)
+# the flag of a line, memoized: a scan meets one line of N at many points
+_line_flag = lru_cache(maxsize=32)(_LineFlag)
 
 
 def _line(N: Matrix) -> Matrix:
@@ -334,20 +332,15 @@ def _line(N: Matrix) -> Matrix:
     return N
 
 
-def _nilpotent_flag(N: Matrix) -> _LineFlag:
-    """The flag of N's line, keyed by `_line`."""
-    return _line_flag(_line(N))
-
-
 def monodromy_filtration(N: Matrix) -> Filtration:
     """The unique increasing filtration with N*M_k inside M_(k-2) and
     N^k inducing isomorphisms gr_k = gr_(-k) [Deligne, Weil II, 1.6].
 
     It is M_k = sum_j N^j * ker N^(k+1+2j); keys run from -e (the zero
     subspace) to e-1 (e the nilpotency index).  The steps are built once
-    per line of N (`_nilpotent_flag`); each call returns its own
+    per line of N (`_line_flag` of `_line`); each call returns its own
     Filtration over a copy of them."""
-    return Filtration(dict(_nilpotent_flag(N).steps))
+    return Filtration(dict(_line_flag(_line(N)).steps))
 
 
 def _quotient_actions(flag, operators):
@@ -360,12 +353,17 @@ def _quotient_actions(flag, operators):
     So the columns of big whose pivot rows P are not pivot rows of sub span
     a complement, y in span(big) has coordinates (y - sub * y[sub rows])[P]
     modulo span(sub), and each action is Y[P] - sub[P] * Y[sub rows], with
-    Y = op * (those columns of big): products only."""
+    Y = op * (those columns of big): products only.  When P is every row,
+    big is the identity and sub is empty, so the actions are the operators
+    themselves, and a charpoly kept on one of them is read again."""
     for key, sub, big in flag:
         sub_rows = pivot_rows(sub)
         taken = set(sub_rows)
         chosen = [(j, i) for j, i in enumerate(pivot_rows(big)) if i not in taken]
         if not chosen:
+            continue
+        if len(chosen) == big.nrows:
+            yield key, list(operators)
             continue
         own_rows = [i for _, i in chosen]
         reps = big.select(cols=[j for j, _ in chosen])
@@ -441,12 +439,12 @@ def frss_signature(rho: WDRep) -> Signature:
     inertia traces on P_k are appended when inertia is nontrivial.
     Frobenius acts through its semisimple part, which a Schur image takes
     from its input (`_semisimple_part`).  The layers are built once per
-    line of N (`_nilpotent_flag`): a scan whose monodromy is f(a) * N0
+    line of N (`_line_flag` of `_line`): a scan whose monodromy is f(a) * N0
     reads them again at every point with f(a) != 0."""
     _require_valid(rho)
     n = rho.dim
     S = _semisimple_part(rho)
-    layers = _nilpotent_flag(rho.nilp).layers
+    layers = _line_flag(_line(rho.nilp)).layers
     entries = []
     flag = ((k, layers[k + 1], layers[k]) for k in range(len(layers) - 1))
     for k, (action, *inertia) in _quotient_actions(flag, [S] + [g for _, g in rho.inertia]):

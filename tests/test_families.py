@@ -249,6 +249,17 @@ class TestPurityScan:
         assert points[0] == -25 and points[-1] == 25 and len(points) == 51
 
 
+def _qt_families():
+    """The Q(t) documents of the corpus and bench/gen.py's seed-1 families."""
+    spec = importlib.util.spec_from_file_location("bench_gen", CORPUS.parent / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    fams = [load_wdrep(str(path)) for path in sorted(CORPUS.glob("*.json"))]
+    return [f for f in fams if f.field == QT] + [
+        load_wdrep(name, gen.document_bytes(getattr(gen, name)(1)))
+        for name in ("dense_qt", "wedge_tight")]
+
+
 class TestRigidity:
     def test_flagship_pass_mu1(self):
         report = rigidity_check(purity_scan(flagship_family(), Partition.of(1), range(-5, 6)))
@@ -277,6 +288,26 @@ class TestRigidity:
         assert verdict.verdict == "fail"
         assert verdict.failures == (Fraction(1),)
 
+    def test_an_inertia_trace_mismatch_fails(self):
+        """A rigidity fail is a mismatch of the whole signature: a pure point
+        whose charpolys agree with the specialized generic signature and
+        whose inertia traces do not, in one trace, fails."""
+        fam = load_wdrep(str(CORPUS / "inertia_pair.json"))
+        report = purity_scan(fam, Partition.of(2, 1), range(1, 4))
+        assert rigidity_check(report).verdict == "pass"
+        pr = point(report, 2)
+        assert pr.purity.verdict == "pure"
+        first, *rest = pr.signature.entries
+        (label, trace), *others = first.inertia_traces
+        doctored = Signature((first.replace(inertia_traces=((label, trace + 1), *others)),
+                              *rest))
+        expected = specialize_signature(report.generic_signature, pr.a)
+        assert ([(e.t, e.charpoly) for e in doctored.entries] ==
+                [(e.t, e.charpoly) for e in expected.entries]) and doctored != expected
+        points = tuple(p.replace(signature=doctored) if p is pr else p for p in report.points)
+        checked = rigidity_check(report.replace(points=points))
+        assert checked.verdict == "fail" and checked.failures == (Fraction(2),)
+
     def test_vacuous_when_no_pure_points(self):
         report = rigidity_check(purity_scan(flagship_family(), Partition.of(1), [0]))
         assert report.verdict == "vacuous"
@@ -286,6 +317,26 @@ class TestRigidity:
         generic = purity_scan(fam, Partition.of(1), [1]).generic_signature
         spec = specialize_signature(generic, 7)
         assert sig_pairs(spec) == [(2, ("-1/5", "1"))]
+
+    def test_pure_points_carry_the_whole_specialized_signature(self):
+        """Oracle for the rigidity statement: on the corpus families and
+        bench/gen.py's seed-1 families, for partitions 1, 2, (1,1), (2,1)
+        and 3, at -4..4, 1/2 and -3/7, every pure point's signature equals
+        the specialized generic one entry for entry, inertia traces
+        included, so no checked case fails."""
+        points = [Fraction(a) for a in range(-4, 5)] + [Fraction(1, 2), Fraction(-3, 7)]
+        cases, pure, traced = 0, 0, 0
+        for fam in _qt_families():
+            for parts in ((1,), (2,), (1, 1), (2, 1), (3,)):
+                report = purity_scan(fam, Partition.of(*parts), points)
+                for pr in report.points:
+                    if pr.defined and pr.purity is not None and pr.purity.verdict == "pure":
+                        assert specialize_signature(report.generic_signature, pr.a) == \
+                            pr.signature, (parts, pr.a)
+                        pure += 1
+                        traced += any(e.inertia_traces for e in pr.signature.entries)
+                cases += 1
+        assert (cases, pure, traced) == (35, 361, 50)
 
 
     @pytest.mark.parametrize("name, parts", [("flagship", (2,)), ("inertia_pair", (2, 1)),
@@ -320,13 +371,7 @@ class TestRigidity:
         and random rationals where `specialize` succeeds, the generic
         signature of each small partition specializes without error, to
         pieces whose dimensions add up to dim S_mu."""
-        spec = importlib.util.spec_from_file_location("bench_gen", CORPUS.parent / "bench" / "gen.py")
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
-        fams = [load_wdrep(str(path)) for path in sorted(CORPUS.glob("*.json"))]
-        fams = [f for f in fams if f.field == QT]
-        fams += [load_wdrep(name, gen.document_bytes(getattr(gen, name)(1)))
-                 for name in ("dense_qt", "wedge_tight")]
+        fams = _qt_families()
         rng = random.Random(36)
         checked = 0
         for fam in fams:
@@ -381,6 +426,14 @@ class TestTraceLink:
                      (("g", g_plus),))
         res = trace_link_check(fam1, fam2)
         assert not res.equal and res.first_difference == "phi^1*g"
+
+    def test_a_label_that_begins_with_a_star_keeps_it(self):
+        """The first difference names the closure element by its word, and a
+        word keeps each label whole: g = -1 against g = 1 under the label
+        `*s` first differs at phi^1 * (*s)."""
+        fams = [WDRep(5, QQ, Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 1),
+                      (("*s", Matrix(QQ, [[sign]])),)) for sign in (-1, 1)]
+        assert trace_link_check(*fams) == TraceLinkResult(False, "phi^1**s")
 
     def test_two_labels_in_bfs_word_order(self):
         """The joint closure is {1, g, h, g*h}, walked breadth first with

@@ -126,15 +126,20 @@ def test_tracer_binds_every_span():
     assert proc.returncode == 0, proc.stderr
 
 
+def _load_runner(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
 def test_traced_workloads_call_every_layer_row(tmp_path, monkeypatch):
     """The check `bench/run.py --trace 1` makes after its traced pass,
     `check_bindings`, on each workload run through bench/tracer.py at one
     or two points: a call the layer rows need that a change removes (such
     as the det of a Q(t) matrix) fails here, not only in a traced run."""
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    run = _load_runner(monkeypatch)
     gen = _load_generator()
     docs = {}
     for name, generator in (("dense-qt", gen.dense_qt), ("wedge-tight", gen.wedge_tight)):
@@ -158,6 +163,43 @@ def test_traced_workloads_call_every_layer_row(tmp_path, monkeypatch):
             for key, (calls, _, _) in json.loads(stats.read_text())["spans"].items():
                 spans[key] = [spans.get(key, [0])[0] + calls]
         assert run.check_bindings(name, spans) == [], name
+
+
+# Berkowitz runs of each invocation of each bench/run.py workload, in order
+BERKOWITZ_RUNS = {
+    "inertia21": [14],
+    "corpus": [2, 4, 2, 3, 2, 2, 10, 10, 10, 11, 12, 8, 105, 13, 14, 16, 14],
+    "dense-qt": [61],
+    "wedge-tight": [47],
+}
+
+
+def test_workloads_pin_their_berkowitz_runs(tmp_path, monkeypatch):
+    """The invocations of every bench/run.py workload, run in-process on
+    the seed-1 inputs, run Berkowitz's recurrence exactly as often as pinned
+    here (238 times over the corpus workload): a charpoly computed again
+    where a kept one could be read fails here.  The counts do not depend on
+    the memos an earlier run left."""
+    from wdreps import linalg
+
+    run = _load_runner(monkeypatch)
+    runs = []
+    berkowitz = linalg._berkowitz
+    monkeypatch.setattr(linalg, "_berkowitz", lambda *args: runs.append(1) or berkowitz(*args))
+    monkeypatch.chdir(ROOT)
+    counts = {}
+    for name, workload in run.WORKLOADS.items():
+        document = tmp_path / f"{name}.json"
+        if "generator" in workload:
+            document.write_bytes(run.gen.document_bytes(workload["generator"](1)))
+        counts[name] = []
+        for argv in workload["invocations"]:
+            runs.clear()
+            code, _ = run_command(parse_request(
+                [str(document) if arg == "{input}" else arg for arg in argv]))
+            assert code == 0, argv
+            counts[name].append(len(runs))
+    assert counts == BERKOWITZ_RUNS and sum(counts["corpus"]) == 238
 
 
 def test_wedge_tight_brackets_each_purity_decision_once(tmp_path, monkeypatch):

@@ -122,6 +122,15 @@ class TestValidate:
             assert closure is None
             assert wd_validate(rho) == f"inertia closure exceeds cap {wd.INERTIA_CLOSURE_CAP}"
 
+    def test_words_keep_each_label_whole(self):
+        """A word joins its labels with `*`, so a label that begins with `*`
+        keeps it: the powers of an order-4 generator `*s` are named `*s`,
+        `*s**s` and `*s**s**s`."""
+        g = Matrix(QQ, [[0, -1], [1, 0]])
+        closure = wd.inertia_closure([("*s", g)], QQ, 2)
+        assert [word for word, _ in closure] == ["*".join(["*s"] * m) for m in range(4)]
+        assert [m for _, m in closure] == [g ** m for m in range(4)]
+
     def test_singular_phi(self):
         rho = WDRep(5, QQ, Matrix.zeros(QQ, 1, 1), Matrix.zeros(QQ, 1, 1))
         assert wd_validate(rho) == "phi is singular"
@@ -553,7 +562,7 @@ class TestLineMemo:
 
     @staticmethod
     def read(N):
-        flag = wd._nilpotent_flag(N)
+        flag = wd._line_flag(wd._line(N))
         return flag.layers, monodromy_filtration(N).steps
 
     def test_scalar_invariance_over_q(self):
@@ -969,6 +978,28 @@ class TestOncePerPoint:
         assert len(quotients) == len(signature.entries) + len(report.per_graded)
         assert quotient_rrefs == [0, 0] and rrefs
 
+    def test_zero_monodromy_point_reads_one_charpoly_of_the_image(self, monkeypatch):
+        """Where N = 0 both flags have one nonzero quotient, the whole space
+        modulo zero, and its action is the operator itself: the signature
+        and the purity check of the 20-dim image at t = 0 read the charpoly
+        kept on its phi, so Berkowitz runs once on the input's phi (for its
+        Jordan-Chevalley decomposition) and once on the image's phi."""
+        path = Path(__file__).resolve().parent.parent / "corpus" / "inertia_pair.json"
+        image = wd_schur(specialize(load_wdrep(str(path)), 0), Partition.of(2, 1))
+        assert image.dim == 20 and image.nilp.is_zero()
+        sizes = []
+        berkowitz = linalg._berkowitz
+        monkeypatch.setattr(linalg, "_berkowitz",
+                            lambda *args: sizes.append(len(args[0])) or berkowitz(*args))
+        signature = frss_signature(image)
+        report = purity_check(image)
+        assert sizes == [4, 20]
+        assert [e.charpoly for e in signature.entries] == [charpoly(image.phi)]
+        assert [g.charpoly for g in report.per_graded] == [charpoly(image.phi)]
+        whole = [(0, Matrix.zeros(QQ, 20, 0), Matrix.identity(QQ, 20))]
+        ((key, actions),) = wd._quotient_actions(whole, [image.phi, image.nilp])
+        assert key == 0 and actions[0] is image.phi and actions[1] is image.nilp
+
 
 def _reference_quotient_actions(flag, operators):
     """The quotient actions by elimination: complement columns of big from
@@ -989,7 +1020,7 @@ def _both_flags(rho):
     """The signature layers and the monodromy filtration of rho, as
     (key, sub, big) triples, as `frss_signature` and `purity_check` read
     them."""
-    layers = wd._nilpotent_flag(rho.nilp).layers
+    layers = wd._line_flag(wd._line(rho.nilp)).layers
     filt = monodromy_filtration(rho.nilp)
     return ([(k, layers[k + 1], layers[k]) for k in range(len(layers) - 1)],
             [(k, filt.step(k - 1), filt.step(k)) for k in filt.indices()])
