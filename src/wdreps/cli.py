@@ -17,13 +17,16 @@ from .fields import (DEFAULT_EPS, MIN_EPS, CertificationFailed, DenominatorVanis
                      ParseError, Poly, QQ, Record, ResourceCapExceeded, SingularFrobenius,
                      _excerpt, format_poly, parse_rational)
 
-import argparse
 import atexit
 import gc
-import hashlib
 import os
 import sys
 from fractions import Fraction
+
+try:  # the builtin digest: `hashlib` would load OpenSSL for one sha256
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed it `_sha2`
+    from hashlib import sha256
 
 from . import __version__
 from .jsonio import (ValidationError, canonical_json_bytes, filtration_to_json, load_wdrep,
@@ -126,7 +129,7 @@ def run_command(req: CommandRequest):
         # digest and parse the same bytes, read once
         with open(req.input_path, "rb") as handle:
             raw = handle.read()
-        envelope["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
+        envelope["input_digest"] = "sha256:" + sha256(raw).hexdigest()
         eps = parse_eps(req.eps)
         rho = load_wdrep(req.input_path, raw) if req.command != "validate" else None
         if req.command == "validate":
@@ -282,7 +285,7 @@ def _point_line(pr: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# argparse wiring
+# command-line parsing
 # ---------------------------------------------------------------------------
 
 # every flag a command may take, with its argparse keywords
@@ -313,6 +316,7 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="wdreps",
         description="Exact computations with Weil-Deligne representations "
@@ -345,11 +349,44 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _table_request(argv: list[str]) -> CommandRequest | None:
+    """The request argparse reads from a plainly valid line (a command, one input,
+    each of its flags once as `--flag value` or `--flag=value`, no value starting
+    with `-` but for `_VALUE_FLAGS`), read off `COMMANDS` and `OPTIONS`; else None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags, values, inputs, tokens = COMMANDS[argv[0]][1], {}, [], iter(argv[1:])
+    for tok in tokens:
+        if not tok.startswith("-"):
+            inputs.append(tok)
+            continue
+        name, eq, value = tok[2:].partition("=")
+        if not tok.startswith("--") or name not in flags or name in values:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or (value.startswith("-") and tok not in _VALUE_FLAGS):
+                return None
+        if "choices" in OPTIONS[name] and value not in OPTIONS[name]["choices"]:
+            return None
+        values[name] = value
+    if len(inputs) != 1 or any(OPTIONS[name].get("required") and name not in values
+                               for name in flags):
+        return None
+    return CommandRequest(argv[0], inputs[0], **{
+        name: values.get(name, OPTIONS[name].get("default")) if name in flags else None
+        for name in OPTIONS})
+
+
 def parse_request(argv) -> CommandRequest:
-    """The request a command line asks for."""
-    args = build_parser().parse_args(_merge_negative_values(list(argv)))
-    return CommandRequest(args.command, args.input,
-                          **{name: getattr(args, name, None) for name in OPTIONS})
+    """The request a command line asks for: off the tables if they read it, else by argparse."""
+    argv = list(argv)
+    req = _table_request(argv)
+    if req is None:
+        args = build_parser().parse_args(_merge_negative_values(argv))
+        req = CommandRequest(args.command, args.input,
+                             **{name: getattr(args, name, None) for name in OPTIONS})
+    return req
 
 
 def render(req: CommandRequest, envelope: dict) -> bytes:

@@ -10,10 +10,11 @@ identical inputs, with each distinct point analysis converted and written once.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .fields import (Field, NFElem, NumberField, ParseError, Poly, QT, RatFunc,
-                     field_from_json, parse_scalar_expression, poly_from_json)
+from .fields import (Field, ParseError, Poly, QQ, QT, RatFunc, _beyond_digits, field_from_json,
+                     parse_scalar_expression, poly_from_json)
 from .linalg import Matrix
 from .wd import Filtration, PurityReport, Signature, WDRep, wd_validate
 
@@ -44,7 +45,8 @@ def scalar_from_json(value, field: Field, what: str):
         if den.is_zero():
             raise ParseError(f"{what}: zero denominator")
         return RatFunc(num, den)
-    if isinstance(value, list) and isinstance(field, NumberField):
+    if isinstance(value, list) and field not in (QQ, QT):  # a number field
+        from .numberfield import NFElem
         return NFElem(field, poly_from_json(value, what).coeffs)
     raise ParseError(f"{what}: cannot interpret {value!r} as a scalar of {field!r}")
 
@@ -121,13 +123,21 @@ def load_wdrep(path: str, raw: bytes | None = None) -> WDRep:
         with open(path, "rb") as handle:
             raw = handle.read()
     try:
-        doc = json.loads(raw)
+        return wdrep_from_json(json.loads(raw, parse_int=_json_int))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    try:
-        return wdrep_from_json(doc)
+    except RecursionError as exc:  # raised by the decoder, the one recursive reader
+        raise ParseError(f"{path}: arrays or objects nested deeper than Python's recursion "
+                         f"limit ({sys.getrecursionlimit()})") from exc
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(_beyond_digits("a JSON number")) from exc
 
 
 # ---------------------------------------------------------------------------

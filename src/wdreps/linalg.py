@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd, lcm
 
-from .fields import Field, NumberField, Poly, QQ, _poly, binary_power, squarefree_part
+from .fields import Field, Poly, QQ, QT, _poly, binary_power, squarefree_part
 
 
 class SingularMatrixError(ArithmeticError):
@@ -535,7 +535,7 @@ def mult_jordan_chevalley(M: Matrix):
         raise ValueError("decomposition of a non-square matrix")
     if not M.det():
         raise SingularMatrixError("multiplicative decomposition needs an invertible matrix")
-    f = squarefree_part(charpoly(scalar_restriction(M) if isinstance(M.field, NumberField) else M))
+    f = squarefree_part(charpoly(M if M.field in (QQ, QT) else scalar_restriction(M)))
     fp = f.derivative()
     X = M
     for _ in range(max(1, M.nrows.bit_length() + 1) + 1):
@@ -554,7 +554,7 @@ def scalar_restriction(M: Matrix) -> Matrix:
     entry-wise embeddings' characteristic polynomials."""
     if M.field == QQ:
         return M
-    if not isinstance(M.field, NumberField):
+    if M.field == QT:
         raise ValueError("scalar restriction is defined over Q and number fields only")
     m = M.field.degree
     return _blocks(QQ, [(m, [(j * m, x._regular()) for j, x in enumerate(row)])

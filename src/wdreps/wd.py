@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .fields import DEFAULT_EPS, MIN_EPS, CertificationFailed, NumberField, Poly, QQ, QT, Record
+from .fields import DEFAULT_EPS, MIN_EPS, CertificationFailed, Poly, QT, Record
 from .linalg import (Matrix, _blocks, block_diagonal, charpoly, column_echelon,
                      kernel_basis, mult_jordan_chevalley, pivot_rows, scalar_restriction)
 
@@ -50,6 +50,8 @@ class WDRep(Record):
         for label, g in self.inertia:
             if not isinstance(label, str) or not label:
                 raise ValueError("inertia labels must be nonempty strings")
+            if [other for other, _ in self.inertia].count(label) > 1:  # one trace per label
+                raise ValueError(f"inertia label {label!r} is repeated")
             if not g.is_square() or g.nrows != self.phi.nrows or g.field != self.field:
                 raise ValueError(f"inertia {label!r} has wrong shape or field")
 
@@ -514,8 +516,6 @@ def purity_check(rho: WDRep, weight="infer", eps=DEFAULT_EPS) -> PurityReport:
         raise ValueError("eps below 2^-16000 cannot be certified")
     if rho.field == QT:
         raise ValueError("purity is a property of specializations, not of Q(t) families")
-    if not (rho.field == QQ or isinstance(rho.field, NumberField)):
-        raise ValueError("purity requires coefficients in Q or a number field")
     _require_valid(rho)
     filt = monodromy_filtration(rho.nilp)
     flag = ((k, filt.step(k - 1), filt.step(k)) for k in filt.indices())

@@ -60,6 +60,98 @@ class TestFlagParsing:
         merged = cli._merge_negative_values(argv)
         assert "--points=-5..5" in merged and "--weight=-1" in merged
 
+    def test_table_parser_agrees_with_argparse(self):
+        """On every command line the table path either declines or returns
+        the request argparse returns; argparse alone decides every refusal."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def by_argparse(argv):
+            """argparse's request, or its exit code (2 refused, 0 help)."""
+            with pytest.MonkeyPatch.context() as patch, \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                patch.setattr(cli, "_table_request", lambda argv: None)
+                try:
+                    return cli.parse_request(argv)
+                except SystemExit as exc:
+                    return exc.code
+
+        accepted = []
+
+        def check(argv):
+            req = cli._table_request(list(argv))
+            if req is not None:
+                accepted.append(argv)
+                assert by_argparse(argv) == req, argv
+
+        # lines the table path leaves to argparse: the next token is the value
+        # only for `_VALUE_FLAGS`, so argparse refuses `--output -x` but reads
+        # `--partition -2`; it reads abbreviations and repeats, and prints help
+        frss = CommandRequest("frss", SP2, weight=None)
+        for argv, expected in (
+                (["schur", "--partition", "2", "--output", "-x", SP2], 2),
+                (["frss", "--format", "-x", SP2], 2),
+                (["frss", "--format=xml", SP2], 2),
+                (["frss", "-xformat=json", SP2], 2),
+                (["frss", SP2, "--", "x.json"], 2),
+                (["frss", SP2, "x.json"], 2),
+                (["schur", SP2], 2),
+                (["schur", "--partition", "-2", SP2],
+                 CommandRequest("schur", SP2, partition="-2", weight=None)),
+                (["frss", "--form", "table", SP2], frss.replace(format="table")),
+                (["frss", "--output", "a", "--output", "b", SP2], frss.replace(output="b")),
+                (["frss", "-h"], 0)):
+            assert cli._table_request(argv) is None and by_argparse(argv) == expected, argv
+        assert by_argparse(["scan", "--points", "-x", "--partition", "1", SP2]) == \
+            cli._table_request(["scan", "--points", "-x", "--partition", "1", SP2])
+
+        values = ["2,1", "3", "1/2", "infer", "", "x=y", "a b", "json", "table"]
+        odd = ["-h", "--help", "--", "-x", "-5", "-", "-a b", "--x", "--bogus", "--points",
+               "--format=xml", "-xformat=json", "other.json", "xml"]
+
+        @st.composite
+        def command_lines(draw):
+            """A plainly valid line, then up to three changes, each of which
+            may or may not make argparse refuse it."""
+            command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+            pieces = []
+            for name in cli.COMMANDS[command][1]:
+                if cli.OPTIONS[name].get("required") or draw(st.booleans()):
+                    value = draw(st.sampled_from([*cli.OPTIONS[name].get("choices", values), "xml"]))
+                    pieces.append([f"--{name}={value}"] if draw(st.booleans())
+                                  else [f"--{name}", value])
+            pieces.insert(draw(st.integers(0, len(pieces))), ["doc.json"])
+            pieces = draw(st.permutations(pieces))
+            for _ in range(draw(st.integers(0, 3))):
+                i = draw(st.integers(0, max(len(pieces) - 1, 0)))
+                change = draw(st.integers(0, 5))
+                if change == 0 and pieces:  # a flag or the input dropped
+                    pieces.pop(i)
+                elif change == 1 and pieces:  # a piece repeated
+                    pieces.insert(i, pieces[i])
+                elif change == 2:  # an odd token
+                    pieces.insert(i, [draw(st.sampled_from(odd))])
+                elif change == 3:  # a value starting with `-`, or a missing one
+                    flag = draw(st.sampled_from([*cli.OPTIONS, "bogus"]))
+                    pieces.insert(i, [f"--{flag}", *draw(st.sampled_from(
+                        [["-5..5"], ["-1"], ["-x"], ["--points"], ["--"], []]))])
+                elif change == 4 and pieces and pieces[i][0].startswith("--"):  # abbreviated
+                    name, eq, value = pieces[i][0][2:].partition("=")
+                    cut = draw(st.integers(1, len(name)))
+                    pieces[i] = [f"--{name[:cut]}{eq}{value}", *pieces[i][1:]]
+                else:  # another command, or none
+                    command = draw(st.sampled_from([*cli.COMMANDS, "sch", "bogus", "", *odd]))
+            return [command, *(tok for piece in pieces for tok in piece)]
+
+        @hypothesis.settings(max_examples=600, derandomize=True, deadline=None, database=None)
+        @hypothesis.given(command_lines())
+        def run(argv):
+            check(argv)
+
+        run()
+        assert len(accepted) >= 100
+
 
 class TestCommands:
     def test_validate_ok(self):
@@ -445,7 +537,11 @@ class TestDocumentShapeErrors:
         ({"q": 1}, "q must be an integer >= 2"),
         ({"q": "5"}, "q must be an integer >= 2"),
         ({"q": True}, "q must be an integer >= 2"),
-    ], ids=["non-square phi", "unequal sizes", "inertia size", "q 1", "q string", "q bool"])
+        ({"inertia": [{"label": "g", "matrix": [["1", "0"], ["0", "1"]]},
+                      {"label": "g", "matrix": [["-1", "0"], ["0", "-1"]]}]},
+         "inertia label 'g' is repeated"),
+    ], ids=["non-square phi", "unequal sizes", "inertia size", "q 1", "q string", "q bool",
+            "repeated label"])
     def test_validate_exits_2_naming_the_problem(self, tmp_path, change, message):
         path = tmp_path / "rep.json"
         path.write_text(json.dumps({**self.RIGHT, **change}))
@@ -597,6 +693,31 @@ class TestHostileInput:
             f"ParseError: {path}: phi[0][0]: integer of more than {sys.get_int_max_str_digits()} "
             f"digits (Python's int-conversion limit) in scalar {phi[:64]!r}… "
             f"({len(phi)} characters)"]
+
+    @pytest.mark.parametrize("text", ["[" * 2000 + "]" * 2000, '{"a": ' * 2000 + "1" + "}" * 2000],
+                             ids=["arrays", "objects"])
+    def test_json_nested_beyond_the_recursion_limit(self, tmp_path, text):
+        """The decoder's RecursionError is an input error naming the limit."""
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, env = run_command(CommandRequest("validate", str(path)))
+        assert code == 2 and env["diagnostics"] == [
+            f"ParseError: {path}: arrays or objects nested deeper than Python's recursion "
+            f"limit ({sys.getrecursionlimit()})"]
+        code, err, _ = _run_cli("validate", str(path))
+        assert code == 2 and "Traceback" not in err and "recursion limit" in err
+
+    def test_json_integer_beyond_the_int_conversion_limit(self, tmp_path):
+        """A JSON integer literal longer than Python converts is refused with
+        the limit named, as a scalar string is."""
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "rep.json"
+        path.write_text('{"q": ' + "7" * (limit + 700) + ', "field": {"type": "Q"}, '
+                        '"phi": [["1"]], "nilp": [["0"]]}')
+        code, env = run_command(CommandRequest("validate", str(path)))
+        assert code == 2 and env["diagnostics"] == [
+            f"ParseError: {path}: integer of more than {limit} digits (Python's "
+            "int-conversion limit) in a JSON number"]
 
     def test_float_minpoly(self, tmp_path):
         path = _one_dim_rep(tmp_path, {"type": "NumberField", "minpoly": [-2.0, 0, 1.0]}, "1")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from wdreps import cli, fields, linalg, roots, schur, wd
+from wdreps import cli, fields, linalg, numberfield, roots, schur, wd
 
 from support import fractions_built
 
@@ -73,26 +73,36 @@ def _modules_loaded(*code):
 
 def test_cli_import_floor(tmp_path):
     """The modules each command loads, one fresh interpreter per command:
-    none of `dataclasses`, `inspect`, `traceback`, `ast` or `dis`; and of
-    `schur`, `roots` and `families`, only those the command runs.  Importing
-    `wdreps.cli` and `validate`, `frss` and `filtration` load none of them,
-    `schur` loads `schur` alone, and `rigidity` all three."""
+    none of `dataclasses`, `inspect`, `traceback`, `ast` or `dis`, nor
+    `argparse` (an accepted line is read off the tables) or `hashlib` and
+    `_hashlib` (the digest is the builtin sha256); of `schur`, `roots` and
+    `families`, only those the command runs; and `numberfield` only for a
+    number-field document.  Importing `wdreps.cli` and `validate`, `frss`
+    and `filtration` load none of the three, `schur` loads `schur` alone,
+    `purity` `roots` alone, and `rigidity` all three."""
     corpus = SRC.parents[1] / "corpus"
     sp2, flagship = str(corpus / "sp2.json"), str(corpus / "flagship.json")
+    sqrt2 = tmp_path / "sqrt2.json"
+    sqrt2.write_text('{"q": 2, "field": {"type": "NumberField", "minpoly": [-2, 0, 1]}, '
+                     '"phi": [["a", "0"], ["0", "a/2"]], "nilp": [["0", "0"], ["1", "0"]]}')
     deferred = {"wdreps.schur", "wdreps.roots", "wdreps.families"}
     cases = [(None, set()),
              (["validate", sp2], set()),
              (["schur", "--partition", "2,1", sp2], {"wdreps.schur"}),
              (["frss", sp2], set()),
              (["filtration", sp2], set()),
-             (["rigidity", "--partition", "2", "--points", "1..2", flagship], deferred)]
+             (["rigidity", "--partition", "2", "--points", "1..2", flagship], deferred),
+             (["validate", str(sqrt2)], set()),
+             (["purity", "--format=table", str(sqrt2)], {"wdreps.roots"})]
     for argv, expected in cases:
         run = [] if argv is None else [
             f"assert wdreps.cli.main({[*argv, '--output', str(tmp_path / 'report')]!r}) == 0"]
         loaded = _modules_loaded("import sys, wdreps.cli", *run)
         assert "wdreps.cli" in loaded
         assert not loaded & {"dataclasses", "inspect", "traceback", "ast", "dis"}
+        assert not loaded & {"argparse", "hashlib", "_hashlib"}, argv
         assert loaded & deferred == expected, argv
+        assert ("wdreps.numberfield" in loaded) == (argv is not None and str(sqrt2) in argv), argv
 
 
 # `wdreps.__all__` as the package listed it when it imported every module
@@ -145,6 +155,12 @@ def test_package_resolves_its_names_on_first_access():
         wdreps.no_such_name  # noqa: B018
     loaded = _modules_loaded("import sys, wdreps", "wdreps.CertificationFailed, wdreps.QQ")
     assert {m for m in loaded if m.startswith("wdreps")} == {"wdreps", "wdreps.fields"}
+    # number fields load on first use, by any of the three names
+    loaded = _modules_loaded("import sys, wdreps", "from wdreps.fields import NFElem",
+                             "from wdreps.numberfield import NFElem as E, NumberField as K",
+                             "assert NFElem is E and wdreps.NumberField is K is wdreps.fields.NumberField")
+    assert {m for m in loaded if m.startswith("wdreps")} == {"wdreps", "wdreps.fields",
+                                                             "wdreps.numberfield"}
 
 
 def test_package_reads_no_environment_variable():
@@ -270,7 +286,7 @@ def test_number_field_scalars_run_on_the_integer_kernel(monkeypatch):
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.FunctionDef) and node.name == "poly_xgcd"]
     assert defined == []
-    tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
+    tree = ast.parse((SRC / "numberfield.py").read_text(encoding="utf-8"))
     (nfelem,) = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == "NFElem"]
     (inverse,) = [m for m in nfelem.body
                   if isinstance(m, ast.FunctionDef) and m.name == "_inverse"]
@@ -280,7 +296,8 @@ def test_number_field_scalars_run_on_the_integer_kernel(monkeypatch):
     number_fields = [fields.NumberField([-2, 0, 1]),
                      fields.NumberField([-2, 0, 0, 0, 1])]
     poly, init = fields._poly, fields.Poly.__init__
-    monkeypatch.setattr(fields, "_poly", lambda *args: built.append(args) or poly(*args))
+    for module in (fields, numberfield):
+        monkeypatch.setattr(module, "_poly", lambda *args: built.append(args) or poly(*args))
     monkeypatch.setattr(fields.Poly, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
     for K in number_fields:

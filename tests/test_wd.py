@@ -74,6 +74,14 @@ class TestValidate:
         rho = WDRep(5, QQ, Matrix.identity(QQ, 2), Matrix(QQ, [[0, 0], [1, 0]]))
         assert "relation" in wd_validate(rho)
 
+    def test_repeated_inertia_label(self):
+        """A signature keeps one inertia trace per label, so each label names
+        one generator."""
+        eye = Matrix.identity(QQ, 2)
+        with pytest.raises(ValueError, match="^inertia label 'g' is repeated$"):
+            WDRep(5, QQ, eye, Matrix.zeros(QQ, 2, 2),
+                  (("g", eye), ("h", eye), ("g", Matrix(QQ, [[-1, 0], [0, -1]]))))
+
     def test_infinite_order_inertia(self):
         # no order test of its own: the closure cap bounds every generator's order
         rho = WDRep(5, QQ, Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 2),
