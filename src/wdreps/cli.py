@@ -25,8 +25,11 @@ from fractions import Fraction
 
 try:  # the builtin digest: `hashlib` would load OpenSSL for one sha256
     from _sha256 import sha256
-except ImportError:  # Python 3.12 renamed it `_sha2`
-    from hashlib import sha256
+except ImportError:
+    try:  # Python 3.12 renamed it `_sha2`
+        from _sha2 import sha256
+    except ImportError:  # a build without the builtin digests
+        from hashlib import sha256
 
 from . import __version__
 from .jsonio import (ValidationError, canonical_json_bytes, filtration_to_json, load_wdrep,

@@ -126,6 +126,9 @@ def load_wdrep(path: str, raw: bytes | None = None) -> WDRep:
         return wdrep_from_json(json.loads(raw, parse_int=_json_int))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:  # raised by the decoder before it parses
+        raise ParseError(f"{path}: byte {exc.start}: not valid {exc.encoding} "
+                         f"({exc.reason})") from exc
     except RecursionError as exc:  # raised by the decoder, the one recursive reader
         raise ParseError(f"{path}: arrays or objects nested deeper than Python's recursion "
                          f"limit ({sys.getrecursionlimit()})") from exc

@@ -707,6 +707,18 @@ class TestHostileInput:
         code, err, _ = _run_cli("validate", str(path))
         assert code == 2 and "Traceback" not in err and "recursion limit" in err
 
+    def test_undecodable_document(self, tmp_path):
+        """A byte that is not UTF-8 is an input error naming the path and
+        its offset; no traceback and no codec text reach the user."""
+        path = tmp_path / "rep.json"
+        path.write_bytes(b'{"q": 5, "field": {"type": "Q"}, "phi": [["1\xff"]], "nilp": [["0"]]}')
+        code, env = run_command(CommandRequest("validate", str(path)))
+        assert code == 2 and env["diagnostics"] == [
+            f"ParseError: {path}: byte 44: not valid utf-8 (invalid start byte)"]
+        code, err, _ = _run_cli("validate", str(path))
+        assert code == 2 and "Traceback" not in err and "UnicodeDecodeError" not in err
+        assert f"{path}: byte 44" in err
+
     def test_json_integer_beyond_the_int_conversion_limit(self, tmp_path):
         """A JSON integer literal longer than Python converts is refused with
         the limit named, as a scalar string is."""

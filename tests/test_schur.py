@@ -34,6 +34,11 @@ def group_product(x, y):
     return {perm: v for perm, v in out.items() if v}
 
 
+# every partition whose symmetrizer MAX_SYMMETRIZER_TERMS admits
+ADMITTED = [mu for d in range(1, 7) for mu in partitions_of(d)] + [Partition(parts) for parts in (
+    (5, 1, 1), (4, 2, 1), (4, 1, 1, 1), (3, 2, 1, 1), (3, 1, 1, 1, 1))]
+
+
 def word_index(word, n):
     """Big-endian position of a tensor word among the n^d words."""
     return sum(x * n ** (len(word) - 1 - k) for k, x in enumerate(word))
@@ -89,11 +94,30 @@ class TestYoungSymmetrizer:
         assert n == 3
 
     def test_symmetrizer_law_all_d_up_to_5(self):
-        for d in range(1, 6):
-            for mu in partitions_of(d):
-                c, n_mu = young_symmetrizer(mu)
-                assert group_product(c, c) == {p: n_mu * v for p, v in c.items()}
-                assert n_mu * specht_dim(mu) == factorial(d)
+        """c*c = n_mu*c, squared here for every partition the cap admits:
+        `young_symmetrizer` does not square c, and the law depends on mu
+        alone."""
+        assert len(ADMITTED) == 34
+        for mu in ADMITTED:
+            c, n_mu = young_symmetrizer(mu)
+            assert group_product(c, c) == {p: n_mu * v for p, v in c.items()}
+            assert n_mu * specht_dim(mu) == factorial(mu.d)
+
+    def test_forming_c_takes_one_product_per_term(self, monkeypatch):
+        """c is formed in |R| |C| permutation products, one per term: 720
+        for (6), where squaring c as well took 519,120."""
+        calls = []
+
+        def counted(p, q):
+            calls.append(None)
+            return perm_mul(p, q)
+
+        monkeypatch.setattr(schur, "perm_mul", counted)
+        for mu in ADMITTED:
+            calls.clear()
+            c, _ = young_symmetrizer(mu)
+            terms = math.prod(factorial(k) for k in mu.parts + mu.conjugate().parts)
+            assert len(calls) == len(c) == terms, mu
 
 
 class TestDimensions:

@@ -13,7 +13,7 @@ import pytest
 
 from wdreps import cli, fields, linalg, numberfield, roots, schur, wd
 
-from support import fractions_built
+from support import fractions_built, partitions_of
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wdreps"
 
@@ -28,12 +28,15 @@ def _imported_modules(tree):
 
 
 def test_package_imports_only_the_standard_library():
+    """Every import is of the standard library, save the builtin sha256's
+    module, which Python 3.12 renamed from `_sha256` to `_sha2`: each
+    interpreter lists only its own name, and `cli` tries both."""
     sources = sorted(SRC.glob("*.py"))
     assert sources
     foreign = {(path.name, name)
                for path in sources
                for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
-               if name not in sys.stdlib_module_names}
+               if name not in sys.stdlib_module_names and name not in ("_sha256", "_sha2")}
     assert not foreign
 
 
@@ -203,6 +206,30 @@ def test_readme_states_the_bounds_in_force():
     assert values["MAX_TENSOR_SIZE"] == schur.MAX_TENSOR_SIZE
     assert values["MAX_SYMMETRIZER_TERMS"] == schur.MAX_SYMMETRIZER_TERMS
     assert values["INERTIA_CLOSURE_CAP"] == wd.INERTIA_CLOSURE_CAP
+
+
+def test_readme_lists_the_partitions_the_symmetrizer_cap_admits():
+    """The README's list of admitted partitions is the set the cap admits.
+    Removing a corner cell shortens one row and one column, so the term
+    count of the smaller partition divides the larger one's: once every
+    partition of 8 is refused, so is every larger one."""
+    readme = " ".join((SRC.parent.parent / "README.md").read_text(encoding="utf-8").split())
+    match = re.search(r"The cap admits exactly (\d+) partitions: every partition of d <= (\d+), "
+                      r"and of d = \d+ only ((?:\([\d,]+\)(?:, | and )?)+)", readme)
+    assert match, "the README no longer lists the partitions the symmetrizer cap admits"
+    stated = {mu.parts for d in range(1, int(match.group(2)) + 1) for mu in partitions_of(d)}
+    stated |= {tuple(map(int, parts.split(","))) for parts in re.findall(r"\(([\d,]+)\)",
+                                                                         match.group(3))}
+    admitted = set()
+    for d in range(1, 9):
+        for mu in partitions_of(d):
+            try:
+                schur.young_symmetrizer(mu)
+            except schur.ResourceCapExceeded:
+                continue
+            admitted.add(mu.parts)
+    assert stated == admitted and int(match.group(1)) == len(admitted)
+    assert not any(sum(parts) == 8 for parts in admitted)
 
 
 def test_scalars_have_one_promotion_path():

@@ -359,6 +359,50 @@ class TestSchurOfRep:
         assert len(checked) == 1
 
 
+class TestMetamorphicIdentities:
+    """Identities of Schur functors (Fulton and Harris, Lecture 6) read on
+    signatures: both sides are built with `wd_tensor`, `wd_direct_sum` and
+    `wd_schur`, and their `frss_signature`s agree.  A = corpus sp2, B =
+    corpus inertia_pair at t = 3, both with q = 5."""
+
+    @pytest.fixture(scope="class")
+    def reps(self):
+        corpus = Path(__file__).resolve().parent.parent / "corpus"
+        return (load_wdrep(str(corpus / "sp2.json")),
+                specialize(load_wdrep(str(corpus / "inertia_pair.json")), 3))
+
+    @staticmethod
+    def _sum(*reps):
+        out = reps[0]
+        for rep in reps[1:]:
+            out = wd_direct_sum(out, rep)
+        return out
+
+    def _assert_same(self, lhs, rhs):
+        assert lhs.dim == rhs.dim
+        assert frss_signature(lhs) == frss_signature(rhs)
+
+    def test_cauchy_sym2_of_a_tensor_product(self, reps):
+        a, b = reps
+        sym2, wedge2 = Partition.of(2), Partition.of(1, 1)
+        self._assert_same(wd_schur(wd_tensor(a, b), sym2),
+                          self._sum(wd_tensor(wd_schur(a, sym2), wd_schur(b, sym2)),
+                                    wd_tensor(wd_schur(a, wedge2), wd_schur(b, wedge2))))
+
+    def test_wedge2_of_a_direct_sum(self, reps):
+        a, b = reps
+        wedge2 = Partition.of(1, 1)
+        self._assert_same(wd_schur(wd_direct_sum(a, b), wedge2),
+                          self._sum(wd_schur(a, wedge2), wd_tensor(a, b), wd_schur(b, wedge2)))
+
+    def test_schur_weyl_third_tensor_power(self, reps):
+        a, _ = reps
+        hook = wd_schur(a, Partition.of(2, 1))
+        self._assert_same(wd_tensor(wd_tensor(a, a), a),
+                          self._sum(wd_schur(a, Partition.of(3)), hook, hook,
+                                    wd_schur(a, Partition.of(1, 1, 1))))
+
+
 class TestFrss:
     def test_semisimple_unchanged(self):
         rho = WDRep(5, QQ, Matrix.diagonal(QQ, [2, 3]), Matrix.zeros(QQ, 2, 2))
